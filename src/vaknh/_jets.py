@@ -1,9 +1,8 @@
 """Batched first/second-derivative tables for the dynamics equations.
 
-One hyper-dual sweep with identity-seeded array channels returns the value,
-full gradient and full Hessian of an expression with respect to a chosen
-variable ordering.  Two tables cover everything the equations of motion
-need:
+One hyper-dual sweep returns the value, full gradient and full Hessian of an
+expression with respect to a chosen variable ordering.  Two tables cover
+everything the equations of motion need:
 
 * the *restricted* table differentiates the constraint expressions and the
   Lagrangian restricted to the constraint submanifold (dependent velocities
@@ -11,8 +10,22 @@ need:
 * the *ambient* table differentiates the full Lagrangian with respect to
   (positions, all velocities) at completed velocities.
 
-Hessians extracted here are exactly symmetric: the cross-derivative channel
-of the hyper-dual product rule is built from matching outer products.
+``restricted_table``, ``ambient_table`` and ``ambient_velocity_gradient``
+run straight-line kernels that :mod:`vaknh._kernel` generates from the
+system's expression trees on the first sweep and stores on the
+``SystemDef``.  The ``reference_*`` functions are the interpreter they are
+generated from: one sweep of :class:`~vaknh.autodiff.HyperDual` numbers with
+identity-seeded array channels through :func:`vaknh.expr.evaluate`.  Both
+agree bit for bit in every value, every gradient entry and, while the
+intermediate values are finite, every Hessian entry of the upper triangle,
+up to the sign of a zero outside the structural pattern.  When a kernel
+fails, the sweep is re-run by the interpreter, which raises the documented
+error.
+
+Kernel Hessians are exactly symmetric: the upper triangle is mirrored.
+Interpreted ones need not be.  On the two sides of the diagonal, the product
+rule adds its two cross products in opposite orders, and the chain rule
+forms (f'' g_i) g_j on one side and (f'' g_j) g_i on the other.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
+from ._kernel import compile_sweep
 from .autodiff import HyperDual
 
 
@@ -51,7 +65,9 @@ def _parts(result, k):
 
 @dataclass
 class Jet:
-    """Value, gradient and Hessian of one scalar function at one point."""
+    """Value, gradient and Hessian of one scalar function at one point.
+
+    The arrays of a kernel's jets are read-only."""
 
     value: float
     grad: np.ndarray
@@ -77,12 +93,10 @@ class RestrictedTable:
         return self.n + a
 
 
-def restricted_table(sys, q, v) -> RestrictedTable:
-    """Differentiate psi and the restricted Lagrangian at (q, v).
-
-    The dependent velocities are substituted as hyper-duals, so the
-    Lagrangian jets chain through the constraint completion.
-    """
+def reference_restricted_table(sys, q, v) -> RestrictedTable:
+    """Interpreted :func:`restricted_table`: the dependent velocities are
+    substituted as hyper-duals, so the Lagrangian jets chain through the
+    constraint completion."""
     n, m = sys.n, sys.m
     k = n + (n - m)
     names = list(sys.coords) + [sys.velocity_of(c) for c in sys.base]
@@ -111,9 +125,8 @@ class AmbientTable:
         return self.n + i
 
 
-def ambient_table(sys, q, v_full) -> AmbientTable:
-    """Differentiate the ambient Lagrangian at completed velocities, with
-    every velocity treated as an independent variable."""
+def reference_ambient_table(sys, q, v_full) -> AmbientTable:
+    """Interpreted :func:`ambient_table`."""
     n = sys.n
     names = list(sys.coords) + [sys.velocity_of(c) for c in sys.coords]
     values = list(zip(names, list(q) + list(v_full)))
@@ -122,8 +135,8 @@ def ambient_table(sys, q, v_full) -> AmbientTable:
     return AmbientTable(lag=lag, n=n)
 
 
-def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
-    """d(ambient L)/d(velocities) at completed velocities (the Legendre map)."""
+def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
+    """Interpreted :func:`ambient_velocity_gradient`."""
     n = sys.n
     vel_names = [sys.velocity_of(c) for c in sys.coords]
     values = list(zip(vel_names, v_full))
@@ -133,3 +146,72 @@ def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
     result = _expr.evaluate(sys.lagrangian, env)
     _, grad, _ = _parts(result, n)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Generated kernels
+# ---------------------------------------------------------------------------
+
+
+def _kernel(sys, kind):
+    """The compiled sweep ``kind`` of ``sys``, generated on first use."""
+    kernel = sys._kernels.get(kind)
+    if kernel is None:
+        kernel = sys._kernels[kind] = compile_sweep(sys, kind)
+    return kernel
+
+
+def _flat(q, v):
+    """The arguments of a kernel: the entries of q and v as floats."""
+    return np.asarray(q, dtype=float).tolist() + np.asarray(v, dtype=float).tolist()
+
+
+def _jets(packed, count, k):
+    """Unpack a kernel's output into ``count`` jets of ``k`` variables.  The
+    arrays are read-only views of one buffer."""
+    flat = np.frombuffer(packed)
+    grads = flat[count:count * (k + 1)].reshape(count, k)
+    hessians = flat[count * (k + 1):].reshape(count, k, k)
+    return [Jet(value, grad, hess)
+            for value, grad, hess in zip(flat[:count].tolist(), grads, hessians)]
+
+
+# A kernel signals failure with these; the interpreter then raises the
+# documented error (TypeError: arguments of the wrong length or kind).
+_KERNEL_FAILURES = (ArithmeticError, ValueError, TypeError)
+
+
+def restricted_table(sys, q, v) -> RestrictedTable:
+    """Differentiate psi and the restricted Lagrangian at (q, v).
+
+    The dependent velocities are substituted as hyper-duals, so the
+    Lagrangian jets chain through the constraint completion.
+    """
+    kernel = _kernel(sys, "restricted")
+    try:
+        packed = kernel(*_flat(q, v))
+    except _KERNEL_FAILURES:
+        return reference_restricted_table(sys, q, v)
+    *psi, lag = _jets(packed, sys.m + 1, 2 * sys.n - sys.m)
+    return RestrictedTable(lag=lag, psi=psi, n=sys.n, m=sys.m)
+
+
+def ambient_table(sys, q, v_full) -> AmbientTable:
+    """Differentiate the ambient Lagrangian at completed velocities, with
+    every velocity treated as an independent variable."""
+    kernel = _kernel(sys, "ambient")
+    try:
+        packed = kernel(*_flat(q, v_full))
+    except _KERNEL_FAILURES:
+        return reference_ambient_table(sys, q, v_full)
+    return AmbientTable(lag=_jets(packed, 1, 2 * sys.n)[0], n=sys.n)
+
+
+def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
+    """d(ambient L)/d(velocities) at completed velocities (the Legendre map)."""
+    kernel = _kernel(sys, "velocity_gradient")
+    try:
+        packed = kernel(*_flat(q, v_full))
+    except _KERNEL_FAILURES:
+        return reference_ambient_velocity_gradient(sys, q, v_full)
+    return np.frombuffer(bytearray(packed))

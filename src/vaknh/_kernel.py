@@ -1,0 +1,364 @@
+"""Straight-line forward-mode kernels for the jet sweeps.
+
+``compile_sweep`` turns the expression trees of a system into one Python
+function per sweep, built once with ``compile()``: the tape form of forward
+mode (Griewank & Walther, *Evaluating Derivatives*, 2008) over the
+hyper-dual algebra of Fike & Alonso (AIAA 2011-886) that
+:class:`vaknh.autodiff.HyperDual` implements with array channels.
+
+Code generation runs the interpreter's hyper-dual arithmetic symbolically:
+every channel entry is a Python float known at generation time or the name
+of a local of the generated function, and each operation on names becomes
+one line of scalar code.  Operations with equal operands are emitted once,
+so repeated subexpressions are shared.  Each entry is computed with the
+interpreter's operations in the interpreter's order, which makes the
+results equal to an interpreted sweep bit for bit:
+
+* gradient entries are all computed, structural zeros included, because the
+  sign of a zero gradient entry can reach the output;
+* Hessian entries are computed only where they are not structurally zero,
+  for the upper triangle only, and mirrored.  Dropping a term that is a
+  structural zero changes no value, only possibly the sign of a zero (for
+  finite intermediate values), and mirroring makes every Hessian exactly
+  symmetric.
+
+Every check the interpreter makes before an operation that may fail is
+emitted with the same comparison, and every value-side operation that may
+raise is emitted unconditionally, so a kernel raises whenever the
+interpreter would.  It raises a bare ``ValueError`` or ``ArithmeticError``;
+callers re-run the interpreter to get the documented error.
+
+The generated source contains only generated local names, float literals
+and the math functions below: no text of the system file reaches it.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+import struct
+
+from . import expr as _expr
+
+__all__ = ["compile_sweep"]
+
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_CHECKS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
+_GLOBALS = {f"_{name}": getattr(math, name) for name in _expr.FUNCTIONS + ("pow",)}
+_GLOBALS.update(_inf=math.inf, _nan=math.nan)
+
+
+def _lit(term) -> str:
+    """Source text of a term: a local name, or a float literal."""
+    if isinstance(term, str):
+        return term
+    if math.isnan(term):
+        return "_nan"
+    text = repr(term) if math.isfinite(term) else "_inf"
+    return f"(-{text.lstrip('-')})" if math.copysign(1.0, term) < 0 else text
+
+
+def _is(term, value: float) -> bool:
+    """Whether a term is the float ``value``, the sign of a zero included."""
+    return (isinstance(term, float) and term == value
+            and math.copysign(1.0, term) == math.copysign(1.0, value))
+
+
+class _Dual:
+    """A hyper-dual whose channel entries are terms.  ``hess`` maps (i, j),
+    i <= j, to a term; a missing pair is a structural zero."""
+
+    __slots__ = ("value", "grad", "hess")
+
+    def __init__(self, value, grad, hess):
+        self.value = value
+        self.grad = grad
+        self.hess = hess
+
+
+class _Emitter:
+    """Emits the lines of one kernel while evaluating trees symbolically."""
+
+    def __init__(self, k: int, hessian: bool):
+        self.k = k
+        self.hessian = hessian
+        self.lines: list[str] = []
+        self.names: dict = {}          # operation key -> local name
+        self.checks: set = set()       # checks already emitted
+        self.zeros: set[str] = set()   # locals that are a zero of some sign
+
+    # -- scalar terms -------------------------------------------------------
+
+    def zero(self, term) -> bool:
+        if isinstance(term, str):
+            return term in self.zeros
+        return term == 0.0
+
+    def _emit(self, key, code, zero=False):
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"t{len(self.names)}"
+            self.lines.append(f"{name} = {code}")
+            if zero:
+                self.zeros.add(name)
+        return name
+
+    def op(self, sym, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            try:
+                return _FOLD[sym](a, b)
+            except ArithmeticError:
+                pass  # emitted, so that it raises at run time
+        # x * 1.0, x / 1.0, x + (-0.0) and x - 0.0 are x bit for bit,
+        # signed zeros and NaN included.
+        if sym in "*+" and _is(a, 1.0 if sym == "*" else -0.0):
+            return b
+        if _is(b, {"*": 1.0, "/": 1.0, "+": -0.0, "-": 0.0}[sym]):
+            return a
+        la, lb = _lit(a), _lit(b)
+        if sym in "+*" and lb < la:
+            la, lb = lb, la   # commutative: one line for both orders
+        zero = (self.zero(a) or self.zero(b)) if sym == "*" else \
+            (self.zero(a) and self.zero(b)) if sym in "+-" else False
+        return self._emit((sym, la, lb), f"{la} {sym} {lb}", zero)
+
+    def neg(self, a):
+        if isinstance(a, float):
+            return -a
+        return self._emit(("neg", a), f"-{a}", self.zero(a))
+
+    def call(self, fn, *args):
+        texts = tuple(map(_lit, args))
+        return self._emit((fn,) + texts, f"_{fn}({', '.join(texts)})")
+
+    def check(self, a, sym, b):
+        """Fail where the interpreter raises: when ``a <sym> b`` holds."""
+        if isinstance(a, float):
+            if _CHECKS[sym](a, b):
+                self.lines.append("raise ValueError")
+            return
+        line = f"if {a} {sym} {_lit(b)}: raise ValueError"
+        if line not in self.checks:
+            self.checks.add(line)
+            self.lines.append(line)
+
+    def fail(self):
+        """Where the interpreter raises unconditionally (unbound variable)."""
+        self.lines.append("raise ValueError")
+        return "_unreachable"
+
+    # -- hyper-duals ----------------------------------------------------------
+
+    def _hmul(self, a, b):
+        if a is None or b is None or self.zero(a) or self.zero(b):
+            return None
+        return self.op("*", a, b)
+
+    def _hsum(self, *terms):
+        total = None
+        for t in terms:
+            if t is not None:
+                total = t if total is None else self.op("+", total, t)
+        return None if total is None or self.zero(total) else total
+
+    def _pairs(self):
+        return ((i, j) for i in range(self.k) for j in range(i, self.k)) \
+            if self.hessian else ()
+
+    def _hess(self, entries):
+        return {ij: h for ij, h in entries if h is not None}
+
+    def dual_add(self, a, b, sym):
+        """a + b or a - b."""
+        hess = dict(a.hess)
+        for ij, h in b.hess.items():
+            hess[ij] = self.op(sym, hess[ij], h) if ij in hess else \
+                (h if sym == "+" else self.neg(h))
+        return _Dual(self.op(sym, a.value, b.value),
+                     [self.op(sym, x, y) for x, y in zip(a.grad, b.grad)],
+                     self._hess((ij, None if self.zero(h) else h)
+                                for ij, h in hess.items()))
+
+    def dual_mul(self, a, b):
+        op, hmul = self.op, self._hmul
+        grad = [op("+", op("*", a.value, gb), op("*", ga, b.value))
+                for ga, gb in zip(a.grad, b.grad)]
+        hess = self._hess(
+            ((i, j), self._hsum(hmul(a.value, b.hess.get((i, j))),
+                                hmul(a.grad[i], b.grad[j]),
+                                hmul(a.grad[j], b.grad[i]),
+                                hmul(a.hess.get((i, j)), b.value)))
+            for i, j in self._pairs())
+        return _Dual(op("*", a.value, b.value), grad, hess)
+
+    def scale(self, a, s):
+        """HyperDual times a plain float."""
+        return _Dual(self.op("*", a.value, s), [self.op("*", g, s) for g in a.grad],
+                     self._hess((ij, self._hmul(h, s)) for ij, h in a.hess.items()))
+
+    def shift(self, a, s, sym):
+        """HyperDual plus or minus a plain float: channels unchanged."""
+        return _Dual(self.op(sym, a.value, s), a.grad, a.hess)
+
+    def dual_neg(self, a, value=None):
+        """-a, or ``value`` with the channels of -a (float minus a)."""
+        return _Dual(self.neg(a.value) if value is None else value,
+                     [self.neg(g) for g in a.grad],
+                     {ij: self.neg(h) for ij, h in a.hess.items()})
+
+    def compose(self, a, u, du, ddu):
+        hmul = self._hmul
+        hess = self._hess(
+            ((i, j), self._hsum(hmul(du, a.hess.get((i, j))),
+                                hmul(hmul(ddu, a.grad[i]), a.grad[j])))
+            for i, j in self._pairs())
+        return _Dual(u, [self.op("*", du, g) for g in a.grad], hess)
+
+    def reciprocal(self, a):
+        v, op = a.value, self.op
+        vv = op("*", v, v)
+        return self.compose(a, op("/", 1.0, v), op("/", -1.0, vv),
+                            op("/", 2.0, op("*", vv, v)))
+
+    # -- the evaluator, mirroring expr.evaluate --------------------------------
+
+    def evaluate(self, e, env):
+        if isinstance(e, _expr.Const):
+            return float(e.value)
+        if isinstance(e, _expr.Var):
+            return env[e.name] if e.name in env else self.fail()
+        if isinstance(e, _expr.Unary):
+            x = self.evaluate(e.arg, env)
+            if e.op == "neg":
+                return self.dual_neg(x) if isinstance(x, _Dual) else self.neg(x)
+            return self.function(e.op, x)
+        if isinstance(e, _expr.Binary):
+            return self.binary(e.op, self.evaluate(e.left, env),
+                               self.evaluate(e.right, env))
+        if isinstance(e, _expr.Power):
+            return self.power(self.evaluate(e.base, env), e.exponent, e.integer)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def binary(self, sym, a, b):
+        da, db = isinstance(a, _Dual), isinstance(b, _Dual)
+        if not (da or db):
+            return self.op(sym, a, b)
+        if sym == "/":
+            if db:
+                self.check(b.value, "==", 0.0)
+                r = self.reciprocal(b)
+                return self.dual_mul(a, r) if da else self.scale(r, a)
+            self.check(b, "==", 0.0)
+            return self.scale(a, self.op("/", 1.0, b))
+        if da and db:
+            return self.dual_mul(a, b) if sym == "*" else self.dual_add(a, b, sym)
+        if sym == "*":
+            return self.scale(a, b) if da else self.scale(b, a)
+        if da or sym == "+":
+            return self.shift(a, b, sym) if da else self.shift(b, a, sym)
+        return self.dual_neg(b, value=self.op("-", a, b.value))  # float - HyperDual
+
+    def function(self, name, x):
+        if name not in _expr.FUNCTIONS:
+            return self.fail()
+        if not isinstance(x, _Dual):
+            if name in ("sqrt", "log"):
+                self.check(x, "<" if name == "sqrt" else "<=", 0.0)
+            return self.call(name, x)
+        v, op = x.value, self.op
+        if name in ("sin", "cos"):
+            s, c = self.call("sin", v), self.call("cos", v)
+            if name == "sin":
+                return self.compose(x, s, c, self.neg(s))
+            return self.compose(x, c, self.neg(s), self.neg(c))
+        if name == "tan":
+            t = self.call("tan", v)
+            d = op("+", 1.0, op("*", t, t))
+            return self.compose(x, t, d, op("*", op("*", 2.0, t), d))
+        if name == "exp":
+            u = self.call("exp", v)
+            return self.compose(x, u, u, u)
+        self.check(v, "<=", 0.0)
+        if name == "log":
+            return self.compose(x, self.call("log", v), op("/", 1.0, v),
+                                op("/", -1.0, op("*", v, v)))
+        u = self.call("sqrt", v)
+        du = op("/", 0.5, u)
+        return self.compose(x, u, du, op("/", op("*", -0.5, du), v))
+
+    def power(self, x, exponent, integer):
+        if integer:
+            n = int(exponent)
+            if n == 0:
+                return 1.0
+            result = x
+            for _ in range(abs(n) - 1):
+                result = self.binary("*", result, x)
+            return self.binary("/", 1.0, result) if n < 0 else result
+        if not isinstance(x, _Dual):
+            self.check(x, "<=", 0.0)
+            return self.call("pow", x, exponent)
+        v, r, op = x.value, exponent, self.op
+        self.check(v, "<=", 0.0)
+        return self.compose(x, self.call("pow", v, r),
+                            op("*", r, self.call("pow", v, r - 1.0)),
+                            op("*", r * (r - 1.0), self.call("pow", v, r - 2.0)))
+
+    # -- outputs ----------------------------------------------------------------
+
+    def outputs(self, results):
+        """Values, then gradients, then mirrored row-major Hessians."""
+        k = self.k
+        duals = [x if isinstance(x, _Dual)   # else no seeded variable reached it
+                 else _Dual(x, [0.0] * k, {}) for x in results]
+        out = [x.value for x in duals]
+        for x in duals:
+            out += x.grad
+        for x in duals:
+            out += [x.hess.get((min(i, j), max(i, j)), 0.0)
+                    for i in range(k) for j in range(k)]
+        return out
+
+
+def compile_sweep(sys, kind: str):
+    """Build the kernel of one sweep of ``sys``.
+
+    The kernel takes the flat state, (q, base v) for ``restricted`` and
+    (q, all v) otherwise, and returns packed doubles (``struct``, native
+    order).  ``restricted`` returns the values, gradients and row-major
+    Hessians in (q, base v) of psi, one per dependent coordinate, and of the
+    restricted Lagrangian; ``ambient`` the same for the Lagrangian in
+    (q, all v); ``velocity_gradient`` the Lagrangian's gradient in the
+    velocities.
+    """
+    coords = list(sys.coords)
+    if kind == "restricted":
+        names = seeded = coords + [sys.velocity_of(c) for c in sys.base]
+    else:  # "ambient" or "velocity_gradient"
+        names = coords + [sys.velocity_of(c) for c in coords]
+        seeded = names if kind == "ambient" else names[sys.n:]
+    k = len(seeded)
+    b = _Emitter(k, hessian=kind != "velocity_gradient")
+    args = {name: f"x{i}" for i, name in enumerate(names)}
+    env = dict(args)
+    for i, name in enumerate(seeded):
+        env[name] = _Dual(args[name], [1.0 if j == i else 0.0 for j in range(k)], {})
+
+    if kind == "restricted":
+        results = []
+        for c in sys.dependent:
+            results.append(b.evaluate(sys.psi[c], env))
+            env[sys.velocity_of(c)] = results[-1]
+        results.append(b.evaluate(sys.lagrangian, env))
+        out = b.outputs(results)
+    else:
+        out = b.outputs([b.evaluate(sys.lagrangian, env)])
+        if kind == "velocity_gradient":
+            out = out[1:1 + k]
+
+    body = "".join(f"    {line}\n" for line in b.lines)
+    source = (f"def {kind}({', '.join(args.values())}):\n{body}"
+              f"    return _pack({', '.join(map(_lit, out))})\n")
+    namespace = dict(_GLOBALS, _pack=struct.Struct(f"{len(out)}d").pack)
+    exec(compile(source, f"<{kind} sweep of {sys.name}>", "exec"), namespace)
+    return namespace.pop(kind)   # no cycle through the kernel's globals

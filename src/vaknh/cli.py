@@ -30,7 +30,7 @@ from .models import builtin, builtin_names
 from .nonholonomic import nh_rhs
 from .system import (NhState, SystemDef, VakState, load_system,
                      verify_linearity)
-from .vakonomic import compatibility_matrix, symplectic_check, vak_rhs
+from .vakonomic import compatibility_matrix, det_threshold, symplectic_check, vak_rhs
 
 __all__ = ["run", "main"]
 
@@ -179,8 +179,8 @@ def _cmd_check(args) -> int:
 
     if report.linear:
         cmat = compatibility_matrix(sysdef, q)
-        det = float(np.linalg.det(cmat))
-        invertible = abs(det) > 1e-12 * max(np.max(np.abs(cmat)), 0.0) ** sysdef.m
+        det, threshold = det_threshold(cmat, sysdef.m)
+        invertible = abs(det) > threshold
         rows = "; ".join(", ".join(repr(float(x)) for x in row) for row in cmat)
         print(f"compatibility matrix at probe q: [{rows}]")
         print(f"compatibility at probe q: det = {det!r}, "

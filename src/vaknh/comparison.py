@@ -24,8 +24,6 @@ per state and aggregates the results into a JSON-serializable report.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,14 +284,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _scan_workers() -> int:
-    raw = os.environ.get("VAKNH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) -> ComparisonReport:
     """Evaluate the comparison residuals over sampled states.
 
@@ -349,13 +339,7 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
                                     p_dep=[] if p is None else list(map(float, p)),
                                     skipped=str(exc))
 
-    workers = _scan_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(evaluate_one, states))
-    else:
-        records = [evaluate_one(item) for item in states]
-    records.sort(key=lambda r: r.index)
+    records = [evaluate_one(item) for item in states]
 
     evaluated = [r for r in records if r.skipped is None]
     def fraction(read):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
+from ._jets import restricted_table
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
 from .nonholonomic import energy, nh_rhs
 from .system import NhState, SystemDef, VakState, check_state
@@ -110,9 +111,10 @@ def _monitor_names(sys, dynamics, candidates):
 def _monitor_row(sys, dynamics, state, candidates):
     row = []
     if dynamics == "vak":
-        row.append(hamiltonian(sys, state))
-        row.extend(w1_momenta(sys, state))
-        row.extend(vak_rhs(sys, state).dp_dep)
+        tab = restricted_table(sys, state.q, state.v)
+        row.append(hamiltonian(sys, state, tab))
+        row.extend(w1_momenta(sys, state, tab))
+        row.extend(vak_rhs(sys, state, tab).dp_dep)
         env = {c: float(state.q[i]) for i, c in enumerate(sys.coords)}
         for a, c in enumerate(sys.base):
             env[sys.velocity_of(c)] = float(state.v[a])

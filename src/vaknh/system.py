@@ -54,32 +54,30 @@ class SystemDef:
     declared_linear: bool
     # Cache for lazy linearity verification; not part of equality.
     _linear_cache: list = field(default_factory=list, compare=False, repr=False)
+    # Sweep kernels generated on first use (see _jets); not part of equality.
+    _kernels: dict = field(default_factory=dict, compare=False, repr=False)
+    # Derived from coords and dependent once, in __post_init__.
+    n: int = field(init=False, compare=False, repr=False)
+    m: int = field(init=False, compare=False, repr=False)
+    base: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    dependent_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    base_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    @property
-    def m(self) -> int:
-        return len(self.dependent)
-
-    @property
-    def base(self) -> tuple[str, ...]:
-        return tuple(c for c in self.coords if c not in self.dependent)
+    def __post_init__(self):
+        base = tuple(c for c in self.coords if c not in self.dependent)
+        for name, value in (
+                ("n", len(self.coords)),
+                ("m", len(self.dependent)),
+                ("base", base),
+                ("dependent_positions", tuple(map(self.coords.index, self.dependent))),
+                ("base_positions", tuple(map(self.coords.index, base)))):
+            object.__setattr__(self, name, value)
 
     def velocity_of(self, coord: str) -> str:
         return "d" + coord
 
     def coord_index(self, coord: str) -> int:
         return self.coords.index(coord)
-
-    @property
-    def dependent_positions(self) -> tuple[int, ...]:
-        return tuple(self.coords.index(c) for c in self.dependent)
-
-    @property
-    def base_positions(self) -> tuple[int, ...]:
-        return tuple(self.coords.index(c) for c in self.base)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "cbar",
     "symplectic_check",
     "compatibility_matrix",
+    "det_threshold",
     "w1_momenta",
     "hamiltonian",
     "vak_rhs",
@@ -69,9 +70,14 @@ def _cmatrix(tab, mult):
     return c
 
 
+def det_threshold(c, order):
+    """det(c) and the threshold DET_RTOL * max|entry|^order at or below
+    which |det| counts as singular, for a square matrix of that order."""
+    return float(np.linalg.det(c)), DET_RTOL * max(np.max(np.abs(c)), 0.0) ** order
+
+
 def _det_guard(c, nb, sys, s, what):
-    det = float(np.linalg.det(c))
-    threshold = DET_RTOL * max(np.max(np.abs(c)), 0.0) ** nb
+    det, threshold = det_threshold(c, nb)
     if abs(det) <= threshold:
         raise SingularMatrixError(
             f"{what} is singular for system {sys.name!r} (det={det!r})", det, s)
@@ -87,15 +93,17 @@ def _full_velocity(sys, tab, v):
     return dq
 
 
-def _reduced_dynamics(sys, q, v, mult, s, what):
+def _reduced_dynamics(sys, q, v, mult, s, what, tab=None):
     """Completed velocities, base accelerations and multiplier rates for the
     reduced equations with multiplier vector ``mult``.
 
     With ``mult`` = p_dep this is the vakonomic field; with ``mult`` = the
     Legendre momenta of the dependent velocities it is the nonholonomic one
-    (the two right-hand sides coincide under that substitution).
+    (the two right-hand sides coincide under that substitution).  ``tab``
+    is the restricted table at (q, v), computed here when not given.
     """
-    tab = restricted_table(sys, q, v)
+    if tab is None:
+        tab = restricted_table(sys, q, v)
     nb = sys.n - sys.m
     dq = _full_velocity(sys, tab, v)
 
@@ -139,9 +147,7 @@ def cbar(sys: SystemDef, s: VakState) -> np.ndarray:
 def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
     """Determinant test of the reduced matrix; invertibility is equivalent
     to a well-posed (unique) vakonomic flow through the state."""
-    c = cbar(sys, s)
-    det = float(np.linalg.det(c))
-    threshold = DET_RTOL * max(np.max(np.abs(c)), 0.0) ** (sys.n - sys.m)
+    det, threshold = det_threshold(cbar(sys, s), sys.n - sys.m)
     return SymplecticReport(det=det, invertible=bool(abs(det) > threshold))
 
 
@@ -167,8 +173,8 @@ def compatibility_matrix(sys: SystemDef, q) -> np.ndarray:
 
     _warn_if_velocity_dependent_hessian(sys, q, w)
 
-    det = float(np.linalg.det(w))
-    if abs(det) <= DET_RTOL * max(np.max(np.abs(w)), 0.0) ** sys.n:
+    det, threshold = det_threshold(w, sys.n)
+    if abs(det) <= threshold:
         raise SingularMatrixError(
             f"ambient velocity Hessian of {sys.name!r} is singular (det={det!r})",
             det)
@@ -216,11 +222,13 @@ def _warn_if_velocity_dependent_hessian(sys, q, w0):
             stacklevel=3)
 
 
-def w1_momenta(sys: SystemDef, s: VakState) -> np.ndarray:
+def w1_momenta(sys: SystemDef, s: VakState, tab=None) -> np.ndarray:
     """Eliminated momenta conjugate to the base coordinates:
-    p_a = dL~/dv_a - p_dep . dpsi/dv_a."""
+    p_a = dL~/dv_a - p_dep . dpsi/dv_a.  ``tab``: the restricted table at
+    ``s``, if the caller has it."""
     check_state(sys, s)
-    tab = restricted_table(sys, s.q, s.v)
+    if tab is None:
+        tab = restricted_table(sys, s.q, s.v)
     nb = sys.n - sys.m
     p = np.empty(nb)
     for a in range(nb):
@@ -230,11 +238,13 @@ def w1_momenta(sys: SystemDef, s: VakState) -> np.ndarray:
     return p
 
 
-def hamiltonian(sys: SystemDef, s: VakState) -> float:
+def hamiltonian(sys: SystemDef, s: VakState, tab=None) -> float:
     """H = p_a v_a + p_dep . psi - L~, with the eliminated momenta derived
-    from the state.  Conserved along the vakonomic flow (autonomous system)."""
+    from the state.  Conserved along the vakonomic flow (autonomous system).
+    ``tab``: the restricted table at ``s``, if the caller has it."""
     check_state(sys, s)
-    tab = restricted_table(sys, s.q, s.v)
+    if tab is None:
+        tab = restricted_table(sys, s.q, s.v)
     nb = sys.n - sys.m
     h = -tab.lag.value
     for a in range(nb):
@@ -247,12 +257,13 @@ def hamiltonian(sys: SystemDef, s: VakState) -> float:
     return float(h)
 
 
-def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
+def vak_rhs(sys: SystemDef, s: VakState, tab=None) -> VakDerivative:
     """Explicit vakonomic vector field at a state.
 
     Raises :class:`SingularMatrixError` when the reduced matrix fails the
-    determinant guard (the flow is not uniquely defined there).
+    determinant guard (the flow is not uniquely defined there).  ``tab``:
+    the restricted table at ``s``, if the caller has it.
     """
     check_state(sys, s)
-    dq, dv, dp = _reduced_dynamics(sys, s.q, s.v, s.p_dep, s, "vakonomic matrix")
+    dq, dv, dp = _reduced_dynamics(sys, s.q, s.v, s.p_dep, s, "vakonomic matrix", tab)
     return VakDerivative(dq=dq, dv=dv, dp_dep=dp)

@@ -19,7 +19,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from vaknh import expr as E
-from vaknh._jets import ambient_table, ambient_velocity_gradient, restricted_table
+# The interpreted sweeps: the generated kernels behind the package's
+# restricted_table/ambient_table/ambient_velocity_gradient are code under test.
+from vaknh._jets import (reference_ambient_table as ambient_table,
+                         reference_ambient_velocity_gradient as ambient_velocity_gradient,
+                         reference_restricted_table as restricted_table)
 from vaknh.system import complete_velocities
 
 

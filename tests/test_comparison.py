@@ -250,14 +250,6 @@ def test_scan_report_schema_and_candidates():
     assert [r["index"] for r in payload["records"]] == list(range(12))
 
 
-def test_scan_parallel_matches_serial(monkeypatch):
-    p = get_model("rolling_penny")
-    serial = scan(p, _sampler("rolling_penny", 16, 29)).to_json()
-    monkeypatch.setenv("VAKNH_THREADS", "4")
-    parallel = scan(p, _sampler("rolling_penny", 16, 29)).to_json()
-    assert serial == parallel
-
-
 def test_scan_rejects_bad_p_mode():
     with pytest.raises(ValueError):
         scan(get_model("martinet"),

@@ -1,0 +1,155 @@
+"""Generated sweep kernels against the interpreted reference sweeps.
+
+Values and gradients must agree bit for bit, the sign of a zero included.
+Hessians must agree in every entry of the upper triangle under ``==``: a
+structural zero is 0.0 in a kernel and may be -0.0 in the interpreter, and
+every other entry, being equal and nonzero, agrees bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from vaknh import _jets, expr as E
+from vaknh.errors import EvalError
+from vaknh.models import builtin
+from vaknh.system import SystemDef, complete_velocities, load_system
+
+from conftest import ALL_MODELS, get_model, random_states
+from test_expr import _exprs
+
+# (kernel-backed sweep, interpreted sweep, kernel name)
+SWEEPS = (
+    (_jets.restricted_table, _jets.reference_restricted_table, "restricted"),
+    (_jets.ambient_table, _jets.reference_ambient_table, "ambient"),
+    (_jets.ambient_velocity_gradient, _jets.reference_ambient_velocity_gradient,
+     "velocity_gradient"),
+)
+
+
+def _same_bits(a, b):
+    """Bitwise equality; any NaN matches any NaN (payloads may differ)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _assert_agree(got, expected):
+    if isinstance(expected, np.ndarray):   # ambient_velocity_gradient
+        assert _same_bits(got, expected)
+        return
+    jets = zip(getattr(got, "psi", []) + [got.lag],
+               getattr(expected, "psi", []) + [expected.lag], strict=True)
+    for kj, rj in jets:
+        assert _same_bits(kj.value, rj.value)
+        assert _same_bits(kj.grad, rj.grad)
+        assert np.array_equal(kj.hess, kj.hess.T, equal_nan=True)
+        if np.all(np.isfinite(rj.hess)):
+            upper = np.triu_indices(len(rj.grad))
+            assert np.array_equal(kj.hess[upper], rj.hess[upper])
+
+
+def _args(sysdef, kind, q, v, v_full):
+    return (q, v) if kind == "restricted" else (q, v_full)
+
+
+def _check_sweeps(sysdef, q, v, v_full):
+    """Every sweep at one state: equal results, or the same error from the
+    public sweep, and a raw kernel that fails exactly when the interpreter
+    does."""
+    for sweep, reference, kind in SWEEPS:
+        args = _args(sysdef, kind, q, v, v_full)
+        raw = _jets._kernel(sysdef, kind)
+        try:
+            expected = reference(sysdef, *args)
+        except (EvalError, ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                sweep(sysdef, *args)
+            assert str(got.value) == str(exc)
+            with pytest.raises((ArithmeticError, ValueError)):
+                raw(*_jets._flat(*args))
+            continue
+        raw(*_jets._flat(*args))   # no fallback needed
+        _assert_agree(sweep(sysdef, *args), expected)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_models_agree_with_interpreter(name):
+    sysdef = get_model(name)
+    for s in random_states(name, 30, 41):
+        _check_sweeps(sysdef, s.q, s.v, complete_velocities(sysdef, s))
+
+
+_VALUES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow in the interpreter
+@settings(max_examples=200, deadline=None)
+@given(_exprs(), _exprs(), st.lists(_VALUES, min_size=6, max_size=6))
+# 0.0 + (-0.0) is +0.0: a gradient entry's sign of zero
+@example(E.parse("x"), E.parse("x + cos(x)"), [0.0] * 6)
+# the cross term adds g_i*h_j before g_j*h_i: the rounding of one Hessian entry
+@example(E.parse("x"), E.parse("(x + dx)*(x*dx)"), [-1.1586439872730518, 0, 0, 3.0, 0, 0])
+def test_random_trees_agree_with_interpreter(lagrangian, psi, values):
+    sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
+                       lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
+    _check_sweeps(sysdef, values[:3], values[3:5], values[3:6])
+
+
+_DOMAIN = """name domain
+coords x y
+dependent y
+linear false
+lagrangian {lagrangian}
+psi y = x*dx
+"""
+
+
+@pytest.mark.parametrize("lagrangian, q, v, message", [
+    ("sqrt(x)*dx^2", (0.0, 1.0), (1.0,), "sqrt of non-positive value 0.0"),
+    ("log(x) + dx^2", (0.0, 1.0), (1.0,), "log of non-positive value 0.0"),
+    ("dx^2/(x - 1)", (1.0, 0.0), (1.0,), "division by zero"),
+    ("x^2.5 + dx^2", (0.0, 1.0), (1.0,), "non-integer power of non-positive base 0.0"),
+    ("dx^2*y^(-2)", (1.0, 0.0), (1.0,), "zero base with negative exponent"),
+], ids=["sqrt", "log", "division", "real-power", "negative-power"])
+def test_domain_errors_match_interpreter(lagrangian, q, v, message):
+    sysdef = load_system(_DOMAIN.format(lagrangian=lagrangian))
+    with pytest.raises(EvalError, match=message):
+        _jets.reference_restricted_table(sysdef, q, v)
+    _check_sweeps(sysdef, q, v, (v[0], q[0] * v[0]))
+
+
+def test_von_neumann2_outside_its_box_matches_interpreter():
+    sysdef = get_model("von_neumann2")
+    q, v = (1.0, 1.0), (2.0,)   # K1*K2 - dK2^2 < 0 under the square root
+    with pytest.raises(EvalError, match="sqrt"):
+        _jets.reference_restricted_table(sysdef, q, v)
+    _check_sweeps(sysdef, q, v, (0.0, 2.0))
+
+
+def test_unbound_variable_matches_interpreter():
+    sysdef = SystemDef(name="unbound", coords=("x", "y"), dependent=("y",),
+                       lagrangian=E.parse("dx^2 + w"), psi={"y": E.parse("x*dx")},
+                       declared_linear=False)
+    with pytest.raises(EvalError, match="unbound variable 'w'"):
+        _jets.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,))
+    _check_sweeps(sysdef, (1.0, 2.0), (3.0,), (3.0, 3.0))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_hessians_exactly_symmetric(name):
+    sysdef = get_model(name)
+    for s in random_states(name, 50, 43):
+        restricted = _jets.restricted_table(sysdef, s.q, s.v)
+        ambient = _jets.ambient_table(sysdef, s.q, complete_velocities(sysdef, s))
+        for jet in restricted.psi + [restricted.lag, ambient.lag]:
+            assert np.array_equal(jet.hess, jet.hess.T)
+
+
+def test_kernels_compile_on_first_sweep_and_stay_out_of_equality():
+    sysdef = builtin("martinet")
+    assert sysdef._kernels == {}
+    _jets.restricted_table(sysdef, np.zeros(3), np.ones(2))
+    assert set(sysdef._kernels) == {"restricted"}
+    assert sysdef == builtin("martinet")
