@@ -92,6 +92,11 @@ class RestrictedTable:
     def vi(self, a):
         return self.n + a
 
+    @property
+    def psi_grad(self) -> np.ndarray:
+        """m x (2n-m) matrix whose rows are the gradients of the psi."""
+        return np.array([jet.grad for jet in self.psi])
+
 
 def reference_restricted_table(sys, q, v) -> RestrictedTable:
     """Interpreted :func:`restricted_table`: the dependent velocities are

@@ -118,6 +118,8 @@ def _vector(text, length, what, default=None):
         raise _UsageError(f"--{what} must be comma-separated numbers") from None
     if len(values) != length:
         raise _UsageError(f"--{what} needs {length} components, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise _UsageError(f"--{what} must be finite numbers")
     return values
 
 
@@ -126,6 +128,15 @@ def _load_candidates(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         return comparison.parse_candidates(fh.read())
+
+
+def _strict_json(dump):
+    """Run ``dump``, a JSON serializer called with ``allow_nan=False``; a
+    NaN or an infinity in the result is a numeric error, not output."""
+    try:
+        return dump()
+    except ValueError as exc:
+        raise EvalError(f"result is not finite: {exc}") from None
 
 
 def _emit(text, out_path):
@@ -224,7 +235,7 @@ def _cmd_compare(args) -> int:
                   "p": list(map(float, p))},
         "tol": args.tol,
     }
-    if sysdef.declared_linear:
+    if sysdef.linear:
         payload["g"] = [float(x) for x in comparison.g_residuals(sysdef, s)]
     else:
         payload["g"] = None
@@ -234,7 +245,7 @@ def _cmd_compare(args) -> int:
         if candidates else {}
     payload["vak_dv"] = [float(x) for x in vak_rhs(sysdef, s).dv]
     payload["nh_dv"] = [float(x) for x in nh_rhs(sysdef, upsilon(sysdef, s)).dv]
-    print(json.dumps(payload, indent=2))
+    print(_strict_json(lambda: json.dumps(payload, indent=2, allow_nan=False)))
     return 0
 
 
@@ -253,7 +264,7 @@ def _cmd_scan(args) -> int:
     report = comparison.scan(sysdef, sampler,
                              candidates=_load_candidates(args.candidates),
                              tol=args.tol)
-    _emit(report.to_json(indent=2), args.out)
+    _emit(_strict_json(lambda: report.to_json(indent=2)), args.out)
     return 0
 
 

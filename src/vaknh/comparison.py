@@ -13,9 +13,9 @@ The two flows live on different spaces but project onto each other through
 * ``tangency_residuals``: directional derivative of user-named candidate
   constraint functions along the vakonomic field, for checking
   flow-invariance of proposed agreement submanifolds;
-* ``el_residual``: the ambient Euler-Lagrange residual, zero exactly on
-  free solutions (which solve both problems simultaneously when they
-  satisfy the constraints).
+* :func:`vaknh.nonholonomic.euler_lagrange_residual`: the ambient
+  Euler-Lagrange residual, zero exactly on free solutions (which solve
+  both problems simultaneously when they satisfy the constraints).
 
 ``scan`` samples a box in state space, evaluates all applicable residuals
 per state and aggregates the results into a JSON-serializable report.
@@ -33,9 +33,8 @@ from ._jets import restricted_table
 from .autodiff import partial
 from .errors import EvalError, SingularMatrixError, VaknhError
 from .maps import upsilon
-from .nonholonomic import (NhDerivative, NhState, euler_lagrange_residual,
-                           legendre_lift, nh_rhs)
-from .system import SystemDef, VakState, check_state, require_linear
+from .nonholonomic import NhState, _dependent_momenta, nh_rhs
+from .system import SystemDef, VakState, check_state, require_linear, state_env
 from .vakonomic import vak_rhs
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "g_residuals",
     "field_residual",
     "tangency_residuals",
-    "el_residual",
     "parse_candidates",
     "scan",
 ]
@@ -66,22 +64,13 @@ def curvature(sys: SystemDef, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if len(q) != sys.n:
         raise ValueError(f"expected {sys.n} positions, got {len(q)}")
-    nb = sys.n - sys.m
-    tab = restricted_table(sys, q, np.zeros(nb))
-    # psi_v[k, a] = coefficient of v_a in psi_k; hess[q_A, v_b] = its q-derivative
-    psi_v = np.array([[tab.psi[k].grad[tab.vi(a)] for a in range(nb)]
-                      for k in range(sys.m)])
-    r = np.empty((sys.m, nb, nb))
-    for k in range(sys.m):
-        a_mat = np.empty((nb, nb))
-        for a, apos in enumerate(sys.base_positions):
-            for b in range(nb):
-                total = tab.psi[k].hess[tab.qi(apos), tab.vi(b)]
-                for j, dpos in enumerate(sys.dependent_positions):
-                    total += psi_v[j, a] * tab.psi[k].hess[tab.qi(dpos), tab.vi(b)]
-                a_mat[a, b] = total
-        r[k] = a_mat - a_mat.T
-    return r
+    n, base, dep = sys.n, list(sys.base_positions), list(sys.dependent_positions)
+    tab = restricted_table(sys, q, np.zeros(n - sys.m))
+    # psi_v[k, a] = coefficient of v_a in psi_k; h[k, A, b] = d(psi_v[k, b])/dq_A
+    psi_v = tab.psi_grad[:, n:]
+    h = np.array([psi.hess[:n, n:] for psi in tab.psi])
+    a_mat = h[:, base] + psi_v.T @ h[:, dep]
+    return a_mat - a_mat.transpose(0, 2, 1)
 
 
 def g_residuals(sys: SystemDef, s: VakState) -> np.ndarray:
@@ -93,15 +82,8 @@ def g_residuals(sys: SystemDef, s: VakState) -> np.ndarray:
     require_linear(sys, "g_residuals")
     check_state(sys, s)
     r = curvature(sys, s.q)
-    lift = legendre_lift(sys, NhState(s.q, s.v))
-    delta = s.p_dep - np.array([lift[pos] for pos in sys.dependent_positions])
-    nb = sys.n - sys.m
-    g = np.zeros(nb)
-    for b in range(nb):
-        for a in range(nb):
-            for k in range(sys.m):
-                g[b] += s.v[a] * delta[k] * r[k, a, b]
-    return g
+    delta = s.p_dep - _dependent_momenta(sys, s)
+    return np.einsum("a,k,kab->b", s.v, delta, r)
 
 
 def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
@@ -121,15 +103,6 @@ def candidate_variables(sys: SystemDef) -> set[str]:
             | {"p_" + c for c in sys.dependent})
 
 
-def _candidate_env(sys, s: VakState) -> dict[str, float]:
-    env = {c: float(s.q[i]) for i, c in enumerate(sys.coords)}
-    for a, c in enumerate(sys.base):
-        env[sys.velocity_of(c)] = float(s.v[a])
-    for k, c in enumerate(sys.dependent):
-        env["p_" + c] = float(s.p_dep[k])
-    return env
-
-
 def tangency_residuals(sys: SystemDef, candidates: dict[str, _expr.Expression],
                        s: VakState) -> dict[str, float]:
     """Directional derivative of each candidate function along the vakonomic
@@ -143,7 +116,7 @@ def tangency_residuals(sys: SystemDef, candidates: dict[str, _expr.Expression],
             raise EvalError(
                 f"candidate {name!r} uses non-state variable(s) {sorted(extra)}")
     deriv = vak_rhs(sys, s)
-    env = _candidate_env(sys, s)
+    env = state_env(sys, s)
     flow = {}
     for i, c in enumerate(sys.coords):
         flow[c] = deriv.dq[i]
@@ -158,12 +131,6 @@ def tangency_residuals(sys: SystemDef, candidates: dict[str, _expr.Expression],
             total += partial(g, env, var) * flow[var]
         out[name] = float(total)
     return out
-
-
-def el_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarray:
-    """Ambient Euler-Lagrange residual along the completed flow; zero
-    exactly when the curve through ``s`` is a free solution."""
-    return euler_lagrange_residual(sys, s, accel)
 
 
 def parse_candidates(text: str) -> dict[str, _expr.Expression]:
@@ -239,7 +206,8 @@ class ComparisonReport:
         }
 
     def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        """The report as strict JSON; a NaN or an infinity raises ValueError."""
+        return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
 
 
 REPORT_SCHEMA = {
@@ -299,12 +267,7 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     if sampler.p_mode == "random" and len(sampler.p_bounds) != sys.m:
         raise ValueError("random p mode needs one bounds pair per dependent coordinate")
     candidates = candidates or {}
-
-    try:
-        require_linear(sys, "g_residuals")
-        linear = True
-    except VaknhError:
-        linear = False
+    linear = sys.linear
 
     rng = np.random.default_rng(sampler.seed)
     states = []
@@ -321,8 +284,7 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
         i, q, v, p = item
         try:
             if p is None:
-                lift = legendre_lift(sys, NhState(q, v))
-                p = np.array([lift[pos] for pos in sys.dependent_positions])
+                p = _dependent_momenta(sys, NhState(q, v))
             s = VakState(q, v, p)
             record = ComparisonRecord(index=i, q=list(map(float, q)),
                                       v=list(map(float, v)),

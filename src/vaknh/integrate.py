@@ -29,7 +29,7 @@ from . import expr as _expr
 from ._jets import restricted_table
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
 from .nonholonomic import energy, nh_rhs
-from .system import NhState, SystemDef, VakState, check_state
+from .system import NhState, SystemDef, VakState, check_state, state_env
 from .vakonomic import hamiltonian, vak_rhs, w1_momenta
 
 __all__ = ["Trajectory", "DriftReport", "integrate", "drift_report",
@@ -109,24 +109,14 @@ def _monitor_names(sys, dynamics, candidates):
 
 
 def _monitor_row(sys, dynamics, state, candidates):
-    row = []
     if dynamics == "vak":
         tab = restricted_table(sys, state.q, state.v)
-        row.append(hamiltonian(sys, state, tab))
-        row.extend(w1_momenta(sys, state, tab))
-        row.extend(vak_rhs(sys, state, tab).dp_dep)
-        env = {c: float(state.q[i]) for i, c in enumerate(sys.coords)}
-        for a, c in enumerate(sys.base):
-            env[sys.velocity_of(c)] = float(state.v[a])
-        for k, c in enumerate(sys.dependent):
-            env["p_" + c] = float(state.p_dep[k])
+        row = [hamiltonian(sys, state, tab), *w1_momenta(sys, state, tab),
+               *vak_rhs(sys, state, tab).dp_dep]
     else:
-        row.append(energy(sys, state))
-        env = {c: float(state.q[i]) for i, c in enumerate(sys.coords)}
-        for a, c in enumerate(sys.base):
-            env[sys.velocity_of(c)] = float(state.v[a])
-    for name in sorted(candidates):
-        row.append(float(_expr.evaluate(candidates[name], env)))
+        row = [energy(sys, state)]
+    env = state_env(sys, state)
+    row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]
     return row
 
 

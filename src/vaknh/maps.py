@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jets import ambient_velocity_gradient, restricted_table
-from .nonholonomic import legendre_lift
+from .nonholonomic import _dependent_momenta
 from .system import (NhState, SystemDef, VakState, check_state,
                      complete_velocities, require_linear)
 
@@ -71,8 +71,7 @@ def upsilon(sys: SystemDef, s: VakState) -> NhState:
 def mu_to_lambda(sys: SystemDef, s: VakState) -> np.ndarray:
     """Extended-formulation multipliers lambda_dep = Leg_dep - p_dep."""
     check_state(sys, s)
-    lift = legendre_lift(sys, NhState(s.q, s.v))
-    return np.array([lift[pos] for pos in sys.dependent_positions]) - s.p_dep
+    return _dependent_momenta(sys, s) - s.p_dep
 
 
 def lambda_to_mu(sys: SystemDef, s: NhState, lam) -> np.ndarray:
@@ -81,8 +80,7 @@ def lambda_to_mu(sys: SystemDef, s: NhState, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if len(lam) != sys.m:
         raise ValueError(f"expected {sys.m} multipliers, got {len(lam)}")
-    lift = legendre_lift(sys, s)
-    return np.array([lift[pos] for pos in sys.dependent_positions]) - lam
+    return _dependent_momenta(sys, s) - lam
 
 
 def vg_residual(sys: SystemDef, lambda_full, s: NhState) -> np.ndarray:
@@ -93,12 +91,6 @@ def vg_residual(sys: SystemDef, lambda_full, s: NhState) -> np.ndarray:
     lambda_full = np.asarray(lambda_full, dtype=float)
     if len(lambda_full) != sys.n:
         raise ValueError(f"expected {sys.n} covector components, got {len(lambda_full)}")
-    tab = restricted_table(sys, s.q, s.v)
-    nb = sys.n - sys.m
-    res = np.empty(nb)
-    for a, pos in enumerate(sys.base_positions):
-        total = lambda_full[pos]
-        for k, dpos in enumerate(sys.dependent_positions):
-            total += lambda_full[dpos] * tab.psi[k].grad[tab.vi(a)]
-        res[a] = total
-    return res
+    psi_v = restricted_table(sys, s.q, s.v).psi_grad[:, sys.n:]
+    return (lambda_full[list(sys.base_positions)]
+            + lambda_full[list(sys.dependent_positions)] @ psi_v)

@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as _expr
 from ._jets import ambient_table, ambient_velocity_gradient, restricted_table
 from .system import NhState, SystemDef, check_state, complete_velocities, completed_env
-from .vakonomic import _cmatrix, _reduced_dynamics
+from .vakonomic import _reduced_dynamics, _shifted
 
 __all__ = [
     "NhDerivative",
@@ -53,10 +53,10 @@ def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
     return ambient_velocity_gradient(sys, s.q, vfull)
 
 
-def _dependent_momenta(sys, q, v):
-    s = NhState(q, v)
-    lift = legendre_lift(sys, s)
-    return np.array([lift[pos] for pos in sys.dependent_positions])
+def _dependent_momenta(sys: SystemDef, s) -> np.ndarray:
+    """Leg_dep: the Legendre momenta of the dependent velocities at the
+    (q, v) of ``s``."""
+    return legendre_lift(sys, s)[list(sys.dependent_positions)]
 
 
 def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
@@ -64,67 +64,41 @@ def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
     coincides with the vakonomic matrix at any multiplier value."""
     check_state(sys, s)
     tab = restricted_table(sys, s.q, s.v)
-    return _cmatrix(tab, _dependent_momenta(sys, s.q, s.v))
+    return _shifted(tab, _dependent_momenta(sys, s)).hess[sys.n:, sys.n:]
 
 
 def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
     """Nonholonomic vector field at a state; raises
     :class:`~vaknh.errors.SingularMatrixError` when regularity fails."""
     check_state(sys, s)
-    mult = _dependent_momenta(sys, s.q, s.v)
-    dq, dv, _ = _reduced_dynamics(sys, s.q, s.v, mult, s, "nonholonomic matrix")
+    dq, dv, _ = _reduced_dynamics(sys, s, _dependent_momenta(sys, s), "nonholonomic matrix")
     return NhDerivative(dq=dq, dv=dv)
-
-
-def _full_accelerations(sys, s, accel):
-    """(dq_full, ddq_full): dependent accelerations follow by
-    differentiating psi along the flow."""
-    tab = restricted_table(sys, s.q, s.v)
-    nb = sys.n - sys.m
-    dq = np.empty(sys.n)
-    for a, pos in enumerate(sys.base_positions):
-        dq[pos] = s.v[a]
-    for k, pos in enumerate(sys.dependent_positions):
-        dq[pos] = tab.psi[k].value
-    ddq = np.empty(sys.n)
-    for a, pos in enumerate(sys.base_positions):
-        ddq[pos] = accel.dv[a]
-    for k, pos in enumerate(sys.dependent_positions):
-        total = 0.0
-        for big_a in range(sys.n):
-            total += dq[big_a] * tab.psi[k].grad[tab.qi(big_a)]
-        for a in range(nb):
-            total += accel.dv[a] * tab.psi[k].grad[tab.vi(a)]
-        ddq[pos] = total
-    return dq, ddq
 
 
 def euler_lagrange_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarray:
     """Ambient Euler-Lagrange residual d/dt(dL/dv_A) - dL/dq_A along the
-    completed flow through ``s`` with base accelerations ``accel``.
+    completed flow through ``s``.  ``accel`` is the nonholonomic field at
+    ``s`` (:func:`nh_rhs`): its completed velocities dq and its base
+    accelerations; the dependent accelerations follow by differentiating
+    psi along the flow.
 
     Identically zero exactly for free (unconstrained) solutions.
     """
     check_state(sys, s)
-    dq, ddq = _full_accelerations(sys, s, accel)
-    tab = ambient_table(sys, s.q, dq)
-    res = np.empty(sys.n)
-    for big_a in range(sys.n):
-        va = tab.vi(big_a)
-        total = -tab.lag.grad[tab.qi(big_a)]
-        for big_b in range(sys.n):
-            total += dq[big_b] * tab.lag.hess[tab.qi(big_b), va]
-            total += ddq[big_b] * tab.lag.hess[tab.vi(big_b), va]
-        res[big_a] = total
-    return res
+    n, dq = sys.n, accel.dq
+    ddq = np.empty(n)
+    ddq[list(sys.base_positions)] = accel.dv
+    ddq[list(sys.dependent_positions)] = (
+        restricted_table(sys, s.q, s.v).psi_grad @ np.concatenate([dq, accel.dv]))
+    lag = ambient_table(sys, s.q, dq).lag
+    return dq @ lag.hess[:n, n:] + ddq @ lag.hess[n:, n:] - lag.grad[:n]
 
 
 def nh_multipliers(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarray:
     """Chetaev constraint multipliers along the trajectory through ``s``:
     the dependent components of the Euler-Lagrange residual, with the sign
     fixed by the solved constraint form (d(constraint)/d(dep velocity) = -1)."""
-    res = euler_lagrange_residual(sys, s, accel)
-    return np.array([-res[pos] for pos in sys.dependent_positions])
+    return -euler_lagrange_residual(sys, s, accel)[list(sys.dependent_positions)]
 
 
 def energy(sys: SystemDef, s: NhState) -> float:

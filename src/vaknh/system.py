@@ -18,11 +18,11 @@ velocity, which the loader enforces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import expr as _expr
-from ._jets import restricted_table
 from .autodiff import second_partial
 from .errors import AdmissibilityError, EvalError, SystemFormatError
 
@@ -52,8 +52,6 @@ class SystemDef:
     lagrangian: _expr.Expression      # ambient L over (coords, d-coords)
     psi: dict[str, _expr.Expression]  # dependent coord -> constraint expression
     declared_linear: bool
-    # Cache for lazy linearity verification; not part of equality.
-    _linear_cache: list = field(default_factory=list, compare=False, repr=False)
     # Sweep kernels generated on first use (see _jets); not part of equality.
     _kernels: dict = field(default_factory=dict, compare=False, repr=False)
     # Derived from coords and dependent once, in __post_init__.
@@ -72,6 +70,19 @@ class SystemDef:
                 ("dependent_positions", tuple(map(self.coords.index, self.dependent))),
                 ("base_positions", tuple(map(self.coords.index, base)))):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def linear(self) -> bool:
+        """Whether the constraints are linear homogeneous in the base
+        velocities: the declaration, which ``load_system`` verified, or else
+        one sampled verification on first use.  Constraints that cannot be
+        evaluated at the samples are not verified, so not linear."""
+        if self.declared_linear:
+            return True
+        try:
+            return verify_linearity(self, samples=20, seed=0).linear
+        except EvalError:
+            return False
 
     def velocity_of(self, coord: str) -> str:
         return "d" + coord
@@ -223,7 +234,6 @@ def load_system(source: str) -> SystemDef:
             raise SystemFormatError(
                 f"system {name!r} is declared linear but fails verification "
                 f"at state {report.witness}")
-        sys._linear_cache.append(True)
     return sys
 
 
@@ -245,11 +255,13 @@ def serialize_system(sys: SystemDef) -> str:
 # ---------------------------------------------------------------------------
 
 
-def state_env(sys: SystemDef, q, v) -> dict[str, float]:
-    """Environment binding positions and base velocities."""
-    env = {c: float(q[i]) for i, c in enumerate(sys.coords)}
-    for a, c in enumerate(sys.base):
-        env[sys.velocity_of(c)] = float(v[a])
+def state_env(sys: SystemDef, s) -> dict[str, float]:
+    """Environment binding the positions and base velocities of a state,
+    and for a :class:`VakState` its multipliers as ``p_<dependent>``."""
+    env = dict(zip(sys.coords, s.q.tolist()))
+    env.update(zip(map(sys.velocity_of, sys.base), s.v.tolist()))
+    if isinstance(s, VakState):
+        env.update(zip(("p_" + c for c in sys.dependent), s.p_dep.tolist()))
     return env
 
 
@@ -257,7 +269,7 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
     """Full n-velocity vector: base components from the state, dependent
     components from psi."""
     check_state(sys, s)
-    env = state_env(sys, s.q, s.v)
+    env = state_env(sys, s)
     full = np.empty(sys.n)
     for a, pos in zip(range(sys.n - sys.m), sys.base_positions):
         full[pos] = s.v[a]
@@ -268,7 +280,7 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
 
 def completed_env(sys: SystemDef, q, v) -> dict[str, float]:
     """Environment with all velocities bound, dependent ones via psi."""
-    env = state_env(sys, q, v)
+    env = state_env(sys, NhState(q, v))
     for c in sys.dependent:
         env[sys.velocity_of(c)] = _expr.evaluate(sys.psi[c], env)
     return env
@@ -309,8 +321,8 @@ def verify_linearity(sys: SystemDef, samples: int, seed: int) -> LinearityReport
         for attempt in range(10):
             q = rng.uniform(-1.0, 1.0, sys.n)
             v = rng.uniform(-1.0, 1.0, sys.n - sys.m)
-            env = state_env(sys, q, v)
-            env0 = state_env(sys, q, np.zeros(sys.n - sys.m))
+            env = state_env(sys, NhState(q, v))
+            env0 = state_env(sys, NhState(q, np.zeros(sys.n - sys.m)))
             try:
                 for c in sys.dependent:
                     e = sys.psi[c]
@@ -328,19 +340,10 @@ def verify_linearity(sys: SystemDef, samples: int, seed: int) -> LinearityReport
 
 
 def require_linear(sys: SystemDef, what: str) -> None:
-    """Raise unless the system's constraints are verified linear.
-
-    Declared-linear systems were verified at load time; anything else gets
-    one lazy sampled verification, cached on the definition.
-    """
+    """Raise unless the system's constraints are linear (``sys.linear``)."""
     from .errors import NonlinearSystemError
 
-    if not sys._linear_cache:
-        if sys.declared_linear:
-            sys._linear_cache.append(True)
-        else:
-            sys._linear_cache.append(verify_linearity(sys, samples=20, seed=0).linear)
-    if not sys._linear_cache[0]:
+    if not sys.linear:
         raise NonlinearSystemError(
             f"{what} requires linear velocity constraints, "
             f"but system {sys.name!r} is not linear")

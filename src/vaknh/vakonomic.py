@@ -2,22 +2,27 @@
 explicit first-order form.
 
 State coordinates are (q, dq_base, p_dep): positions, independent
-velocities and the constraint multipliers.  The eliminated momenta
+velocities v and the constraint multipliers.  Every quantity of the reduced
+equations is a derivative of the multiplier-shifted restricted Lagrangian
 
-    p_a = dL~/dv_a - p_dep . dpsi/dv_a                       (w1_momenta)
+    Lambda(q, v) = L~(q, v) - p_dep . psi(q, v)
 
-are always derived from the state, never integrated, so the momentum
-constraint cannot drift.  The reduced equations read
+The eliminated momenta p_a = dLambda/dv_a (``w1_momenta``) are always
+derived from the state, never integrated, so the momentum constraint cannot
+drift, and H = p_a v_a - Lambda (``hamiltonian``).  The reduced equations
+read
 
     dq_dep/dt  = psi(q, v)
-    dp_dep/dt  = dL~/dq_dep - p_dep . dpsi/dq_dep
-    Cbar dv/dt = r(q, v, p_dep)
+    dp_dep/dt  = dLambda/dq_dep
+    Cbar dv/dt = r,   Cbar_ab = d2Lambda/dv_a dv_b,
+    r_b = dLambda/dq_b - dq_A d2Lambda/dq_A dv_b + dp_dep . dpsi/dv_b
 
-where Cbar_ab = d2L~/dv_a dv_b - p_dep . d2psi/dv_a dv_b and r collects the
-remaining terms of the expanded total time derivative of the eliminated
-momenta.  Invertibility of Cbar is exactly the condition for the dynamics
-to be well-posed (and for the phase space to carry a symplectic structure),
-which ``symplectic_check`` probes pointwise.
+where r collects the remaining terms of the expanded total time derivative
+of the eliminated momenta.  The nonholonomic field is the same system with
+the Legendre momenta Leg_dep of the dependent velocities in place of p_dep
+(:mod:`vaknh.nonholonomic`).  Invertibility of Cbar is exactly the
+condition for the dynamics to be well-posed (and for the phase space to
+carry a symplectic structure), which ``symplectic_check`` probes pointwise.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jets import ambient_table, restricted_table
+from ._jets import Jet, ambient_table, restricted_table
 from .errors import SingularMatrixError
-from .system import SystemDef, VakState, check_state, complete_velocities, require_linear
+from .system import (NhState, SystemDef, VakState, check_state, complete_velocities,
+                     require_linear)
 
 __all__ = [
     "VakDerivative",
@@ -60,14 +66,16 @@ class SymplecticReport:
     invertible: bool
 
 
-def _cmatrix(tab, mult):
-    """(n-m)x(n-m) reduced matrix for a given multiplier vector."""
-    nb = tab.n - tab.m
-    vs = slice(tab.vi(0), tab.vi(nb))
-    c = tab.lag.hess[vs, vs].copy()
-    for k in range(tab.m):
-        c -= mult[k] * tab.psi[k].hess[vs, vs]
-    return c
+def _shifted(tab, mult) -> Jet:
+    """Jet of the shifted Lagrangian Lambda = L~ - mult . psi over the
+    variables of the restricted table ``tab``: the one place where the
+    multipliers enter the reduced equations."""
+    value, grad, hess = tab.lag.value, tab.lag.grad, tab.lag.hess
+    for mu, psi in zip(mult, tab.psi):
+        value = value - mu * psi.value
+        grad = grad - mu * psi.grad
+        hess = hess - mu * psi.hess
+    return Jet(value, grad, hess)
 
 
 def det_threshold(c, order):
@@ -84,64 +92,34 @@ def _det_guard(c, nb, sys, s, what):
     return det
 
 
-def _full_velocity(sys, tab, v):
-    dq = np.empty(sys.n)
-    for a, pos in enumerate(sys.base_positions):
-        dq[pos] = v[a]
-    for k, pos in enumerate(sys.dependent_positions):
-        dq[pos] = tab.psi[k].value
-    return dq
-
-
-def _reduced_dynamics(sys, q, v, mult, s, what, tab=None):
+def _reduced_dynamics(sys, s, mult, what, tab=None):
     """Completed velocities, base accelerations and multiplier rates for the
     reduced equations with multiplier vector ``mult``.
 
     With ``mult`` = p_dep this is the vakonomic field; with ``mult`` = the
     Legendre momenta of the dependent velocities it is the nonholonomic one
     (the two right-hand sides coincide under that substitution).  ``tab``
-    is the restricted table at (q, v), computed here when not given.
+    is the restricted table at (s.q, s.v), computed here when not given.
     """
     if tab is None:
-        tab = restricted_table(sys, q, v)
-    nb = sys.n - sys.m
-    dq = _full_velocity(sys, tab, v)
-
-    dp = np.empty(sys.m)
-    for k, pos in enumerate(sys.dependent_positions):
-        qk = tab.qi(pos)
-        dp[k] = tab.lag.grad[qk] - sum(
-            mult[j] * tab.psi[j].grad[qk] for j in range(sys.m))
-
-    c = _cmatrix(tab, mult)
-    _det_guard(c, nb, sys, s, what)
-
-    r = np.empty(nb)
-    for b, pos in enumerate(sys.base_positions):
-        qb = tab.qi(pos)
-        vb = tab.vi(b)
-        total = tab.lag.grad[qb]
-        for j in range(sys.m):
-            total -= mult[j] * tab.psi[j].grad[qb]
-        for big_a in range(sys.n):
-            qa = tab.qi(big_a)
-            mixed = tab.lag.hess[qa, vb]
-            for j in range(sys.m):
-                mixed -= mult[j] * tab.psi[j].hess[qa, vb]
-            total -= dq[big_a] * mixed
-        for j in range(sys.m):
-            total += dp[j] * tab.psi[j].grad[vb]
-        r[b] = total
-
-    dv = np.linalg.solve(c, r)
-    return dq, dv, dp
+        tab = restricted_table(sys, s.q, s.v)
+    n, base, dep = sys.n, list(sys.base_positions), list(sys.dependent_positions)
+    lam = _shifted(tab, mult)
+    c = lam.hess[n:, n:]
+    _det_guard(c, n - sys.m, sys, s, what)
+    dq = np.empty(n)
+    dq[base] = s.v
+    dq[dep] = [psi.value for psi in tab.psi]
+    dp = lam.grad[dep]
+    r = lam.grad[base] - dq @ lam.hess[:n, n:] + dp @ tab.psi_grad[:, n:]
+    return dq, np.linalg.solve(c, r), dp
 
 
 def cbar(sys: SystemDef, s: VakState) -> np.ndarray:
     """Reduced velocity-Hessian matrix at a vakonomic state (symmetric)."""
     check_state(sys, s)
     tab = restricted_table(sys, s.q, s.v)
-    return _cmatrix(tab, s.p_dep)
+    return _shifted(tab, s.p_dep).hess[sys.n:, sys.n:]
 
 
 def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
@@ -154,66 +132,41 @@ def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
 def compatibility_matrix(sys: SystemDef, q) -> np.ndarray:
     """m x m compatibility matrix for linear constraints and regular L:
 
-        C[ab_dep] = Winv[base,base] psi_a psi_b - cross terms + Winv[dep,dep]
+        C = W_dd - W_db Psi^T - Psi W_bd + Psi W_bb Psi^T
 
-    where Winv is the inverse ambient velocity Hessian, evaluated at zero
-    base velocity (for velocity-quadratic Lagrangians the Hessian does not
-    depend on the velocity; a non-quadratic L triggers a warning).
+    where W is the inverse ambient velocity Hessian, split into dependent
+    (d) and base (b) blocks, and Psi[k, a] = dpsi_k/dv_a.  W is evaluated
+    at zero base velocity (for velocity-quadratic Lagrangians the Hessian
+    does not depend on the velocity; a non-quadratic L triggers a warning).
     Its nonsingularity is equivalent to the pointwise symplectic test.
     """
     require_linear(sys, "compatibility_matrix")
     q = np.asarray(q, dtype=float)
     if len(q) != sys.n:
         raise ValueError(f"expected {sys.n} positions, got {len(q)}")
-    nb = sys.n - sys.m
-    zeros = np.zeros(nb)
-    vfull = complete_velocities(sys, _ZeroState(q, zeros))
-    tab = ambient_table(sys, q, vfull)
-    w = tab.lag.hess[sys.n:, sys.n:]
+    n, base, dep = sys.n, list(sys.base_positions), list(sys.dependent_positions)
+    zeros = np.zeros(n - sys.m)
+    vfull = complete_velocities(sys, NhState(q, zeros))
+    w = ambient_table(sys, q, vfull).lag.hess[n:, n:]
 
     _warn_if_velocity_dependent_hessian(sys, q, w)
 
-    det, threshold = det_threshold(w, sys.n)
+    det, threshold = det_threshold(w, n)
     if abs(det) <= threshold:
         raise SingularMatrixError(
             f"ambient velocity Hessian of {sys.name!r} is singular (det={det!r})",
             det)
     winv = np.linalg.inv(w)
-
-    rt = restricted_table(sys, q, zeros)
-    psi_v = np.array([[rt.psi[k].grad[rt.vi(a)] for a in range(nb)]
-                      for k in range(sys.m)])
-
-    dep = list(sys.dependent_positions)
-    base = list(sys.base_positions)
-    c = np.empty((sys.m, sys.m))
-    for i in range(sys.m):
-        for j in range(sys.m):
-            total = winv[dep[i], dep[j]]
-            for a in range(nb):
-                for b in range(nb):
-                    total += winv[base[a], base[b]] * psi_v[i, a] * psi_v[j, b]
-            for b in range(nb):
-                total -= winv[dep[i], base[b]] * psi_v[j, b]
-            for a in range(nb):
-                total -= winv[base[a], dep[j]] * psi_v[i, a]
-            c[i, j] = total
-    return c
-
-
-class _ZeroState:
-    """Minimal stand-in accepted by complete_velocities."""
-
-    def __init__(self, q, v):
-        self.q = q
-        self.v = v
+    psi_v = restricted_table(sys, q, zeros).psi_grad[:, n:]
+    return (winv[np.ix_(dep, dep)] - winv[np.ix_(dep, base)] @ psi_v.T
+            - psi_v @ winv[np.ix_(base, dep)] + psi_v @ winv[np.ix_(base, base)] @ psi_v.T)
 
 
 def _warn_if_velocity_dependent_hessian(sys, q, w0):
     import warnings
 
     probe = np.full(sys.n - sys.m, 0.37)
-    vfull = complete_velocities(sys, _ZeroState(q, probe))
+    vfull = complete_velocities(sys, NhState(q, probe))
     w1 = ambient_table(sys, q, vfull).lag.hess[sys.n:, sys.n:]
     if np.max(np.abs(w1 - w0)) > 1e-9 * (1.0 + np.max(np.abs(w0))):
         warnings.warn(
@@ -229,13 +182,7 @@ def w1_momenta(sys: SystemDef, s: VakState, tab=None) -> np.ndarray:
     check_state(sys, s)
     if tab is None:
         tab = restricted_table(sys, s.q, s.v)
-    nb = sys.n - sys.m
-    p = np.empty(nb)
-    for a in range(nb):
-        va = tab.vi(a)
-        p[a] = tab.lag.grad[va] - sum(
-            s.p_dep[k] * tab.psi[k].grad[va] for k in range(sys.m))
-    return p
+    return _shifted(tab, s.p_dep).grad[sys.n:]
 
 
 def hamiltonian(sys: SystemDef, s: VakState, tab=None) -> float:
@@ -245,16 +192,8 @@ def hamiltonian(sys: SystemDef, s: VakState, tab=None) -> float:
     check_state(sys, s)
     if tab is None:
         tab = restricted_table(sys, s.q, s.v)
-    nb = sys.n - sys.m
-    h = -tab.lag.value
-    for a in range(nb):
-        va = tab.vi(a)
-        p_a = tab.lag.grad[va] - sum(
-            s.p_dep[k] * tab.psi[k].grad[va] for k in range(sys.m))
-        h += p_a * s.v[a]
-    for k in range(sys.m):
-        h += s.p_dep[k] * tab.psi[k].value
-    return float(h)
+    lam = _shifted(tab, s.p_dep)
+    return float(lam.grad[sys.n:] @ s.v - lam.value)
 
 
 def vak_rhs(sys: SystemDef, s: VakState, tab=None) -> VakDerivative:
@@ -265,5 +204,5 @@ def vak_rhs(sys: SystemDef, s: VakState, tab=None) -> VakDerivative:
     the restricted table at ``s``, if the caller has it.
     """
     check_state(sys, s)
-    dq, dv, dp = _reduced_dynamics(sys, s.q, s.v, s.p_dep, s, "vakonomic matrix", tab)
+    dq, dv, dp = _reduced_dynamics(sys, s, s.p_dep, "vakonomic matrix", tab)
     return VakDerivative(dq=dq, dv=dv, dp_dep=dp)

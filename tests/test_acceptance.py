@@ -9,12 +9,12 @@ import pytest
 
 from vaknh import expr as E
 from vaknh.autodiff import partial, second_partial
-from vaknh.comparison import (Sampler, curvature, el_residual, field_residual,
-                              g_residuals, scan, tangency_residuals)
+from vaknh.comparison import (Sampler, curvature, field_residual, g_residuals, scan,
+                              tangency_residuals)
 from vaknh.integrate import drift_report, integrate
 from vaknh.maps import mu_to_lambda, upsilon
 from vaknh.models import CATALOG
-from vaknh.nonholonomic import ctilde, legendre_lift, nh_rhs
+from vaknh.nonholonomic import ctilde, euler_lagrange_residual, legendre_lift, nh_rhs
 from vaknh.system import NhState, VakState, completed_env, verify_linearity
 from vaknh.vakonomic import cbar, compatibility_matrix, symplectic_check, vak_rhs
 
@@ -216,7 +216,7 @@ def test_criterion_8_free_solutions():
         v = np.array([rng.uniform(-1.5, 1.5), 0.0])  # dy = 0 keeps the line in M
         nh_state = NhState(q, v)
         accel = nh_rhs(p, nh_state)
-        worst_el = max(worst_el, np.max(np.abs(el_residual(p, nh_state, accel))))
+        worst_el = max(worst_el, np.max(np.abs(euler_lagrange_residual(p, nh_state, accel))))
         lift = legendre_lift(p, nh_state)
         s = VakState(q, v, [lift[2]])
         worst_field = max(worst_field, np.max(np.abs(field_residual(p, s))))

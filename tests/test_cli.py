@@ -152,3 +152,56 @@ def test_domain_error_exit_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numeric error" in err
+
+
+def _particle_file(tmp_path, old, new):
+    from vaknh.models import builtin_source
+    path = tmp_path / "particle.sys"
+    path.write_text(builtin_source("constrained_particle").replace(old, new))
+    return str(path)
+
+
+def test_compare_and_scan_agree_on_linearity(tmp_path, capsys):
+    # Linear constraints saved as "linear false": both commands verify them.
+    path = _particle_file(tmp_path, "linear true", "linear false")
+    assert run(["compare", path, "--q", "0,1,0", "--v", "1,1", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["g"] == [1.0, -1.0]
+    assert run(["scan", path, "--samples", "3", "--seed", "1"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert all(r["g"] is not None for r in records)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compare", "constrained_particle", "--q", "nan,1,0", "--v", "1,1", "--p", "2"], "--q"),
+    (["integrate", "rolling_penny", "--dynamics", "nh", "--t-end", "1",
+      "--q", "0,0,0,0", "--v", "inf,0"], "--v"),
+], ids=["compare", "integrate"])
+def test_non_finite_input_is_a_usage_error(argv, flag, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["compare", "scan"])
+def test_non_finite_result_is_not_emitted(command, tmp_path, capsys):
+    # Finite input whose results overflow to NaN and infinity.
+    if command == "compare":
+        argv = ["compare", "constrained_particle", "--q", "0,1,0",
+                "--v", "1e300,1", "--p", "1e300"]
+    else:
+        argv = ["scan", _particle_file(tmp_path, "dz^2)", "dz^2) + 1e300*x^2*1e300"),
+                "--samples", "3"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+def test_scan_of_unverifiable_constraints_reports_no_g(tmp_path, capsys):
+    # psi has no real value anywhere, so linearity cannot be verified.
+    path = tmp_path / "nowhere.sys"
+    path.write_text("name nowhere\ncoords x y\ndependent y\nlinear false\n"
+                    "lagrangian 0.5*(dx^2 + dy^2)\npsi y = sqrt(-1 - x^2)*dx\n")
+    assert run(["scan", str(path), "--samples", "2"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["skipped"] == 2 and summary["fraction_g_below_tol"] is None

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from vaknh import expr as E
-from vaknh.comparison import (REPORT_SCHEMA, Sampler, curvature, el_residual,
-                              field_residual, g_residuals, parse_candidates,
-                              scan, tangency_residuals)
+from vaknh.comparison import (REPORT_SCHEMA, Sampler, curvature, field_residual,
+                              g_residuals, parse_candidates, scan, tangency_residuals)
 from vaknh.errors import EvalError, NonlinearSystemError
 from vaknh.integrate import integrate
 from vaknh.models import CATALOG
-from vaknh.nonholonomic import nh_rhs
+from vaknh.nonholonomic import euler_lagrange_residual, nh_rhs
 from vaknh.system import NhState, VakState
 from vaknh.vakonomic import cbar
 
@@ -168,14 +167,14 @@ def test_parse_candidates():
 def test_el_residual_free_straight_line():
     p = get_model("constrained_particle")
     s = NhState([0.4, -1.1, 0.9], [1, 0])
-    res = el_residual(p, s, nh_rhs(p, s))
+    res = euler_lagrange_residual(p, s, nh_rhs(p, s))
     assert np.max(np.abs(res)) <= 1e-15
 
 
 def test_el_residual_detects_constraint_force():
     p = get_model("constrained_particle")
     s = NhState([0, 1, 0], [1, 1])
-    res = el_residual(p, s, nh_rhs(p, s))
+    res = euler_lagrange_residual(p, s, nh_rhs(p, s))
     assert abs(res[2] - 0.5) <= 1e-15  # z component: the constraint force
     # the whole residual is the multiplier times the constraint-force
     # direction (y, 0, -1)
@@ -185,7 +184,7 @@ def test_el_residual_detects_constraint_force():
 def test_el_residual_stationary():
     pen = get_model("rolling_penny")
     s = NhState([0.1, 0.2, 0.3, 0.4], [0.0, 0.0])
-    res = el_residual(pen, s, nh_rhs(pen, s))
+    res = euler_lagrange_residual(pen, s, nh_rhs(pen, s))
     assert np.max(np.abs(res)) <= 1e-15
 
 
