@@ -74,15 +74,26 @@ class Jet:
     hess: np.ndarray
 
 
+def _row_jet(row, k) -> Jet:
+    """The jet of ``k`` variables laid out in ``row`` as the value, the
+    gradient and the row-major Hessian."""
+    return Jet(float(row[0]), row[1:1 + k], row[1 + k:].reshape(k, k))
+
+
 @dataclass
 class RestrictedTable:
     """Jets of the constraint functions and the restricted Lagrangian.
 
-    Variable order: the n positions followed by the n-m base velocities.
+    Variable order: the n positions followed by the n-m base velocities,
+    k = 2n-m variables in all.  The m+1 jets are the rows of one buffer,
+    ``rows``, of shape (m+1, 1+k+k*k): psi in declaration order first and
+    the Lagrangian last, each row holding the value, the gradient and the
+    row-major Hessian.  ``values`` (m+1,), ``grads`` (m+1, k) and
+    ``hessians`` (m+1, k, k) are views of that buffer; ``lag``, ``psi`` and
+    ``psi_grad`` are slices of them.  A kernel's buffer is read-only.
     """
 
-    lag: Jet
-    psi: list[Jet]  # one per dependent coordinate, in declaration order
+    rows: np.ndarray
     n: int
     m: int
 
@@ -93,9 +104,39 @@ class RestrictedTable:
         return self.n + a
 
     @property
+    def k(self) -> int:
+        return 2 * self.n - self.m
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.rows[:, 0]
+
+    @property
+    def grads(self) -> np.ndarray:
+        return self.rows[:, 1:1 + self.k]
+
+    @property
+    def hessians(self) -> np.ndarray:
+        return self.rows[:, 1 + self.k:].reshape(-1, self.k, self.k)
+
+    def jet(self, row) -> Jet:
+        """The jet laid out in ``row``: a row of ``rows``, or a linear
+        combination of them."""
+        return _row_jet(row, self.k)
+
+    @property
+    def lag(self) -> Jet:
+        return self.jet(self.rows[self.m])
+
+    @property
+    def psi(self) -> list[Jet]:
+        """One jet per dependent coordinate, in declaration order."""
+        return [self.jet(row) for row in self.rows[:self.m]]
+
+    @property
     def psi_grad(self) -> np.ndarray:
         """m x (2n-m) matrix whose rows are the gradients of the psi."""
-        return np.array([jet.grad for jet in self.psi])
+        return self.grads[:self.m]
 
 
 def reference_restricted_table(sys, q, v) -> RestrictedTable:
@@ -112,8 +153,9 @@ def reference_restricted_table(sys, q, v) -> RestrictedTable:
         value = _expr.evaluate(sys.psi[c], env)
         psi.append(Jet(*_parts(value, k)))
         env[sys.velocity_of(c)] = value
-    lag = Jet(*_parts(_expr.evaluate(sys.lagrangian, env), k))
-    return RestrictedTable(lag=lag, psi=psi, n=n, m=m)
+    jets = psi + [Jet(*_parts(_expr.evaluate(sys.lagrangian, env), k))]
+    rows = [np.concatenate([[jet.value], jet.grad, jet.hess.ravel()]) for jet in jets]
+    return RestrictedTable(rows=np.array(rows), n=n, m=m)
 
 
 @dataclass
@@ -171,14 +213,10 @@ def _flat(q, v):
     return np.asarray(q, dtype=float).tolist() + np.asarray(v, dtype=float).tolist()
 
 
-def _jets(packed, count, k):
-    """Unpack a kernel's output into ``count`` jets of ``k`` variables.  The
-    arrays are read-only views of one buffer."""
-    flat = np.frombuffer(packed)
-    grads = flat[count:count * (k + 1)].reshape(count, k)
-    hessians = flat[count * (k + 1):].reshape(count, k, k)
-    return [Jet(value, grad, hess)
-            for value, grad, hess in zip(flat[:count].tolist(), grads, hessians)]
+def _rows(packed, count, k):
+    """A kernel's output as ``count`` rows, one jet of ``k`` variables each
+    (value, gradient, row-major Hessian): a read-only view of the buffer."""
+    return np.frombuffer(packed).reshape(count, 1 + k + k * k)
 
 
 # A kernel signals failure with these; the interpreter then raises the
@@ -197,8 +235,7 @@ def restricted_table(sys, q, v) -> RestrictedTable:
         packed = kernel(*_flat(q, v))
     except _KERNEL_FAILURES:
         return reference_restricted_table(sys, q, v)
-    *psi, lag = _jets(packed, sys.m + 1, 2 * sys.n - sys.m)
-    return RestrictedTable(lag=lag, psi=psi, n=sys.n, m=sys.m)
+    return RestrictedTable(_rows(packed, sys.m + 1, 2 * sys.n - sys.m), sys.n, sys.m)
 
 
 def ambient_table(sys, q, v_full) -> AmbientTable:
@@ -209,7 +246,8 @@ def ambient_table(sys, q, v_full) -> AmbientTable:
         packed = kernel(*_flat(q, v_full))
     except _KERNEL_FAILURES:
         return reference_ambient_table(sys, q, v_full)
-    return AmbientTable(lag=_jets(packed, 1, 2 * sys.n)[0], n=sys.n)
+    k = 2 * sys.n
+    return AmbientTable(lag=_row_jet(_rows(packed, 1, k)[0], k), n=sys.n)
 
 
 def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:

@@ -307,14 +307,14 @@ class _Emitter:
     # -- outputs ----------------------------------------------------------------
 
     def outputs(self, results):
-        """Values, then gradients, then mirrored row-major Hessians."""
+        """Per result: the value, the gradient and the mirrored row-major
+        Hessian."""
         k = self.k
-        duals = [x if isinstance(x, _Dual)   # else no seeded variable reached it
-                 else _Dual(x, [0.0] * k, {}) for x in results]
-        out = [x.value for x in duals]
-        for x in duals:
-            out += x.grad
-        for x in duals:
+        out = []
+        for x in results:
+            if not isinstance(x, _Dual):   # no seeded variable reached it
+                x = _Dual(x, [0.0] * k, {})
+            out += [x.value, *x.grad]
             out += [x.hess.get((min(i, j), max(i, j)), 0.0)
                     for i in range(k) for j in range(k)]
         return out
@@ -325,11 +325,11 @@ def compile_sweep(sys, kind: str):
 
     The kernel takes the flat state, (q, base v) for ``restricted`` and
     (q, all v) otherwise, and returns packed doubles (``struct``, native
-    order).  ``restricted`` returns the values, gradients and row-major
-    Hessians in (q, base v) of psi, one per dependent coordinate, and of the
-    restricted Lagrangian; ``ambient`` the same for the Lagrangian in
-    (q, all v); ``velocity_gradient`` the Lagrangian's gradient in the
-    velocities.
+    order).  ``restricted`` returns one jet after the other, each as its
+    value, gradient and row-major Hessian in (q, base v): psi, one per
+    dependent coordinate, then the restricted Lagrangian; ``ambient`` the
+    jet of the Lagrangian in (q, all v); ``velocity_gradient`` the
+    Lagrangian's gradient in the velocities.
     """
     coords = list(sys.coords)
     if kind == "restricted":

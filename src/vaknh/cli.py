@@ -10,7 +10,10 @@ scan       sample a state-space box and write a comparison report (JSON)
 catalog    list the built-in models
 
 Exit codes: 0 success, 1 usage/IO/parse error, 2 failed check,
-3 numeric diagnostic (singular matrix or domain error).
+3 numeric diagnostic (singular matrix, domain error, failed integration).
+
+A state vector may start with a minus sign: ``--q -0.3,0.5`` and
+``--q=-0.3,0.5`` are the same.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sys
 
 import numpy as np
@@ -37,6 +41,20 @@ __all__ = ["run", "main"]
 
 class _UsageError(Exception):
     pass
+
+
+_VECTOR_FLAGS = ("--q", "--v", "--p")
+
+
+def _join_vectors(argv):
+    """Rewrite ``--q -0.3,0.5`` as ``--q=-0.3,0.5``: argparse takes a value
+    that starts with a minus sign and is not a single number for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS and re.match(r"-\.?\d", arg):
+            arg = f"{out.pop()}={arg}"
+        out.append(arg)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,6 +298,7 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     parser = _build_parser()
+    argv = _join_vectors(_sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -287,13 +306,12 @@ def run(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except (SingularMatrixError, EvalError, IntegrationError) as exc:
+    except (SingularMatrixError, EvalError, IntegrationError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=_sys.stderr)
         return 3
-    except (VaknhError, OSError) as exc:
+    except (_UsageError, ValueError, VaknhError, OSError) as exc:
+        # Any other ValueError is the library rejecting an argument, such
+        # as a negative --t-end.
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -64,11 +64,11 @@ def curvature(sys: SystemDef, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if len(q) != sys.n:
         raise ValueError(f"expected {sys.n} positions, got {len(q)}")
-    n, base, dep = sys.n, list(sys.base_positions), list(sys.dependent_positions)
-    tab = restricted_table(sys, q, np.zeros(n - sys.m))
+    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
+    tab = restricted_table(sys, q, np.zeros(n - m))
     # psi_v[k, a] = coefficient of v_a in psi_k; h[k, A, b] = d(psi_v[k, b])/dq_A
-    psi_v = tab.psi_grad[:, n:]
-    h = np.array([psi.hess[:n, n:] for psi in tab.psi])
+    psi_v = tab.grads[:m, n:]
+    h = tab.hessians[:m, :n, n:]
     a_mat = h[:, base] + psi_v.T @ h[:, dep]
     return a_mat - a_mat.transpose(0, 2, 1)
 
@@ -259,6 +259,8 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     record as skipped rather than aborting the scan.  Summary fractions are
     computed over the successfully evaluated records only.
     """
+    if sampler.count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sampler.count}")
     if sampler.p_mode not in ("random", "legendre"):
         raise ValueError(f"p_mode must be 'random' or 'legendre', got {sampler.p_mode!r}")
     nb = sys.n - sys.m

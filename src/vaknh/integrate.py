@@ -2,9 +2,14 @@
 
 Two steppers are provided: classic fixed-step RK4 and the adaptive
 Dormand-Prince 5(4) embedded pair (the 5th-order solution is propagated,
-the 4th-order companion supplies the local error estimate, FSAL reuses the
-last stage).  Error control accepts a step when the RMS of the component
-errors scaled by atol + rtol*|state| is at most one.
+the 4th-order companion supplies the local error estimate).  Error control
+accepts a step when the RMS of the component errors scaled by
+atol + rtol*|state| is at most one.
+
+Dormand-Prince is "first same as last" (FSAL): the 5th-order weights are
+the last row of the tableau, so the 7th stage is the field at the 5th-order
+solution itself.  That stage input is taken as the accepted state, and its
+evaluation is the next step's first stage.
 
 Recorded monitors:
 
@@ -12,6 +17,19 @@ Recorded monitors:
   ``p_<base>`` and the multiplier rates ``dp_<dep>``;
 * nonholonomic runs: the mechanical energy ``E_L``;
 * either: the value series of any supplied candidate expressions.
+
+Each field evaluation happens once, and a monitor row reads the evaluation
+of the field at its state: the jet of Lambda of ``vak_rhs``
+(:class:`~vaknh.vakonomic.VakDerivative`) or the Legendre lift of
+``nh_rhs`` (:class:`~vaknh.nonholonomic.NhDerivative`).  With rk45 that is
+the 7th stage of the step that accepted the state; with rk4 it is the first
+stage of the next step, so only the last row costs an evaluation of its
+own.  The row at t = 0 reads the first stage of the first step.  A row
+makes no jet sweep of its own.
+
+Integration stops with :class:`~vaknh.errors.IntegrationError` when an
+accepted state or its monitor row is not finite, or when the step size no
+longer advances the time.
 
 Trajectories serialize to CSV with full double precision (17 significant
 digits) and parse back bit-exactly.
@@ -21,16 +39,16 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as _expr
-from ._jets import restricted_table
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
-from .nonholonomic import energy, nh_rhs
+from .nonholonomic import _energy, nh_rhs
 from .system import NhState, SystemDef, VakState, check_state, state_env
-from .vakonomic import hamiltonian, vak_rhs, w1_momenta
+from .vakonomic import _hamiltonian, _momenta, vak_rhs
 
 __all__ = ["Trajectory", "DriftReport", "integrate", "drift_report",
            "trajectory_to_csv", "trajectory_from_csv",
@@ -40,7 +58,7 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_DT = 1e-3
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau.  The last row of A is b5 (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -88,15 +106,24 @@ def _unpack(sys, dynamics, y):
 
 
 def _flat_rhs(sys, dynamics):
+    """The field as f(y) -> (dy/dt, the evaluation it was read from)."""
     if dynamics == "vak":
         def f(y):
             d = vak_rhs(sys, _unpack(sys, "vak", y))
-            return np.concatenate([d.dq, d.dv, d.dp_dep])
+            return np.concatenate([d.dq, d.dv, d.dp_dep]), d
     else:
         def f(y):
             d = nh_rhs(sys, _unpack(sys, "nh", y))
-            return np.concatenate([d.dq, d.dv])
+            return np.concatenate([d.dq, d.dv]), d
     return f
+
+
+def _state_names(sys, dynamics):
+    """The names of the components of a packed state, as in the CSV."""
+    names = list(sys.coords) + [sys.velocity_of(c) for c in sys.base]
+    if dynamics == "vak":
+        names += [f"p_{c}" for c in sys.dependent]
+    return names
 
 
 def _monitor_names(sys, dynamics, candidates):
@@ -108,13 +135,15 @@ def _monitor_names(sys, dynamics, candidates):
     return names
 
 
-def _monitor_row(sys, dynamics, state, candidates):
+def _monitor_row(sys, dynamics, state, at_state, candidates):
+    """Monitors at ``state``, read from ``at_state``, the field's evaluation
+    there: hamiltonian, w1_momenta and energy on what the stepper computed."""
     if dynamics == "vak":
-        tab = restricted_table(sys, state.q, state.v)
-        row = [hamiltonian(sys, state, tab), *w1_momenta(sys, state, tab),
-               *vak_rhs(sys, state, tab).dp_dep]
+        lam = at_state.lam
+        row = [_hamiltonian(lam, sys.n, state.v), *_momenta(lam, sys.n),
+               *at_state.dp_dep]
     else:
-        row = [energy(sys, state)]
+        row = [_energy(sys, state, at_state.lift)]
     env = state_env(sys, state)
     row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]
     return row
@@ -128,7 +157,7 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     y1 = y0 + h0 * f0
-    f1 = f(y1)
+    f1, _ = f(y1)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -152,8 +181,10 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
         raise ValueError(f"dynamics must be 'vak' or 'nh', got {dynamics!r}")
     if method not in ("rk4", "rk45"):
         raise ValueError(f"method must be 'rk4' or 'rk45', got {method!r}")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if method == "rk4" and not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if dynamics == "vak" and not isinstance(s0, VakState):
         raise TypeError("vak dynamics needs a VakState initial condition")
     if dynamics == "nh" and not isinstance(s0, NhState):
@@ -163,56 +194,85 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
 
     f = _flat_rhs(sys, dynamics)
     y = _pack(sys, dynamics, s0)
+    state_names = _state_names(sys, dynamics)
+    names = _monitor_names(sys, dynamics, candidates)
 
-    times = [0.0]
-    states = [s0]
+    times = []
+    states = []
     monitor_rows = []
 
-    def record(t, y):
-        state = _unpack(sys, dynamics, y)
+    def accept(t, y):
+        """Record the state y at time t, once per step."""
+        _require_finite(sys, y, state_names, t)
         times.append(t)
-        states.append(state)
-        monitor_rows.append(_monitor_row(sys, dynamics, state, candidates))
+        states.append(_unpack(sys, dynamics, y))
 
+    def monitor(at_state):
+        """Record the monitor row of the last state from the field's
+        evaluation there."""
+        row = _monitor_row(sys, dynamics, states[-1], at_state, candidates)
+        _require_finite(sys, row, names, times[-1])
+        monitor_rows.append(row)
+
+    accept(0.0, y)
     try:
-        monitor_rows.append(_monitor_row(sys, dynamics, s0, candidates))
         if method == "rk4":
-            _run_rk4(f, y, t_end, dt, max_steps, record)
+            _run_rk4(f, y, t_end, dt, max_steps, accept, monitor)
         else:
-            _run_rk45(f, y, t_end, rtol, atol, max_steps, record)
+            _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor)
     except (SingularMatrixError, EvalError) as exc:
         raise IntegrationError(
-            f"integration of {sys.name!r} halted at t={times[-1]!r}, "
-            f"q={list(states[-1].q)!r}: {exc}", t=times[-1]) from exc
+            f"integration of {sys.name!r} halted at t={float(times[-1])!r}, "
+            f"q={states[-1].q.tolist()!r}: {exc}", t=float(times[-1])) from exc
 
-    names = _monitor_names(sys, dynamics, candidates)
     columns = np.array(monitor_rows)
     monitors = {name: columns[:, i].copy() for i, name in enumerate(names)}
     return Trajectory(dynamics=dynamics, times=np.array(times),
                       states=states, monitors=monitors)
 
 
-def _run_rk4(f, y, t_end, dt, max_steps, record):
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def _require_finite(sys, values, names, t):
+    """Raise unless every entry of ``values`` (named by ``names``) is finite."""
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise IntegrationError(
+            f"integration of {sys.name!r} stopped at t={float(t)!r}: "
+            f"{names[i]} = {float(values[i])!r} is not finite", t=float(t))
+
+
+def _require_advance(t, h):
+    """Raise unless a step of size h moves the time t forward."""
+    if not h > 0 or t + h == t:
+        raise IntegrationError(
+            f"step size {float(h)!r} does not advance t={float(t)!r}", t=float(t))
+
+
+def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):
     t = 0.0
+    k1, at_y = f(y)
+    monitor(at_y)
     for _ in range(max_steps):
         if t >= t_end:
             return
         h = min(dt, t_end - t)
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
+        _require_advance(t, h)
+        k2, _ = f(y + 0.5 * h * k1)
+        k3, _ = f(y + 0.5 * h * k2)
+        k4, _ = f(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_end if t + h >= t_end else t + h
-        record(t, y)
-    raise IntegrationError(f"max_steps exceeded at t={t!r}", t=t)
+        accept(t, y)
+        # The next step's first stage is the field at y; its evaluation
+        # gives y's monitor row.
+        k1, at_y = f(y)
+        monitor(at_y)
+    raise IntegrationError(f"max_steps exceeded at t={float(t)!r}", t=float(t))
 
 
-def _run_rk45(f, y, t_end, rtol, atol, max_steps, record):
+def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
     t = 0.0
-    k1 = f(y)
+    k1, at_y = f(y)
+    monitor(at_y)
     h = _initial_step(f, y, k1, t_end, rtol, atol)
     stages = np.empty((7, len(y)))
     for _ in range(max_steps):
@@ -221,11 +281,13 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, record):
         h = min(h, t_end - t)
         rejections = 0
         while True:
+            _require_advance(t, h)
             stages[0] = k1
             for i in range(1, 7):
-                yi = y + h * (stages[:i].T @ _DP_A[i])
-                stages[i] = f(yi)
-            y_new = y + h * (stages.T @ _DP_B5)
+                y_new = y + h * (stages[:i].T @ _DP_A[i])
+                stages[i], at_y = f(y_new)
+            # FSAL: the last stage input is the 5th-order solution, and
+            # at_y is the field's evaluation there.
             err = h * (stages.T @ _DP_ERR)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             norm = np.sqrt(np.mean((err / scale) ** 2))
@@ -234,17 +296,19 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, record):
             rejections += 1
             if rejections > 30:
                 raise IntegrationError(
-                    f"step size control failed at t={t!r} (30 rejections)", t=t)
+                    f"step size control failed at t={float(t)!r} (30 rejections)",
+                    t=float(t))
             h *= max(0.2, 0.9 * norm ** -0.2)
         t = t_end if t + h >= t_end else t + h
         y = y_new
-        # FSAL: the last stage is f at the accepted state.  Copy it out of
-        # the reused stage buffer, which the next attempt overwrites.
+        # Copy the last stage out of the reused stage buffer, which the
+        # next attempt overwrites.
         k1 = stages[6].copy()
-        record(t, y)
+        accept(t, y)
+        monitor(at_y)
         factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
         h *= factor
-    raise IntegrationError(f"max_steps exceeded at t={t!r}", t=t)
+    raise IntegrationError(f"max_steps exceeded at t={float(t)!r}", t=float(t))
 
 
 def drift_report(sys: SystemDef, traj: Trajectory) -> DriftReport:
@@ -274,11 +338,8 @@ def _fmt(x: float) -> str:
 
 
 def trajectory_to_csv(sys: SystemDef, traj: Trajectory) -> str:
-    header = ["t"] + list(sys.coords) + [sys.velocity_of(c) for c in sys.base]
-    if traj.dynamics == "vak":
-        header += [f"p_{c}" for c in sys.dependent]
     monitor_names = list(traj.monitors)
-    header += monitor_names
+    header = ["t"] + _state_names(sys, traj.dynamics) + monitor_names
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -296,9 +357,8 @@ def trajectory_from_csv(sys: SystemDef, text: str) -> Trajectory:
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     n, nb = sys.n, sys.n - sys.m
-    expected_vak = ["t"] + list(sys.coords) + [sys.velocity_of(c) for c in sys.base] \
-        + [f"p_{c}" for c in sys.dependent]
-    expected_nh = expected_vak[:1 + n + nb]
+    expected_vak = ["t"] + _state_names(sys, "vak")
+    expected_nh = ["t"] + _state_names(sys, "nh")
     if header[:len(expected_vak)] == expected_vak:
         dynamics, ncols = "vak", len(expected_vak)
     elif header[:len(expected_nh)] == expected_nh:

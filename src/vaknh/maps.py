@@ -92,5 +92,5 @@ def vg_residual(sys: SystemDef, lambda_full, s: NhState) -> np.ndarray:
     if len(lambda_full) != sys.n:
         raise ValueError(f"expected {sys.n} covector components, got {len(lambda_full)}")
     psi_v = restricted_table(sys, s.q, s.v).psi_grad[:, sys.n:]
-    return (lambda_full[list(sys.base_positions)]
-            + lambda_full[list(sys.dependent_positions)] @ psi_v)
+    return (lambda_full[sys.base_positions]
+            + lambda_full[sys.dependent_positions] @ psi_v)

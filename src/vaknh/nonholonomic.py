@@ -19,7 +19,7 @@ Euler-Lagrange residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,9 @@ __all__ = [
 class NhDerivative:
     dq: np.ndarray  # n completed velocities
     dv: np.ndarray  # n-m base accelerations
+    # The Legendre lift at the state (legendre_lift); a trajectory's
+    # monitor row reads the energy from it.
+    lift: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
@@ -56,7 +59,7 @@ def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
 def _dependent_momenta(sys: SystemDef, s) -> np.ndarray:
     """Leg_dep: the Legendre momenta of the dependent velocities at the
     (q, v) of ``s``."""
-    return legendre_lift(sys, s)[list(sys.dependent_positions)]
+    return legendre_lift(sys, s)[sys.dependent_positions]
 
 
 def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
@@ -69,10 +72,13 @@ def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
 
 def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
     """Nonholonomic vector field at a state; raises
-    :class:`~vaknh.errors.SingularMatrixError` when regularity fails."""
+    :class:`~vaknh.errors.SingularMatrixError` when regularity fails.  The
+    result keeps the Legendre lift it was computed from."""
     check_state(sys, s)
-    dq, dv, _ = _reduced_dynamics(sys, s, _dependent_momenta(sys, s), "nonholonomic matrix")
-    return NhDerivative(dq=dq, dv=dv)
+    lift = legendre_lift(sys, s)
+    dq, dv, _, _ = _reduced_dynamics(sys, s, lift[sys.dependent_positions],
+                                     "nonholonomic matrix")
+    return NhDerivative(dq=dq, dv=dv, lift=lift)
 
 
 def euler_lagrange_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarray:
@@ -87,8 +93,8 @@ def euler_lagrange_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> 
     check_state(sys, s)
     n, dq = sys.n, accel.dq
     ddq = np.empty(n)
-    ddq[list(sys.base_positions)] = accel.dv
-    ddq[list(sys.dependent_positions)] = (
+    ddq[sys.base_positions] = accel.dv
+    ddq[sys.dependent_positions] = (
         restricted_table(sys, s.q, s.v).psi_grad @ np.concatenate([dq, accel.dv]))
     lag = ambient_table(sys, s.q, dq).lag
     return dq @ lag.hess[:n, n:] + ddq @ lag.hess[n:, n:] - lag.grad[:n]
@@ -98,14 +104,21 @@ def nh_multipliers(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarra
     """Chetaev constraint multipliers along the trajectory through ``s``:
     the dependent components of the Euler-Lagrange residual, with the sign
     fixed by the solved constraint form (d(constraint)/d(dep velocity) = -1)."""
-    return -euler_lagrange_residual(sys, s, accel)[list(sys.dependent_positions)]
+    return -euler_lagrange_residual(sys, s, accel)[sys.dependent_positions]
 
 
 def energy(sys: SystemDef, s: NhState) -> float:
     """Mechanical energy v . dL/dv - L at completed velocities; conserved by
-    the nonholonomic flow for linear homogeneous constraints."""
+    the nonholonomic flow for linear homogeneous constraints.  Along a
+    trajectory the lift is read from the field's evaluation
+    (``NhDerivative.lift``)."""
     check_state(sys, s)
-    vfull = complete_velocities(sys, s)
-    lift = ambient_velocity_gradient(sys, s.q, vfull)
-    lag = _expr.evaluate(sys.lagrangian, completed_env(sys, s.q, s.v))
-    return float(np.dot(vfull, lift) - lag)
+    return _energy(sys, s, legendre_lift(sys, s))
+
+
+def _energy(sys, s, lift) -> float:
+    """Mechanical energy at ``s`` from its Legendre lift; the completed
+    velocities and L are evaluated on plain floats."""
+    env = completed_env(sys, s.q, s.v)
+    vfull = np.array([env[sys.velocity_of(c)] for c in sys.coords])
+    return float(np.dot(vfull, lift) - _expr.evaluate(sys.lagrangian, env))

@@ -42,6 +42,13 @@ __all__ = [
 ]
 
 
+def _positions(coords, names) -> np.ndarray:
+    """Read-only intp array of the indices of ``names`` in ``coords``."""
+    positions = np.array([coords.index(c) for c in names], dtype=np.intp)
+    positions.flags.writeable = False
+    return positions
+
+
 @dataclass(frozen=True)
 class SystemDef:
     """Immutable definition of a constrained Lagrangian system."""
@@ -54,12 +61,13 @@ class SystemDef:
     declared_linear: bool
     # Sweep kernels generated on first use (see _jets); not part of equality.
     _kernels: dict = field(default_factory=dict, compare=False, repr=False)
-    # Derived from coords and dependent once, in __post_init__.
+    # Derived from coords and dependent once, in __post_init__.  The
+    # positions are read-only intp arrays, ready for fancy indexing.
     n: int = field(init=False, compare=False, repr=False)
     m: int = field(init=False, compare=False, repr=False)
     base: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    dependent_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    base_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    dependent_positions: np.ndarray = field(init=False, compare=False, repr=False)
+    base_positions: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         base = tuple(c for c in self.coords if c not in self.dependent)
@@ -67,8 +75,8 @@ class SystemDef:
                 ("n", len(self.coords)),
                 ("m", len(self.dependent)),
                 ("base", base),
-                ("dependent_positions", tuple(map(self.coords.index, self.dependent))),
-                ("base_positions", tuple(map(self.coords.index, base)))):
+                ("dependent_positions", _positions(self.coords, self.dependent)),
+                ("base_positions", _positions(self.coords, base))):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -271,8 +279,7 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
     check_state(sys, s)
     env = state_env(sys, s)
     full = np.empty(sys.n)
-    for a, pos in zip(range(sys.n - sys.m), sys.base_positions):
-        full[pos] = s.v[a]
+    full[sys.base_positions] = s.v
     for c, pos in zip(sys.dependent, sys.dependent_positions):
         full[pos] = _expr.evaluate(sys.psi[c], env)
     return full

@@ -27,7 +27,8 @@ carry a symplectic structure), which ``symplectic_check`` probes pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,9 @@ class VakDerivative:
     dq: np.ndarray      # n completed velocities (dependent entries = psi)
     dv: np.ndarray      # n-m base accelerations
     dp_dep: np.ndarray  # m multiplier rates
+    # The jet of Lambda at the state; a trajectory's monitor row reads H
+    # and the eliminated momenta from it.
+    lam: Jet | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -70,18 +74,35 @@ def _shifted(tab, mult) -> Jet:
     """Jet of the shifted Lagrangian Lambda = L~ - mult . psi over the
     variables of the restricted table ``tab``: the one place where the
     multipliers enter the reduced equations."""
-    value, grad, hess = tab.lag.value, tab.lag.grad, tab.lag.hess
-    for mu, psi in zip(mult, tab.psi):
-        value = value - mu * psi.value
-        grad = grad - mu * psi.grad
-        hess = hess - mu * psi.hess
-    return Jet(value, grad, hess)
+    rows = tab.rows
+    row = rows[tab.m]
+    for mu, psi in zip(mult.tolist(), rows):
+        row = row - mu * psi
+    return tab.jet(row)
+
+
+def _lambda_at(sys, s) -> Jet:
+    """Jet of Lambda at a vakonomic state: one restricted sweep."""
+    return _shifted(restricted_table(sys, s.q, s.v), s.p_dep)
+
+
+def _momenta(lam, n) -> np.ndarray:
+    """Eliminated momenta p_a = dLambda/dv_a from the jet of Lambda."""
+    return lam.grad[n:]
+
+
+def _hamiltonian(lam, n, v) -> float:
+    """H = p_a v_a - Lambda from the jet of Lambda at base velocities v."""
+    return float(_momenta(lam, n) @ v - lam.value)
 
 
 def det_threshold(c, order):
     """det(c) and the threshold DET_RTOL * max|entry|^order at or below
-    which |det| counts as singular, for a square matrix of that order."""
-    return float(np.linalg.det(c)), DET_RTOL * max(np.max(np.abs(c)), 0.0) ** order
+    which |det| counts as singular, for a square matrix of that order.  A
+    NaN entry makes the threshold NaN."""
+    sizes = list(map(abs, c.ravel().tolist()))
+    largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
+    return float(np.linalg.det(c)), DET_RTOL * np.float64(largest) ** order
 
 
 def _det_guard(c, nb, sys, s, what):
@@ -92,34 +113,31 @@ def _det_guard(c, nb, sys, s, what):
     return det
 
 
-def _reduced_dynamics(sys, s, mult, what, tab=None):
-    """Completed velocities, base accelerations and multiplier rates for the
-    reduced equations with multiplier vector ``mult``.
+def _reduced_dynamics(sys, s, mult, what):
+    """Completed velocities, base accelerations, multiplier rates and the
+    jet of Lambda for the reduced equations with multiplier vector ``mult``.
 
     With ``mult`` = p_dep this is the vakonomic field; with ``mult`` = the
     Legendre momenta of the dependent velocities it is the nonholonomic one
-    (the two right-hand sides coincide under that substitution).  ``tab``
-    is the restricted table at (s.q, s.v), computed here when not given.
+    (the two right-hand sides coincide under that substitution).
     """
-    if tab is None:
-        tab = restricted_table(sys, s.q, s.v)
-    n, base, dep = sys.n, list(sys.base_positions), list(sys.dependent_positions)
+    tab = restricted_table(sys, s.q, s.v)
+    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
     lam = _shifted(tab, mult)
     c = lam.hess[n:, n:]
-    _det_guard(c, n - sys.m, sys, s, what)
+    _det_guard(c, n - m, sys, s, what)
     dq = np.empty(n)
     dq[base] = s.v
-    dq[dep] = [psi.value for psi in tab.psi]
+    dq[dep] = tab.values[:m]
     dp = lam.grad[dep]
-    r = lam.grad[base] - dq @ lam.hess[:n, n:] + dp @ tab.psi_grad[:, n:]
-    return dq, np.linalg.solve(c, r), dp
+    r = lam.grad[base] - dq @ lam.hess[:n, n:] + dp @ tab.grads[:m, n:]
+    return dq, np.linalg.solve(c, r), dp, lam
 
 
 def cbar(sys: SystemDef, s: VakState) -> np.ndarray:
     """Reduced velocity-Hessian matrix at a vakonomic state (symmetric)."""
     check_state(sys, s)
-    tab = restricted_table(sys, s.q, s.v)
-    return _shifted(tab, s.p_dep).hess[sys.n:, sys.n:]
+    return _lambda_at(sys, s).hess[sys.n:, sys.n:]
 
 
 def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
@@ -144,7 +162,7 @@ def compatibility_matrix(sys: SystemDef, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if len(q) != sys.n:
         raise ValueError(f"expected {sys.n} positions, got {len(q)}")
-    n, base, dep = sys.n, list(sys.base_positions), list(sys.dependent_positions)
+    n, base, dep = sys.n, sys.base_positions, sys.dependent_positions
     zeros = np.zeros(n - sys.m)
     vfull = complete_velocities(sys, NhState(q, zeros))
     w = ambient_table(sys, q, vfull).lag.hess[n:, n:]
@@ -175,34 +193,30 @@ def _warn_if_velocity_dependent_hessian(sys, q, w0):
             stacklevel=3)
 
 
-def w1_momenta(sys: SystemDef, s: VakState, tab=None) -> np.ndarray:
+def w1_momenta(sys: SystemDef, s: VakState) -> np.ndarray:
     """Eliminated momenta conjugate to the base coordinates:
-    p_a = dL~/dv_a - p_dep . dpsi/dv_a.  ``tab``: the restricted table at
-    ``s``, if the caller has it."""
+    p_a = dL~/dv_a - p_dep . dpsi/dv_a.  Along a trajectory the same values
+    are read from the field's evaluation (``VakDerivative.lam``)."""
     check_state(sys, s)
-    if tab is None:
-        tab = restricted_table(sys, s.q, s.v)
-    return _shifted(tab, s.p_dep).grad[sys.n:]
+    return _momenta(_lambda_at(sys, s), sys.n)
 
 
-def hamiltonian(sys: SystemDef, s: VakState, tab=None) -> float:
+def hamiltonian(sys: SystemDef, s: VakState) -> float:
     """H = p_a v_a + p_dep . psi - L~, with the eliminated momenta derived
     from the state.  Conserved along the vakonomic flow (autonomous system).
-    ``tab``: the restricted table at ``s``, if the caller has it."""
+    Along a trajectory the same value is read from the field's evaluation
+    (``VakDerivative.lam``)."""
     check_state(sys, s)
-    if tab is None:
-        tab = restricted_table(sys, s.q, s.v)
-    lam = _shifted(tab, s.p_dep)
-    return float(lam.grad[sys.n:] @ s.v - lam.value)
+    return _hamiltonian(_lambda_at(sys, s), sys.n, s.v)
 
 
-def vak_rhs(sys: SystemDef, s: VakState, tab=None) -> VakDerivative:
+def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
     """Explicit vakonomic vector field at a state.
 
     Raises :class:`SingularMatrixError` when the reduced matrix fails the
-    determinant guard (the flow is not uniquely defined there).  ``tab``:
-    the restricted table at ``s``, if the caller has it.
+    determinant guard (the flow is not uniquely defined there).  The
+    result keeps the jet of Lambda it was computed from.
     """
     check_state(sys, s)
-    dq, dv, dp = _reduced_dynamics(sys, s, s.p_dep, "vakonomic matrix", tab)
-    return VakDerivative(dq=dq, dv=dv, dp_dep=dp)
+    dq, dv, dp, lam = _reduced_dynamics(sys, s, s.p_dep, "vakonomic matrix")
+    return VakDerivative(dq=dq, dv=dv, dp_dep=dp, lam=lam)

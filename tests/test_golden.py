@@ -1,0 +1,37 @@
+"""Byte-identical outputs on small fixed runs.
+
+The files under ``golden/`` were written by the package before the
+integrators took their monitor rows from the stage evaluations; every change
+since must reproduce them byte for byte: the same steps, the same states and
+the same monitors.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from vaknh.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CANDIDATES = str(GOLDEN / "martinet.cand")
+
+CASES = {
+    "rk45_vak_rolling_penny.csv": [
+        "integrate", "rolling_penny", "--dynamics", "vak", "--q=0,0,0.3,0.4",
+        "--v=1.0,0.5", "--p=0.7,-0.2", "--t-end", "2"],
+    "rk45_vak_martinet.csv": [
+        "integrate", "martinet", "--dynamics", "vak", "--q=0,1,0", "--v=0.8,-0.4",
+        "--p=1.2", "--t-end", "2", "--candidates", CANDIDATES],
+    "rk4_nh_rolling_penny.csv": [
+        "integrate", "rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3",
+        "--v=0.7,0.4", "--method", "rk4", "--dt", "0.05", "--t-end", "1"],
+    "scan_martinet_legendre.json": [
+        "scan", "martinet", "--samples", "40", "--seed", "7", "--p-mode", "legendre",
+        "--candidates", CANDIDATES],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical_to_golden(name, capsys):
+    assert run(CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
