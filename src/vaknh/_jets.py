@@ -22,6 +22,14 @@ up to the sign of a zero outside the structural pattern.  When a kernel
 fails, the sweep is re-run by the interpreter, which raises the documented
 error.
 
+Given stacked states, one per row of 2-D (N, .) arrays, ``restricted_table``,
+``ambient_velocity_gradient`` and ``completion`` (psi on plain floats) run
+the array form of their kernel once over all N lanes.  They return the
+stacked results together with a failure mask: a lane is marked exactly
+where the scalar kernel fails at that state, and every other lane equals
+the scalar kernel's result bit for bit.  No interpreter runs there; the
+caller re-runs a marked lane one state at a time.
+
 Kernel Hessians are exactly symmetric: the upper triangle is mirrored.
 Interpreted ones need not be.  On the two sides of the diagonal, the product
 rule adds its two cross products in opposite orders, and the chain rule
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from ._kernel import compile_sweep
+from ._kernel import Sweep, compile_sweep
 from .autodiff import HyperDual
 
 
@@ -76,7 +84,10 @@ class Jet:
 
 def _row_jet(row, k) -> Jet:
     """The jet of ``k`` variables laid out in ``row`` as the value, the
-    gradient and the row-major Hessian."""
+    gradient and the row-major Hessian; rows stacked along leading axes
+    give the stacked jets (an array of values)."""
+    if row.ndim > 1:
+        return Jet(row[..., 0], row[..., 1:1 + k], row[..., 1 + k:].reshape(row.shape[:-1] + (k, k)))
     return Jet(float(row[0]), row[1:1 + k], row[1 + k:].reshape(k, k))
 
 
@@ -90,7 +101,9 @@ class RestrictedTable:
     the Lagrangian last, each row holding the value, the gradient and the
     row-major Hessian.  ``values`` (m+1,), ``grads`` (m+1, k) and
     ``hessians`` (m+1, k, k) are views of that buffer; ``lag``, ``psi`` and
-    ``psi_grad`` are slices of them.  A kernel's buffer is read-only.
+    ``psi_grad`` are slices of them.  A kernel's buffer is read-only.  The
+    tables of N stacked states share one buffer of shape (N, m+1, 1+k+k*k),
+    and every view gains the leading axis.
     """
 
     rows: np.ndarray
@@ -109,15 +122,15 @@ class RestrictedTable:
 
     @property
     def values(self) -> np.ndarray:
-        return self.rows[:, 0]
+        return self.rows[..., 0]
 
     @property
     def grads(self) -> np.ndarray:
-        return self.rows[:, 1:1 + self.k]
+        return self.rows[..., 1:1 + self.k]
 
     @property
     def hessians(self) -> np.ndarray:
-        return self.rows[:, 1 + self.k:].reshape(-1, self.k, self.k)
+        return self.rows[..., 1 + self.k:].reshape(self.rows.shape[:-1] + (self.k, self.k))
 
     def jet(self, row) -> Jet:
         """The jet laid out in ``row``: a row of ``rows``, or a linear
@@ -126,17 +139,17 @@ class RestrictedTable:
 
     @property
     def lag(self) -> Jet:
-        return self.jet(self.rows[self.m])
+        return self.jet(self.rows[..., self.m, :])
 
     @property
     def psi(self) -> list[Jet]:
         """One jet per dependent coordinate, in declaration order."""
-        return [self.jet(row) for row in self.rows[:self.m]]
+        return [self.jet(self.rows[..., j, :]) for j in range(self.m)]
 
     @property
     def psi_grad(self) -> np.ndarray:
         """m x (2n-m) matrix whose rows are the gradients of the psi."""
-        return self.grads[:self.m]
+        return self.grads[..., :self.m, :]
 
 
 def reference_restricted_table(sys, q, v) -> RestrictedTable:
@@ -200,17 +213,30 @@ def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(sys, kind):
-    """The compiled sweep ``kind`` of ``sys``, generated on first use."""
-    kernel = sys._kernels.get(kind)
-    if kernel is None:
-        kernel = sys._kernels[kind] = compile_sweep(sys, kind)
-    return kernel
+def _kernel(sys, kind) -> Sweep:
+    """The generated kernels of sweep ``kind`` of ``sys``, built on first
+    use."""
+    sweep = sys._kernels.get(kind)
+    if sweep is None:
+        sweep = sys._kernels[kind] = compile_sweep(sys, kind)
+    return sweep
 
 
 def _flat(q, v):
     """The arguments of a kernel: the entries of q and v as floats."""
     return np.asarray(q, dtype=float).tolist() + np.asarray(v, dtype=float).tolist()
+
+
+def run_lanes(sweep: Sweep, *blocks):
+    """Run the array form of ``sweep`` over stacked states.  ``blocks`` are
+    (N, .) arrays whose columns, in order, are the kernel's arguments.
+    Returns the (N, outputs) results and the failure mask of the N lanes;
+    numpy's floating-point warnings are silenced, since a failed lane is
+    marked instead."""
+    columns = np.ascontiguousarray(np.concatenate(blocks, axis=1, dtype=float).T)
+    with np.errstate(all="ignore"):
+        out, failed = sweep.array(*columns)
+    return np.ascontiguousarray(out.T), failed
 
 
 def _rows(packed, count, k):
@@ -221,40 +247,72 @@ def _rows(packed, count, k):
 
 # A kernel signals failure with these; the interpreter then raises the
 # documented error (TypeError: arguments of the wrong length or kind).
-_KERNEL_FAILURES = (ArithmeticError, ValueError, TypeError)
+KERNEL_FAILURES = (ArithmeticError, ValueError, TypeError)
 
 
 def restricted_table(sys, q, v) -> RestrictedTable:
     """Differentiate psi and the restricted Lagrangian at (q, v).
 
     The dependent velocities are substituted as hyper-duals, so the
-    Lagrangian jets chain through the constraint completion.
+    Lagrangian jets chain through the constraint completion.  Given stacked
+    states, (N, n) positions and (N, n-m) base velocities, it returns the N
+    tables as one, with ``rows`` of shape (N, m+1, 1+k+k*k), and the mask of
+    the lanes where the kernel failed.
     """
-    kernel = _kernel(sys, "restricted")
+    k = 2 * sys.n - sys.m
+    if getattr(q, "ndim", 1) == 2:   # stacked states
+        out, failed = run_lanes(_kernel(sys, "restricted"), q, v)
+        return RestrictedTable(out.reshape(len(out), sys.m + 1, 1 + k + k * k),
+                               sys.n, sys.m), failed
     try:
-        packed = kernel(*_flat(q, v))
-    except _KERNEL_FAILURES:
+        packed = _kernel(sys, "restricted").scalar(*_flat(q, v))
+    except KERNEL_FAILURES:
         return reference_restricted_table(sys, q, v)
-    return RestrictedTable(_rows(packed, sys.m + 1, 2 * sys.n - sys.m), sys.n, sys.m)
+    return RestrictedTable(_rows(packed, sys.m + 1, k), sys.n, sys.m)
 
 
 def ambient_table(sys, q, v_full) -> AmbientTable:
     """Differentiate the ambient Lagrangian at completed velocities, with
     every velocity treated as an independent variable."""
-    kernel = _kernel(sys, "ambient")
     try:
-        packed = kernel(*_flat(q, v_full))
-    except _KERNEL_FAILURES:
+        packed = _kernel(sys, "ambient").scalar(*_flat(q, v_full))
+    except KERNEL_FAILURES:
         return reference_ambient_table(sys, q, v_full)
     k = 2 * sys.n
     return AmbientTable(lag=_row_jet(_rows(packed, 1, k)[0], k), n=sys.n)
 
 
 def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
-    """d(ambient L)/d(velocities) at completed velocities (the Legendre map)."""
-    kernel = _kernel(sys, "velocity_gradient")
+    """d(ambient L)/d(velocities) at completed velocities (the Legendre map).
+    Given stacked states it returns the (N, n) gradients and the mask of
+    the lanes where the kernel failed."""
+    if getattr(q, "ndim", 1) == 2:   # stacked states
+        return run_lanes(_kernel(sys, "velocity_gradient"), q, v_full)
     try:
-        packed = kernel(*_flat(q, v_full))
-    except _KERNEL_FAILURES:
+        packed = _kernel(sys, "velocity_gradient").scalar(*_flat(q, v_full))
+    except KERNEL_FAILURES:
         return reference_ambient_velocity_gradient(sys, q, v_full)
     return np.frombuffer(bytearray(packed))
+
+
+def completion(sys, q, v) -> np.ndarray:
+    """The dependent velocities psi(q, v), evaluated on plain floats bit for
+    bit as :func:`vaknh.expr.evaluate` does.  The kernel raises one of
+    ``KERNEL_FAILURES`` where the interpreter would raise; the caller then
+    runs the interpreter.  Given stacked states it returns the (N, m)
+    values and the mask of the lanes where the kernel failed."""
+    if getattr(q, "ndim", 1) == 2:   # stacked states
+        return run_lanes(_kernel(sys, "completion"), q, v)
+    return np.frombuffer(_kernel(sys, "completion").scalar(*_flat(q, v)))
+
+
+def lagrangian_value(sys, env) -> float:
+    """The Lagrangian on the plain floats of ``env``, which binds every
+    position and velocity: its kernel, bit for bit the interpreter's value,
+    or the interpreter where the kernel fails."""
+    names = sys.coords + tuple(map(sys.velocity_of, sys.coords))
+    try:
+        packed = _kernel(sys, "lagrangian").scalar(*[env[name] for name in names])
+        return np.frombuffer(packed)[0]
+    except (KeyError, *KERNEL_FAILURES):
+        return _expr.evaluate(sys.lagrangian, env)

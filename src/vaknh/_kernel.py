@@ -28,6 +28,19 @@ raise is emitted unconditionally, so a kernel raises whenever the
 interpreter would.  It raises a bare ``ValueError`` or ``ArithmeticError``;
 callers re-run the interpreter to get the documented error.
 
+The same pass emits a second source, the *array* kernel, from the same
+lines: its arguments are float64 arrays of N lanes (one state per lane), and
+numpy runs each line over all lanes with the same IEEE operations.  Where
+the scalar kernel raises, the array kernel marks the lane in a failure mask
+instead: each check becomes an update of the mask, a division by a term
+that is not a nonzero constant is preceded by one, and a math function is
+applied lane by lane with ``math`` (``numpy``'s ``exp``, ``log`` and
+trigonometric functions round differently; ``sqrt`` is exact in both), a
+lane where it raises being marked.  A lane is marked exactly when the scalar
+kernel raises at that state, and every other lane holds the scalar kernel's
+result bit for bit.  A line that raises for every state (a term no input
+reaches) raises in the array kernel too.
+
 The generated source contains only generated local names, float literals
 and the math functions below: no text of the system file reaches it.
 """
@@ -37,15 +50,54 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from typing import Callable
+
+import numpy as np
 
 from . import expr as _expr
 
-__all__ = ["compile_sweep"]
+__all__ = ["Sweep", "compile_sweep", "compile_gradients"]
 
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _CHECKS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
-_GLOBALS = {f"_{name}": getattr(math, name) for name in _expr.FUNCTIONS + ("pow",)}
+_MATH = _expr.FUNCTIONS + ("pow",)
+_GLOBALS = {f"_{name}": getattr(math, name) for name in _MATH}
 _GLOBALS.update(_inf=math.inf, _nan=math.nan)
+
+
+def _lanes(fn):
+    """``fn`` applied lane by lane, as the scalar kernel applies it at one
+    state; a lane where it raises is NaN and marked in ``bad``."""
+    def apply(bad, x, *rest):
+        if not isinstance(x, np.ndarray):   # a term no input reaches
+            return fn(x, *rest)
+        values = x.tolist()
+        try:
+            return np.fromiter(map(fn, values, *map(repeat, rest)), float, len(values))
+        except (ValueError, ArithmeticError):
+            out = np.empty(len(values))
+            for i, value in enumerate(values):
+                try:
+                    out[i] = fn(value, *rest)
+                except (ValueError, ArithmeticError):
+                    out[i] = math.nan
+                    bad[i] = True
+            return out
+    return apply
+
+
+def _sqrt_lanes(bad, x):
+    # Correctly rounded in both; a lane with a negative argument is already
+    # marked by the check that precedes every square root.
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+_ARRAY_GLOBALS = {f"_{name}": _lanes(getattr(math, name)) for name in _MATH}
+_ARRAY_GLOBALS.update(_sqrt=_sqrt_lanes, _inf=math.inf, _nan=math.nan,
+                      _zeros=np.zeros)
 
 
 def _lit(term) -> str:
@@ -82,7 +134,8 @@ class _Emitter:
     def __init__(self, k: int, hessian: bool):
         self.k = k
         self.hessian = hessian
-        self.lines: list[str] = []
+        self.lines: list[str] = []     # the scalar kernel
+        self.array_lines: list[str] = []   # the array kernel, line by line
         self.names: dict = {}          # operation key -> local name
         self.checks: set = set()       # checks already emitted
         self.zeros: set[str] = set()   # locals that are a zero of some sign
@@ -94,11 +147,20 @@ class _Emitter:
             return term in self.zeros
         return term == 0.0
 
-    def _emit(self, key, code, zero=False):
+    def _line(self, line, array_line=None):
+        self.lines.append(line)
+        self.array_lines.append(line if array_line is None else array_line)
+
+    def _emit(self, key, code, zero=False, array_code=None, guard=None):
+        """The local holding ``code``; ``guard``, a condition under which
+        the scalar line raises, marks the lanes where it holds first."""
         name = self.names.get(key)
         if name is None:
             name = self.names[key] = f"t{len(self.names)}"
-            self.lines.append(f"{name} = {code}")
+            if guard is not None:
+                self.array_lines.append(f"_bad |= {guard}")
+            self._line(f"{name} = {code}",
+                       None if array_code is None else f"{name} = {array_code}")
             if zero:
                 self.zeros.add(name)
         return name
@@ -120,7 +182,10 @@ class _Emitter:
             la, lb = lb, la   # commutative: one line for both orders
         zero = (self.zero(a) or self.zero(b)) if sym == "*" else \
             (self.zero(a) and self.zero(b)) if sym in "+-" else False
-        return self._emit((sym, la, lb), f"{la} {sym} {lb}", zero)
+        # Python raises on a float division by zero; numpy does not.
+        guard = f"{lb} == 0.0" if sym == "/" and not (
+            isinstance(b, float) and b != 0.0) else None
+        return self._emit((sym, la, lb), f"{la} {sym} {lb}", zero, guard=guard)
 
     def neg(self, a):
         if isinstance(a, float):
@@ -129,22 +194,23 @@ class _Emitter:
 
     def call(self, fn, *args):
         texts = tuple(map(_lit, args))
-        return self._emit((fn,) + texts, f"_{fn}({', '.join(texts)})")
+        return self._emit((fn,) + texts, f"_{fn}({', '.join(texts)})",
+                          array_code=f"_{fn}(_bad, {', '.join(texts)})")
 
     def check(self, a, sym, b):
         """Fail where the interpreter raises: when ``a <sym> b`` holds."""
         if isinstance(a, float):
             if _CHECKS[sym](a, b):
-                self.lines.append("raise ValueError")
+                self._line("raise ValueError")
             return
-        line = f"if {a} {sym} {_lit(b)}: raise ValueError"
-        if line not in self.checks:
-            self.checks.add(line)
-            self.lines.append(line)
+        condition = f"{a} {sym} {_lit(b)}"
+        if condition not in self.checks:
+            self.checks.add(condition)
+            self._line(f"if {condition}: raise ValueError", f"_bad |= {condition}")
 
     def fail(self):
         """Where the interpreter raises unconditionally (unbound variable)."""
-        self.lines.append("raise ValueError")
+        self._line("raise ValueError")
         return "_unreachable"
 
     # -- hyper-duals ----------------------------------------------------------
@@ -320,45 +386,113 @@ class _Emitter:
         return out
 
 
-def compile_sweep(sys, kind: str):
-    """Build the kernel of one sweep of ``sys``.
+@dataclass
+class Sweep:
+    """One generated kernel in its two forms, each compiled on first use.
 
-    The kernel takes the flat state, (q, base v) for ``restricted`` and
-    (q, all v) otherwise, and returns packed doubles (``struct``, native
-    order).  ``restricted`` returns one jet after the other, each as its
-    value, gradient and row-major Hessian in (q, base v): psi, one per
-    dependent coordinate, then the restricted Lagrangian; ``ambient`` the
-    jet of the Lagrangian in (q, all v); ``velocity_gradient`` the
-    Lagrangian's gradient in the velocities.
+    ``scalar`` takes one state, one float per argument, and returns its
+    outputs as packed doubles (``struct``, native order).  ``array`` takes
+    one float64 array of N lanes per argument and returns the outputs as an
+    (outputs, N) array and the failure mask of the lanes.
     """
-    coords = list(sys.coords)
-    if kind == "restricted":
-        names = seeded = coords + [sys.velocity_of(c) for c in sys.base]
-    else:  # "ambient" or "velocity_gradient"
-        names = coords + [sys.velocity_of(c) for c in coords]
-        seeded = names if kind == "ambient" else names[sys.n:]
+
+    label: str
+    outputs: int
+    scalar_source: str
+    array_source: str
+
+    @cached_property
+    def scalar(self) -> Callable:
+        return _build(self.scalar_source, self.label,
+                      dict(_GLOBALS, _pack=struct.Struct(f"{self.outputs}d").pack))
+
+    @cached_property
+    def array(self) -> Callable:
+        return _build(self.array_source, self.label, _ARRAY_GLOBALS)
+
+
+def _build(source, label, globals_):
+    namespace = dict(globals_)
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace.pop("kernel")   # no cycle through the kernel's globals
+
+
+def _generate(label, names, seeded, hessian, evaluate) -> Sweep:
+    """Emit both kernels of ``evaluate(emitter, env)``, which returns the
+    output terms; the kernels take the variables ``names`` in order, and
+    ``seeded`` of them carry derivative channels."""
     k = len(seeded)
-    b = _Emitter(k, hessian=kind != "velocity_gradient")
+    b = _Emitter(k, hessian)
     args = {name: f"x{i}" for i, name in enumerate(names)}
     env = dict(args)
     for i, name in enumerate(seeded):
         env[name] = _Dual(args[name], [1.0 if j == i else 0.0 for j in range(k)], {})
+    out = evaluate(b, env)
 
-    if kind == "restricted":
+    head = f"def kernel({', '.join(args.values())}):\n"
+    scalar = (head + "".join(f"    {line}\n" for line in b.lines)
+              + f"    return _pack({', '.join(map(_lit, out))})\n")
+    stores = "".join(f"    _o[{i}] = {_lit(term)}\n"
+                     for i, term in enumerate(out) if not _is(term, 0.0))
+    array = (head + "    _bad = _zeros(len(x0), bool)\n"
+             + "".join(f"    {line}\n" for line in b.array_lines)
+             + f"    _o = _zeros(({len(out)}, len(x0)))\n{stores}"
+             + "    return _o, _bad\n")
+    return Sweep(label, len(out), scalar, array)
+
+
+def compile_sweep(sys, kind: str) -> Sweep:
+    """Build the kernels of one sweep of ``sys``.
+
+    The kernels take the flat state: (q, base v) for ``restricted`` and
+    ``completion``, (q, all v) otherwise.  ``restricted`` returns one jet
+    after the other, each as its value, gradient and row-major Hessian in
+    (q, base v): psi, one per dependent coordinate, then the restricted
+    Lagrangian; ``ambient`` the jet of the Lagrangian in (q, all v);
+    ``velocity_gradient`` the Lagrangian's gradient in the velocities;
+    ``completion`` the values of psi and ``lagrangian`` the value of the
+    Lagrangian, both on plain floats, as :func:`vaknh.expr.evaluate`
+    computes them.
+    """
+    coords = list(sys.coords)
+    base = coords + [sys.velocity_of(c) for c in sys.base]
+    full = coords + [sys.velocity_of(c) for c in coords]
+
+    def restricted(b, env):
         results = []
         for c in sys.dependent:
             results.append(b.evaluate(sys.psi[c], env))
             env[sys.velocity_of(c)] = results[-1]
         results.append(b.evaluate(sys.lagrangian, env))
-        out = b.outputs(results)
-    else:
-        out = b.outputs([b.evaluate(sys.lagrangian, env)])
-        if kind == "velocity_gradient":
-            out = out[1:1 + k]
+        return b.outputs(results)
 
-    body = "".join(f"    {line}\n" for line in b.lines)
-    source = (f"def {kind}({', '.join(args.values())}):\n{body}"
-              f"    return _pack({', '.join(map(_lit, out))})\n")
-    namespace = dict(_GLOBALS, _pack=struct.Struct(f"{len(out)}d").pack)
-    exec(compile(source, f"<{kind} sweep of {sys.name}>", "exec"), namespace)
-    return namespace.pop(kind)   # no cycle through the kernel's globals
+    def lagrangian(b, env):
+        return b.outputs([b.evaluate(sys.lagrangian, env)])
+
+    def velocity_gradient(b, env):
+        return lagrangian(b, env)[1:1 + sys.n]
+
+    def completion(b, env):
+        return [b.evaluate(sys.psi[c], env) for c in sys.dependent]
+
+    names, seeded, evaluate = {
+        "restricted": (base, base, restricted),
+        "ambient": (full, full, lagrangian),
+        "velocity_gradient": (full, full[sys.n:], velocity_gradient),
+        "completion": (base, [], completion),
+        "lagrangian": (full, [], lagrangian),
+    }[kind]
+    return _generate(f"{kind} sweep of {sys.name}", names, seeded,
+                     kind in ("restricted", "ambient"), evaluate)
+
+
+def compile_gradients(trees, names, seeded) -> Sweep:
+    """Build the kernels of the gradients of ``trees`` in the variables
+    ``seeded``: one gradient after the other, each entry equal bit for bit
+    to :func:`vaknh.autodiff.partial` of the tree in that variable.  The
+    kernels take the variables ``names`` in order."""
+    def gradients(b, env):
+        k = len(seeded)
+        return [g for tree in trees for g in b.outputs([b.evaluate(tree, env)])[1:1 + k]]
+
+    return _generate("gradients", names, seeded, False, gradients)

@@ -305,7 +305,10 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        # Overflow and the like are caught by the commands' own finiteness
+        # checks and reported once; numpy's warnings would only repeat them.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (SingularMatrixError, EvalError, IntegrationError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=_sys.stderr)
         return 3

@@ -57,6 +57,7 @@ __all__ = ["Trajectory", "DriftReport", "integrate", "drift_report",
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_DT = 1e-3
+_EPS = float(np.finfo(float).eps)
 
 # Dormand-Prince 5(4) tableau.  The last row of A is b5 (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -192,6 +193,9 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     check_state(sys, s0)
     candidates = candidates or {}
 
+    if method == "rk4":
+        _require_rk4_steps(t_end, dt, max_steps)
+
     f = _flat_rhs(sys, dynamics)
     y = _pack(sys, dynamics, s0)
     state_names = _state_names(sys, dynamics)
@@ -245,6 +249,18 @@ def _require_advance(t, h):
     if not h > 0 or t + h == t:
         raise IntegrationError(
             f"step size {float(h)!r} does not advance t={float(t)!r}", t=float(t))
+
+
+def _require_rk4_steps(t_end, dt, max_steps):
+    """Raise before the first step unless ``max_steps`` fixed steps of ``dt``
+    can reach ``t_end``.  A step advances t by at most dt, rounded up, so
+    after N steps t <= N*dt*(1 + eps/2)^N.  With the roundings of this test,
+    a ratio t_end/dt above N*(1 + 4*N*eps) can never complete while
+    N*eps < 1/8; beyond that nothing is rejected."""
+    if max_steps < 0.125 / _EPS and t_end / dt > max_steps * (1.0 + 4.0 * max_steps * _EPS):
+        raise IntegrationError(
+            f"rk4 needs {t_end / dt:.17g} steps of dt={float(dt)!r} to reach "
+            f"t_end={float(t_end)!r}, more than max_steps={max_steps}", t=0.0)
 
 
 def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):

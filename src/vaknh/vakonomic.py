@@ -73,11 +73,17 @@ class SymplecticReport:
 def _shifted(tab, mult) -> Jet:
     """Jet of the shifted Lagrangian Lambda = L~ - mult . psi over the
     variables of the restricted table ``tab``: the one place where the
-    multipliers enter the reduced equations."""
+    multipliers enter the reduced equations.  For stacked tables ``mult``
+    holds one multiplier vector per lane, and the jets are stacked too."""
     rows = tab.rows
-    row = rows[tab.m]
-    for mu, psi in zip(mult.tolist(), rows):
-        row = row - mu * psi
+    if rows.ndim == 2:
+        row = rows[tab.m]
+        for mu, psi in zip(mult.tolist(), rows):
+            row = row - mu * psi
+    else:
+        row = rows[:, tab.m]
+        for j in range(tab.m):
+            row = row - mult[:, j, None] * rows[:, j]
     return tab.jet(row)
 
 
@@ -99,17 +105,26 @@ def _hamiltonian(lam, n, v) -> float:
 def det_threshold(c, order):
     """det(c) and the threshold DET_RTOL * max|entry|^order at or below
     which |det| counts as singular, for a square matrix of that order.  A
-    NaN entry makes the threshold NaN."""
+    NaN entry makes the threshold NaN.  For a stack of matrices, the arrays
+    of both, bit for bit the values of each matrix on its own."""
+    if c.ndim > 2:
+        # numpy's array power rounds differently from its scalar power.
+        largest = np.abs(c).max(axis=(-2, -1)).tolist()
+        return np.linalg.det(c), DET_RTOL * np.array([np.float64(x) ** order
+                                                      for x in largest])
     sizes = list(map(abs, c.ravel().tolist()))
     largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
     return float(np.linalg.det(c)), DET_RTOL * np.float64(largest) ** order
 
 
+def _singular_message(sys, what, det) -> str:
+    return f"{what} is singular for system {sys.name!r} (det={det!r})"
+
+
 def _det_guard(c, nb, sys, s, what):
     det, threshold = det_threshold(c, nb)
     if abs(det) <= threshold:
-        raise SingularMatrixError(
-            f"{what} is singular for system {sys.name!r} (det={det!r})", det, s)
+        raise SingularMatrixError(_singular_message(sys, what, det), det, s)
     return det
 
 
@@ -132,6 +147,30 @@ def _reduced_dynamics(sys, s, mult, what):
     dp = lam.grad[dep]
     r = lam.grad[base] - dq @ lam.hess[:n, n:] + dp @ tab.grads[:m, n:]
     return dq, np.linalg.solve(c, r), dp, lam
+
+
+def _reduced_lanes(sys, tab, v, mult, skip):
+    """``_reduced_dynamics`` over stacked states, from their stacked
+    restricted table ``tab``: the shift, the determinant guard, and one
+    solve over the lanes that are neither in ``skip`` nor singular.  Returns
+    the stacked dq, dv (NaN where not solved) and dp, the determinants and
+    the mask of singular lanes; every solved lane equals the state's own
+    evaluation bit for bit."""
+    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
+    lam = _shifted(tab, mult)
+    c = lam.hess[:, n:, n:]
+    det, threshold = det_threshold(c, n - m)
+    singular = np.abs(det) <= threshold
+    dq = np.empty((len(v), n))
+    dq[:, base] = v
+    dq[:, dep] = tab.values[:, :m]
+    dp = lam.grad[:, dep]
+    r = (lam.grad[:, base] - (dq[:, None] @ lam.hess[:, :n, n:])[:, 0]
+         + (dp[:, None] @ tab.grads[:, :m, n:])[:, 0])
+    solved = ~(skip | singular)
+    dv = np.full((len(v), n - m), np.nan)
+    dv[solved] = np.linalg.solve(c[solved], r[solved][..., None])[..., 0]
+    return dq, dv, dp, det, singular
 
 
 def cbar(sys: SystemDef, s: VakState) -> np.ndarray:

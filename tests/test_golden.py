@@ -1,9 +1,11 @@
 """Byte-identical outputs on small fixed runs.
 
 The files under ``golden/`` were written by the package before the
-integrators took their monitor rows from the stage evaluations; every change
-since must reproduce them byte for byte: the same steps, the same states and
-the same monitors.
+integrators took their monitor rows from the stage evaluations, and the
+``scan_rolling_penny``/``scan_von_neumann2`` reports before ``scan`` evaluated
+its samples in one batch; every change since must reproduce them byte for
+byte: the same steps, the same states, the same monitors and the same
+records and skip messages.
 """
 
 from pathlib import Path
@@ -28,6 +30,10 @@ CASES = {
     "scan_martinet_legendre.json": [
         "scan", "martinet", "--samples", "40", "--seed", "7", "--p-mode", "legendre",
         "--candidates", CANDIDATES],
+    "scan_rolling_penny.json": [
+        "scan", "rolling_penny", "--samples", "30", "--seed", "11"],
+    "scan_von_neumann2.json": [
+        "scan", "von_neumann2", "--samples", "20", "--seed", "3"],
 }
 
 

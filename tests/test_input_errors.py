@@ -99,3 +99,60 @@ def test_a_flag_is_not_taken_for_a_vector(capsys):
     assert run(["integrate", "martinet", "--dynamics", "vak", "--q", "--v", "-1,0.5",
                 "--p", "-1", "--t-end", "0.5"]) == 1
     assert "--q" in capsys.readouterr().err
+
+
+def test_rk4_that_cannot_reach_t_end_fails_before_the_first_step(capsys, monkeypatch):
+    from vaknh import integrate as integrate_module
+
+    def no_evaluations(*_):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(integrate_module, "vak_rhs", no_evaluations)
+    assert run(MARTINET + ["--t-end", "1", "--method", "rk4", "--dt", "1e-20"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: rk4 needs 1e+20 steps of dt=1e-20 to reach t_end=1.0, "
+        "more than max_steps=1000000\n")
+
+
+def _rk4_steps(t_end, dt):
+    """The steps _run_rk4 takes to reach t_end, by its own time update."""
+    t, steps = 0.0, 0
+    while t < t_end:
+        h = min(dt, t_end - t)
+        t = t_end if t + h >= t_end else t + h
+        steps += 1
+    return steps
+
+
+def test_rk4_step_check_accepts_every_run_that_completes():
+    from vaknh.integrate import _require_rk4_steps
+
+    rng = np.random.default_rng(8)
+    for dt in [0.01, 0.1, 1 / 3, 1e-3, 0.7, *rng.uniform(1e-3, 1.0, 200)]:
+        for t_end in [10.0, 1.0, 2.5, *rng.uniform(0.01, 3.0, 5)]:
+            steps = _rk4_steps(t_end, dt)
+            _require_rk4_steps(t_end, dt, steps)   # does not raise
+    assert _rk4_steps(10.0, 0.01) == 1001
+
+
+def test_rk4_run_of_1001_steps_completes(capsys):
+    assert run(MARTINET + ["--t-end", "10", "--method", "rk4", "--dt", "0.01",
+                           "--max-steps", "1002"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1002
+
+
+def test_overflow_prints_only_the_error_message():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", "from vaknh.cli import main; main()", "integrate",
+         "martinet", "--dynamics", "vak", "--q=0,1,0", "--v=1e144,1e144", "--p=1",
+         "--t-end", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "numeric error: step size 0.0 does not advance t=0.0\n"

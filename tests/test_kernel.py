@@ -60,7 +60,7 @@ def _check_sweeps(sysdef, q, v, v_full):
     does."""
     for sweep, reference, kind in SWEEPS:
         args = _args(sysdef, kind, q, v, v_full)
-        raw = _jets._kernel(sysdef, kind)
+        raw = _jets._kernel(sysdef, kind).scalar
         try:
             expected = reference(sysdef, *args)
         except (EvalError, ArithmeticError, ValueError) as exc:
@@ -153,3 +153,35 @@ def test_kernels_compile_on_first_sweep_and_stay_out_of_equality():
     _jets.restricted_table(sysdef, np.zeros(3), np.ones(2))
     assert set(sysdef._kernels) == {"restricted"}
     assert sysdef == builtin("martinet")
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_completion_and_energy_equal_the_interpreter(name):
+    from vaknh.nonholonomic import energy, legendre_lift
+    from vaknh.system import NhState, completed_env, state_env
+
+    sysdef = get_model(name)
+    for s in random_states(name, 30, 47):
+        env = state_env(sysdef, NhState(s.q, s.v))
+        psi = [E.evaluate(sysdef.psi[c], env) for c in sysdef.dependent]
+        full = complete_velocities(sysdef, s)
+        assert full[sysdef.dependent_positions].tolist() == psi
+        assert _same_bits(full[sysdef.dependent_positions], psi)
+        env.update(zip((sysdef.velocity_of(c) for c in sysdef.dependent), psi))
+        assert completed_env(sysdef, s.q, s.v) == env
+        lag = E.evaluate(sysdef.lagrangian, env)
+        assert _same_bits(_jets.lagrangian_value(sysdef, env), lag)
+        expected = float(np.dot(full, legendre_lift(sysdef, s)) - lag)
+        assert _same_bits(energy(sysdef, s), expected)
+
+
+def test_completion_outside_the_domain_raises_the_interpreter_error():
+    from vaknh.system import NhState, completed_env
+
+    sysdef = get_model("von_neumann2")
+    with pytest.raises((ValueError, ArithmeticError)):
+        _jets.completion(sysdef, (1.0, 1.0), (2.0,))
+    with pytest.raises(EvalError, match="sqrt of negative value"):
+        complete_velocities(sysdef, NhState((1.0, 1.0), (2.0,)))
+    with pytest.raises(EvalError, match="sqrt of negative value"):
+        completed_env(sysdef, (1.0, 1.0), (2.0,))
