@@ -247,7 +247,7 @@ def _rows(packed, count, k):
 
 # A kernel signals failure with these; the interpreter then raises the
 # documented error (TypeError: arguments of the wrong length or kind).
-KERNEL_FAILURES = (ArithmeticError, ValueError, TypeError)
+_KERNEL_FAILURES = (ArithmeticError, ValueError, TypeError)
 
 
 def restricted_table(sys, q, v) -> RestrictedTable:
@@ -266,7 +266,7 @@ def restricted_table(sys, q, v) -> RestrictedTable:
                                sys.n, sys.m), failed
     try:
         packed = _kernel(sys, "restricted").scalar(*_flat(q, v))
-    except KERNEL_FAILURES:
+    except _KERNEL_FAILURES:
         return reference_restricted_table(sys, q, v)
     return RestrictedTable(_rows(packed, sys.m + 1, k), sys.n, sys.m)
 
@@ -276,7 +276,7 @@ def ambient_table(sys, q, v_full) -> AmbientTable:
     every velocity treated as an independent variable."""
     try:
         packed = _kernel(sys, "ambient").scalar(*_flat(q, v_full))
-    except KERNEL_FAILURES:
+    except _KERNEL_FAILURES:
         return reference_ambient_table(sys, q, v_full)
     k = 2 * sys.n
     return AmbientTable(lag=_row_jet(_rows(packed, 1, k)[0], k), n=sys.n)
@@ -290,29 +290,15 @@ def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
         return run_lanes(_kernel(sys, "velocity_gradient"), q, v_full)
     try:
         packed = _kernel(sys, "velocity_gradient").scalar(*_flat(q, v_full))
-    except KERNEL_FAILURES:
+    except _KERNEL_FAILURES:
         return reference_ambient_velocity_gradient(sys, q, v_full)
     return np.frombuffer(bytearray(packed))
 
 
-def completion(sys, q, v) -> np.ndarray:
-    """The dependent velocities psi(q, v), evaluated on plain floats bit for
-    bit as :func:`vaknh.expr.evaluate` does.  The kernel raises one of
-    ``KERNEL_FAILURES`` where the interpreter would raise; the caller then
-    runs the interpreter.  Given stacked states it returns the (N, m)
-    values and the mask of the lanes where the kernel failed."""
-    if getattr(q, "ndim", 1) == 2:   # stacked states
-        return run_lanes(_kernel(sys, "completion"), q, v)
-    return np.frombuffer(_kernel(sys, "completion").scalar(*_flat(q, v)))
-
-
-def lagrangian_value(sys, env) -> float:
-    """The Lagrangian on the plain floats of ``env``, which binds every
-    position and velocity: its kernel, bit for bit the interpreter's value,
-    or the interpreter where the kernel fails."""
-    names = sys.coords + tuple(map(sys.velocity_of, sys.coords))
-    try:
-        packed = _kernel(sys, "lagrangian").scalar(*[env[name] for name in names])
-        return np.frombuffer(packed)[0]
-    except (KeyError, *KERNEL_FAILURES):
-        return _expr.evaluate(sys.lagrangian, env)
+def completion(sys, q, v):
+    """The dependent velocities psi(q, v) of stacked states, (N, n) positions
+    and (N, n-m) base velocities, evaluated on plain floats bit for bit as
+    :func:`vaknh.expr.evaluate` does (:func:`vaknh.system.complete_velocities`
+    at one state): the (N, m) values and the mask of the lanes where the
+    kernel failed."""
+    return run_lanes(_kernel(sys, "completion"), q, v)

@@ -450,9 +450,8 @@ def compile_sweep(sys, kind: str) -> Sweep:
     (q, base v): psi, one per dependent coordinate, then the restricted
     Lagrangian; ``ambient`` the jet of the Lagrangian in (q, all v);
     ``velocity_gradient`` the Lagrangian's gradient in the velocities;
-    ``completion`` the values of psi and ``lagrangian`` the value of the
-    Lagrangian, both on plain floats, as :func:`vaknh.expr.evaluate`
-    computes them.
+    ``completion`` the values of psi on plain floats, as
+    :func:`vaknh.expr.evaluate` computes them.
     """
     coords = list(sys.coords)
     base = coords + [sys.velocity_of(c) for c in sys.base]
@@ -480,7 +479,6 @@ def compile_sweep(sys, kind: str) -> Sweep:
         "ambient": (full, full, lagrangian),
         "velocity_gradient": (full, full[sys.n:], velocity_gradient),
         "completion": (base, [], completion),
-        "lagrangian": (full, [], lagrangian),
     }[kind]
     return _generate(f"{kind} sweep of {sys.name}", names, seeded,
                      kind in ("restricted", "ambient"), evaluate)

@@ -19,9 +19,9 @@ The two flows live on different spaces but project onto each other through
 
 ``scan`` samples a box in state space, evaluates all applicable residuals
 per state and aggregates the results into a JSON-serializable report.  It
-evaluates all samples together: each phase runs once over the stacked
-states, on the array form of the generated kernels (:mod:`vaknh._jets`),
-with one stacked determinant and solve per field.  The per-state functions
+evaluates the samples in batches of ``BATCH``: each phase runs once over
+the stacked states of a batch, on the array form of the generated kernels
+(:mod:`vaknh._jets`), with one stacked determinant and solve per field.  The per-state functions
 above stay the reference: a sample that a kernel marks as failed is
 evaluated by them, and the report equals theirs byte for byte.
 """
@@ -37,8 +37,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from . import expr as _expr
-from ._jets import (KERNEL_FAILURES, ambient_velocity_gradient, completion,
-                    restricted_table, run_lanes)
+from ._jets import ambient_velocity_gradient, completion, restricted_table, run_lanes
 from ._kernel import compile_gradients
 from .autodiff import partial
 from .errors import EvalError, SingularMatrixError, VaknhError
@@ -93,7 +92,7 @@ def g_residuals(sys: SystemDef, s: VakState) -> np.ndarray:
     check_state(sys, s)
     r = curvature(sys, s.q)
     delta = s.p_dep - _dependent_momenta(sys, s)
-    return np.einsum("a,k,kab->b", s.v, delta, r)
+    return _contract_g(s.v[None], delta[None], r[None])[0]
 
 
 def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
@@ -162,6 +161,13 @@ def parse_candidates(text: str) -> dict[str, _expr.Expression]:
 # ---------------------------------------------------------------------------
 # Region scan
 # ---------------------------------------------------------------------------
+
+
+# Samples evaluated together by ``scan``.  Each line of a generated array
+# kernel holds one array of this many lanes until the kernel returns, so a
+# batch's memory grows with it; past a few thousand lanes a larger batch is
+# no faster.
+BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -413,8 +419,9 @@ def _g_lanes(sys, q, v, p):
 
 
 def _contract_g(v, delta, r):
-    """Stacked ``np.einsum("a,k,kab->b", v, delta, r)``, summed in the
-    order the per-state call sums, so bit for bit its result."""
+    """g_b = v_a delta_k R[k, a, b] of stacked states, summed in a fixed
+    order, so each lane's result does not depend on the others: the
+    per-state ``g_residuals`` is this on a stack of one."""
     g = np.zeros_like(v)
     for k in range(delta.shape[1]):
         for a in range(v.shape[1]):
@@ -448,10 +455,11 @@ def _tangency_lanes(sys, candidates, q, v, p, dq, dv, dp):
     return out, failed
 
 
-def _scan_lanes(sys, q, v, p, candidates, linear) -> list:
-    """The records of the stacked samples (q, v, p), evaluated one phase at
-    a time over all of them; ``p`` is None in legendre mode.  A lane where a
-    kernel failed is None: the per-state functions evaluate it instead.
+def _scan_lanes(sys, first, q, v, p, candidates, linear) -> list:
+    """The records of the stacked samples (q, v, p), numbered from
+    ``first``, evaluated one phase at a time over all of them; ``p`` is None
+    in legendre mode.  A lane where a kernel failed is None: the per-state
+    functions evaluate it instead.
 
     The phases follow ``_evaluate_one``: the Legendre lift (legendre mode),
     curvature and g, the vakonomic field, the nonholonomic field at
@@ -493,11 +501,11 @@ def _scan_lanes(sys, q, v, p, candidates, linear) -> list:
             message = (_singular_message(sys, "vakonomic matrix", vak_det[i])
                        if vak_singular[i] else
                        _singular_message(sys, "nonholonomic matrix", nh_det[i]))
-            records.append(ComparisonRecord(index=i, q=qs[i], v=vs[i], p_dep=ps[i],
-                                            skipped=message))
+            records.append(ComparisonRecord(index=first + i, q=qs[i], v=vs[i],
+                                            p_dep=ps[i], skipped=message))
         else:
             records.append(ComparisonRecord(
-                index=i, q=qs[i], v=vs[i], p_dep=ps[i], g=gs[i], delta_y=deltas[i],
+                index=first + i, q=qs[i], v=vs[i], p_dep=ps[i], g=gs[i], delta_y=deltas[i],
                 tangency={name: values[i] for name, values in tangency.items()}))
     return records
 
@@ -523,11 +531,12 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     record as skipped rather than aborting the scan.  Summary fractions are
     computed over the successfully evaluated records only.
 
-    All samples are evaluated together, each phase once over the stack
-    (``_scan_lanes``), and the report equals the one the per-state
-    functions give sample by sample (``_evaluate_one``), byte for byte.  A
-    sample where a generated kernel fails is re-run by the per-state
-    functions.  So is every sample when a batched step raises or a
+    The samples are evaluated in batches of ``BATCH``, each phase once over
+    the stacked samples of a batch (``_scan_lanes``), and the report equals
+    the one the per-state functions give sample by sample
+    (``_evaluate_one``), byte for byte.  A sample where a generated kernel
+    fails is re-run by the per-state functions.  So is every sample of a
+    batch where a kernel or a stacked solve raises, and every sample when a
     candidate uses a variable that is not a state variable.
     """
     if sampler.count < 1:
@@ -546,11 +555,15 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     records = [None] * sampler.count
     allowed = candidate_variables(sys)
     if all(_expr.free_vars(g) <= allowed for g in candidates.values()):
-        try:
-            with np.errstate(all="ignore"):
-                records = _scan_lanes(sys, q, v, p, candidates, linear)
-        except KERNEL_FAILURES:
-            pass
+        for first in range(0, sampler.count, BATCH):
+            part = slice(first, first + BATCH)
+            try:
+                with np.errstate(all="ignore"):
+                    records[part] = _scan_lanes(
+                        sys, first, q[part], v[part], None if p is None else p[part],
+                        candidates, linear)
+            except (ArithmeticError, ValueError):   # a kernel or a stacked solve
+                pass
     records = [_evaluate_one(sys, i, q[i], v[i], None if p is None else p[i],
                              candidates, linear) if record is None else record
                for i, record in enumerate(records)]

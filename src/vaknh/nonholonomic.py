@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jets import ambient_table, ambient_velocity_gradient, lagrangian_value, restricted_table
+from . import expr as _expr
+from ._jets import ambient_table, ambient_velocity_gradient, restricted_table
 from .system import NhState, SystemDef, check_state, complete_velocities, completed_env
 from .vakonomic import _reduced_dynamics, _shifted
 
@@ -117,8 +118,7 @@ def energy(sys: SystemDef, s: NhState) -> float:
 
 def _energy(sys, s, lift) -> float:
     """Mechanical energy at ``s`` from its Legendre lift; the completed
-    velocities and L are evaluated on plain floats, by the completion and
-    Lagrangian kernels (``lagrangian_value``)."""
+    velocities and L are evaluated on plain floats."""
     env = completed_env(sys, s.q, s.v)
     vfull = np.array([env[sys.velocity_of(c)] for c in sys.coords])
-    return float(np.dot(vfull, lift) - lagrangian_value(sys, env))
+    return float(np.dot(vfull, lift) - _expr.evaluate(sys.lagrangian, env))

@@ -275,37 +275,21 @@ def state_env(sys: SystemDef, s) -> dict[str, float]:
 
 def complete_velocities(sys: SystemDef, s) -> np.ndarray:
     """Full n-velocity vector: base components from the state, dependent
-    components from psi.  psi is evaluated by the completion kernel, bit for
-    bit the interpreter's value, or by the interpreter where the kernel
-    fails, which raises the documented error."""
-    # Imported here: loading a system (``import vaknh``) compiles no kernel
-    # and needs none of the kernel code.
-    from ._jets import KERNEL_FAILURES, completion
-
+    components from psi."""
     check_state(sys, s)
+    env = state_env(sys, s)
     full = np.empty(sys.n)
     full[sys.base_positions] = s.v
-    try:
-        full[sys.dependent_positions] = completion(sys, s.q, s.v)
-    except KERNEL_FAILURES:
-        env = state_env(sys, s)
-        for c, pos in zip(sys.dependent, sys.dependent_positions):
-            full[pos] = _expr.evaluate(sys.psi[c], env)
+    for c, pos in zip(sys.dependent, sys.dependent_positions):
+        full[pos] = _expr.evaluate(sys.psi[c], env)
     return full
 
 
 def completed_env(sys: SystemDef, q, v) -> dict[str, float]:
-    """Environment with all velocities bound, dependent ones via psi (the
-    completion kernel, or the interpreter where it fails)."""
-    from ._jets import KERNEL_FAILURES, completion
-
+    """Environment with all velocities bound, dependent ones via psi."""
     env = state_env(sys, NhState(q, v))
-    names = [sys.velocity_of(c) for c in sys.dependent]
-    try:
-        env.update(zip(names, completion(sys, q, v).tolist()))
-    except KERNEL_FAILURES:
-        for c, name in zip(sys.dependent, names):
-            env[name] = _expr.evaluate(sys.psi[c], env)
+    for c in sys.dependent:
+        env[sys.velocity_of(c)] = _expr.evaluate(sys.psi[c], env)
     return env
 
 

@@ -76,14 +76,9 @@ def _shifted(tab, mult) -> Jet:
     multipliers enter the reduced equations.  For stacked tables ``mult``
     holds one multiplier vector per lane, and the jets are stacked too."""
     rows = tab.rows
-    if rows.ndim == 2:
-        row = rows[tab.m]
-        for mu, psi in zip(mult.tolist(), rows):
-            row = row - mu * psi
-    else:
-        row = rows[:, tab.m]
-        for j in range(tab.m):
-            row = row - mult[:, j, None] * rows[:, j]
+    row = rows[..., tab.m, :]
+    for j in range(tab.m):
+        row = row - mult[..., j, None] * rows[..., j, :]
     return tab.jet(row)
 
 

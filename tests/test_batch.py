@@ -29,7 +29,7 @@ from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from test_expr import _exprs
 from test_kernel import _same_bits
 
-KINDS = ("restricted", "ambient", "velocity_gradient", "completion", "lagrangian")
+KINDS = ("restricted", "ambient", "velocity_gradient", "completion")
 FAILURES = (EvalError, ArithmeticError, ValueError)
 CANDIDATES = """\
 C1 = p_z - (y^2/2)*dx
@@ -147,7 +147,8 @@ def test_array_kernels_equal_scalar_kernels_on_random_trees(lagrangian, psi, lan
 
 
 @pytest.mark.parametrize("m, nb", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2)])
-def test_g_contraction_equals_per_state_einsum(m, nb):
+def test_g_contraction_of_a_stack_equals_each_state_alone(m, nb):
+    # g_residuals contracts one state as a stack of one.
     rng = np.random.default_rng(m * 10 + nb)
     v = rng.normal(size=(3000, nb))
     delta = rng.normal(size=(3000, m))
@@ -156,7 +157,8 @@ def test_g_contraction_equals_per_state_einsum(m, nb):
     v[::5, 0] = -0.0
     got = comparison._contract_g(v, delta, r)
     for i in range(len(v)):
-        assert got[i].tobytes() == np.einsum("a,k,kab->b", v[i], delta[i], r[i]).tobytes()
+        alone = comparison._contract_g(v[i:i + 1], delta[i:i + 1], r[i:i + 1])[0]
+        assert got[i].tobytes() == alone.tobytes()
 
 
 def _sampler(name, count, seed, p_mode="random", box=None):
@@ -210,6 +212,40 @@ def test_scan_reruns_only_samples_outside_the_domain(monkeypatch):
     assert report.to_json() == expected.to_json()
     domain = [r.index for r in report.records if "sqrt" in (r.skipped or "")]
     assert domain and per_state == domain
+
+
+def test_scan_in_batches_equals_per_state_loop(monkeypatch):
+    # Batches of 16 samples: the last one short, and some of them with
+    # samples outside the square root's domain.
+    sysdef = get_model("von_neumann2")
+    box = {"q": [(0.8, 2.0)] * 2, "v": [(-2.0, 2.0)], "p": [(0.5, 2.0)]}
+    sampler = _sampler("von_neumann2", 200, 5, box=box)
+    expected = _per_state(monkeypatch, sysdef, sampler)
+    batch = comparison._scan_lanes
+    sizes = []
+
+    def counted(sysdef, first, q, *rest):
+        sizes.append((first, len(q)))
+        return batch(sysdef, first, q, *rest)
+
+    monkeypatch.setattr(comparison, "BATCH", 16)
+    monkeypatch.setattr(comparison, "_scan_lanes", counted)
+    per_state = _count_per_state(monkeypatch)
+    report = scan(sysdef, sampler)
+    assert report.to_json() == expected.to_json()
+    assert sizes == [(first, 16) for first in range(0, 192, 16)] + [(192, 8)]
+    assert per_state == [r.index for r in report.records if "sqrt" in (r.skipped or "")]
+
+
+def test_scan_lets_other_errors_of_a_batch_escape(monkeypatch):
+    # Only a kernel or a stacked solve may send a batch to the per-state
+    # functions; any other error is a fault of the batched code.
+    def broken(*_):
+        raise TypeError("broken batch")
+
+    monkeypatch.setattr(comparison, "_scan_lanes", broken)
+    with pytest.raises(TypeError, match="broken batch"):
+        scan(get_model("martinet"), _sampler("martinet", 3, 1))
 
 
 def test_scan_with_a_non_state_candidate_skips_every_record(monkeypatch):

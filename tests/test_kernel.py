@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from vaknh import _jets, expr as E
 from vaknh.errors import EvalError
 from vaknh.models import builtin
-from vaknh.system import SystemDef, complete_velocities, load_system
+from vaknh.system import NhState, SystemDef, complete_velocities, load_system
 
 from conftest import ALL_MODELS, get_model, random_states
 from test_expr import _exprs
@@ -156,32 +156,27 @@ def test_kernels_compile_on_first_sweep_and_stay_out_of_equality():
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
-def test_completion_and_energy_equal_the_interpreter(name):
-    from vaknh.nonholonomic import energy, legendre_lift
-    from vaknh.system import NhState, completed_env, state_env
-
+def test_completion_kernel_equals_the_interpreter(name):
     sysdef = get_model(name)
-    for s in random_states(name, 30, 47):
-        env = state_env(sysdef, NhState(s.q, s.v))
-        psi = [E.evaluate(sysdef.psi[c], env) for c in sysdef.dependent]
-        full = complete_velocities(sysdef, s)
-        assert full[sysdef.dependent_positions].tolist() == psi
-        assert _same_bits(full[sysdef.dependent_positions], psi)
-        env.update(zip((sysdef.velocity_of(c) for c in sysdef.dependent), psi))
-        assert completed_env(sysdef, s.q, s.v) == env
-        lag = E.evaluate(sysdef.lagrangian, env)
-        assert _same_bits(_jets.lagrangian_value(sysdef, env), lag)
-        expected = float(np.dot(full, legendre_lift(sysdef, s)) - lag)
-        assert _same_bits(energy(sysdef, s), expected)
+    states = random_states(name, 30, 47)
+    q = np.array([s.q for s in states])
+    v = np.array([s.v for s in states])
+    psi, failed = _jets.completion(sysdef, q, v)
+    assert not failed.any()
+    for i, s in enumerate(states):
+        expected = complete_velocities(sysdef, s)[sysdef.dependent_positions]
+        scalar = _jets._kernel(sysdef, "completion").scalar(*q[i], *v[i])
+        assert _same_bits(np.frombuffer(scalar), expected)
+        assert _same_bits(psi[i], expected)
 
 
-def test_completion_outside_the_domain_raises_the_interpreter_error():
-    from vaknh.system import NhState, completed_env
-
+def test_completion_outside_the_domain_marks_the_lane():
     sysdef = get_model("von_neumann2")
+    q = np.array([[1.0, 1.0], [1.0, 1.0]])
+    v = np.array([[0.5], [2.0]])     # the second: sqrt of a negative
+    psi, failed = _jets.completion(sysdef, q, v)
+    assert failed.tolist() == [False, True]
     with pytest.raises((ValueError, ArithmeticError)):
-        _jets.completion(sysdef, (1.0, 1.0), (2.0,))
+        _jets._kernel(sysdef, "completion").scalar(1.0, 1.0, 2.0)
     with pytest.raises(EvalError, match="sqrt of negative value"):
         complete_velocities(sysdef, NhState((1.0, 1.0), (2.0,)))
-    with pytest.raises(EvalError, match="sqrt of negative value"):
-        completed_env(sysdef, (1.0, 1.0), (2.0,))
