@@ -3,7 +3,9 @@
 The files under ``golden/`` were written by the package before the
 integrators took their monitor rows from the stage evaluations, and the
 ``scan_rolling_penny``/``scan_von_neumann2`` reports before ``scan`` evaluated
-its samples in one batch; every change since must reproduce them byte for
+its samples in one batch, and the ``rk45_vak_paramecium``,
+``rk45_vak_constrained_particle`` and ``rk45_nh_martinet`` trajectories before
+the field evaluations came from one fused kernel; every change since must reproduce them byte for
 byte: the same steps, the same states, the same monitors and the same
 records and skip messages.
 """
@@ -24,6 +26,15 @@ CASES = {
     "rk45_vak_martinet.csv": [
         "integrate", "martinet", "--dynamics", "vak", "--q=0,1,0", "--v=0.8,-0.4",
         "--p=1.2", "--t-end", "2", "--candidates", CANDIDATES],
+    "rk45_vak_paramecium.csv": [
+        "integrate", "paramecium", "--dynamics", "vak", "--q=0.1,-0.2,0",
+        "--v=0.6,0.9", "--p=0.4", "--t-end", "4"],
+    "rk45_vak_constrained_particle.csv": [
+        "integrate", "constrained_particle", "--dynamics", "vak", "--q=0,0.5,0",
+        "--v=1.0,-0.3", "--p=0.25", "--t-end", "2"],
+    "rk45_nh_martinet.csv": [
+        "integrate", "martinet", "--dynamics", "nh", "--q=0,1,0", "--v=0.8,-0.4",
+        "--t-end", "6"],
     "rk4_nh_rolling_penny.csv": [
         "integrate", "rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3",
         "--v=0.7,0.4", "--method", "rk4", "--dt", "0.05", "--t-end", "1"],
