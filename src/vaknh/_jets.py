@@ -13,7 +13,11 @@ everything the equations of motion need:
 ``restricted_table``, ``ambient_table`` and ``ambient_velocity_gradient``
 run straight-line kernels that :mod:`vaknh._kernel` generates from the
 system's expression trees on the first sweep and stores on the
-``SystemDef``.  The ``reference_*`` functions are the interpreter they are
+``SystemDef``; the process keeps the last ``_SWEEPS_KEPT`` generated sweeps
+for equal systems loaded again.  ``field_sweep`` runs the ``field`` kernel,
+the restricted sweep continued through the multiplier shift of the reduced
+equations (:mod:`vaknh.vakonomic`), and leaves the interpreter to its
+caller.  The ``reference_*`` functions are the interpreter they are
 generated from: one sweep of :class:`~vaknh.autodiff.HyperDual` numbers with
 identity-seeded array channels through :func:`vaknh.expr.evaluate`.  Both
 agree bit for bit in every value, every gradient entry and, while the
@@ -213,18 +217,37 @@ def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Sweeps already generated in this process, oldest first, keyed by what the
+# generated source depends on.  The trees enter by ``repr``: Const(-0.0) and
+# Const(0.0) are equal and hash alike, but emit different kernels.
+_SWEEPS: dict = {}
+_SWEEPS_KEPT = 64
+
+
 def _kernel(sys, kind) -> Sweep:
     """The generated kernels of sweep ``kind`` of ``sys``, built on first
-    use."""
+    use: those of an equal system loaded before, if the process still
+    keeps them, or else new ones."""
     sweep = sys._kernels.get(kind)
     if sweep is None:
-        sweep = sys._kernels[kind] = compile_sweep(sys, kind)
+        key = (kind, sys.name, sys.coords, sys.dependent, repr(sys.lagrangian),
+               tuple(repr(sys.psi[c]) for c in sys.dependent))
+        sweep = _SWEEPS.get(key)
+        if sweep is None:
+            sweep = compile_sweep(sys, kind)
+            if len(_SWEEPS) >= _SWEEPS_KEPT:
+                del _SWEEPS[next(iter(_SWEEPS))]
+            _SWEEPS[key] = sweep
+        sys._kernels[kind] = sweep
     return sweep
 
 
-def _flat(q, v):
-    """The arguments of a kernel: the entries of q and v as floats."""
-    return np.asarray(q, dtype=float).tolist() + np.asarray(v, dtype=float).tolist()
+def _flat(*vectors):
+    """The arguments of a kernel: the entries of the vectors as floats."""
+    args = []
+    for vector in vectors:
+        args += np.asarray(vector, dtype=float).tolist()
+    return args
 
 
 def run_lanes(sweep: Sweep, *blocks):
@@ -293,6 +316,16 @@ def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
     except _KERNEL_FAILURES:
         return reference_ambient_velocity_gradient(sys, q, v_full)
     return np.frombuffer(bytearray(packed))
+
+
+def field_sweep(sys, q, v, mult) -> np.ndarray:
+    """The ``field`` kernel at (q, v) with multipliers ``mult``, as one
+    read-only buffer: the jet of Lambda = L~ - mult . psi in (q, base v)
+    (value, gradient, row-major Hessian); the completed velocities (n),
+    n-m zeros and dLambda/dq_dep (m); the m x (n-m) gradients of psi in
+    the base velocities, row by row.  It raises what the kernel raises;
+    the caller re-runs the interpreter."""
+    return np.frombuffer(_kernel(sys, "field").scalar(*_flat(q, v, mult)))
 
 
 def completion(sys, q, v):

@@ -41,6 +41,11 @@ kernel raises at that state, and every other lane holds the scalar kernel's
 result bit for bit.  A line that raises for every state (a term no input
 reaches) raises in the array kernel too.
 
+Past the derivative sweep, the ``field`` kernel carries the same code
+generation on through the multiplier shift of the reduced equations
+(Lambda = L~ - mult . psi), with the emitter's own operations, so the
+folding rules keep signed zeros and NaN there too.
+
 The generated source contains only generated local names, float literals
 and the math functions below: no text of the system file reaches it.
 """
@@ -445,17 +450,32 @@ def compile_sweep(sys, kind: str) -> Sweep:
     """Build the kernels of one sweep of ``sys``.
 
     The kernels take the flat state: (q, base v) for ``restricted`` and
-    ``completion``, (q, all v) otherwise.  ``restricted`` returns one jet
-    after the other, each as its value, gradient and row-major Hessian in
-    (q, base v): psi, one per dependent coordinate, then the restricted
-    Lagrangian; ``ambient`` the jet of the Lagrangian in (q, all v);
-    ``velocity_gradient`` the Lagrangian's gradient in the velocities;
-    ``completion`` the values of psi on plain floats, as
-    :func:`vaknh.expr.evaluate` computes them.
+    ``completion``, (q, base v, mult) for ``field``, (q, all v) otherwise.
+    ``restricted`` returns one jet after the other, each as its value,
+    gradient and row-major Hessian in (q, base v): psi, one per dependent
+    coordinate, then the restricted Lagrangian; ``ambient`` the jet of the
+    Lagrangian in (q, all v); ``velocity_gradient`` the Lagrangian's
+    gradient in the velocities; ``completion`` the values of psi on plain
+    floats, as :func:`vaknh.expr.evaluate` computes them.
+
+    ``field`` continues the restricted sweep with the m multipliers, which
+    carry no derivative channels.  It returns the jet of the shifted
+    Lagrangian Lambda = L~ - mult . psi; then the derivative of the packed
+    state (q, v, mult) as far as it is known without the solve: the n
+    completed velocities (v, and psi at the dependent coordinates), n-m
+    zeros in place of the base accelerations and the m entries of
+    Lambda's gradient at the dependent positions; then the gradients of
+    psi in the base velocities, one m x (n-m) matrix row by row.  The
+    shift subtracts mult_j * psi_j from every entry of the Lagrangian's jet
+    for j = 0, 1, ... in turn, the operations ``vakonomic._shifted`` makes
+    on the restricted table, so the jet is equal to its result bit for
+    bit.
     """
     coords = list(sys.coords)
     base = coords + [sys.velocity_of(c) for c in sys.base]
     full = coords + [sys.velocity_of(c) for c in coords]
+    # Not identifiers, so no variable of the system file can name them.
+    mult = [f"mult {j}" for j in range(sys.m)]
 
     def restricted(b, env):
         results = []
@@ -464,6 +484,18 @@ def compile_sweep(sys, kind: str) -> Sweep:
             env[sys.velocity_of(c)] = results[-1]
         results.append(b.evaluate(sys.lagrangian, env))
         return b.outputs(results)
+
+    def field(b, env):
+        out = restricted(b, env)
+        size = len(out) // (sys.m + 1)
+        psi = [out[j * size:(j + 1) * size] for j in range(sys.m)]
+        lam = out[sys.m * size:]
+        for j in range(sys.m):
+            lam = [b.op("-", x, b.op("*", env[mult[j]], y)) for x, y in zip(lam, psi[j])]
+        dq = [env[sys.velocity_of(c)].value for c in coords]
+        dp = [lam[1 + sys.coord_index(c)] for c in sys.dependent]
+        return (lam + dq + [0.0] * (sys.n - sys.m) + dp
+                + [g for row in psi for g in row[1 + sys.n:1 + len(base)]])
 
     def lagrangian(b, env):
         return b.outputs([b.evaluate(sys.lagrangian, env)])
@@ -476,12 +508,13 @@ def compile_sweep(sys, kind: str) -> Sweep:
 
     names, seeded, evaluate = {
         "restricted": (base, base, restricted),
+        "field": (base + mult, base, field),
         "ambient": (full, full, lagrangian),
         "velocity_gradient": (full, full[sys.n:], velocity_gradient),
         "completion": (base, [], completion),
     }[kind]
     return _generate(f"{kind} sweep of {sys.name}", names, seeded,
-                     kind in ("restricted", "ambient"), evaluate)
+                     kind in ("restricted", "ambient", "field"), evaluate)
 
 
 def compile_gradients(trees, names, seeded) -> Sweep:

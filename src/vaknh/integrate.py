@@ -108,14 +108,11 @@ def _unpack(sys, dynamics, y):
 
 def _flat_rhs(sys, dynamics):
     """The field as f(y) -> (dy/dt, the evaluation it was read from)."""
-    if dynamics == "vak":
-        def f(y):
-            d = vak_rhs(sys, _unpack(sys, "vak", y))
-            return np.concatenate([d.dq, d.dv, d.dp_dep]), d
-    else:
-        def f(y):
-            d = nh_rhs(sys, _unpack(sys, "nh", y))
-            return np.concatenate([d.dq, d.dv]), d
+    rhs = vak_rhs if dynamics == "vak" else nh_rhs
+
+    def f(y):
+        d = rhs(sys, _unpack(sys, dynamics, y))
+        return d.dy, d
     return f
 
 
@@ -252,8 +249,9 @@ def _require_advance(t, h):
 
 
 def _require_rk4_steps(t_end, dt, max_steps):
-    """Raise before the first step unless ``max_steps`` fixed steps of ``dt``
-    can reach ``t_end``.  A step advances t by at most dt, rounded up, so
+    """Raise before the first step unless N = ``max_steps`` fixed steps of
+    ``dt`` can reach ``t_end``; the loop stops at the step that reaches it,
+    the N-th included.  A step advances t by at most dt, rounded up, so
     after N steps t <= N*dt*(1 + eps/2)^N.  With the roundings of this test,
     a ratio t_end/dt above N*(1 + 4*N*eps) can never complete while
     N*eps < 1/8; beyond that nothing is rejected."""
@@ -268,8 +266,6 @@ def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):
     k1, at_y = f(y)
     monitor(at_y)
     for _ in range(max_steps):
-        if t >= t_end:
-            return
         h = min(dt, t_end - t)
         _require_advance(t, h)
         k2, _ = f(y + 0.5 * h * k1)
@@ -282,6 +278,8 @@ def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):
         # gives y's monitor row.
         k1, at_y = f(y)
         monitor(at_y)
+        if t >= t_end:
+            return
     raise IntegrationError(f"max_steps exceeded at t={float(t)!r}", t=float(t))
 
 
@@ -292,8 +290,6 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
     h = _initial_step(f, y, k1, t_end, rtol, atol)
     stages = np.empty((7, len(y)))
     for _ in range(max_steps):
-        if t >= t_end:
-            return
         h = min(h, t_end - t)
         rejections = 0
         while True:
@@ -322,6 +318,8 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
         k1 = stages[6].copy()
         accept(t, y)
         monitor(at_y)
+        if t >= t_end:
+            return
         factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
         h *= factor
     raise IntegrationError(f"max_steps exceeded at t={float(t)!r}", t=float(t))

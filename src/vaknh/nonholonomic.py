@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as _expr
 from ._jets import ambient_table, ambient_velocity_gradient, restricted_table
 from .system import NhState, SystemDef, check_state, complete_velocities, completed_env
-from .vakonomic import _reduced_dynamics, _shifted
+from .vakonomic import _field, _reduced_dynamics
 
 __all__ = [
     "NhDerivative",
@@ -46,6 +46,8 @@ class NhDerivative:
     # The Legendre lift at the state (legendre_lift); a trajectory's
     # monitor row reads the energy from it.
     lift: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # The derivative of the packed state (q, v): dq and dv are views of it.
+    dy: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
@@ -66,8 +68,7 @@ def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
     """Reduced regularity matrix (symmetric); for linear constraints it
     coincides with the vakonomic matrix at any multiplier value."""
     check_state(sys, s)
-    tab = restricted_table(sys, s.q, s.v)
-    return _shifted(tab, _dependent_momenta(sys, s)).hess[sys.n:, sys.n:]
+    return _field(sys, s, _dependent_momenta(sys, s))[0].hess[sys.n:, sys.n:]
 
 
 def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
@@ -76,9 +77,10 @@ def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
     result keeps the Legendre lift it was computed from."""
     check_state(sys, s)
     lift = legendre_lift(sys, s)
-    dq, dv, _, _ = _reduced_dynamics(sys, s, lift[sys.dependent_positions],
-                                     "nonholonomic matrix")
-    return NhDerivative(dq=dq, dv=dv, lift=lift)
+    dy, _ = _reduced_dynamics(sys, s, lift[sys.dependent_positions],
+                              "nonholonomic matrix")
+    n, k = sys.n, 2 * sys.n - sys.m
+    return NhDerivative(dq=dy[:n], dv=dy[n:k], lift=lift, dy=dy[:k])
 
 
 def euler_lagrange_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarray:

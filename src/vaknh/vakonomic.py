@@ -18,7 +18,13 @@ read
     r_b = dLambda/dq_b - dq_A d2Lambda/dq_A dv_b + dp_dep . dpsi/dv_b
 
 where r collects the remaining terms of the expanded total time derivative
-of the eliminated momenta.  The nonholonomic field is the same system with
+of the eliminated momenta.  One generated function, the ``field`` kernel
+(:mod:`vaknh._kernel`), takes (q, v, mult) and returns the jet of Lambda,
+the completed velocities, dp_dep and dpsi/dv as one buffer; Cbar and the
+terms of r are views of it.  r and the solve stay in numpy, whose dot
+products and solve round differently from plain floats; the determinant
+guard forms the determinant of a 1x1 or 2x2 Cbar in plain floats, bit for
+bit as numpy does (``det_threshold``).  The nonholonomic field is the same system with
 the Legendre momenta Leg_dep of the dependent velocities in place of p_dep
 (:mod:`vaknh.nonholonomic`).  Invertibility of Cbar is exactly the
 condition for the dynamics to be well-posed (and for the phase space to
@@ -32,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jets import Jet, ambient_table, restricted_table
+from ._jets import (_KERNEL_FAILURES, Jet, _row_jet, ambient_table, field_sweep,
+                    restricted_table)
 from .errors import SingularMatrixError
 from .system import (NhState, SystemDef, VakState, check_state, complete_velocities,
                      require_linear)
@@ -52,6 +59,9 @@ __all__ = [
 # Relative determinant threshold below which the reduced matrix counts as
 # singular: |det| <= DET_RTOL * max|entry|^(n-m).
 DET_RTOL = 1e-12
+# The smallest normal double.  Below it LAPACK's LU divides by a pivot
+# instead of multiplying by its reciprocal.
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,9 @@ class VakDerivative:
     # The jet of Lambda at the state; a trajectory's monitor row reads H
     # and the eliminated momenta from it.
     lam: Jet | None = field(default=None, compare=False, repr=False)
+    # The derivative of the packed state (q, v, p_dep): dq, dv and dp_dep
+    # are views of it.
+    dy: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -82,9 +95,30 @@ def _shifted(tab, mult) -> Jet:
     return tab.jet(row)
 
 
-def _lambda_at(sys, s) -> Jet:
-    """Jet of Lambda at a vakonomic state: one restricted sweep."""
-    return _shifted(restricted_table(sys, s.q, s.v), s.p_dep)
+def _field(sys, s, mult):
+    """The jet of Lambda = L~ - mult . psi at the (q, v) of ``s``; the
+    derivative of the packed state (q, v, mult) with zeros in place of the
+    base accelerations (the completed velocities dq, then n-m zeros, then
+    dp = dLambda/dq_dep); and the m x (n-m) gradients of psi in the base
+    velocities.  They are views of one buffer of the ``field`` kernel,
+    equal bit for bit to the shifted restricted table.  Where the kernel
+    fails, the restricted table is shifted instead, and its interpreter
+    raises the documented error."""
+    n, m = sys.n, sys.m
+    k = 2 * n - m
+    try:
+        buf = field_sweep(sys, s.q, s.v, mult)
+    except _KERNEL_FAILURES:
+        tab = restricted_table(sys, s.q, s.v)
+        lam = _shifted(tab, mult)
+        dy = np.zeros(2 * n)
+        dy[sys.base_positions] = s.v
+        dy[sys.dependent_positions] = tab.values[:m]
+        dy[k:] = lam.grad[sys.dependent_positions]
+        return lam, dy, tab.grads[:m, n:]
+    size = 1 + k + k * k
+    return (_row_jet(buf[:size], k), buf[size:size + 2 * n],
+            buf[size + 2 * n:].reshape(m, n - m))
 
 
 def _momenta(lam, n) -> np.ndarray:
@@ -101,15 +135,61 @@ def det_threshold(c, order):
     """det(c) and the threshold DET_RTOL * max|entry|^order at or below
     which |det| counts as singular, for a square matrix of that order.  A
     NaN entry makes the threshold NaN.  For a stack of matrices, the arrays
-    of both, bit for bit the values of each matrix on its own."""
+    of both, bit for bit the values of each matrix on its own.  The
+    determinant is numpy's; for one matrix of order 1 or 2 it is formed in
+    plain floats (``_plain_det``)."""
     if c.ndim > 2:
         # numpy's array power rounds differently from its scalar power.
         largest = np.abs(c).max(axis=(-2, -1)).tolist()
         return np.linalg.det(c), DET_RTOL * np.array([np.float64(x) ** order
                                                       for x in largest])
-    sizes = list(map(abs, c.ravel().tolist()))
+    entries = c.ravel().tolist()
+    sizes = list(map(abs, entries))
     largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
-    return float(np.linalg.det(c)), DET_RTOL * np.float64(largest) ** order
+    det = _plain_det(entries, sizes, largest)
+    if det is None:
+        det = float(np.linalg.det(c))
+    return det, DET_RTOL * np.float64(largest) ** order
+
+
+def _plain_det(entries, sizes, largest):
+    """np.linalg.det of a 1x1 or 2x2 matrix in plain floats, from its
+    row-major ``entries``, their absolute values ``sizes`` and the largest
+    of them; None for any other matrix, which numpy must do.
+
+    The entries must all be zero or normal.  The determinant is formed the
+    way numpy forms it, bit for bit (``tests/test_det.py``): LAPACK's LU
+    with partial pivoting (the row with the larger |entry| in column 0 is
+    the pivot, the first on a tie; l = a10 * (1/a00); u11 = a11 - l*a01),
+    then det = sign * exp(log|u00| + log|u11|), or 0.0 when a pivot is
+    zero.  With a subnormal pivot LAPACK divides instead and numpy's result
+    changes in ways this does not follow, so a subnormal entry, like a
+    non-finite one, is left to numpy."""
+    if (len(entries) > 4 or not largest < math.inf
+            or min(filter(None, sizes), default=math.inf) < _TINY):
+        return None
+    sign = 1.0
+    if len(entries) == 1:
+        diagonal = entries
+    else:
+        a00, a01, a10, a11 = entries
+        if sizes[2] > sizes[0]:
+            a00, a01, a10, a11 = a10, a11, a00, a01
+            sign = -1.0
+        if a00 == 0.0:
+            return 0.0
+        diagonal = (a00, a11 - a10 * (1.0 / a00) * a01)
+    logdet = 0.0
+    for u in diagonal:
+        if u == 0.0:
+            return 0.0
+        if u < 0.0:
+            sign = -sign
+        logdet += math.log(abs(u))
+    try:
+        return sign * math.exp(logdet)
+    except OverflowError:
+        return sign * math.inf
 
 
 def _singular_message(sys, what, det) -> str:
@@ -124,24 +204,23 @@ def _det_guard(c, nb, sys, s, what):
 
 
 def _reduced_dynamics(sys, s, mult, what):
-    """Completed velocities, base accelerations, multiplier rates and the
-    jet of Lambda for the reduced equations with multiplier vector ``mult``.
+    """The reduced equations with multiplier vector ``mult``: one array of
+    the completed velocities dq (n), the base accelerations dv (n-m) and the
+    multiplier rates dp (m), in this order, and the jet of Lambda.
 
     With ``mult`` = p_dep this is the vakonomic field; with ``mult`` = the
     Legendre momenta of the dependent velocities it is the nonholonomic one
     (the two right-hand sides coincide under that substitution).
     """
-    tab = restricted_table(sys, s.q, s.v)
-    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
-    lam = _shifted(tab, mult)
+    n, k = sys.n, 2 * sys.n - sys.m
+    lam, known, psi_v = _field(sys, s, mult)
     c = lam.hess[n:, n:]
-    _det_guard(c, n - m, sys, s, what)
-    dq = np.empty(n)
-    dq[base] = s.v
-    dq[dep] = tab.values[:m]
-    dp = lam.grad[dep]
-    r = lam.grad[base] - dq @ lam.hess[:n, n:] + dp @ tab.grads[:m, n:]
-    return dq, np.linalg.solve(c, r), dp, lam
+    _det_guard(c, k - n, sys, s, what)
+    dq, dp = known[:n], known[k:]
+    r = lam.grad[sys.base_positions] - dq @ lam.hess[:n, n:] + dp @ psi_v
+    dy = known.copy()
+    dy[n:k] = np.linalg.solve(c, r)
+    return dy, lam
 
 
 def _reduced_lanes(sys, tab, v, mult, skip):
@@ -171,7 +250,7 @@ def _reduced_lanes(sys, tab, v, mult, skip):
 def cbar(sys: SystemDef, s: VakState) -> np.ndarray:
     """Reduced velocity-Hessian matrix at a vakonomic state (symmetric)."""
     check_state(sys, s)
-    return _lambda_at(sys, s).hess[sys.n:, sys.n:]
+    return _field(sys, s, s.p_dep)[0].hess[sys.n:, sys.n:]
 
 
 def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
@@ -232,7 +311,7 @@ def w1_momenta(sys: SystemDef, s: VakState) -> np.ndarray:
     p_a = dL~/dv_a - p_dep . dpsi/dv_a.  Along a trajectory the same values
     are read from the field's evaluation (``VakDerivative.lam``)."""
     check_state(sys, s)
-    return _momenta(_lambda_at(sys, s), sys.n)
+    return _momenta(_field(sys, s, s.p_dep)[0], sys.n)
 
 
 def hamiltonian(sys: SystemDef, s: VakState) -> float:
@@ -241,7 +320,7 @@ def hamiltonian(sys: SystemDef, s: VakState) -> float:
     Along a trajectory the same value is read from the field's evaluation
     (``VakDerivative.lam``)."""
     check_state(sys, s)
-    return _hamiltonian(_lambda_at(sys, s), sys.n, s.v)
+    return _hamiltonian(_field(sys, s, s.p_dep)[0], sys.n, s.v)
 
 
 def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
@@ -252,5 +331,6 @@ def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
     result keeps the jet of Lambda it was computed from.
     """
     check_state(sys, s)
-    dq, dv, dp, lam = _reduced_dynamics(sys, s, s.p_dep, "vakonomic matrix")
-    return VakDerivative(dq=dq, dv=dv, dp_dep=dp, lam=lam)
+    dy, lam = _reduced_dynamics(sys, s, s.p_dep, "vakonomic matrix")
+    n, nb = sys.n, sys.n - sys.m
+    return VakDerivative(dq=dy[:n], dv=dy[n:n + nb], dp_dep=dy[n + nb:], lam=lam, dy=dy)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vaknh import expr as E
+from vaknh.cli import run
 from vaknh.errors import IntegrationError
 from vaknh.integrate import (drift_report, integrate, trajectory_from_csv,
                              trajectory_to_csv)
@@ -108,6 +109,25 @@ def test_max_steps_is_enforced():
     with pytest.raises(IntegrationError, match="max_steps"):
         integrate(m, "vak", VakState([0, 1, 0], [1, 0], [1.0]), t_end=10.0,
                   method="rk4", dt=1e-4, max_steps=50)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_max_steps_counts_the_step_that_reaches_t_end(method):
+    m = get_model("martinet")
+    s0 = VakState([0, 1, 0], [1, 0], [1.0])
+    options = {"method": method, "dt": 0.01}
+    steps = len(integrate(m, "vak", s0, t_end=1.0, **options).times) - 1
+    traj = integrate(m, "vak", s0, t_end=1.0, max_steps=steps, **options)
+    assert len(traj.times) == steps + 1 and traj.times[-1] == 1.0
+    with pytest.raises(IntegrationError, match="max_steps"):
+        integrate(m, "vak", s0, t_end=1.0, max_steps=steps - 1, **options)
+
+
+def test_rk4_in_exactly_max_steps_exits_0(capsys):
+    assert run(["integrate", "martinet", "--dynamics", "vak", "--q=0,1,0", "--v=1,0",
+                "--p=1", "--t-end", "1", "--method", "rk4", "--dt", "0.01",
+                "--max-steps", "100"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 101
 
 
 def test_state_type_mismatch_rejected():

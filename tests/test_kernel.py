@@ -180,3 +180,27 @@ def test_completion_outside_the_domain_marks_the_lane():
         _jets._kernel(sysdef, "completion").scalar(1.0, 1.0, 2.0)
     with pytest.raises(EvalError, match="sqrt of negative value"):
         complete_velocities(sysdef, NhState((1.0, 1.0), (2.0,)))
+
+
+def test_equal_systems_share_their_kernels():
+    first, second = builtin("martinet"), builtin("martinet")
+    sweep = _jets._kernel(first, "restricted")
+    assert second._kernels == {}
+    assert _jets._kernel(second, "restricted") is sweep
+    assert set(second._kernels) == {"restricted"}
+    assert len(_jets._SWEEPS) <= _jets._SWEEPS_KEPT
+
+
+def test_kernel_cache_tells_signed_zeros_apart():
+    # Const(-0.0) == Const(0.0), but x*(-0.0) and x*0.0 differ in sign.
+    def system(zero):
+        return SystemDef(name="zero", coords=("x", "y"), dependent=("y",),
+                         lagrangian=E.Binary("-", E.Binary("*", E.Var("x"), E.Const(zero)),
+                                             E.Power(E.Var("dx"), 2.0)),
+                         psi={"y": E.parse("x*dx")}, declared_linear=False)
+
+    for zero in (0.0, -0.0, 0.0):
+        sysdef = system(zero)
+        got = _jets.restricted_table(sysdef, (1.0, 2.0), (3.0,))
+        _assert_agree(got, _jets.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,)))
+        assert np.signbit(got.lag.grad[0]) == np.signbit(zero)   # dL/dx = zero
