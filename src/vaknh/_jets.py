@@ -319,12 +319,10 @@ def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
 
 
 def field_sweep(sys, q, v, mult) -> np.ndarray:
-    """The ``field`` kernel at (q, v) with multipliers ``mult``, as one
-    read-only buffer: the jet of Lambda = L~ - mult . psi in (q, base v)
-    (value, gradient, row-major Hessian); the completed velocities (n),
-    n-m zeros and dLambda/dq_dep (m); the m x (n-m) gradients of psi in
-    the base velocities, row by row.  It raises what the kernel raises;
-    the caller re-runs the interpreter."""
+    """The ``field`` kernel at (q, v) with multipliers ``mult`` as one
+    read-only buffer, laid out as :func:`vaknh._kernel.compile_sweep`
+    describes.  It raises what the kernel raises; the caller re-runs the
+    interpreter."""
     return np.frombuffer(_kernel(sys, "field").scalar(*_flat(q, v, mult)))
 
 

@@ -60,7 +60,12 @@ def test_plain_det_equals_numpy(order, seed):
     sizes = np.abs(entries)
     # det_threshold's largest |entry|: NaN where an entry is NaN.
     largest = sizes.max(axis=1)
-    results = list(map(_plain_det, entries.tolist(), sizes.tolist(), largest.tolist()))
+    results = []
+    step = COUNT // 10   # bounds the Python lists held at once
+    for lo in range(0, COUNT, step):
+        part = slice(lo, lo + step)
+        results += map(_plain_det, entries[part].tolist(), sizes[part].tolist(),
+                       largest[part].tolist())
     to_numpy = np.array([det is None for det in results])
     got = np.array([math.nan if det is None else det for det in results])
     left = (~np.isfinite(sizes) | ((sizes > 0) & (sizes < _TINY))).any(axis=1)
