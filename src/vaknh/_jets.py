@@ -320,10 +320,9 @@ def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
 
 def field_sweep(sys, q, v, mult) -> np.ndarray:
     """The ``field`` kernel at (q, v) with multipliers ``mult`` as one
-    read-only buffer, laid out as :func:`vaknh._kernel.compile_sweep`
-    describes.  It raises what the kernel raises; the caller re-runs the
-    interpreter."""
-    return np.frombuffer(_kernel(sys, "field").scalar(*_flat(q, v, mult)))
+    array, laid out as :func:`vaknh._kernel.compile_sweep` describes.  It
+    raises what the kernel raises; the caller re-runs the interpreter."""
+    return np.frombuffer(bytearray(_kernel(sys, "field").scalar(*_flat(q, v, mult))))
 
 
 def completion(sys, q, v):

@@ -492,7 +492,9 @@ def compile_sweep(sys, kind: str) -> Sweep:
         lam = out[sys.m * size:]
         for j in range(sys.m):
             lam = [b.op("-", x, b.op("*", env[mult[j]], y)) for x, y in zip(lam, psi[j])]
-        dq = [env[sys.velocity_of(c)].value for c in coords]
+        # A psi that no seeded variable reaches is a plain term, not a _Dual.
+        value = {c: row[0] for c, row in zip(sys.dependent, psi)}
+        dq = [value[c] if c in value else env[sys.velocity_of(c)].value for c in coords]
         dp = [lam[1 + sys.coord_index(c)] for c in sys.dependent]
         return (lam + dq + [0.0] * (sys.n - sys.m) + dp
                 + [g for row in psi for g in row[1 + sys.n:1 + len(base)]])

@@ -101,21 +101,17 @@ def _field(sys, s, mult):
     base accelerations (the completed velocities dq, then n-m zeros, then
     dp = dLambda/dq_dep); and the m x (n-m) gradients of psi in the base
     velocities.  They are views of one buffer of the ``field`` kernel,
-    equal bit for bit to the shifted restricted table.  Where the kernel
-    fails, the restricted table is shifted instead, and its interpreter
-    raises the documented error."""
+    equal bit for bit to the shifted restricted table.  The kernel fails
+    exactly where the interpreter raises, so on a failure the restricted
+    table is built only for its interpreter to raise the documented
+    error."""
     n, m = sys.n, sys.m
     k = 2 * n - m
     try:
         buf = field_sweep(sys, s.q, s.v, mult)
     except _KERNEL_FAILURES:
-        tab = restricted_table(sys, s.q, s.v)
-        lam = _shifted(tab, mult)
-        dy = np.zeros(2 * n)
-        dy[sys.base_positions] = s.v
-        dy[sys.dependent_positions] = tab.values[:m]
-        dy[k:] = lam.grad[sys.dependent_positions]
-        return lam, dy, tab.grads[:m, n:]
+        restricted_table(sys, s.q, s.v)
+        raise
     size = 1 + k + k * k
     return (_row_jet(buf[:size], k), buf[size:size + 2 * n],
             buf[size + 2 * n:].reshape(m, n - m))

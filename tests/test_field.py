@@ -88,6 +88,45 @@ def test_nh_field_equals_shifted_restricted_table(name, seed):
     assert _same_bits(d.dq, dq) and _same_bits(d.dv, dv)
 
 
+_CONSTANT = """name constant
+coords x y
+dependent y
+linear {linear}
+lagrangian dx^2/2 + dy^2/2 + x*dy - x^2/2
+psi y = {psi}
+"""
+
+
+@pytest.mark.parametrize("psi, linear", [("0", "true"), ("sin(1)", "false")])
+def test_constant_psi_runs_through_the_field_kernel(psi, linear):
+    # A psi that depends on no state variable is a plain term of the kernel.
+    sysdef = load_system(_CONSTANT.format(psi=psi, linear=linear))
+    s = VakState((0.3, -0.2), (1.5,), (0.7,))
+    lam, dq, dv, dp = _reference(sysdef, s, s.p_dep)
+    d = vak_rhs(sysdef, s)
+    _assert_same_jet(d.lam, lam)
+    assert _same_bits(d.dy, np.concatenate([dq, dv, dp]))
+    assert _same_bits(cbar(sysdef, s), lam.hess[sysdef.n:, sysdef.n:])
+    assert _same_bits(w1_momenta(sysdef, s), lam.grad[sysdef.n:])
+    assert _same_bits(hamiltonian(sysdef, s), lam.grad[sysdef.n:] @ s.v - lam.value)
+    if linear == "true":
+        s = NhState(s.q, s.v)
+        mult = legendre_lift(sysdef, s)[sysdef.dependent_positions]
+        lam, dq, dv, _ = _reference(sysdef, s, mult)
+        assert _same_bits(ctilde(sysdef, s), lam.hess[sysdef.n:, sysdef.n:])
+        assert _same_bits(nh_rhs(sysdef, s).dy, np.concatenate([dq, dv]))
+
+
+def test_results_are_writable():
+    sysdef = get_model("rolling_penny")
+    (s,) = random_states("rolling_penny", 1, 5)
+    results = [cbar(sysdef, s), w1_momenta(sysdef, s), vak_rhs(sysdef, s).lam.hess,
+               ctilde(sysdef, NhState(s.q, s.v))]
+    for result in results:
+        result[...] = 0.0
+        assert not result.any()
+
+
 @pytest.mark.parametrize("lagrangian, q, v, message", [
     ("sqrt(x)*dx^2", (0.0, 1.0), (1.0,), "sqrt of non-positive value 0.0"),
     ("dx^2/(x - 1)", (1.0, 0.0), (1.0,), "division by zero"),

@@ -14,6 +14,7 @@ from vaknh import _jets, expr as E
 from vaknh.errors import EvalError
 from vaknh.models import builtin
 from vaknh.system import NhState, SystemDef, complete_velocities, load_system
+from vaknh.vakonomic import _shifted
 
 from conftest import ALL_MODELS, get_model, random_states
 from test_expr import _exprs
@@ -54,10 +55,34 @@ def _args(sysdef, kind, q, v, v_full):
     return (q, v) if kind == "restricted" else (q, v_full)
 
 
-def _check_sweeps(sysdef, q, v, v_full):
+def _check_field(sysdef, q, v, mult):
+    """The ``field`` kernel fails exactly where the restricted kernel does,
+    and otherwise equals the shifted restricted table bit for bit: the jet
+    of Lambda, the completed velocities, zeros, dLambda/dq_dep and the psi
+    gradients in the base velocities."""
+    n, m = sysdef.n, sysdef.m
+    try:
+        _jets._kernel(sysdef, "restricted").scalar(*_jets._flat(q, v))
+    except (ArithmeticError, ValueError):
+        with pytest.raises((ArithmeticError, ValueError)):
+            _jets.field_sweep(sysdef, q, v, mult)
+        return
+    tab = _jets.restricted_table(sysdef, q, v)
+    lam = _shifted(tab, np.asarray(mult, dtype=float))
+    dq = np.empty(n)
+    dq[sysdef.base_positions] = v
+    dq[sysdef.dependent_positions] = tab.values[:m]
+    expected = np.concatenate([[lam.value], lam.grad, lam.hess.ravel(), dq, np.zeros(n - m),
+                               lam.grad[sysdef.dependent_positions],
+                               tab.grads[:m, n:].ravel()])
+    assert _same_bits(_jets.field_sweep(sysdef, q, v, mult), expected)
+
+
+def _check_sweeps(sysdef, q, v, v_full, mult):
     """Every sweep at one state: equal results, or the same error from the
     public sweep, and a raw kernel that fails exactly when the interpreter
-    does."""
+    does; and the ``field`` kernel at multipliers ``mult``."""
+    _check_field(sysdef, q, v, mult)
     for sweep, reference, kind in SWEEPS:
         args = _args(sysdef, kind, q, v, v_full)
         raw = _jets._kernel(sysdef, kind).scalar
@@ -78,7 +103,7 @@ def _check_sweeps(sysdef, q, v, v_full):
 def test_models_agree_with_interpreter(name):
     sysdef = get_model(name)
     for s in random_states(name, 30, 41):
-        _check_sweeps(sysdef, s.q, s.v, complete_velocities(sysdef, s))
+        _check_sweeps(sysdef, s.q, s.v, complete_velocities(sysdef, s), s.p_dep)
 
 
 _VALUES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -86,15 +111,17 @@ _VALUES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow in the interpreter
 @settings(max_examples=200, deadline=None)
-@given(_exprs(), _exprs(), st.lists(_VALUES, min_size=6, max_size=6))
+@given(_exprs(), _exprs(), st.lists(_VALUES, min_size=7, max_size=7))
 # 0.0 + (-0.0) is +0.0: a gradient entry's sign of zero
-@example(E.parse("x"), E.parse("x + cos(x)"), [0.0] * 6)
+@example(E.parse("x"), E.parse("x + cos(x)"), [0.0] * 7)
 # the cross term adds g_i*h_j before g_j*h_i: the rounding of one Hessian entry
-@example(E.parse("x"), E.parse("(x + dx)*(x*dx)"), [-1.1586439872730518, 0, 0, 3.0, 0, 0])
+@example(E.parse("x"), E.parse("(x + dx)*(x*dx)"), [-1.1586439872730518, 0, 0, 3.0, 0, 0, 0.5])
+# a psi that depends on no state variable is a plain term of the kernel
+@example(E.parse("dx^2 + x*dk1"), E.parse("sin(1)"), [0.5, -1.0, 2.0, 1.5, 0.25, 0.0, -0.75])
 def test_random_trees_agree_with_interpreter(lagrangian, psi, values):
     sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
                        lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
-    _check_sweeps(sysdef, values[:3], values[3:5], values[3:6])
+    _check_sweeps(sysdef, values[:3], values[3:5], values[3:6], values[6:])
 
 
 _DOMAIN = """name domain
@@ -117,7 +144,7 @@ def test_domain_errors_match_interpreter(lagrangian, q, v, message):
     sysdef = load_system(_DOMAIN.format(lagrangian=lagrangian))
     with pytest.raises(EvalError, match=message):
         _jets.reference_restricted_table(sysdef, q, v)
-    _check_sweeps(sysdef, q, v, (v[0], q[0] * v[0]))
+    _check_sweeps(sysdef, q, v, (v[0], q[0] * v[0]), (0.5,))
 
 
 def test_von_neumann2_outside_its_box_matches_interpreter():
@@ -125,7 +152,7 @@ def test_von_neumann2_outside_its_box_matches_interpreter():
     q, v = (1.0, 1.0), (2.0,)   # K1*K2 - dK2^2 < 0 under the square root
     with pytest.raises(EvalError, match="sqrt"):
         _jets.reference_restricted_table(sysdef, q, v)
-    _check_sweeps(sysdef, q, v, (0.0, 2.0))
+    _check_sweeps(sysdef, q, v, (0.0, 2.0), (0.5,))
 
 
 def test_unbound_variable_matches_interpreter():
@@ -134,7 +161,7 @@ def test_unbound_variable_matches_interpreter():
                        declared_linear=False)
     with pytest.raises(EvalError, match="unbound variable 'w'"):
         _jets.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,))
-    _check_sweeps(sysdef, (1.0, 2.0), (3.0,), (3.0, 3.0))
+    _check_sweeps(sysdef, (1.0, 2.0), (3.0,), (3.0, 3.0), (0.5,))
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
