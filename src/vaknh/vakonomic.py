@@ -21,11 +21,10 @@ where r collects the remaining terms of the expanded total time derivative
 of the eliminated momenta.  One generated function, the ``field`` kernel
 (:mod:`vaknh._kernel`), takes (q, v, mult) and returns the jet of Lambda,
 the completed velocities, dp_dep and dpsi/dv as one buffer; Cbar and the
-terms of r are views of it.  r and the solve stay in numpy, whose dot
-products and solve round differently from plain floats; the determinant
-guard forms the determinant of a 1x1 or 2x2 Cbar in plain floats, bit for
-bit as numpy does (``det_threshold``).  The nonholonomic field is the same system with
-the Legendre momenta Leg_dep of the dependent velocities in place of p_dep
+terms of r are views of it.  r, the determinant guard and the solve stay
+in numpy, whose dot products and solve round differently from plain
+floats.  The nonholonomic field is the same system with the Legendre
+momenta Leg_dep of the dependent velocities in place of p_dep
 (:mod:`vaknh.nonholonomic`).  Invertibility of Cbar is exactly the
 condition for the dynamics to be well-posed (and for the phase space to
 carry a symplectic structure), which ``symplectic_check`` probes pointwise.
@@ -59,9 +58,6 @@ __all__ = [
 # Relative determinant threshold below which the reduced matrix counts as
 # singular: |det| <= DET_RTOL * max|entry|^(n-m).
 DET_RTOL = 1e-12
-# The smallest normal double.  Below it LAPACK's LU divides by a pivot
-# instead of multiplying by its reciprocal.
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -131,61 +127,15 @@ def det_threshold(c, order):
     """det(c) and the threshold DET_RTOL * max|entry|^order at or below
     which |det| counts as singular, for a square matrix of that order.  A
     NaN entry makes the threshold NaN.  For a stack of matrices, the arrays
-    of both, bit for bit the values of each matrix on its own.  The
-    determinant is numpy's; for one matrix of order 1 or 2 it is formed in
-    plain floats (``_plain_det``)."""
+    of both, bit for bit the values of each matrix on its own."""
     if c.ndim > 2:
         # numpy's array power rounds differently from its scalar power.
         largest = np.abs(c).max(axis=(-2, -1)).tolist()
         return np.linalg.det(c), DET_RTOL * np.array([np.float64(x) ** order
                                                       for x in largest])
-    entries = c.ravel().tolist()
-    sizes = list(map(abs, entries))
+    sizes = list(map(abs, c.ravel().tolist()))
     largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
-    det = _plain_det(entries, sizes, largest)
-    if det is None:
-        det = float(np.linalg.det(c))
-    return det, DET_RTOL * np.float64(largest) ** order
-
-
-def _plain_det(entries, sizes, largest):
-    """np.linalg.det of a 1x1 or 2x2 matrix in plain floats, from its
-    row-major ``entries``, their absolute values ``sizes`` and the largest
-    of them; None for any other matrix, which numpy must do.
-
-    The entries must all be zero or normal.  The determinant is formed the
-    way numpy forms it, bit for bit (``tests/test_det.py``): LAPACK's LU
-    with partial pivoting (the row with the larger |entry| in column 0 is
-    the pivot, the first on a tie; l = a10 * (1/a00); u11 = a11 - l*a01),
-    then det = sign * exp(log|u00| + log|u11|), or 0.0 when a pivot is
-    zero.  With a subnormal pivot LAPACK divides instead and numpy's result
-    changes in ways this does not follow, so a subnormal entry, like a
-    non-finite one, is left to numpy."""
-    if (len(entries) > 4 or not largest < math.inf
-            or min(filter(None, sizes), default=math.inf) < _TINY):
-        return None
-    sign = 1.0
-    if len(entries) == 1:
-        diagonal = entries
-    else:
-        a00, a01, a10, a11 = entries
-        if sizes[2] > sizes[0]:
-            a00, a01, a10, a11 = a10, a11, a00, a01
-            sign = -1.0
-        if a00 == 0.0:
-            return 0.0
-        diagonal = (a00, a11 - a10 * (1.0 / a00) * a01)
-    logdet = 0.0
-    for u in diagonal:
-        if u == 0.0:
-            return 0.0
-        if u < 0.0:
-            sign = -sign
-        logdet += math.log(abs(u))
-    try:
-        return sign * math.exp(logdet)
-    except OverflowError:
-        return sign * math.inf
+    return float(np.linalg.det(c)), DET_RTOL * np.float64(largest) ** order
 
 
 def _singular_message(sys, what, det) -> str:
