@@ -4,6 +4,11 @@
   language, kept deliberately separate from the package evaluator but with
   identical operation order, so results must agree to 0 ULP.
 
+* ``curvature``, ``g_residuals``, ``field_residual``,
+  ``tangency_residuals``, ``evaluate_one`` and ``scan``: the comparison
+  quantities evaluated state by state, the reference for the batched
+  evaluation that ``compare`` and ``scan`` share.
+
 * ``vak_dae_trajectory`` / ``nh_dae_trajectory``: brute-force solvers that
   integrate the *ambient* formulations of the two dynamics.  Each step
   solves an (n+m) x (n+m) linear system for the full accelerations and the
@@ -18,13 +23,19 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from vaknh import expr as E
+from vaknh import _jets, expr as E
+from vaknh.autodiff import partial
+from vaknh.comparison import ComparisonRecord, ComparisonReport, _draw
+from vaknh.errors import EvalError, SingularMatrixError
+from vaknh.nonholonomic import _dependent_momenta, nh_rhs
 # The interpreted sweeps: the generated kernels behind the package's
 # restricted_table/ambient_table/ambient_velocity_gradient are code under test.
 from vaknh._jets import (reference_ambient_table as ambient_table,
                          reference_ambient_velocity_gradient as ambient_velocity_gradient,
                          reference_restricted_table as restricted_table)
-from vaknh.system import complete_velocities
+from vaknh.system import (NhState, VakState, check_state, complete_velocities,
+                          require_linear, state_env)
+from vaknh.vakonomic import vak_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +219,118 @@ def vak_dae_trajectory(sys, s0, t_eval, rtol=1e-10, atol=1e-12):
                     t_eval=t_eval, rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return sol.y[:n].T
+
+
+# ---------------------------------------------------------------------------
+# Per-state comparison
+# ---------------------------------------------------------------------------
+#
+# The comparison quantities evaluated one state at a time, as the package
+# computed them before ``compare`` and ``scan`` shared one batched
+# evaluation: on the scalar sweeps (``_jets.restricted_table``, which runs
+# the scalar kernel), the package's ``vak_rhs``/``nh_rhs`` and the
+# interpreted ``autodiff.partial``.  Each record keeps the first error in
+# the order of the evaluation below.
+
+
+def curvature(sys, q):
+    require_linear(sys, "curvature")
+    q = np.asarray(q, dtype=float)
+    if len(q) != sys.n:
+        raise ValueError(f"expected {sys.n} positions, got {len(q)}")
+    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
+    tab = _jets.restricted_table(sys, q, np.zeros(n - m))
+    psi_v = tab.grads[:m, n:]
+    h = tab.hessians[:m, :n, n:]
+    a_mat = h[:, base] + psi_v.T @ h[:, dep]
+    return a_mat - a_mat.transpose(0, 2, 1)
+
+
+def g_residuals(sys, s):
+    """g_b = v_a (p_dep - Leg_dep)_k R[k, a, b], summed over k, then a."""
+    require_linear(sys, "g_residuals")
+    check_state(sys, s)
+    r = curvature(sys, s.q)
+    delta = s.p_dep - _dependent_momenta(sys, s)
+    g = np.zeros_like(s.v)
+    for k in range(len(delta)):
+        for a in range(len(s.v)):
+            g = (s.v[a] * delta[k]) * r[k, a] + g
+    return g
+
+
+def field_residual(sys, s):
+    check_state(sys, s)
+    return vak_rhs(sys, s).dv - nh_rhs(sys, NhState(s.q, s.v)).dv
+
+
+def _candidate_variables(sys):
+    return (set(sys.coords) | {sys.velocity_of(c) for c in sys.base}
+            | {"p_" + c for c in sys.dependent})
+
+
+def tangency_residuals(sys, candidates, s):
+    check_state(sys, s)
+    allowed = _candidate_variables(sys)
+    for name, g in candidates.items():
+        extra = E.free_vars(g) - allowed
+        if extra:
+            raise EvalError(
+                f"candidate {name!r} uses non-state variable(s) {sorted(extra)}")
+    deriv = vak_rhs(sys, s)
+    env = state_env(sys, s)
+    flow = dict(zip(sys.coords, deriv.dq))
+    flow.update(zip(map(sys.velocity_of, sys.base), deriv.dv))
+    flow.update(zip(("p_" + c for c in sys.dependent), deriv.dp_dep))
+    out = {}
+    for name, g in candidates.items():
+        total = 0.0
+        for var in sorted(E.free_vars(g)):
+            total += partial(g, env, var) * flow[var]
+        out[name] = float(total)
+    return out
+
+
+def evaluate_one(sys, i, q, v, p, candidates, linear):
+    """The scan record of one sample; ``p`` is None in legendre mode."""
+    try:
+        if p is None:
+            p = _dependent_momenta(sys, NhState(q, v))
+        s = VakState(q, v, p)
+        record = ComparisonRecord(index=i, q=list(map(float, q)), v=list(map(float, v)),
+                                  p_dep=list(map(float, p)))
+        if linear:
+            record.g = [float(x) for x in g_residuals(sys, s)]
+        record.delta_y = [float(x) for x in field_residual(sys, s)]
+        if candidates:
+            record.tangency = tangency_residuals(sys, candidates, s)
+        return record
+    except (EvalError, SingularMatrixError) as exc:
+        return ComparisonRecord(index=i, q=list(map(float, q)), v=list(map(float, v)),
+                                p_dep=[] if p is None else list(map(float, p)),
+                                skipped=str(exc))
+
+
+def scan(sys, sampler, candidates=None, tol=1e-10):
+    """The report of ``comparison.scan``, evaluated sample by sample."""
+    candidates = candidates or {}
+    q, v, p = _draw(sys, sampler)
+    records = [evaluate_one(sys, i, q[i], v[i], None if p is None else p[i],
+                            candidates, sys.linear) for i in range(sampler.count)]
+    evaluated = [r for r in records if r.skipped is None]
+
+    def fraction(values):
+        if not values or any(x is None for x in values):
+            return None
+        return sum(1 for x in values if x < tol) / len(values)
+
+    summary = {
+        "samples": sampler.count, "evaluated": len(evaluated),
+        "skipped": len(records) - len(evaluated), "tol": tol, "seed": sampler.seed,
+        "p_mode": sampler.p_mode,
+        "fraction_g_below_tol": fraction(
+            [None if r.g is None else max(map(abs, r.g)) for r in evaluated]),
+        "fraction_deltay_below_tol": fraction(
+            [max(map(abs, r.delta_y)) for r in evaluated]),
+    }
+    return ComparisonReport(system=sys.name, records=records, summary=summary)

@@ -21,10 +21,11 @@ from vaknh.autodiff import partial
 from vaknh.cli import run
 from vaknh.comparison import (ComparisonRecord, ComparisonReport, Sampler,
                               parse_candidates, scan)
-from vaknh.errors import EvalError
+from vaknh.errors import EvalError, NonlinearSystemError, SingularMatrixError
 from vaknh.models import CATALOG
-from vaknh.system import SystemDef, complete_velocities
+from vaknh.system import SystemDef, VakState, complete_velocities
 
+import oracles
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from test_expr import _exprs
 from test_kernel import _same_bits
@@ -167,16 +168,6 @@ def _sampler(name, count, seed, p_mode="random", box=None):
                    v_bounds=tuple(box["v"]), p_bounds=tuple(box["p"]), p_mode=p_mode)
 
 
-def _per_state(monkeypatch, *args, **kwargs):
-    """The report of the per-state functions alone."""
-    def refuse(*_):
-        raise ValueError("batched evaluation switched off")
-
-    with monkeypatch.context() as m:
-        m.setattr(comparison, "_scan_lanes", refuse)
-        return scan(*args, **kwargs)
-
-
 def _count_per_state(monkeypatch):
     calls = []
     original = comparison._evaluate_one
@@ -195,7 +186,7 @@ def test_scan_equals_per_state_loop(name, p_mode, monkeypatch):
     sysdef = get_model(name)
     candidates = parse_candidates(CANDIDATES) if name == "martinet" else {}
     sampler = _sampler(name, 150, 23, p_mode)
-    expected = _per_state(monkeypatch, sysdef, sampler, candidates).to_json(indent=2)
+    expected = oracles.scan(sysdef, sampler, candidates).to_json(indent=2)
     per_state = _count_per_state(monkeypatch)
     assert scan(sysdef, sampler, candidates).to_json(indent=2) == expected
     assert per_state == []   # every sample evaluated in the batch
@@ -206,7 +197,7 @@ def test_scan_reruns_only_samples_outside_the_domain(monkeypatch):
     # dK2 up to 2 leaves the square root's domain at most states of the box.
     box = {"q": [(0.8, 2.0)] * 2, "v": [(-2.0, 2.0)], "p": [(0.5, 2.0)]}
     sampler = _sampler("von_neumann2", 200, 5, box=box)
-    expected = _per_state(monkeypatch, sysdef, sampler)
+    expected = oracles.scan(sysdef, sampler)
     per_state = _count_per_state(monkeypatch)
     report = scan(sysdef, sampler)
     assert report.to_json() == expected.to_json()
@@ -220,7 +211,7 @@ def test_scan_in_batches_equals_per_state_loop(monkeypatch):
     sysdef = get_model("von_neumann2")
     box = {"q": [(0.8, 2.0)] * 2, "v": [(-2.0, 2.0)], "p": [(0.5, 2.0)]}
     sampler = _sampler("von_neumann2", 200, 5, box=box)
-    expected = _per_state(monkeypatch, sysdef, sampler)
+    expected = oracles.scan(sysdef, sampler)
     batch = comparison._scan_lanes
     sizes = []
 
@@ -252,11 +243,55 @@ def test_scan_with_a_non_state_candidate_skips_every_record(monkeypatch):
     sysdef = get_model("martinet")
     candidates = parse_candidates("bad = x + w\n")
     sampler = _sampler("martinet", 30, 2)
-    expected = _per_state(monkeypatch, sysdef, sampler, candidates)
+    expected = oracles.scan(sysdef, sampler, candidates)
     report = scan(sysdef, sampler, candidates)
     assert report.to_json() == expected.to_json()
     assert {r.skipped for r in report.records} == {
         "candidate 'bad' uses non-state variable(s) ['w']"}
+
+
+def _outcome(fn, *args):
+    """The bytes of what ``fn(*args)`` returns, or the kind, text, det and
+    state of the error it raises."""
+    try:
+        out = fn(*args)
+    except (EvalError, SingularMatrixError, NonlinearSystemError) as exc:
+        state = getattr(exc, "state", None)
+        return (type(exc), str(exc), repr(getattr(exc, "det", None)), type(state),
+                None if state is None else [x.tobytes() for x in vars(state).values()])
+    return {k: repr(x) for k, x in out.items()} if isinstance(out, dict) else out.tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_per_state_functions_equal_the_oracle(name):
+    # The public per-state functions against the per-state oracle, bit for
+    # bit, and error for error: kind, text, det and state; the last
+    # candidate leaves its domain at about half the states.
+    sysdef = get_model(name)
+    q, v, p = comparison._draw(sysdef, _sampler(name, 40, 31))
+    if name == "von_neumann2":   # domain errors, and a singular vakonomic matrix
+        box = {"q": [(0.8, 2.0)] * 2, "v": [(-2.0, 2.0)], "p": [(0.5, 2.0)]}
+        more = comparison._draw(sysdef, _sampler(name, 20, 5, box=box))
+        q, v, p = (np.concatenate([a, b]) for a, b in zip((q, v, p), more))
+        p[::7] = 0.0
+    if name == "martinet":
+        candidates = parse_candidates(CANDIDATES)
+    else:
+        candidates = parse_candidates(f"G = {sysdef.coords[0]}*p_{sysdef.dependent[0]}"
+                                      f" + d{sysdef.base[-1]}^2\nC = 1.5\n")
+    for qi, vi, pi in zip(q, v, p):
+        s = VakState(qi, vi, pi)
+        for got, expected, args in [
+                (comparison.curvature, oracles.curvature, (sysdef, qi)),
+                (comparison.g_residuals, oracles.g_residuals, (sysdef, s)),
+                (comparison.field_residual, oracles.field_residual, (sysdef, s)),
+                (comparison.tangency_residuals, oracles.tangency_residuals,
+                 (sysdef, candidates, s)),
+                (comparison.tangency_residuals, oracles.tangency_residuals,
+                 (sysdef, {**candidates, "bad": E.parse("w")}, s)),
+                (comparison.tangency_residuals, oracles.tangency_residuals,
+                 (sysdef, {"log": E.parse(f"log(d{sysdef.base[0]})")}, s))]:
+            assert _outcome(got, *args) == _outcome(expected, *args)
 
 
 def test_scan_draws_the_per_coordinate_sequence():

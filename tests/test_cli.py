@@ -145,6 +145,19 @@ def test_numeric_errors_exit_3(capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("state, message", [
+    (["--q=1.5,1.2", "--v=0.3", "--p=0"],
+     "vakonomic matrix is singular for system 'von_neumann2' (det=0.0)"),
+    (["--q=0.01,0.01", "--v=0.99", "--p=1"],
+     "sqrt of non-positive value -0.98 (derivative undefined) in "
+     "'sqrt(K1^1 * K2^1 - dK2^2)'"),
+], ids=["singular", "domain"])
+def test_compare_von_neumann2_exits_3_with_the_first_error(state, message, capsys):
+    assert run(["compare", "von_neumann2", *state]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"numeric error: {message}\n"
+
+
 def test_domain_error_exit_3(capsys):
     code = run(["integrate", "von_neumann2", "--dynamics", "vak",
                 "--q", "0.01,0.01", "--v", "0.99", "--p", "1",
