@@ -293,10 +293,12 @@ def _call_function(name, x, node):
             if x <= 0:
                 raise _eval_error(node, f"log of non-positive value {x!r}")
             return math.log(x)
-        return getattr(math, name)(x)
-    try:
-        return getattr(x, name)()
-    except (ValueError, ZeroDivisionError) as exc:
+        function = getattr(math, name)
+    else:
+        function = getattr(type(x), name)
+    try:   # math's range and domain errors: exp(1000.0), sin(inf)
+        return function(x)
+    except (ArithmeticError, ValueError) as exc:
         raise _eval_error(node, str(exc)) from None
 
 
@@ -317,13 +319,13 @@ def power_value(x, exponent, integer, node=None):
             except ZeroDivisionError:
                 raise _eval_error(node, "zero base with negative exponent") from None
         return result
-    if isinstance(x, (int, float)):
-        if x <= 0:
-            raise _eval_error(node, f"non-integer power of non-positive base {x!r}")
-        return math.pow(x, exponent)
     try:
+        if isinstance(x, (int, float)):
+            if x <= 0:
+                raise _eval_error(node, f"non-integer power of non-positive base {x!r}")
+            return math.pow(x, exponent)
         return x.powreal(exponent)
-    except ValueError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise _eval_error(node, str(exc)) from None
 
 

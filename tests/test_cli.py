@@ -167,6 +167,41 @@ def test_domain_error_exit_3(capsys):
     assert "numeric error" in err
 
 
+OVERFLOW = """\
+name ovf
+coords x y
+dependent y
+linear true
+lagrangian exp(1000*dx)*dx^2/2 + dy^2/2
+psi y = x*dx
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--q=0,0", "--v=1", "--p=1"],
+    ["integrate", "--dynamics", "vak", "--q=0,0", "--v=1", "--p=1", "--t-end", "1"],
+    ["check", "--v=1"],
+], ids=["compare", "integrate", "check"])
+def test_math_range_error_exits_3(argv, tmp_path, capsys):
+    path = tmp_path / "ovf.sys"
+    path.write_text(OVERFLOW)
+    assert run([argv[0], str(path), *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "math range error in 'exp(1000.0 * dx)'" in err
+
+
+def test_scan_skips_samples_out_of_math_range(tmp_path, capsys):
+    path = tmp_path / "ovf.sys"
+    path.write_text(OVERFLOW)
+    assert run(["scan", str(path), "--samples", "50"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    # exp(1000*dx) leaves the range of a double where dx > ~0.71.
+    out_of_range = [r for r in records if r["v"][0] > 0.71]
+    assert out_of_range and {r["skipped"] for r in out_of_range} == {
+        "math range error in 'exp(1000.0 * dx)'"}
+    assert any(r["skipped"] is None for r in records)
+
+
 def _particle_file(tmp_path, old, new):
     from vaknh.models import builtin_source
     path = tmp_path / "particle.sys"
