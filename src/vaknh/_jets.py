@@ -14,7 +14,8 @@ everything the equations of motion need:
 run straight-line kernels that :mod:`vaknh._kernel` generates from the
 system's expression trees on the first sweep and stores on the
 ``SystemDef``; the process keeps the last ``_SWEEPS_KEPT`` generated sweeps
-for equal systems loaded again.  ``field_sweep`` runs the ``field`` kernel,
+for equal systems loaded again, and for equal candidate functions
+(``gradient_kernel``).  ``field_sweep`` runs the ``field`` kernel,
 the restricted sweep continued through the multiplier shift of the reduced
 equations (:mod:`vaknh.vakonomic`), and leaves the interpreter to its
 caller.  The ``reference_*`` functions are the interpreter they are
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from ._kernel import Sweep, compile_sweep
+from ._kernel import Sweep, compile_gradients, compile_sweep
 from .autodiff import HyperDual
 
 
@@ -224,6 +225,17 @@ _SWEEPS: dict = {}
 _SWEEPS_KEPT = 64
 
 
+def _kept(key, build) -> Sweep:
+    """The sweep kept under ``key``, or else ``build()``, kept from now on."""
+    sweep = _SWEEPS.get(key)
+    if sweep is None:
+        sweep = build()
+        if len(_SWEEPS) >= _SWEEPS_KEPT:
+            del _SWEEPS[next(iter(_SWEEPS))]
+        _SWEEPS[key] = sweep
+    return sweep
+
+
 def _kernel(sys, kind) -> Sweep:
     """The generated kernels of sweep ``kind`` of ``sys``, built on first
     use: those of an equal system loaded before, if the process still
@@ -232,14 +244,15 @@ def _kernel(sys, kind) -> Sweep:
     if sweep is None:
         key = (kind, sys.name, sys.coords, sys.dependent, repr(sys.lagrangian),
                tuple(repr(sys.psi[c]) for c in sys.dependent))
-        sweep = _SWEEPS.get(key)
-        if sweep is None:
-            sweep = compile_sweep(sys, kind)
-            if len(_SWEEPS) >= _SWEEPS_KEPT:
-                del _SWEEPS[next(iter(_SWEEPS))]
-            _SWEEPS[key] = sweep
-        sys._kernels[kind] = sweep
+        sweep = sys._kernels[kind] = _kept(key, lambda: compile_sweep(sys, kind))
     return sweep
+
+
+def gradient_kernel(trees, names, seeded) -> Sweep:
+    """The generated gradients of ``trees`` in the variables ``seeded``
+    (:func:`vaknh._kernel.compile_gradients`), kept with the sweeps."""
+    key = ("gradients", tuple(names), tuple(seeded), tuple(map(repr, trees)))
+    return _kept(key, lambda: compile_gradients(trees, names, seeded))
 
 
 def _flat(*vectors):
@@ -255,10 +268,15 @@ def run_lanes(sweep: Sweep, *blocks):
     (N, .) arrays whose columns, in order, are the kernel's arguments.
     Returns the (N, outputs) results and the failure mask of the N lanes;
     numpy's floating-point warnings are silenced, since a failed lane is
-    marked instead."""
+    marked instead.  A kernel that fails at every state (a term no input
+    reaches) marks every lane, with NaN results."""
     columns = np.ascontiguousarray(np.concatenate(blocks, axis=1, dtype=float).T)
     with np.errstate(all="ignore"):
-        out, failed = sweep.array(*columns)
+        try:
+            out, failed = sweep.array(*columns)
+        except (ArithmeticError, ValueError):
+            lanes = columns.shape[1]
+            out, failed = np.full((sweep.outputs, lanes), np.nan), np.ones(lanes, dtype=bool)
     return np.ascontiguousarray(out.T), failed
 
 

@@ -29,12 +29,10 @@ import numpy as np
 from . import comparison, integrate as _integrate, models
 from .errors import (AdmissibilityError, EvalError, IntegrationError,
                      SingularMatrixError, SystemFormatError, VaknhError)
-from .maps import upsilon
 from .models import builtin, builtin_names
-from .nonholonomic import nh_rhs
 from .system import (NhState, SystemDef, VakState, load_system,
                      verify_linearity)
-from .vakonomic import compatibility_matrix, det_threshold, symplectic_check, vak_rhs
+from .vakonomic import compatibility_matrix, det_threshold, symplectic_check
 
 __all__ = ["run", "main"]
 
@@ -112,6 +110,9 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("catalog", help="list built-in models")
     return parser
+
+
+_PARSER = _build_parser()   # built once per process
 
 
 def _load(source: str) -> SystemDef:
@@ -244,25 +245,13 @@ def _cmd_compare(args) -> int:
     q = _vector(args.q, sysdef.n, "q")
     v = _vector(args.v, sysdef.n - sysdef.m, "v")
     p = _vector(args.p, sysdef.m, "p")
-    s = VakState(q, v, p)
-    candidates = _load_candidates(args.candidates)
-
     payload = {
         "system": sysdef.name,
-        "state": {"q": list(map(float, q)), "v": list(map(float, v)),
-                  "p": list(map(float, p))},
+        "state": {"q": q.tolist(), "v": v.tolist(), "p": p.tolist()},
         "tol": args.tol,
+        **comparison.compare_state(sysdef, VakState(q, v, p),
+                                   _load_candidates(args.candidates)),
     }
-    if sysdef.linear:
-        payload["g"] = [float(x) for x in comparison.g_residuals(sysdef, s)]
-    else:
-        payload["g"] = None
-    delta = comparison.field_residual(sysdef, s)
-    payload["deltaY"] = [float(x) for x in delta]
-    payload["tangency"] = comparison.tangency_residuals(sysdef, candidates, s) \
-        if candidates else {}
-    payload["vak_dv"] = [float(x) for x in vak_rhs(sysdef, s).dv]
-    payload["nh_dv"] = [float(x) for x in nh_rhs(sysdef, upsilon(sysdef, s)).dv]
     print(_strict_json(lambda: json.dumps(payload, indent=2, allow_nan=False)))
     return 0
 
@@ -297,10 +286,9 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     """Parse arguments and execute; returns the process exit code."""
-    parser = _build_parser()
     argv = _join_vectors(_sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

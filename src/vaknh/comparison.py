@@ -17,13 +17,13 @@ The two flows live on different spaces but project onto each other through
   Euler-Lagrange residual, zero exactly on free solutions (which solve
   both problems simultaneously when they satisfy the constraints).
 
-``scan`` samples a box in state space, evaluates all applicable residuals
-per state and aggregates the results into a JSON-serializable report.  It
-evaluates the samples in batches of ``BATCH``: each phase runs once over
-the stacked states of a batch, on the array form of the generated kernels
-(:mod:`vaknh._jets`), with one stacked determinant and solve per field.  The per-state functions
-above stay the reference: a sample that a kernel marks as failed is
-evaluated by them, and the report equals theirs byte for byte.
+Each quantity is computed once in the package, by a phase over stacked
+states (``_Lanes``) that runs the array form of the generated kernels
+(:mod:`vaknh._jets`) and one stacked determinant and solve per field.
+``scan`` runs the phases over batches of ``BATCH`` sampled states and
+aggregates the records into a JSON-serializable report.  ``compare_state``
+(the ``compare`` command) and the functions above run them on a stack of
+one state, so they agree with ``scan`` by construction.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from . import expr as _expr
-from ._jets import ambient_velocity_gradient, completion, restricted_table, run_lanes
-from ._kernel import compile_gradients
-from .autodiff import partial
+from ._jets import (ambient_velocity_gradient, completion, gradient_kernel,
+                    restricted_table, run_lanes)
+from .autodiff import gradient
 from .errors import EvalError, SingularMatrixError, VaknhError
-from .maps import upsilon
-from .nonholonomic import NhState, _dependent_momenta, nh_rhs
-from .system import SystemDef, VakState, check_state, require_linear, state_env
-from .vakonomic import _reduced_lanes, _singular_message, vak_rhs
+from .nonholonomic import legendre_lift
+from .system import NhState, SystemDef, VakState, check_state, require_linear
+from .vakonomic import _reduced_lanes, _singular_message
 
 __all__ = [
     "ComparisonRecord",
@@ -55,6 +54,7 @@ __all__ = [
     "g_residuals",
     "field_residual",
     "tangency_residuals",
+    "compare_state",
     "parse_candidates",
     "scan",
 ]
@@ -73,13 +73,8 @@ def curvature(sys: SystemDef, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if len(q) != sys.n:
         raise ValueError(f"expected {sys.n} positions, got {len(q)}")
-    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
-    tab = restricted_table(sys, q, np.zeros(n - m))
-    # psi_v[k, a] = coefficient of v_a in psi_k; h[k, A, b] = d(psi_v[k, b])/dq_A
-    psi_v = tab.grads[:m, n:]
-    h = tab.hessians[:m, :n, n:]
-    a_mat = h[:, base] + psi_v.T @ h[:, dep]
-    return a_mat - a_mat.transpose(0, 2, 1)
+    return _one(sys, VakState(q, np.zeros(sys.n - sys.m), np.zeros(sys.m)),
+                _Lanes.curvature)[0]
 
 
 def g_residuals(sys: SystemDef, s: VakState) -> np.ndarray:
@@ -89,27 +84,31 @@ def g_residuals(sys: SystemDef, s: VakState) -> np.ndarray:
         g_b = v_a (p_dep - Leg_dep)_k R[k, a, b]
     """
     require_linear(sys, "g_residuals")
-    check_state(sys, s)
-    r = curvature(sys, s.q)
-    delta = s.p_dep - _dependent_momenta(sys, s)
-    return _contract_g(s.v[None], delta[None], r[None])[0]
+    return _one(sys, s, _Lanes.g)[0]
 
 
 def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
     """Difference of base accelerations between the vakonomic field at ``s``
     and the nonholonomic field at its projection.  Defined for nonlinear
     constraints too, unlike ``g_residuals``."""
-    check_state(sys, s)
-    vak = vak_rhs(sys, s)
-    nh = nh_rhs(sys, upsilon(sys, s))
-    return vak.dv - nh.dv
+    return _one(sys, s, lambda lanes: lanes.vak()[1] - lanes.nh())[0]
 
 
-def candidate_variables(sys: SystemDef) -> set[str]:
-    """Variable names a candidate constraint expression may use."""
-    return (set(sys.coords)
-            | {sys.velocity_of(c) for c in sys.base}
-            | {"p_" + c for c in sys.dependent})
+def candidate_variables(sys: SystemDef) -> list[str]:
+    """Variable names a candidate constraint expression may use, in the
+    order of the positions, the base velocities and the multipliers."""
+    return [*sys.coords, *map(sys.velocity_of, sys.base),
+            *("p_" + c for c in sys.dependent)]
+
+
+def _non_state(sys, candidates) -> EvalError | None:
+    """The error of the first candidate that uses a variable that is not a
+    state variable, if any."""
+    allowed = set(candidate_variables(sys))
+    for name, g in candidates.items():
+        extra = _expr.free_vars(g) - allowed
+        if extra:
+            return EvalError(f"candidate {name!r} uses non-state variable(s) {sorted(extra)}")
 
 
 def tangency_residuals(sys: SystemDef, candidates: dict[str, _expr.Expression],
@@ -117,29 +116,19 @@ def tangency_residuals(sys: SystemDef, candidates: dict[str, _expr.Expression],
     """Directional derivative of each candidate function along the vakonomic
     field.  A candidate cuts out a flow-invariant set at ``s`` when both its
     value and this residual vanish there."""
-    check_state(sys, s)
-    allowed = candidate_variables(sys)
-    for name, g in candidates.items():
-        extra = _expr.free_vars(g) - allowed
-        if extra:
-            raise EvalError(
-                f"candidate {name!r} uses non-state variable(s) {sorted(extra)}")
-    deriv = vak_rhs(sys, s)
-    env = state_env(sys, s)
-    flow = {}
-    for i, c in enumerate(sys.coords):
-        flow[c] = deriv.dq[i]
-    for a, c in enumerate(sys.base):
-        flow[sys.velocity_of(c)] = deriv.dv[a]
-    for k, c in enumerate(sys.dependent):
-        flow["p_" + c] = deriv.dp_dep[k]
-    out = {}
-    for name, g in candidates.items():
-        total = 0.0
-        for var in sorted(_expr.free_vars(g)):
-            total += partial(g, env, var) * flow[var]
-        out[name] = float(total)
-    return out
+    out = _one(sys, s, lambda lanes: lanes.tangency(candidates))
+    return {name: values[0] for name, values in out.items()}
+
+
+def compare_state(sys: SystemDef, s: VakState, candidates=None) -> dict:
+    """``g`` (None for nonlinear constraints), ``deltaY``, ``tangency`` and
+    the two fields' base accelerations ``vak_dv`` and ``nh_dv`` at one
+    state, from one evaluation of the phases of a ``scan`` record; raises
+    the error that ``scan`` gives as the record's skip reason."""
+    g, dv, nh_dv, tangency = _one(sys, s, lambda lanes: lanes.record(candidates))
+    return {"g": None if g is None else g[0].tolist(), "deltaY": (dv - nh_dv)[0].tolist(),
+            "tangency": {name: values[0] for name, values in tangency.items()},
+            "vak_dv": dv[0].tolist(), "nh_dv": nh_dv[0].tolist()}
 
 
 def parse_candidates(text: str) -> dict[str, _expr.Expression]:
@@ -370,58 +359,147 @@ REPORT_SCHEMA = {
 }
 
 
-def _evaluate_one(sys, i, q, v, p, candidates, linear) -> ComparisonRecord:
-    """One record, evaluated state by state with the per-state functions: the
-    reference the batched evaluation reproduces.  ``p`` is None in legendre
-    mode."""
-    try:
+class _Lanes:
+    """The comparison phases over stacked states (q, v, p), one per row
+    (lane); in legendre mode ``p`` is None and becomes the Legendre lift.
+
+    A lane keeps the first error of the phases run on it in ``events``: an
+    :class:`EvalError`, or (what, det) for a singular matrix; its results
+    are not defined then.  Where a kernel marks a lane, the phase runs again
+    at that one state in scalar form only for the error it raises.
+    """
+
+    def __init__(self, sys, q, v, p):
+        self.sys, self.q, self.v, self.p = sys, q, v, p
+        self.events = [None] * len(q)
+        self.done = np.zeros(len(q), dtype=bool)   # lanes with an error
         if p is None:
-            p = _dependent_momenta(sys, NhState(q, v))
-        s = VakState(q, v, p)
-        record = ComparisonRecord(index=i, q=list(map(float, q)),
-                                  v=list(map(float, v)),
-                                  p_dep=list(map(float, p)))
-        if linear:
-            record.g = [float(x) for x in g_residuals(sys, s)]
-        record.delta_y = [float(x) for x in field_residual(sys, s)]
-        if candidates:
-            record.tangency = tangency_residuals(sys, candidates, s)
-        return record
-    except (EvalError, SingularMatrixError) as exc:
-        return ComparisonRecord(index=i, q=list(map(float, q)),
-                                v=list(map(float, v)),
-                                p_dep=[] if p is None else list(map(float, p)),
-                                skipped=str(exc))
+            self.p = self.lift()
+
+    def mark(self, bad, event):
+        """Give each lane in ``bad`` without an error yet ``event(lane)``."""
+        for i in np.flatnonzero(bad & ~self.done).tolist():
+            self.events[i] = event(i)
+        self.done |= bad
+
+    def fail(self, bad, phase):
+        """Give each lane in ``bad`` without an error yet the error that
+        ``phase(q, v, p)`` raises at that lane's one state."""
+        def error(i):
+            try:
+                phase(self.q[i], self.v[i], None if self.p is None else self.p[i])
+            except EvalError as exc:
+                return exc
+            raise RuntimeError("a kernel failed where its interpreter does not")
+
+        self.mark(bad, error)
+
+    def lift(self):
+        """The Legendre momenta Leg_dep: completion, then the Legendre map."""
+        sys, q, v = self.sys, self.q, self.v
+        dependent, failed = completion(sys, q, v)
+        vfull = np.empty((len(q), sys.n))
+        vfull[:, sys.base_positions] = v
+        vfull[:, sys.dependent_positions] = dependent
+        lift, bad = ambient_velocity_gradient(sys, q, vfull)
+        self.fail(failed | bad, lambda q, v, p: legendre_lift(sys, NhState(q, v)))
+        return lift[:, sys.dependent_positions]
+
+    def curvature(self):
+        """``curvature`` in matrix form."""
+        sys, q = self.sys, self.q
+        n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
+        tab, bad = restricted_table(sys, q, np.zeros((len(q), n - m)))
+        self.fail(bad, lambda q, v, p: restricted_table(sys, q, np.zeros(n - m)))
+        psi_v = tab.grads[:, :m, n:]
+        h = tab.hessians[:, :m, :n, n:]
+        a_mat = h[:, :, base] + psi_v.transpose(0, 2, 1)[:, None] @ h[:, :, dep]
+        return a_mat - a_mat.transpose(0, 1, 3, 2)
+
+    def g(self):
+        """``g_residuals``: the curvature, then the Legendre lift."""
+        r = self.curvature()
+        return _contract_g(self.v, self.p - self.lift(), r)
+
+    def field(self, mult, what):
+        """dq, dv and dp of the field with multipliers ``mult``, matrix ``what``."""
+        sys, q, v = self.sys, self.q, self.v
+        tab, bad = restricted_table(sys, q, v)
+        self.fail(bad, lambda q, v, p: restricted_table(sys, q, v))
+        dq, dv, dp, det, singular = _reduced_lanes(sys, tab, v, mult, self.done)
+        dets = det.tolist()
+        self.mark(singular, lambda i: (what, dets[i]))
+        return dq, dv, dp
+
+    def vak(self):
+        return self.field(self.p, "vakonomic matrix")
+
+    def nh(self):
+        """dv of the nonholonomic field: the Legendre lift, then the field."""
+        return self.field(self.lift(), "nonholonomic matrix")[1]
+
+    def tangency(self, candidates, vak=None):
+        """``tangency_residuals`` along the vakonomic field ``vak`` (dq, dv,
+        dp), evaluated here if not given: one list of values per candidate,
+        from one gradient kernel of all candidates."""
+        sys, q, v, p = self.sys, self.q, self.v, self.p
+        error = _non_state(sys, candidates)
+        if error is not None:
+            self.mark(np.ones(len(q), dtype=bool), lambda i: error)
+            return {}
+        dq, dv, dp = vak or self.vak()
+        names = candidate_variables(sys)   # the columns of q, v and p
+        flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))
+        used = {name: sorted(_expr.free_vars(g)) for name, g in candidates.items()}
+        # A candidate with no variables is never evaluated: its residual is 0.
+        trees = [name for name in candidates if used[name]]
+        seeded = sorted(set().union(*used.values()))
+        if trees:
+            sweep = gradient_kernel([candidates[name] for name in trees], names, seeded)
+            grads, bad = run_lanes(sweep, q, v, p)
+            self.fail(bad, lambda *state: [   # the interpreter, in the kernel's order
+                gradient(candidates[name], dict(zip(names, np.concatenate(state).tolist())),
+                         used[name]) for name in trees])
+        k = len(seeded)
+        out = {}
+        for name in candidates:
+            total = 0.0
+            for var in used[name]:
+                total = total + grads[:, trees.index(name) * k + seeded.index(var)] * flow[var]
+            out[name] = total.tolist() if used[name] else [0.0] * len(q)
+        return out
+
+    def record(self, candidates):
+        """The phases of a comparison record, in order: g (None unless the
+        constraints are linear), the base accelerations of the vakonomic and
+        of the nonholonomic field, and the tangency residuals."""
+        g = self.g() if self.sys.linear else None
+        vak = self.vak()
+        nh_dv = self.nh()
+        return g, vak[1], nh_dv, self.tangency(candidates, vak) if candidates else {}
 
 
-def _lift_lanes(sys, q, v):
-    """Legendre lifts of stacked states (completion, then the Legendre
-    map) and the mask of lanes where a kernel failed."""
-    dependent, failed = completion(sys, q, v)
-    vfull = np.empty((len(q), sys.n))
-    vfull[:, sys.base_positions] = v
-    vfull[:, sys.dependent_positions] = dependent
-    lift, bad = ambient_velocity_gradient(sys, q, vfull)
-    return lift, failed | bad
-
-
-def _g_lanes(sys, q, v, p):
-    """``g_residuals`` of stacked states, with ``curvature`` in the same
-    matrix form, and the mask of lanes where a kernel failed."""
-    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
-    tab, failed = restricted_table(sys, q, np.zeros_like(v))
-    psi_v = tab.grads[:, :m, n:]
-    h = tab.hessians[:, :m, :n, n:]
-    a_mat = h[:, :, base] + psi_v.transpose(0, 2, 1)[:, None] @ h[:, :, dep]
-    r = a_mat - a_mat.transpose(0, 1, 3, 2)
-    lift, bad = _lift_lanes(sys, q, v)
-    return _contract_g(v, p - lift[:, dep], r), failed | bad
+def _one(sys, s, run):
+    """``run(lanes)`` on the stack of the one state ``s``, which it checks.
+    Raises the first error of the phases it ran; a singular matrix with the
+    state of its field, ``s`` or its projection."""
+    check_state(sys, s)
+    with np.errstate(all="ignore"):
+        lanes = _Lanes(sys, s.q[None], s.v[None], s.p_dep[None])
+        out = run(lanes)
+    event = lanes.events[0]
+    if isinstance(event, tuple):
+        what, det = event
+        event = SingularMatrixError(_singular_message(sys, what, det), det,
+                                    s if what == "vakonomic matrix" else NhState(s.q, s.v))
+    if event is not None:
+        raise event
+    return out
 
 
 def _contract_g(v, delta, r):
     """g_b = v_a delta_k R[k, a, b] of stacked states, summed in a fixed
-    order, so each lane's result does not depend on the others: the
-    per-state ``g_residuals`` is this on a stack of one."""
+    order, so each lane's result does not depend on the others."""
     g = np.zeros_like(v)
     for k in range(delta.shape[1]):
         for a in range(v.shape[1]):
@@ -429,84 +507,28 @@ def _contract_g(v, delta, r):
     return g
 
 
-def _tangency_lanes(sys, candidates, q, v, p, dq, dv, dp):
-    """``tangency_residuals`` of stacked states along their vakonomic
-    field (dq, dv, dp): one value column per candidate, from one gradient
-    kernel of all candidates, and the mask of lanes where it failed."""
-    # The candidate variables, in the order of the columns of q, v and p.
-    names = [*sys.coords, *map(sys.velocity_of, sys.base),
-             *("p_" + c for c in sys.dependent)]
-    flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))
-    used = {name: sorted(_expr.free_vars(g)) for name, g in candidates.items()}
-    # A candidate with no variables is never evaluated: its residual is 0.
-    trees = [name for name in candidates if used[name]]
-    seeded = sorted(set().union(*used.values()))
-    failed = np.zeros(len(q), dtype=bool)
-    if trees:
-        sweep = compile_gradients([candidates[name] for name in trees], names, seeded)
-        grads, failed = run_lanes(sweep, q, v, p)
-    k = len(seeded)
-    out = {}
-    for name in candidates:
-        total = 0.0
-        for var in used[name]:
-            total = total + grads[:, trees.index(name) * k + seeded.index(var)] * flow[var]
-        out[name] = total.tolist() if used[name] else [0.0] * len(q)
-    return out, failed
-
-
-def _scan_lanes(sys, first, q, v, p, candidates, linear) -> list:
+def _scan_lanes(sys, first, q, v, p, candidates) -> list:
     """The records of the stacked samples (q, v, p), numbered from
-    ``first``, evaluated one phase at a time over all of them; ``p`` is None
-    in legendre mode.  A lane where a kernel failed is None: the per-state
-    functions evaluate it instead.
-
-    The phases follow ``_evaluate_one``: the Legendre lift (legendre mode),
-    curvature and g, the vakonomic field, the nonholonomic field at
-    ``upsilon``, and the tangency residuals.  Each phase runs the sweeps its
-    per-state function runs, and a lane keeps the first singular matrix in
-    that order as its skip reason.
-    """
-    dep = sys.dependent_positions
-    failed = np.zeros(len(q), dtype=bool)
-    if p is None:
-        lift, failed = _lift_lanes(sys, q, v)
-        p = lift[:, dep]
-    if linear:
-        g, bad = _g_lanes(sys, q, v, p)
-        failed |= bad
-    tab, bad = restricted_table(sys, q, v)
-    failed |= bad
-    dq, dv, dp, vak_det, vak_singular = _reduced_lanes(sys, tab, v, p, failed)
-    lift, bad = _lift_lanes(sys, q, v)
-    failed |= bad
-    tab, bad = restricted_table(sys, q, v)
-    failed |= bad
-    _, nh_dv, _, nh_det, nh_singular = _reduced_lanes(
-        sys, tab, v, lift[:, dep], failed | vak_singular)
-    tangency = {}
-    if candidates:
-        tangency, bad = _tangency_lanes(sys, candidates, q, v, p, dq, dv, dp)
-        failed |= bad
-
-    qs, vs, ps = q.tolist(), v.tolist(), p.tolist()
-    gs = g.tolist() if linear else [None] * len(q)
+    ``first``; ``p`` is None in legendre mode.  A record with an error is
+    skipped with its text, and without p when the Legendre lift failed."""
+    lanes = _Lanes(sys, q, v, p)
+    unlifted = lanes.done.tolist()
+    g, dv, nh_dv, tangency = lanes.record(candidates)
+    qs, vs, ps = q.tolist(), v.tolist(), lanes.p.tolist()
+    gs = [None] * len(q) if g is None else g.tolist()
     deltas = (dv - nh_dv).tolist()
-    vak_det, nh_det = vak_det.tolist(), nh_det.tolist()
     records = []
-    for i in range(len(q)):
-        if failed[i]:
-            records.append(None)
-        elif vak_singular[i] or nh_singular[i]:
-            message = (_singular_message(sys, "vakonomic matrix", vak_det[i])
-                       if vak_singular[i] else
-                       _singular_message(sys, "nonholonomic matrix", nh_det[i]))
-            records.append(ComparisonRecord(index=first + i, q=qs[i], v=vs[i],
-                                            p_dep=ps[i], skipped=message))
-        else:
+    for i, event in enumerate(lanes.events):
+        if event is None:
             records.append(ComparisonRecord(
                 index=first + i, q=qs[i], v=vs[i], p_dep=ps[i], g=gs[i], delta_y=deltas[i],
                 tangency={name: values[i] for name, values in tangency.items()}))
+        else:
+            reason = (str(event) if isinstance(event, EvalError)
+                      else _singular_message(sys, *event))
+            records.append(ComparisonRecord(index=first + i, q=qs[i], v=vs[i],
+                                            p_dep=[] if unlifted[i] else ps[i],
+                                            skipped=reason))
     return records
 
 
@@ -532,12 +554,8 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     computed over the successfully evaluated records only.
 
     The samples are evaluated in batches of ``BATCH``, each phase once over
-    the stacked samples of a batch (``_scan_lanes``), and the report equals
-    the one the per-state functions give sample by sample
-    (``_evaluate_one``), byte for byte.  A sample where a generated kernel
-    fails is re-run by the per-state functions.  So is every sample of a
-    batch where a kernel or a stacked solve raises, and every sample when a
-    candidate uses a variable that is not a state variable.
+    the stacked samples of a batch (``_scan_lanes``).  A record's skip
+    reason is the error the per-state functions raise at its state.
     """
     if sampler.count < 1:
         raise ValueError(f"sample count must be at least 1, got {sampler.count}")
@@ -549,24 +567,14 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     if sampler.p_mode == "random" and len(sampler.p_bounds) != sys.m:
         raise ValueError("random p mode needs one bounds pair per dependent coordinate")
     candidates = candidates or {}
-    linear = sys.linear
 
     q, v, p = _draw(sys, sampler)
-    records = [None] * sampler.count
-    allowed = candidate_variables(sys)
-    if all(_expr.free_vars(g) <= allowed for g in candidates.values()):
+    records = []
+    with np.errstate(all="ignore"):
         for first in range(0, sampler.count, BATCH):
             part = slice(first, first + BATCH)
-            try:
-                with np.errstate(all="ignore"):
-                    records[part] = _scan_lanes(
-                        sys, first, q[part], v[part], None if p is None else p[part],
-                        candidates, linear)
-            except (ArithmeticError, ValueError):   # a kernel or a stacked solve
-                pass
-    records = [_evaluate_one(sys, i, q[i], v[i], None if p is None else p[i],
-                             candidates, linear) if record is None else record
-               for i, record in enumerate(records)]
+            records += _scan_lanes(sys, first, q[part], v[part],
+                                   None if p is None else p[part], candidates)
 
     evaluated = [r for r in records if r.skipped is None]
     def fraction(read):

@@ -285,18 +285,14 @@ def _eval_error(node, message):
 
 def _call_function(name, x, node):
     if isinstance(x, (int, float)):
-        if name == "sqrt":
-            if x < 0:
-                raise _eval_error(node, f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
-        if name == "log":
-            if x <= 0:
-                raise _eval_error(node, f"log of non-positive value {x!r}")
-            return math.log(x)
+        if name == "sqrt" and x < 0:
+            raise _eval_error(node, f"sqrt of negative value {x!r}")
+        if name == "log" and x <= 0:
+            raise _eval_error(node, f"log of non-positive value {x!r}")
         function = getattr(math, name)
     else:
         function = getattr(type(x), name)
-    try:   # math's range and domain errors: exp(1000.0), sin(inf)
+    try:   # also math's range and domain errors: exp(1000.0), sin(inf)
         return function(x)
     except (ArithmeticError, ValueError) as exc:
         raise _eval_error(node, str(exc)) from None

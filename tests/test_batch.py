@@ -1,15 +1,19 @@
-"""Batched evaluation against the per-state code it replaces in ``scan``.
+"""Batched evaluation against the per-state oracle (``oracles.scan`` and
+the per-state functions in ``tests/oracles.py``).
 
 * The array form of every generated kernel equals the scalar form lane by
   lane, bit for bit, and marks a lane exactly where the scalar form raises.
-* ``scan`` writes the report that the per-state functions give sample by
-  sample (``comparison._evaluate_one``), byte for byte.
+* ``scan`` writes the report that the oracle gives sample by sample, byte
+  for byte, and the per-state functions of ``comparison`` return or raise
+  what the oracle's do.
 * ``ComparisonReport.to_json`` writes what ``json.dumps`` writes.
-* ``compare`` at a scanned state reads that record's values.
+* ``compare`` at a scanned state reads that record's values, from the
+  sweeps of a one-sample scan.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from vaknh.comparison import (ComparisonRecord, ComparisonReport, Sampler,
                               parse_candidates, scan)
 from vaknh.errors import EvalError, NonlinearSystemError, SingularMatrixError
 from vaknh.models import CATALOG
-from vaknh.system import SystemDef, VakState, complete_velocities
+from vaknh.system import SystemDef, VakState, complete_velocities, load_system
 
 import oracles
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
@@ -46,16 +50,9 @@ def _blocks(sysdef, kind, q, v, v_full):
 
 def _assert_lanes_match(sweep, blocks, reference):
     """Lane by lane: the array kernel's row equals ``reference(lane args)``
-    bit for bit, or the lane is marked and ``reference`` raises.  An array
-    kernel raises only where every lane fails (a term no input reaches)."""
+    bit for bit, or the lane is marked and ``reference`` raises."""
     lanes = np.concatenate(blocks, axis=1).tolist()
-    try:
-        out, failed = _jets.run_lanes(sweep, *blocks)
-    except (ArithmeticError, ValueError):
-        for args in lanes:
-            with pytest.raises(FAILURES):
-                reference(args)
-        return
+    out, failed = _jets.run_lanes(sweep, *blocks)
     for i, args in enumerate(lanes):
         try:
             expected = reference(args)
@@ -169,14 +166,17 @@ def _sampler(name, count, seed, p_mode="random", box=None):
 
 
 def _count_per_state(monkeypatch):
+    """The positions q of the lanes re-run at their one state, in order."""
     calls = []
-    original = comparison._evaluate_one
+    fail = comparison._Lanes.fail
 
-    def counted(sysdef, i, *rest):
-        calls.append(i)
-        return original(sysdef, i, *rest)
+    def counted(lanes, bad, phase):
+        def rerun(q, *rest):
+            calls.append(q.tolist())
+            return phase(q, *rest)
+        return fail(lanes, bad, rerun)
 
-    monkeypatch.setattr(comparison, "_evaluate_one", counted)
+    monkeypatch.setattr(comparison._Lanes, "fail", counted)
     return calls
 
 
@@ -189,7 +189,7 @@ def test_scan_equals_per_state_loop(name, p_mode, monkeypatch):
     expected = oracles.scan(sysdef, sampler, candidates).to_json(indent=2)
     per_state = _count_per_state(monkeypatch)
     assert scan(sysdef, sampler, candidates).to_json(indent=2) == expected
-    assert per_state == []   # every sample evaluated in the batch
+    assert per_state == []   # no sample re-run at its one state
 
 
 def test_scan_reruns_only_samples_outside_the_domain(monkeypatch):
@@ -201,7 +201,7 @@ def test_scan_reruns_only_samples_outside_the_domain(monkeypatch):
     per_state = _count_per_state(monkeypatch)
     report = scan(sysdef, sampler)
     assert report.to_json() == expected.to_json()
-    domain = [r.index for r in report.records if "sqrt" in (r.skipped or "")]
+    domain = [r.q for r in report.records if "sqrt" in (r.skipped or "")]
     assert domain and per_state == domain
 
 
@@ -225,12 +225,12 @@ def test_scan_in_batches_equals_per_state_loop(monkeypatch):
     report = scan(sysdef, sampler)
     assert report.to_json() == expected.to_json()
     assert sizes == [(first, 16) for first in range(0, 192, 16)] + [(192, 8)]
-    assert per_state == [r.index for r in report.records if "sqrt" in (r.skipped or "")]
+    assert per_state == [r.q for r in report.records if "sqrt" in (r.skipped or "")]
 
 
 def test_scan_lets_other_errors_of_a_batch_escape(monkeypatch):
-    # Only a kernel or a stacked solve may send a batch to the per-state
-    # functions; any other error is a fault of the batched code.
+    # A failed kernel marks lanes, and a lane's error is its skip reason;
+    # any other error is a fault of the batched code.
     def broken(*_):
         raise TypeError("broken batch")
 
@@ -292,6 +292,35 @@ def test_per_state_functions_equal_the_oracle(name):
                 (comparison.tangency_residuals, oracles.tangency_residuals,
                  (sysdef, {"log": E.parse(f"log(d{sysdef.base[0]})")}, s))]:
             assert _outcome(got, *args) == _outcome(expected, *args)
+
+
+CONSTANT_OVERFLOW = """\
+name constant
+coords x y
+dependent y
+linear true
+lagrangian 0.5*(dx^2 + dy^2) + exp(1000)
+psi y = x*dx
+"""
+
+
+def test_kernel_that_fails_at_every_state_marks_every_lane(capsys, tmp_path):
+    # exp(1000) reaches no input, so the array kernel raises outright.
+    sysdef = load_system(CONSTANT_OVERFLOW)
+    q, v = np.zeros((3, 2)), np.ones((3, 1))
+    with pytest.raises(OverflowError):
+        _jets._kernel(sysdef, "restricted").array(*np.concatenate([q, v], axis=1).T)
+    tab, failed = _jets.restricted_table(sysdef, q, v)
+    assert failed.all() and np.isnan(tab.rows).all()
+    message = "math range error in 'exp(1000.0)'"
+    box = {"q": [(-1.0, 1.0)] * 2, "v": [(-1.0, 1.0)], "p": [(-1.0, 1.0)]}
+    report = scan(sysdef, _sampler("constant", 5, 1, box=box))
+    assert report.to_json() == oracles.scan(sysdef, _sampler("constant", 5, 1, box=box)).to_json()
+    assert {r.skipped for r in report.records} == {message}
+    path = tmp_path / "constant.sys"
+    path.write_text(CONSTANT_OVERFLOW)
+    assert run(["compare", str(path), "--q=0,0", "--v=1", "--p=1"]) == 3
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
 
 
 def test_scan_draws_the_per_coordinate_sequence():
@@ -364,3 +393,46 @@ def test_compare_reads_the_scanned_record(name, tmp_path, capsys):
         assert (out["g"], out["deltaY"], out["tangency"]) == (
             record.g, record.delta_y, record.tangency)
 
+
+
+def _record_calls(monkeypatch, calls, function, label):
+    """Record ``label(*args)`` of each call of ``function``, under every name
+    a vaknh module binds it to."""
+    def recorded(*args, **kwargs):
+        calls.append(label(*args))
+        return function(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("vaknh"):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, recorded)
+
+
+def test_compare_evaluates_its_state_once(tmp_path, monkeypatch, capsys):
+    # One compare makes the stacked sweeps of a one-sample scan and no
+    # other: no field kernel (vak_rhs, nh_rhs) and no interpreted partial
+    # derivative.
+    candidates = tmp_path / "c.cand"
+    candidates.write_text(CANDIDATES, encoding="utf-8")
+    sysdef, sampler = get_model("martinet"), _sampler("martinet", 1, 4)
+    record = scan(sysdef, sampler, parse_candidates(CANDIDATES)).records[0]
+    calls = []
+    _record_calls(monkeypatch, calls, _jets.run_lanes, lambda sweep, *_: sweep.label)
+    for function in (_jets.restricted_table, _jets.ambient_velocity_gradient):
+        _record_calls(monkeypatch, calls, function,
+                      lambda _, q, *rest, name=function.__name__: (name, np.ndim(q)))
+    _record_calls(monkeypatch, calls, _jets.field_sweep, lambda *_: "field_sweep")
+    _record_calls(monkeypatch, calls, partial, lambda *_: "partial")
+
+    assert scan(sysdef, sampler, parse_candidates(CANDIDATES)).records == [record]
+    scanned = calls[:]
+    calls.clear()
+    assert run(["compare", "martinet", f"--q={_csv(record.q)}", f"--v={_csv(record.v)}",
+                f"--p={_csv(record.p_dep)}", "--candidates", str(candidates)]) == 0
+    assert json.loads(capsys.readouterr().out)["deltaY"] == record.delta_y
+    assert calls == scanned
+    assert scanned.count(("restricted_table", 2)) == 3
+    assert scanned.count(("ambient_velocity_gradient", 2)) == 2
+    assert "gradients" in scanned
+    assert "field_sweep" not in calls and "partial" not in calls

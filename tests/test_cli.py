@@ -137,6 +137,21 @@ def test_usage_errors_exit_1(capsys):
     assert run(["compare", "nosuchmodel", "--q", "0", "--v", "0", "--p", "0"]) == 1
 
 
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process: a usage error leaves it usable,
+    # and no call's options leak into the next.
+    compare = ["compare", "constrained_particle", "--q", "0,1,0", "--v", "1,1", "--p", "2"]
+    assert run(["compare", "constrained_particle", "--q", "0,1,0"]) == 1
+    assert "--p" in capsys.readouterr().err
+    assert run([*compare, "--tol", "0.001"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.001
+    assert run(["nosuchcommand"]) == 1
+    capsys.readouterr()
+    assert run(compare) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tol"] == 1e-10 and payload["deltaY"] == [0.5, -1.0]
+
+
 def test_numeric_errors_exit_3(capsys):
     # degenerate multiplier makes the reduced matrix singular
     code = run(["compare", "von_neumann2", "--q", "1.5,1.2", "--v", "0.3",

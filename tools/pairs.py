@@ -88,8 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 2:   # the quartiles need two runs per side
+        parser.error("--pairs must be at least 2")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.workload not in {w["name"] for w in bench["workloads"]}:
