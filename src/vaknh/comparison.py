@@ -94,17 +94,17 @@ def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
     return _one(sys, s, lambda lanes: lanes.vak()[1] - lanes.nh())[0]
 
 
-def candidate_variables(sys: SystemDef) -> list[str]:
-    """Variable names a candidate constraint expression may use, in the
-    order of the positions, the base velocities and the multipliers."""
-    return [*sys.coords, *map(sys.velocity_of, sys.base),
-            *("p_" + c for c in sys.dependent)]
+def candidate_variables(sys: SystemDef) -> set[str]:
+    """Variable names a candidate constraint expression may use."""
+    return (set(sys.coords)
+            | {sys.velocity_of(c) for c in sys.base}
+            | {"p_" + c for c in sys.dependent})
 
 
 def _non_state(sys, candidates) -> EvalError | None:
     """The error of the first candidate that uses a variable that is not a
     state variable, if any."""
-    allowed = set(candidate_variables(sys))
+    allowed = candidate_variables(sys)
     for name, g in candidates.items():
         extra = _expr.free_vars(g) - allowed
         if extra:
@@ -448,7 +448,9 @@ class _Lanes:
             self.mark(np.ones(len(q), dtype=bool), lambda i: error)
             return {}
         dq, dv, dp = vak or self.vak()
-        names = candidate_variables(sys)   # the columns of q, v and p
+        # The candidate variables, in the order of the columns of q, v and p.
+        names = [*sys.coords, *map(sys.velocity_of, sys.base),
+                 *("p_" + c for c in sys.dependent)]
         flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))
         used = {name: sorted(_expr.free_vars(g)) for name, g in candidates.items()}
         # A candidate with no variables is never evaluated: its residual is 0.
