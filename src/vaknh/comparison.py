@@ -487,7 +487,7 @@ def _one(sys, s, run):
     state of its field, ``s`` or its projection."""
     check_state(sys, s)
     with np.errstate(all="ignore"):
-        lanes = _Lanes(sys, s.q[None], s.v[None], s.p_dep[None])
+        lanes = _Lanes(sys, *(np.asarray(x, dtype=float)[None] for x in (s.q, s.v, s.p_dep)))
         out = run(lanes)
     event = lanes.events[0]
     if isinstance(event, tuple):

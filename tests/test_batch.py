@@ -205,6 +205,16 @@ def test_scan_reruns_only_samples_outside_the_domain(monkeypatch):
     assert domain and per_state == domain
 
 
+def test_scan_records_no_p_where_the_legendre_lift_fails():
+    sysdef = get_model("von_neumann2")
+    box = {"q": [(0.8, 2.0)] * 2, "v": [(-2.0, 2.0)], "p": [(0.5, 2.0)]}
+    sampler = _sampler("von_neumann2", 60, 5, "legendre", box)
+    report = scan(sysdef, sampler)
+    assert report.to_json() == oracles.scan(sysdef, sampler).to_json()
+    unlifted = [r for r in report.records if r.p_dep == []]
+    assert unlifted and all("sqrt" in r.skipped for r in unlifted)
+
+
 def test_scan_in_batches_equals_per_state_loop(monkeypatch):
     # Batches of 16 samples: the last one short, and some of them with
     # samples outside the square root's domain.
