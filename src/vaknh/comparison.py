@@ -17,7 +17,7 @@ The two flows live on different spaces but project onto each other through
   Euler-Lagrange residual, zero exactly on free solutions (which solve
   both problems simultaneously when they satisfy the constraints).
 
-Each quantity is computed once in the package, by a phase over stacked
+Each quantity has one implementation in the package, a phase over stacked
 states (``_Lanes``) that runs the array form of the generated kernels
 (:mod:`vaknh._jets`) and one stacked determinant and solve per field.
 ``scan`` runs the phases over batches of ``BATCH`` sampled states and
@@ -568,7 +568,6 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
         raise ValueError("sampler bounds do not match the system dimensions")
     if sampler.p_mode == "random" and len(sampler.p_bounds) != sys.m:
         raise ValueError("random p mode needs one bounds pair per dependent coordinate")
-    candidates = candidates or {}
 
     q, v, p = _draw(sys, sampler)
     records = []
