@@ -215,6 +215,13 @@ def test_equal_systems_share_their_kernels():
     assert second._kernels == {}
     assert _jets._kernel(second, "restricted") is sweep
     assert set(second._kernels) == {"restricted"}
+    # Equal candidate functions share their gradient kernel, from the same table.
+    names, seeded = ["x", "y", "dx"], ["dx", "x"]
+    gradients = _jets.gradient_kernel([E.parse("x*dx"), E.parse("sin(dx) + x")], names, seeded)
+    again = [E.parse("x*dx"), E.parse("sin(dx) + x")]
+    assert _jets.gradient_kernel(again, list(names), list(seeded)) is gradients
+    assert _jets.gradient_kernel(again, names, ["x", "dx"]) is not gradients
+    assert _jets.gradient_kernel(again[::-1], names, seeded) is not gradients
     assert len(_jets._SWEEPS) <= _jets._SWEEPS_KEPT
 
 
@@ -231,23 +238,7 @@ def test_kernel_cache_tells_signed_zeros_apart():
         got = _jets.restricted_table(sysdef, (1.0, 2.0), (3.0,))
         _assert_agree(got, _jets.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,)))
         assert np.signbit(got.lag.grad[0]) == np.signbit(zero)   # dL/dx = zero
+        gradients = _jets.gradient_kernel([sysdef.lagrangian], ["x", "dx"], ["x"])
+        grad, failed = _jets.run_lanes(gradients, np.array([[1.0, 3.0]]))
+        assert not failed[0] and np.signbit(grad[0, 0]) == np.signbit(zero)
 
-
-def test_equal_candidates_share_their_gradient_kernel():
-    names, seeded = ["x", "y", "dx"], ["dx", "x"]
-    trees = [E.parse("x*dx"), E.parse("sin(dx) + x")]
-    sweep = _jets.gradient_kernel(trees, names, seeded)
-    again = [E.parse("x*dx"), E.parse("sin(dx) + x")]
-    assert _jets.gradient_kernel(again, list(names), list(seeded)) is sweep
-    assert _jets.gradient_kernel(again, names, ["x", "dx"]) is not sweep
-    assert _jets.gradient_kernel(again[::-1], names, seeded) is not sweep
-    assert len(_jets._SWEEPS) <= _jets._SWEEPS_KEPT
-
-
-def test_gradient_kernel_cache_tells_signed_zeros_apart():
-    # Const(-0.0) == Const(0.0), but d(x*(-0.0))/dx and d(x*0.0)/dx differ in sign.
-    for zero in (0.0, -0.0, 0.0):
-        sweep = _jets.gradient_kernel([E.Binary("*", E.Var("x"), E.Const(zero))], ["x"], ["x"])
-        got, failed = _jets.run_lanes(sweep, np.array([[1.5]]))
-        assert not failed[0]
-        assert np.signbit(got[0, 0]) == np.signbit(zero)
