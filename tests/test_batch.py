@@ -304,6 +304,36 @@ def test_per_state_functions_equal_the_oracle(name):
             assert _outcome(got, *args) == _outcome(expected, *args)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow in the oracle
+@settings(max_examples=150, deadline=None)
+@given(_exprs(), _exprs(), _exprs(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "legendre"]))
+def test_random_systems_equal_the_oracle(lagrangian, psi, candidate, seed, p_mode):
+    # The first error of each state, in the oracle's order, on systems whose
+    # trees leave their domain, overflow or make a matrix singular anywhere.
+    sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
+                       lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
+    box = {"q": [(-2.0, 2.0)] * 3, "v": [(-2.0, 2.0)] * 2, "p": [(-2.0, 2.0)]}
+    sampler = _sampler("random", 6, seed, p_mode, box)
+    candidates = {"c": candidate, "k": E.parse("2.5")}
+
+    def outcome(function, *args):   # any other error, such as a report that is not finite
+        try:
+            return function(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(lambda: scan(sysdef, sampler, candidates).to_json()) == outcome(
+        lambda: oracles.scan(sysdef, sampler, candidates).to_json())
+    for q, v, p in zip(*comparison._draw(sysdef, _sampler("random", 3, seed, "random", box))):
+        s = VakState(q, v, p)
+        for name in ("curvature", "g_residuals", "field_residual", "tangency_residuals"):
+            args = {"curvature": (sysdef, q), "tangency_residuals": (sysdef, candidates, s)}.get(
+                name, (sysdef, s))
+            assert outcome(_outcome, getattr(comparison, name), *args) == outcome(
+                _outcome, getattr(oracles, name), *args)
+
+
 CONSTANT_OVERFLOW = """\
 name constant
 coords x y
