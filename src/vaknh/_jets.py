@@ -15,17 +15,17 @@ run straight-line kernels that :mod:`vaknh._kernel` generates from the
 system's expression trees on the first sweep and stores on the
 ``SystemDef``; the process keeps the last ``_SWEEPS_KEPT`` generated sweeps
 for equal systems loaded again, and for equal candidate functions
-(``gradient_kernel``).  ``field_sweep`` runs the ``field`` kernel,
-the restricted sweep continued through the multiplier shift of the reduced
-equations (:mod:`vaknh.vakonomic`), and leaves the interpreter to its
-caller.  The ``reference_*`` functions are the interpreter they are
-generated from: one sweep of :class:`~vaknh.autodiff.HyperDual` numbers with
-identity-seeded array channels through :func:`vaknh.expr.evaluate`.  Both
-agree bit for bit in every value, every gradient entry and, while the
-intermediate values are finite, every Hessian entry of the upper triangle,
-up to the sign of a zero outside the structural pattern.  When a kernel
-fails, the sweep is re-run by the interpreter, which raises the documented
-error.
+(``gradient_kernel``).  ``field_sweep`` runs the ``field`` kernel, the
+restricted sweep continued through the multiplier shift of the reduced
+equations (:mod:`vaknh.vakonomic`).  Each kernel gives the bits of the
+hyper-dual interpreter it is generated from, :func:`vaknh.expr.evaluate`
+over :class:`~vaknh.autodiff.HyperDual` numbers, in every value, every
+gradient entry and, while the intermediate values are finite, every
+Hessian entry of the upper triangle, up to the sign of a zero outside the
+structural pattern.  At one state a sweep runs ``Sweep.run``: where the
+kernel fails, ``Sweep.explain`` raises the interpreter's documented error.
+A sweep called with the wrong number of entries raises the kernel's
+``TypeError``.
 
 Given stacked states, one per row of 2-D (N, .) arrays, ``restricted_table``,
 ``ambient_velocity_gradient`` and ``completion`` (psi on plain floats) run
@@ -33,12 +33,9 @@ the array form of their kernel once over all N lanes.  They return the
 stacked results together with a failure mask: a lane is marked exactly
 where the scalar kernel fails at that state, and every other lane equals
 the scalar kernel's result bit for bit.  No interpreter runs there; the
-caller re-runs a marked lane one state at a time.
+caller asks the sweep to explain a marked lane (``Sweep.explain``).
 
 Kernel Hessians are exactly symmetric: the upper triangle is mirrored.
-Interpreted ones need not be.  On the two sides of the diagonal, the product
-rule adds its two cross products in opposite orders, and the chain rule
-forms (f'' g_i) g_j on one side and (f'' g_j) g_i on the other.
 """
 
 from __future__ import annotations
@@ -47,33 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as _expr
 from ._kernel import Sweep, compile_gradients, compile_sweep
-from .autodiff import HyperDual
-
-
-def _seed_variables(values):
-    """Map name -> HyperDual seeded so channel arrays broadcast into the
-    (gradient, Hessian) of any function of these variables."""
-    k = len(values)
-    env = {}
-    for i, (name, value) in enumerate(values):
-        d1 = np.zeros((k, 1))
-        d1[i, 0] = 1.0
-        d2 = np.zeros((1, k))
-        d2[0, i] = 1.0
-        env[name] = HyperDual(float(value), d1, d2, 0.0)
-    return env
-
-
-def _parts(result, k):
-    """Extract (value, gradient, hessian) from a hyper-dual sweep result."""
-    if not isinstance(result, HyperDual):  # expression without seeded vars
-        return float(result), np.zeros(k), np.zeros((k, k))
-    value = float(result.value)
-    grad = np.broadcast_to(np.asarray(result.d1, dtype=float), (k, 1))[:, 0].copy()
-    hess = np.broadcast_to(np.asarray(result.d12, dtype=float), (k, k)).copy()
-    return value, grad, hess
 
 
 @dataclass
@@ -157,25 +128,6 @@ class RestrictedTable:
         return self.grads[..., :self.m, :]
 
 
-def reference_restricted_table(sys, q, v) -> RestrictedTable:
-    """Interpreted :func:`restricted_table`: the dependent velocities are
-    substituted as hyper-duals, so the Lagrangian jets chain through the
-    constraint completion."""
-    n, m = sys.n, sys.m
-    k = n + (n - m)
-    names = list(sys.coords) + [sys.velocity_of(c) for c in sys.base]
-    values = list(zip(names, list(q) + list(v)))
-    env = _seed_variables(values)
-    psi = []
-    for c in sys.dependent:
-        value = _expr.evaluate(sys.psi[c], env)
-        psi.append(Jet(*_parts(value, k)))
-        env[sys.velocity_of(c)] = value
-    jets = psi + [Jet(*_parts(_expr.evaluate(sys.lagrangian, env), k))]
-    rows = [np.concatenate([[jet.value], jet.grad, jet.hess.ravel()]) for jet in jets]
-    return RestrictedTable(rows=np.array(rows), n=n, m=m)
-
-
 @dataclass
 class AmbientTable:
     """Jets of the full Lagrangian in (positions, all velocities)."""
@@ -188,29 +140,6 @@ class AmbientTable:
 
     def vi(self, i):
         return self.n + i
-
-
-def reference_ambient_table(sys, q, v_full) -> AmbientTable:
-    """Interpreted :func:`ambient_table`."""
-    n = sys.n
-    names = list(sys.coords) + [sys.velocity_of(c) for c in sys.coords]
-    values = list(zip(names, list(q) + list(v_full)))
-    env = _seed_variables(values)
-    lag = Jet(*_parts(_expr.evaluate(sys.lagrangian, env), 2 * n))
-    return AmbientTable(lag=lag, n=n)
-
-
-def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
-    """Interpreted :func:`ambient_velocity_gradient`."""
-    n = sys.n
-    vel_names = [sys.velocity_of(c) for c in sys.coords]
-    values = list(zip(vel_names, v_full))
-    env = _seed_variables(values)
-    for i, c in enumerate(sys.coords):
-        env[c] = float(q[i])
-    result = _expr.evaluate(sys.lagrangian, env)
-    _, grad, _ = _parts(result, n)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +215,6 @@ def _rows(packed, count, k):
     return np.frombuffer(packed).reshape(count, 1 + k + k * k)
 
 
-# A kernel signals failure with these; the interpreter then raises the
-# documented error (TypeError: arguments of the wrong length or kind).
-_KERNEL_FAILURES = (ArithmeticError, ValueError, TypeError)
-
-
 def restricted_table(sys, q, v) -> RestrictedTable:
     """Differentiate psi and the restricted Lagrangian at (q, v).
 
@@ -305,20 +229,14 @@ def restricted_table(sys, q, v) -> RestrictedTable:
         out, failed = run_lanes(_kernel(sys, "restricted"), q, v)
         return RestrictedTable(out.reshape(len(out), sys.m + 1, 1 + k + k * k),
                                sys.n, sys.m), failed
-    try:
-        packed = _kernel(sys, "restricted").scalar(*_flat(q, v))
-    except _KERNEL_FAILURES:
-        return reference_restricted_table(sys, q, v)
+    packed = _kernel(sys, "restricted").run(*_flat(q, v))
     return RestrictedTable(_rows(packed, sys.m + 1, k), sys.n, sys.m)
 
 
 def ambient_table(sys, q, v_full) -> AmbientTable:
     """Differentiate the ambient Lagrangian at completed velocities, with
     every velocity treated as an independent variable."""
-    try:
-        packed = _kernel(sys, "ambient").scalar(*_flat(q, v_full))
-    except _KERNEL_FAILURES:
-        return reference_ambient_table(sys, q, v_full)
+    packed = _kernel(sys, "ambient").run(*_flat(q, v_full))
     k = 2 * sys.n
     return AmbientTable(lag=_row_jet(_rows(packed, 1, k)[0], k), n=sys.n)
 
@@ -329,18 +247,14 @@ def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
     the lanes where the kernel failed."""
     if getattr(q, "ndim", 1) == 2:   # stacked states
         return run_lanes(_kernel(sys, "velocity_gradient"), q, v_full)
-    try:
-        packed = _kernel(sys, "velocity_gradient").scalar(*_flat(q, v_full))
-    except _KERNEL_FAILURES:
-        return reference_ambient_velocity_gradient(sys, q, v_full)
+    packed = _kernel(sys, "velocity_gradient").run(*_flat(q, v_full))
     return np.frombuffer(bytearray(packed))
 
 
 def field_sweep(sys, q, v, mult) -> np.ndarray:
     """The ``field`` kernel at (q, v) with multipliers ``mult`` as one
-    array, laid out as :func:`vaknh._kernel.compile_sweep` describes.  It
-    raises what the kernel raises; the caller re-runs the interpreter."""
-    return np.frombuffer(bytearray(_kernel(sys, "field").scalar(*_flat(q, v, mult))))
+    array, laid out as :func:`vaknh._kernel.compile_sweep` describes."""
+    return np.frombuffer(bytearray(_kernel(sys, "field").run(*_flat(q, v, mult))))
 
 
 def completion(sys, q, v):

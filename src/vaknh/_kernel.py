@@ -25,8 +25,11 @@ results equal to an interpreted sweep bit for bit:
 Every check the interpreter makes before an operation that may fail is
 emitted with the same comparison, and every value-side operation that may
 raise is emitted unconditionally, so a kernel raises whenever the
-interpreter would.  It raises a bare ``ValueError`` or ``ArithmeticError``;
-callers re-run the interpreter to get the documented error.
+interpreter would.  It raises a bare ``ValueError`` or ``ArithmeticError``.
+``Sweep.run`` turns that into the documented error: ``Sweep.explain`` runs
+the evaluation the kernel was generated from once more, through the
+interpreter (:func:`vaknh.expr.evaluate` over hyper-duals), which raises
+it.  This is the one place where a kernel failure becomes an error.
 
 The same pass emits a second source, the *array* kernel, from the same
 lines: its arguments are float64 arrays of N lanes (one state per lane), and
@@ -63,6 +66,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as _expr
+from .autodiff import HyperDual
 
 __all__ = ["Sweep", "compile_sweep", "compile_gradients"]
 
@@ -391,20 +395,64 @@ class _Emitter:
         return out
 
 
+class _Interpreter:
+    """The builder that runs a sweep's evaluation on numbers instead of
+    emitting it: the trees through :func:`vaknh.expr.evaluate`, with the
+    seeded variables bound to :class:`~vaknh.autodiff.HyperDual` numbers.
+    It computes no derivative channel (``outputs`` keeps only the layout),
+    so it serves to raise the error the interpreter raises."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    evaluate = staticmethod(_expr.evaluate)
+
+    def op(self, sym, a, b):
+        return _FOLD[sym](a, b)
+
+    def outputs(self, results):
+        return [0.0] * (len(results) * (1 + self.k + self.k * self.k))
+
+
 @dataclass
 class Sweep:
-    """One generated kernel in its two forms, each compiled on first use.
+    """One generated kernel in its two forms, each compiled on first use,
+    and the evaluation it was generated from.
 
     ``scalar`` takes one state, one float per argument, and returns its
     outputs as packed doubles (``struct``, native order).  ``array`` takes
     one float64 array of N lanes per argument and returns the outputs as an
-    (outputs, N) array and the failure mask of the lanes.
+    (outputs, N) array and the failure mask of the lanes.  ``evaluate(b,
+    env)`` is that evaluation; its arguments are ``names``, in order, and
+    ``seeded`` of them carry derivative channels.
     """
 
     label: str
     outputs: int
     scalar_source: str
     array_source: str
+    names: tuple[str, ...]
+    seeded: tuple[str, ...]
+    evaluate: Callable
+
+    def run(self, *args):
+        """The scalar kernel's outputs at the state ``args``, or the
+        documented error where the kernel fails (:meth:`explain`)."""
+        try:
+            return self.scalar(*args)
+        except (ArithmeticError, ValueError):
+            self.explain(*args)
+
+    def explain(self, *args):
+        """Raise the :class:`~vaknh.errors.EvalError` of the interpreter at
+        the state ``args``, where the kernel fails: the same evaluation,
+        through :class:`_Interpreter`.  Raises ``RuntimeError`` if the
+        interpreter does not fail there."""
+        env = dict(zip(self.names, args))
+        for name in self.seeded:
+            env[name] = HyperDual(env[name])
+        self.evaluate(_Interpreter(len(self.seeded)), env)
+        raise RuntimeError(f"{self.label}: the kernel failed where its interpreter does not")
 
     @cached_property
     def scalar(self) -> Callable:
@@ -423,9 +471,10 @@ def _build(source, label, globals_):
 
 
 def _generate(label, names, seeded, hessian, evaluate) -> Sweep:
-    """Emit both kernels of ``evaluate(emitter, env)``, which returns the
-    output terms; the kernels take the variables ``names`` in order, and
-    ``seeded`` of them carry derivative channels."""
+    """Emit both kernels of ``evaluate(builder, env)``, which returns the
+    output terms when the builder is an :class:`_Emitter`; the kernels take
+    the variables ``names`` in order, and ``seeded`` of them carry
+    derivative channels."""
     k = len(seeded)
     b = _Emitter(k, hessian)
     args = {name: f"x{i}" for i, name in enumerate(names)}
@@ -443,7 +492,7 @@ def _generate(label, names, seeded, hessian, evaluate) -> Sweep:
              + "".join(f"    {line}\n" for line in b.array_lines)
              + f"    _o = _zeros(({len(out)}, len(x0)))\n{stores}"
              + "    return _o, _bad\n")
-    return Sweep(label, len(out), scalar, array)
+    return Sweep(label, len(out), scalar, array, tuple(names), tuple(seeded), evaluate)
 
 
 def compile_sweep(sys, kind: str) -> Sweep:

@@ -27,7 +27,7 @@ import sys as _sys
 import numpy as np
 
 from . import comparison, integrate as _integrate, models
-from .errors import (AdmissibilityError, EvalError, IntegrationError,
+from .errors import (AdmissibilityError, EvalError, IntegrationError, LinearityError,
                      SingularMatrixError, SystemFormatError, VaknhError)
 from .models import builtin, builtin_names
 from .system import (NhState, SystemDef, VakState, load_system,
@@ -183,11 +183,9 @@ def _cmd_check(args) -> int:
     except AdmissibilityError as exc:
         print(f"admissibility: FAIL ({exc})")
         return 2
-    except SystemFormatError as exc:
-        if "declared linear but fails verification" in str(exc):
-            print(f"linearity: FAIL ({exc})")
-            return 2
-        raise
+    except LinearityError as exc:
+        print(f"linearity: FAIL ({exc})")
+        return 2
     print(f"system: {sysdef.name} (n={sysdef.n}, m={sysdef.m})")
     print("admissibility: PASS")
     ok = True

@@ -37,11 +37,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from . import expr as _expr
-from ._jets import (ambient_velocity_gradient, completion, gradient_kernel,
+from ._jets import (_kernel, ambient_velocity_gradient, completion, gradient_kernel,
                     restricted_table, run_lanes)
-from .autodiff import gradient
 from .errors import EvalError, SingularMatrixError, VaknhError
-from .nonholonomic import legendre_lift
 from .system import NhState, SystemDef, VakState, check_state, require_linear
 from .vakonomic import _reduced_lanes, _singular_message
 
@@ -96,9 +94,7 @@ def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
 
 def candidate_variables(sys: SystemDef) -> set[str]:
     """Variable names a candidate constraint expression may use."""
-    return (set(sys.coords)
-            | {sys.velocity_of(c) for c in sys.base}
-            | {"p_" + c for c in sys.dependent})
+    return set(sys.state_names)
 
 
 def _non_state(sys, candidates) -> EvalError | None:
@@ -365,8 +361,9 @@ class _Lanes:
 
     A lane keeps the first error of the phases run on it in ``events``: an
     :class:`EvalError`, or (what, det) for a singular matrix; its results
-    are not defined then.  Where a kernel marks a lane, the phase runs again
-    at that one state in scalar form only for the error it raises.
+    are not defined then.  Where a kernel marks a lane, the sweep of that
+    kernel explains it (``Sweep.explain``): it runs its own evaluation at
+    that one state, through the interpreter, only for the error it raises.
     """
 
     def __init__(self, sys, q, v, p):
@@ -382,15 +379,15 @@ class _Lanes:
             self.events[i] = event(i)
         self.done |= bad
 
-    def fail(self, bad, phase):
+    def fail(self, bad, sweep, *blocks):
         """Give each lane in ``bad`` without an error yet the error that
-        ``phase(q, v, p)`` raises at that lane's one state."""
+        ``sweep`` explains at that lane's state, its row of ``blocks``, the
+        stacked arguments of the kernel that marked it."""
         def error(i):
             try:
-                phase(self.q[i], self.v[i], None if self.p is None else self.p[i])
+                sweep.explain(*chain.from_iterable(block[i].tolist() for block in blocks))
             except EvalError as exc:
                 return exc
-            raise RuntimeError("a kernel failed where its interpreter does not")
 
         self.mark(bad, error)
 
@@ -402,15 +399,17 @@ class _Lanes:
         vfull[:, sys.base_positions] = v
         vfull[:, sys.dependent_positions] = dependent
         lift, bad = ambient_velocity_gradient(sys, q, vfull)
-        self.fail(failed | bad, lambda q, v, p: legendre_lift(sys, NhState(q, v)))
+        self.fail(failed, _kernel(sys, "completion"), q, v)
+        self.fail(bad, _kernel(sys, "velocity_gradient"), q, vfull)
         return lift[:, sys.dependent_positions]
 
     def curvature(self):
         """``curvature`` in matrix form."""
         sys, q = self.sys, self.q
         n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
-        tab, bad = restricted_table(sys, q, np.zeros((len(q), n - m)))
-        self.fail(bad, lambda q, v, p: restricted_table(sys, q, np.zeros(n - m)))
+        v = np.zeros((len(q), n - m))
+        tab, bad = restricted_table(sys, q, v)
+        self.fail(bad, _kernel(sys, "restricted"), q, v)
         psi_v = tab.grads[:, :m, n:]
         h = tab.hessians[:, :m, :n, n:]
         a_mat = h[:, :, base] + psi_v.transpose(0, 2, 1)[:, None] @ h[:, :, dep]
@@ -425,7 +424,7 @@ class _Lanes:
         """dq, dv and dp of the field with multipliers ``mult``, matrix ``what``."""
         sys, q, v = self.sys, self.q, self.v
         tab, bad = restricted_table(sys, q, v)
-        self.fail(bad, lambda q, v, p: restricted_table(sys, q, v))
+        self.fail(bad, _kernel(sys, "restricted"), q, v)
         dq, dv, dp, det, singular = _reduced_lanes(sys, tab, v, mult, self.done)
         dets = det.tolist()
         self.mark(singular, lambda i: (what, dets[i]))
@@ -449,8 +448,7 @@ class _Lanes:
             return {}
         dq, dv, dp = vak or self.vak()
         # The candidate variables, in the order of the columns of q, v and p.
-        names = [*sys.coords, *map(sys.velocity_of, sys.base),
-                 *("p_" + c for c in sys.dependent)]
+        names = sys.state_names
         flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))
         used = {name: sorted(_expr.free_vars(g)) for name, g in candidates.items()}
         # A candidate with no variables is never evaluated: its residual is 0.
@@ -459,9 +457,7 @@ class _Lanes:
         if trees:
             sweep = gradient_kernel([candidates[name] for name in trees], names, seeded)
             grads, bad = run_lanes(sweep, q, v, p)
-            self.fail(bad, lambda *state: [   # the interpreter, in the kernel's order
-                gradient(candidates[name], dict(zip(names, np.concatenate(state).tolist())),
-                         used[name]) for name in trees])
+            self.fail(bad, sweep, q, v, p)
         k = len(seeded)
         out = {}
         for name in candidates:

@@ -31,6 +31,10 @@ class AdmissibilityError(SystemFormatError):
     """A constraint expression references a dependent velocity."""
 
 
+class LinearityError(SystemFormatError):
+    """A system declared linear fails the sampled linearity verification."""
+
+
 class NonlinearSystemError(VaknhError):
     """A linear-constraints-only operation was applied to a system whose
     constraints are not (verified) linear in the velocities."""

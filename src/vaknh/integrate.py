@@ -118,10 +118,8 @@ def _flat_rhs(sys, dynamics):
 
 def _state_names(sys, dynamics):
     """The names of the components of a packed state, as in the CSV."""
-    names = list(sys.coords) + [sys.velocity_of(c) for c in sys.base]
-    if dynamics == "vak":
-        names += [f"p_{c}" for c in sys.dependent]
-    return names
+    names = sys.state_names if dynamics == "vak" else sys.state_names[:2 * sys.n - sys.m]
+    return list(names)
 
 
 def _monitor_names(sys, dynamics, candidates):

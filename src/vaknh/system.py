@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr as _expr
 from .autodiff import second_partial
-from .errors import AdmissibilityError, EvalError, SystemFormatError
+from .errors import AdmissibilityError, EvalError, LinearityError, SystemFormatError
 
 __all__ = [
     "SystemDef",
@@ -66,6 +66,9 @@ class SystemDef:
     n: int = field(init=False, compare=False, repr=False)
     m: int = field(init=False, compare=False, repr=False)
     base: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # The state variables in packed order: the coords, the base velocities
+    # d<base>, then the multipliers p_<dependent>.
+    state_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
     dependent_positions: np.ndarray = field(init=False, compare=False, repr=False)
     base_positions: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -75,6 +78,8 @@ class SystemDef:
                 ("n", len(self.coords)),
                 ("m", len(self.dependent)),
                 ("base", base),
+                ("state_names", (*self.coords, *map(self.velocity_of, base),
+                                 *("p_" + c for c in self.dependent))),
                 ("dependent_positions", _positions(self.coords, self.dependent)),
                 ("base_positions", _positions(self.coords, base))):
             object.__setattr__(self, name, value)
@@ -239,7 +244,7 @@ def load_system(source: str) -> SystemDef:
     if linear:
         report = verify_linearity(sys, samples=20, seed=0)
         if not report.linear:
-            raise SystemFormatError(
+            raise LinearityError(
                 f"system {name!r} is declared linear but fails verification "
                 f"at state {report.witness}")
     return sys
@@ -266,10 +271,11 @@ def serialize_system(sys: SystemDef) -> str:
 def state_env(sys: SystemDef, s) -> dict[str, float]:
     """Environment binding the positions and base velocities of a state,
     and for a :class:`VakState` its multipliers as ``p_<dependent>``."""
-    env = dict(zip(sys.coords, s.q.tolist()))
-    env.update(zip(map(sys.velocity_of, sys.base), s.v.tolist()))
+    names, n, k = sys.state_names, sys.n, 2 * sys.n - sys.m
+    env = dict(zip(names[:n], s.q.tolist()))
+    env.update(zip(names[n:k], s.v.tolist()))
     if isinstance(s, VakState):
-        env.update(zip(("p_" + c for c in sys.dependent), s.p_dep.tolist()))
+        env.update(zip(names[k:], s.p_dep.tolist()))
     return env
 
 

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jets import (_KERNEL_FAILURES, Jet, _row_jet, ambient_table, field_sweep,
-                    restricted_table)
+from ._jets import Jet, _row_jet, ambient_table, field_sweep, restricted_table
 from .errors import SingularMatrixError
 from .system import (NhState, SystemDef, VakState, check_state, complete_velocities,
                      require_linear)
@@ -97,17 +96,11 @@ def _field(sys, s, mult):
     base accelerations (the completed velocities dq, then n-m zeros, then
     dp = dLambda/dq_dep); and the m x (n-m) gradients of psi in the base
     velocities.  They are views of one buffer of the ``field`` kernel,
-    equal bit for bit to the shifted restricted table.  The kernel fails
-    exactly where the interpreter raises, so on a failure the restricted
-    table is built only for its interpreter to raise the documented
-    error."""
+    equal bit for bit to the shifted restricted table.  Where the kernel
+    fails, ``field_sweep`` raises the documented error (``Sweep.run``)."""
     n, m = sys.n, sys.m
     k = 2 * n - m
-    try:
-        buf = field_sweep(sys, s.q, s.v, mult)
-    except _KERNEL_FAILURES:
-        restricted_table(sys, s.q, s.v)
-        raise
+    buf = field_sweep(sys, s.q, s.v, mult)
     size = 1 + k + k * k
     return (_row_jet(buf[:size], k), buf[size:size + 2 * n],
             buf[size + 2 * n:].reshape(m, n - m))

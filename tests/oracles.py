@@ -4,6 +4,17 @@
   language, kept deliberately separate from the package evaluator but with
   identical operation order, so results must agree to 0 ULP.
 
+* ``reference_restricted_table``, ``reference_ambient_table`` and
+  ``reference_ambient_velocity_gradient``: the interpreted sweeps, one pass
+  of hyper-dual numbers through ``expr.evaluate``, which the package's
+  kernels are generated from and must equal bit for bit.  The package
+  keeps no interpreted sweep: where a kernel fails, ``Sweep.explain`` runs
+  the kernel's own evaluation on numbers for the error, so these stay an
+  independent oracle.  Their Hessians need not be exactly symmetric: on
+  the two sides of the diagonal, the product rule adds its two cross
+  products in opposite orders, and the chain rule forms (f'' g_i) g_j on
+  one side and (f'' g_j) g_i on the other.
+
 * ``curvature``, ``g_residuals``, ``field_residual``,
   ``tangency_residuals``, ``evaluate_one`` and ``scan``: the comparison
   quantities evaluated state by state, the reference for the batched
@@ -24,15 +35,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from vaknh import _jets, expr as E
-from vaknh.autodiff import partial
+from vaknh._jets import AmbientTable, Jet, RestrictedTable
+from vaknh.autodiff import HyperDual, partial
 from vaknh.comparison import ComparisonRecord, ComparisonReport, _draw
 from vaknh.errors import EvalError, SingularMatrixError
 from vaknh.nonholonomic import _dependent_momenta, nh_rhs
-# The interpreted sweeps: the generated kernels behind the package's
-# restricted_table/ambient_table/ambient_velocity_gradient are code under test.
-from vaknh._jets import (reference_ambient_table as ambient_table,
-                         reference_ambient_velocity_gradient as ambient_velocity_gradient,
-                         reference_restricted_table as restricted_table)
 from vaknh.system import (NhState, VakState, check_state, complete_velocities,
                           require_linear, state_env)
 from vaknh.vakonomic import vak_rhs
@@ -94,6 +101,82 @@ def reference_evaluate(e, env):
 
 
 # ---------------------------------------------------------------------------
+# Interpreted sweeps
+# ---------------------------------------------------------------------------
+#
+# One sweep of HyperDual numbers with identity-seeded array channels through
+# expr.evaluate: the interpreter the package's kernels are generated from.
+# The generated kernels behind _jets.restricted_table, ambient_table and
+# ambient_velocity_gradient are code under test.
+
+
+def _seed_variables(values):
+    """Map name -> HyperDual seeded so channel arrays broadcast into the
+    (gradient, Hessian) of any function of these variables."""
+    k = len(values)
+    env = {}
+    for i, (name, value) in enumerate(values):
+        d1 = np.zeros((k, 1))
+        d1[i, 0] = 1.0
+        d2 = np.zeros((1, k))
+        d2[0, i] = 1.0
+        env[name] = HyperDual(float(value), d1, d2, 0.0)
+    return env
+
+
+def _parts(result, k):
+    """Extract (value, gradient, hessian) from a hyper-dual sweep result."""
+    if not isinstance(result, HyperDual):  # expression without seeded vars
+        return float(result), np.zeros(k), np.zeros((k, k))
+    value = float(result.value)
+    grad = np.broadcast_to(np.asarray(result.d1, dtype=float), (k, 1))[:, 0].copy()
+    hess = np.broadcast_to(np.asarray(result.d12, dtype=float), (k, k)).copy()
+    return value, grad, hess
+
+
+def reference_restricted_table(sys, q, v) -> RestrictedTable:
+    """Interpreted :func:`restricted_table`: the dependent velocities are
+    substituted as hyper-duals, so the Lagrangian jets chain through the
+    constraint completion."""
+    n, m = sys.n, sys.m
+    k = n + (n - m)
+    names = list(sys.coords) + [sys.velocity_of(c) for c in sys.base]
+    values = list(zip(names, list(q) + list(v)))
+    env = _seed_variables(values)
+    psi = []
+    for c in sys.dependent:
+        value = E.evaluate(sys.psi[c], env)
+        psi.append(Jet(*_parts(value, k)))
+        env[sys.velocity_of(c)] = value
+    jets = psi + [Jet(*_parts(E.evaluate(sys.lagrangian, env), k))]
+    rows = [np.concatenate([[jet.value], jet.grad, jet.hess.ravel()]) for jet in jets]
+    return RestrictedTable(rows=np.array(rows), n=n, m=m)
+
+
+def reference_ambient_table(sys, q, v_full) -> AmbientTable:
+    """Interpreted :func:`ambient_table`."""
+    n = sys.n
+    names = list(sys.coords) + [sys.velocity_of(c) for c in sys.coords]
+    values = list(zip(names, list(q) + list(v_full)))
+    env = _seed_variables(values)
+    lag = Jet(*_parts(E.evaluate(sys.lagrangian, env), 2 * n))
+    return AmbientTable(lag=lag, n=n)
+
+
+def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
+    """Interpreted :func:`ambient_velocity_gradient`."""
+    n = sys.n
+    vel_names = [sys.velocity_of(c) for c in sys.coords]
+    values = list(zip(vel_names, v_full))
+    env = _seed_variables(values)
+    for i, c in enumerate(sys.coords):
+        env[c] = float(q[i])
+    result = E.evaluate(sys.lagrangian, env)
+    _, grad, _ = _parts(result, n)
+    return grad
+
+
+# ---------------------------------------------------------------------------
 # Ambient DAE solvers
 # ---------------------------------------------------------------------------
 
@@ -127,9 +210,9 @@ def _dphi_dvel(sys, tab_r, big_a):
 def nh_dae_rhs(sys, q, qdot):
     """Accelerations and multipliers of the ambient nonholonomic equations."""
     n, m = sys.n, sys.m
-    tab_a = ambient_table(sys, q, qdot)
+    tab_a = reference_ambient_table(sys, q, qdot)
     v_base = np.array([qdot[pos] for pos in sys.base_positions])
-    tab_r = restricted_table(sys, q, v_base)
+    tab_r = reference_restricted_table(sys, q, v_base)
     mat = np.zeros((n + m, n + m))
     rhs = np.zeros(n + m)
     for big_a in range(n):
@@ -150,9 +233,9 @@ def vak_dae_rhs(sys, q, qdot, lam):
     """Accelerations and multiplier rates of the ambient vakonomic
     equations (extended multiplier form)."""
     n, m = sys.n, sys.m
-    tab_a = ambient_table(sys, q, qdot)
+    tab_a = reference_ambient_table(sys, q, qdot)
     v_base = np.array([qdot[pos] for pos in sys.base_positions])
-    tab_r = restricted_table(sys, q, v_base)
+    tab_r = reference_restricted_table(sys, q, v_base)
     base_of = {pos: a for a, pos in enumerate(sys.base_positions)}
     mat = np.zeros((n + m, n + m))
     rhs = np.zeros(n + m)
@@ -206,7 +289,7 @@ def vak_dae_trajectory(sys, s0, t_eval, rtol=1e-10, atol=1e-12):
     multipliers are lam = p_dep - Leg_dep, the conversion that makes the
     two formulations describe the same flow."""
     qdot0 = complete_velocities(sys, s0)
-    lift = ambient_velocity_gradient(sys, s0.q, qdot0)
+    lift = reference_ambient_velocity_gradient(sys, s0.q, qdot0)
     lam0 = s0.p_dep - np.array([lift[pos] for pos in sys.dependent_positions])
     y0 = np.concatenate([s0.q, qdot0, lam0])
     n, m = sys.n, sys.m

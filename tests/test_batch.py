@@ -14,6 +14,7 @@ the per-state functions in ``tests/oracles.py``).
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,11 +171,11 @@ def _count_per_state(monkeypatch):
     calls = []
     fail = comparison._Lanes.fail
 
-    def counted(lanes, bad, phase):
-        def rerun(q, *rest):
-            calls.append(q.tolist())
-            return phase(q, *rest)
-        return fail(lanes, bad, rerun)
+    def counted(lanes, bad, sweep, *blocks):
+        def explain(*args):   # every kernel takes q first
+            calls.append(list(args[:lanes.sys.n]))
+            return sweep.explain(*args)
+        return fail(lanes, bad, SimpleNamespace(explain=explain), *blocks)
 
     monkeypatch.setattr(comparison._Lanes, "fail", counted)
     return calls

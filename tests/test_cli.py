@@ -57,7 +57,29 @@ lagrangian 0.5*(dx^2 + dy^2)
 psi x = dy^2
 """)
     assert run(["check", str(lying)]) == 2
-    assert "linearity: FAIL" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "linearity: FAIL (system 'lying' is declared linear but fails verification at "
+        "state (array([ 0.27392337, -0.46042657]), array([-0.91805295])))\n")
+
+
+def test_check_reports_a_format_error_that_quotes_the_linearity_text(tmp_path, capsys):
+    # The psi target spells the text of a failed linearity declaration.
+    odd = tmp_path / "odd.sys"
+    odd.write_text("""\
+name odd
+coords x y
+dependent y
+linear true
+lagrangian dx^2/2 + dy^2/2
+psi declared linear but fails verification = x*dx
+""")
+    expected = ("error: psi lines ['declared linear but fails verification'] "
+                "do not match dependent coords ['y']\n")
+    for argv in (["check", str(odd)],
+                 ["integrate", str(odd), "--dynamics", "vak", "--t-end", "1"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == expected
 
 
 def test_integrate_martinet_constant_multiplier(tmp_path):

@@ -134,8 +134,10 @@ def test_results_are_writable():
 def test_domain_errors_raise_the_documented_error(lagrangian, q, v, message):
     sysdef = load_system(_DOMAIN.format(lagrangian=lagrangian))
     with pytest.raises((ValueError, ArithmeticError)):
-        _jets.field_sweep(sysdef, q, v, (0.5,))
+        _jets._kernel(sysdef, "field").scalar(*q, *v, 0.5)
     s = VakState(q, v, (0.5,))
+    with pytest.raises(EvalError, match=message):
+        _jets.field_sweep(sysdef, q, v, (0.5,))
     for evaluate in (vak_rhs, cbar, hamiltonian, w1_momenta):
         with pytest.raises(EvalError, match=message):
             evaluate(sysdef, s)

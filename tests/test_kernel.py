@@ -10,20 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vaknh import _jets, expr as E
+from vaknh import _jets, comparison, expr as E
 from vaknh.errors import EvalError
 from vaknh.models import builtin
-from vaknh.system import NhState, SystemDef, complete_velocities, load_system
-from vaknh.vakonomic import _shifted
+from vaknh.system import NhState, SystemDef, VakState, complete_velocities, load_system
+from vaknh.vakonomic import _shifted, vak_rhs
 
+import oracles
 from conftest import ALL_MODELS, get_model, random_states
 from test_expr import _exprs
 
 # (kernel-backed sweep, interpreted sweep, kernel name)
 SWEEPS = (
-    (_jets.restricted_table, _jets.reference_restricted_table, "restricted"),
-    (_jets.ambient_table, _jets.reference_ambient_table, "ambient"),
-    (_jets.ambient_velocity_gradient, _jets.reference_ambient_velocity_gradient,
+    (_jets.restricted_table, oracles.reference_restricted_table, "restricted"),
+    (_jets.ambient_table, oracles.reference_ambient_table, "ambient"),
+    (_jets.ambient_velocity_gradient, oracles.reference_ambient_velocity_gradient,
      "velocity_gradient"),
 )
 
@@ -56,16 +57,20 @@ def _args(sysdef, kind, q, v, v_full):
 
 
 def _check_field(sysdef, q, v, mult):
-    """The ``field`` kernel fails exactly where the restricted kernel does,
-    and otherwise equals the shifted restricted table bit for bit: the jet
-    of Lambda, the completed velocities, zeros, dLambda/dq_dep and the psi
-    gradients in the base velocities."""
+    """The ``field`` kernel fails exactly where the interpreted restricted
+    sweep does, and ``field_sweep`` then raises its error; otherwise it
+    equals the shifted restricted table bit for bit: the jet of Lambda, the
+    completed velocities, zeros, dLambda/dq_dep and the psi gradients in the
+    base velocities."""
     n, m = sysdef.n, sysdef.m
     try:
-        _jets._kernel(sysdef, "restricted").scalar(*_jets._flat(q, v))
-    except (ArithmeticError, ValueError):
-        with pytest.raises((ArithmeticError, ValueError)):
+        oracles.reference_restricted_table(sysdef, q, v)
+    except EvalError as exc:
+        with pytest.raises(EvalError) as got:
             _jets.field_sweep(sysdef, q, v, mult)
+        assert str(got.value) == str(exc)
+        with pytest.raises((ArithmeticError, ValueError)):
+            _jets._kernel(sysdef, "field").scalar(*_jets._flat(q, v, mult))
         return
     tab = _jets.restricted_table(sysdef, q, v)
     lam = _shifted(tab, np.asarray(mult, dtype=float))
@@ -143,7 +148,7 @@ psi y = x*dx
 def test_domain_errors_match_interpreter(lagrangian, q, v, message):
     sysdef = load_system(_DOMAIN.format(lagrangian=lagrangian))
     with pytest.raises(EvalError, match=message):
-        _jets.reference_restricted_table(sysdef, q, v)
+        oracles.reference_restricted_table(sysdef, q, v)
     _check_sweeps(sysdef, q, v, (v[0], q[0] * v[0]), (0.5,))
 
 
@@ -151,7 +156,7 @@ def test_von_neumann2_outside_its_box_matches_interpreter():
     sysdef = get_model("von_neumann2")
     q, v = (1.0, 1.0), (2.0,)   # K1*K2 - dK2^2 < 0 under the square root
     with pytest.raises(EvalError, match="sqrt"):
-        _jets.reference_restricted_table(sysdef, q, v)
+        oracles.reference_restricted_table(sysdef, q, v)
     _check_sweeps(sysdef, q, v, (0.0, 2.0), (0.5,))
 
 
@@ -160,7 +165,7 @@ def test_unbound_variable_matches_interpreter():
                        lagrangian=E.parse("dx^2 + w"), psi={"y": E.parse("x*dx")},
                        declared_linear=False)
     with pytest.raises(EvalError, match="unbound variable 'w'"):
-        _jets.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,))
+        oracles.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,))
     _check_sweeps(sysdef, (1.0, 2.0), (3.0,), (3.0, 3.0), (0.5,))
 
 
@@ -236,9 +241,48 @@ def test_kernel_cache_tells_signed_zeros_apart():
     for zero in (0.0, -0.0, 0.0):
         sysdef = system(zero)
         got = _jets.restricted_table(sysdef, (1.0, 2.0), (3.0,))
-        _assert_agree(got, _jets.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,)))
+        _assert_agree(got, oracles.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,)))
         assert np.signbit(got.lag.grad[0]) == np.signbit(zero)   # dL/dx = zero
         gradients = _jets.gradient_kernel([sysdef.lagrangian], ["x", "dx"], ["x"])
         grad, failed = _jets.run_lanes(gradients, np.array([[1.0, 3.0]]))
         assert not failed[0] and np.signbit(grad[0, 0]) == np.signbit(zero)
 
+
+
+def test_wrong_number_of_entries_raises_the_kernels_type_error():
+    # One position too many: bound in order, the fourth would take dx's place.
+    sysdef = builtin("martinet")
+    q, v, v_full = (0.1, 0.2, 0.3, 0.4), (0.5, 0.6), (0.5, 0.6, 0.7)
+    for sweep, args in ((_jets.restricted_table, (q, v)),
+                        (_jets.ambient_table, (q, v_full)),
+                        (_jets.ambient_velocity_gradient, (q, v_full)),
+                        (_jets.field_sweep, (q, v, (0.5,)))):
+        with pytest.raises(TypeError):
+            sweep(sysdef, *args)
+    with pytest.raises(TypeError):
+        _jets.ambient_velocity_gradient(sysdef, q[:3], v_full[:2])
+
+
+def test_kernel_that_fails_where_its_interpreter_does_not(monkeypatch):
+    sysdef = builtin("martinet")
+    s = VakState((0.1, 0.2, 0.3), (0.5, 0.6), (0.7,))
+
+    restricted = _jets._kernel(sysdef, "restricted")
+
+    def fails(*args):
+        raise ValueError
+
+    def marks(*columns):   # every lane marked
+        lanes = len(columns[0])
+        return np.zeros((restricted.outputs, lanes)), np.ones(lanes, bool)
+
+    monkeypatch.setattr(restricted, "scalar", fails)
+    monkeypatch.setattr(restricted, "array", marks)
+    monkeypatch.setattr(_jets._kernel(sysdef, "field"), "scalar", fails)
+    with pytest.raises(RuntimeError, match="^restricted sweep of martinet: the kernel "
+                       "failed where its interpreter does not$"):
+        _jets.restricted_table(sysdef, s.q, s.v)
+    with pytest.raises(RuntimeError, match="^field sweep of martinet: "):
+        vak_rhs(sysdef, s)
+    with pytest.raises(RuntimeError, match="^restricted sweep of martinet: "):
+        comparison.field_residual(sysdef, s)

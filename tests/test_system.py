@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vaknh.errors import AdmissibilityError, SystemFormatError
-from vaknh.system import (NhState, complete_velocities, load_system,
-                          restricted_lagrangian, serialize_system,
+from vaknh.system import (NhState, VakState, complete_velocities, load_system,
+                          restricted_lagrangian, serialize_system, state_env,
                           verify_linearity)
 
 from conftest import ALL_MODELS, get_model
@@ -154,3 +154,13 @@ def test_declared_linearity_matches_verification(name):
     sysdef = get_model(name)
     report = verify_linearity(sysdef, samples=15, seed=2)
     assert report.linear == sysdef.declared_linear
+
+
+def test_state_names_follow_the_packed_state():
+    # Dependent coordinates declared before a base one keep their place.
+    sysdef = get_model("rolling_penny")
+    assert sysdef.state_names == ("x", "y", "theta", "phi", "dtheta", "dphi", "p_x", "p_y")
+    s = VakState((1.0, 2.0, 3.0, 4.0), (5.0, 6.0), (7.0, 8.0))
+    assert state_env(sysdef, s) == dict(zip(sysdef.state_names, map(float, range(1, 9))))
+    assert state_env(sysdef, NhState(s.q, s.v)) == dict(
+        zip(sysdef.state_names[:6], map(float, range(1, 7))))
