@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import attrgetter
 
 import numpy as np
 
@@ -216,7 +217,7 @@ class ComparisonReport:
         writes the value."""
         try:
             return _JsonWriter(indent).report(self)
-        except (_Unwritable, ValueError):
+        except (_Unwritable, ValueError, OverflowError):
             return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
 
 
@@ -224,10 +225,16 @@ class _Unwritable(Exception):
     """A value ``_JsonWriter`` leaves to ``json.dumps``."""
 
 
+# A number of a record template, written as the mark the template is split
+# at; the writer escapes the control character in every string it writes.
+_SLOT, _MARK = object(), "\0"
+_FIELDS = attrgetter("index", "q", "v", "p_dep", "g", "delta_y", "tangency", "skipped")
+
+
 class _JsonWriter:
-    """The output of ``json.dumps(..., indent=indent)`` for finite numbers,
-    strings, booleans, None and str-keyed dicts and lists of them; a value
-    at ``level`` is nested in that many containers."""
+    """The output of ``json.dumps(..., indent=indent)`` for finite floats and
+    ints, strings, None and str-keyed dicts and lists of them; a value at
+    ``level`` is nested in that many containers."""
 
     def __init__(self, indent):
         if indent is not None and not isinstance(indent, str):
@@ -235,73 +242,66 @@ class _JsonWriter:
         self.indent = indent
 
     def report(self, report: ComparisonReport) -> str:
-        return self.join("{", [
-            f'"system": {self.value(report.system, 1)}',
-            f'"summary": {self.value(dict(report.summary), 1)}',
-            f'"records": {self.join("[", self.records(report.records, 2), "]", 1)}',
-        ], "}", 0)
+        return self.join("{", [f'"system": {self.value(report.system, 1)}',
+                               f'"summary": {self.value(dict(report.summary), 1)}',
+                               f'"records": {self.records(report.records, 1)}'], "}", 0)
 
-    def records(self, records, level) -> list[str]:
-        """Comparison records written at ``level``."""
-        columns = [self.number_lists([getattr(r, attr) for r in records], level + 1)
-                   for attr in ("q", "v", "p_dep", "g", "delta_y")]
-        scalar, value = self.scalar, self.value
-        return [self.join("{", [
-            f'"index": {scalar(r.index)}', f'"q": {q}', f'"v": {v}', f'"p": {p}',
-            f'"g": {g}', f'"deltaY": {dy}',
-            f'"tangency": {value(r.tangency, level + 1) if r.tangency != {} else "{}"}',
-            f'"skipped": {"null" if r.skipped is None else scalar(r.skipped)}'], "}", level)
-            for r, q, v, p, g, dy in zip(records, *columns)]
-
-    def number_lists(self, lists, level) -> list[str]:
-        """Each of ``lists``, a list of ints and floats or None, written at
-        ``level``: the numbers of all of them by one call of json's C
-        encoder, which raises ValueError on a non-finite number."""
-        present = [x for x in lists if x is not None]
-        if not (all(type(x) is list for x in present)
-                and set(map(type, chain.from_iterable(present))) <= {float, int}):
+    def records(self, records, level) -> str:
+        """The list of comparison records written at ``level`` in one pass:
+        one template per record shape for the text between the numbers, one
+        ``repr`` sweep over all numbers and one join."""
+        if not records:
+            return "[]"
+        index, qs, vs, ps, gs, dys, tangency, skipped = zip(*map(_FIELDS, records))
+        if not (set(map(type, chain(qs, vs, ps))) <= {list} and set(map(type, tangency)) <= {dict}
+                and set(map(type, chain(gs, dys))) <= {list, type(None)}
+                and set(map(type, skipped)) <= {str, type(None)}):
             raise _Unwritable
-        if self.indent is None:
-            sep, open_, close = ", ", "[", "]"
-        else:
-            open_ = "[\n" + self.indent * (level + 1)
-            sep, close = "," + open_[1:], "\n" + self.indent * level + "]"
-        text = json.JSONEncoder(separators=(sep, ": "), allow_nan=False).encode(present)
-        bodies = iter(text[2:-2].split("]" + sep + "[") if present else ())
-        out = []
-        for x in lists:
-            body = None if x is None else next(bodies)
-            out.append("null" if x is None else open_ + body + close if body else "[]")
-        return out
+        numbers = list(chain.from_iterable(chain.from_iterable(zip(
+            zip(index), qs, vs, ps, *((x or () for x in column) for column in (gs, dys)),
+            map(dict.values, tangency)))))
+        if not (set(map(type, numbers)) <= {float, int} and all(map(math.isfinite, numbers))):
+            raise _Unwritable
+        shapes = list(zip(map(len, qs), map(len, vs), map(len, ps),
+                          *([None if x is None else len(x) for x in column] for column in (gs, dys)),
+                          map(tuple, tangency), skipped))
+        # A template is the text after each number of a record, the last up
+        # to the first number of the next record; every record starts with
+        # the same ``head``.  An indent that holds the mark fails to unpack.
+        open_, sep, close = self.join("[", [_MARK] * 2, "]", level).split(_MARK)
+        templates = {}
+        for shape in set(shapes):
+            head, *after = self.template(shape, level + 1)
+            templates[shape] = [*after[:-1], after[-1] + sep + head]
+        literals = [open_ + head, *chain.from_iterable(map(templates.__getitem__, shapes))]
+        literals[-1] = literals[-1].removesuffix(sep + head) + close
+        out = [None] * (2 * len(numbers) + 1)
+        out[0::2], out[1::2] = literals, map(repr, numbers)
+        return "".join(out)
 
-    def scalar(self, x) -> str:
-        if isinstance(x, float):
-            if not math.isfinite(x):
-                raise _Unwritable
-            return float.__repr__(x)
-        if isinstance(x, str):
-            return _encode_str(x)
-        if x is None:
-            return "null"
-        if x is True:
-            return "true"
-        if x is False:
-            return "false"
-        if isinstance(x, int):
-            return int.__repr__(x)
-        raise _Unwritable
+    def template(self, shape, level) -> list[str]:
+        """A record of ``shape`` written at ``level``, split at its numbers."""
+        *lengths, names, skipped = shape
+        q, v, p, g, dy = (None if k is None else [_SLOT] * k for k in lengths)
+        record = ComparisonRecord(_SLOT, q, v, p, g, dy, dict.fromkeys(names, _SLOT), skipped)
+        written = ComparisonReport("", [record], {}).to_json_dict()["records"][0]
+        return self.value(written, level).split(_MARK)
 
     def value(self, x, level) -> str:
         if isinstance(x, dict):
-            items = []
-            for key, item in x.items():
-                if not isinstance(key, str):
-                    raise _Unwritable
-                items.append(f"{_encode_str(key)}: {self.value(item, level + 1)}")
-            return self.join("{", items, "}", level)
+            if not all(isinstance(key, str) for key in x):
+                raise _Unwritable
+            return self.join("{", [f"{_encode_str(key)}: {self.value(item, level + 1)}"
+                                   for key, item in x.items()], "}", level)
         if isinstance(x, (list, tuple)):
             return self.join("[", [self.value(item, level + 1) for item in x], "]", level)
-        return self.scalar(x)
+        if type(x) in (float, int) and math.isfinite(x):
+            return repr(x)
+        if isinstance(x, str):
+            return _encode_str(x)
+        if x is None or x is _SLOT:
+            return "null" if x is None else _MARK
+        raise _Unwritable
 
     def join(self, open_, items, close, level) -> str:
         """A container of written ``items``."""
