@@ -345,23 +345,17 @@ def drift_report(sys: SystemDef, traj: Trajectory) -> DriftReport:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def trajectory_to_csv(sys: SystemDef, traj: Trajectory) -> str:
-    monitor_names = list(traj.monitors)
-    header = ["t"] + _state_names(sys, traj.dynamics) + monitor_names
+    """The header, then one row per time: t, the packed state and the
+    monitors, each number in ``.17g`` form, which reads back bitwise."""
+    names = _state_names(sys, traj.dynamics)
+    monitors = [traj.monitors[name] for name in traj.monitors]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for i, t in enumerate(traj.times):
-        s = traj.states[i]
-        row = [t, *s.q, *s.v]
-        if traj.dynamics == "vak":
-            row.extend(s.p_dep)
-        row.extend(traj.monitors[name][i] for name in monitor_names)
-        writer.writerow(_fmt(x) for x in row)
+    csv.writer(buf, lineterminator="\n").writerow(["t", *names, *traj.monitors])
+    states = np.reshape([_pack(sys, traj.dynamics, s) for s in traj.states],
+                        (len(traj.states), len(names)))
+    rows = np.column_stack([traj.times, states, *monitors]).tolist()
+    buf.writelines(",".join(map("{:.17g}".format, row)) + "\n" for row in rows)
     return buf.getvalue()
 
 

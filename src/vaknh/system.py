@@ -293,7 +293,9 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
 
 def completed_env(sys: SystemDef, q, v) -> dict[str, float]:
     """Environment with all velocities bound, dependent ones via psi."""
-    env = state_env(sys, NhState(q, v))
+    s = NhState(q, v)
+    check_state(sys, s)
+    env = state_env(sys, s)
     for c in sys.dependent:
         env[sys.velocity_of(c)] = _expr.evaluate(sys.psi[c], env)
     return env

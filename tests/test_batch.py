@@ -14,7 +14,9 @@ the per-state functions in ``tests/oracles.py``).
 import json
 import math
 import sys
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from test_expr import _exprs
 from test_kernel import _same_bits
 
+GOLDEN = Path(__file__).parent / "golden"
 KINDS = ("restricted", "ambient", "velocity_gradient", "completion")
 FAILURES = (EvalError, ArithmeticError, ValueError)
 CANDIDATES = """\
@@ -396,6 +399,117 @@ def test_to_json_equals_json_dumps(indent):
     report = _report()
     assert report.to_json(indent) == json.dumps(report.to_json_dict(), indent=indent,
                                                  allow_nan=False)
+
+
+INDENTS = (None, 0, 2, "\t")
+# Numbers whose shortest repr has an exponent, a sign or many digits.
+EDGE_NUMBERS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1.7976931348623157e308,
+                2**53 + 1, 10**22, -(2**64), 10**300)
+_numbers = st.one_of(st.sampled_from(EDGE_NUMBERS), st.integers(-10**300, 10**300),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_texts = st.one_of(st.sampled_from(['%s %d', "{}", "{0}", '"', "\\", "\0", "\x1f\x7f",
+                                    "é中\U0001f600", "\u2028\n\t", ""]),
+                   st.text(st.characters(max_codepoint=0x2030), max_size=6))
+_lists = st.lists(_numbers, max_size=3)
+
+
+@st.composite
+def _reports(draw):
+    """Reports whose neighbouring records change shape: skipped and evaluated
+    records interleaved, ``p=[]``, g and deltaY None or set, and tangency
+    dicts with the same keys in another order."""
+    names = draw(st.lists(_texts, max_size=3, unique=True))
+    records = []
+    for index in range(draw(st.integers(0, 6))):
+        skipped = draw(st.one_of(st.none(), _texts))
+        keys = draw(st.permutations(names)) if skipped is None else []
+        records.append(ComparisonRecord(
+            index=draw(st.one_of(st.just(index), st.integers())), q=draw(_lists),
+            v=draw(_lists), p_dep=draw(st.one_of(st.just([]), _lists)),
+            g=draw(st.one_of(st.none(), _lists)), delta_y=draw(st.one_of(st.none(), _lists)),
+            tangency={key: draw(_numbers) for key in keys}, skipped=skipped))
+    summary = {"samples": len(records), "tol": draw(_numbers), "p_mode": draw(_texts),
+               "fraction_g_below_tol": None}
+    return ComparisonReport(system=draw(_texts), records=records, summary=summary)
+
+
+def _fast_path_only():
+    """``to_json`` with its ``json.dumps`` fallback failing the test."""
+    def fallback(*args, **kwargs):
+        raise AssertionError("to_json left the report to json.dumps")
+    return mock.patch.object(comparison.json, "dumps", fallback)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports())
+def test_to_json_equals_json_dumps_on_any_record_shapes(report):
+    expected = [json.dumps(report.to_json_dict(), indent=indent, allow_nan=False)
+                for indent in INDENTS]
+    with _fast_path_only():
+        assert [report.to_json(indent) for indent in INDENTS] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reports(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_to_json_raises_json_dumps_error_at_any_position(report, bad, data):
+    slots = [(r, attr) for r in report.records for attr in ("q", "v", "p_dep", "g", "delta_y")
+             if getattr(r, attr)]
+    if not slots:
+        report.summary["tol"] = bad
+    else:
+        record, attr = data.draw(st.sampled_from(slots))
+        values = getattr(record, attr)
+        values[data.draw(st.integers(0, len(values) - 1))] = bad
+    for indent in INDENTS:
+        with pytest.raises(ValueError) as expected:
+            json.dumps(report.to_json_dict(), indent=indent, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            report.to_json(indent)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("value", [True, np.float64(0.25), 10**400],
+                         ids=["bool", "np.float64", "int beyond the floats"])
+@pytest.mark.parametrize("attr", ["q", "g", "tangency", "summary"])
+def test_to_json_leaves_other_kinds_to_json_dumps(attr, value):
+    # bool is an int and np.float64 a float to json, but not exactly; an int
+    # beyond the float range is finite but math.isfinite cannot say so.
+    report = _report(skipped=None)
+    if attr == "summary":
+        report.summary["tol"] = value
+    elif attr == "tangency":
+        report.records[1].tangency["Cé"] = value
+    else:
+        getattr(report.records[1], attr)[0] = value
+    for indent in INDENTS:
+        expected = json.dumps(report.to_json_dict(), indent=indent, allow_nan=False)
+        with mock.patch.object(comparison.json, "dumps", wraps=json.dumps) as dumps:
+            assert report.to_json(indent) == expected
+        assert dumps.call_count == 1
+
+
+def test_to_json_with_the_template_mark_in_the_indent():
+    report = _report()
+    expected = json.dumps(report.to_json_dict(), indent="\0 ", allow_nan=False)
+    assert report.to_json("\0 ") == expected
+
+
+@pytest.mark.parametrize("p_mode", ["random", "legendre"])
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_scan_reports_take_the_fast_path(name, p_mode):
+    # A writer that silently left every report to json.dumps would still
+    # write the right bytes; only the time would show it.
+    report = scan(get_model(name), _sampler(name, 40, 3, p_mode))
+    with _fast_path_only():
+        assert report.to_json(2) and report.to_json()
+
+
+def test_martinet_candidates_report_takes_the_fast_path():
+    candidates = parse_candidates((GOLDEN / "martinet.cand").read_text(encoding="utf-8"))
+    report = scan(get_model("martinet"), _sampler("martinet", 40, 3, "legendre"), candidates)
+    assert all(r.tangency for r in report.records if r.skipped is None)
+    with _fast_path_only():
+        assert report.to_json(2) and report.to_json()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

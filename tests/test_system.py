@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vaknh.errors import AdmissibilityError, SystemFormatError
-from vaknh.system import (NhState, VakState, complete_velocities, load_system,
+from vaknh.system import (NhState, VakState, complete_velocities, completed_env, load_system,
                           restricted_lagrangian, serialize_system, state_env,
                           verify_linearity)
 
@@ -147,6 +147,19 @@ def test_restricted_lagrangian_particle_hand_value():
     # L restricted to the constraint submanifold at q=(0,1,0), v=(1,1)
     sysdef = load_system(PARTICLE)
     assert restricted_lagrangian(sysdef, [0, 1, 0], [1, 1]) == 1.5
+
+
+@pytest.mark.parametrize("q, v, message", [
+    ([0.1, 0.2, 0.3, 0.4], [0.5, 0.6], "state has 4 positions, system 'martinet' has 3"),
+    ([0.1, 0.2, 0.3], [0.5, 0.6, 0.9], "state has 3 base velocities, expected 2"),
+    ([0.1, 0.2], [0.5, 0.6], "state has 2 positions, system 'martinet' has 3"),
+])
+@pytest.mark.parametrize("function", [restricted_lagrangian, completed_env])
+def test_wrong_length_states_raise_check_state_error(function, q, v, message):
+    # Extra entries used to be ignored: both calls gave L~ at the 3 + 2 state.
+    with pytest.raises(ValueError) as exc:
+        function(get_model("martinet"), q, v)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
