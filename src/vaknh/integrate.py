@@ -349,12 +349,11 @@ def trajectory_to_csv(sys: SystemDef, traj: Trajectory) -> str:
     """The header, then one row per time: t, the packed state and the
     monitors, each number in ``.17g`` form, which reads back bitwise."""
     names = _state_names(sys, traj.dynamics)
-    monitors = [traj.monitors[name] for name in traj.monitors]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["t", *names, *traj.monitors])
     states = np.reshape([_pack(sys, traj.dynamics, s) for s in traj.states],
                         (len(traj.states), len(names)))
-    rows = np.column_stack([traj.times, states, *monitors]).tolist()
+    rows = np.column_stack([traj.times, states, *traj.monitors.values()]).tolist()
     buf.writelines(",".join(map("{:.17g}".format, row)) + "\n" for row in rows)
     return buf.getvalue()
 
