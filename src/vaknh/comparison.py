@@ -258,12 +258,12 @@ class _JsonWriter:
                 and set(map(type, skipped)) <= {str, type(None)}):
             raise _Unwritable
         numbers = list(chain.from_iterable(chain.from_iterable(zip(
-            zip(index), qs, vs, ps, *((x or () for x in column) for column in (gs, dys)),
+            zip(index), qs, vs, ps, *((x or () for x in xs) for xs in (gs, dys)),
             map(dict.values, tangency)))))
         if not (set(map(type, numbers)) <= {float, int} and all(map(math.isfinite, numbers))):
             raise _Unwritable
         shapes = list(zip(map(len, qs), map(len, vs), map(len, ps),
-                          *([None if x is None else len(x) for x in column] for column in (gs, dys)),
+                          *([None if x is None else len(x) for x in xs] for xs in (gs, dys)),
                           map(tuple, tangency), skipped))
         # A template is the text after each number of a record, the last up
         # to the first number of the next record; every record starts with

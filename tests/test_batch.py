@@ -424,7 +424,7 @@ def _reports(draw):
         skipped = draw(st.one_of(st.none(), _texts))
         keys = draw(st.permutations(names)) if skipped is None else []
         records.append(ComparisonRecord(
-            index=draw(st.one_of(st.just(index), st.integers())), q=draw(_lists),
+            index=draw(st.one_of(st.just(index), st.integers(-2**64, 2**64))), q=draw(_lists),
             v=draw(_lists), p_dep=draw(st.one_of(st.just([]), _lists)),
             g=draw(st.one_of(st.none(), _lists)), delta_y=draw(st.one_of(st.none(), _lists)),
             tangency={key: draw(_numbers) for key in keys}, skipped=skipped))

@@ -96,6 +96,14 @@ def test_csv_round_trip_bitwise():
         assert np.array_equal(back.monitors[name], traj.monitors[name])
 
 
+@pytest.mark.parametrize("rows", [
+    "", "0,-0,4.9406564584124654e-324,1e+22,nan,-inf,6,7,8,9\n"])
+def test_csv_reemits_header_only_and_one_row_byte_for_byte(rows):
+    pen = get_model("rolling_penny")
+    text = "t,x,y,theta,phi,dtheta,dphi,p_x,p_y,H\n" + rows
+    assert trajectory_to_csv(pen, trajectory_from_csv(pen, text)) == text
+
+
 def test_integration_halts_on_singular_matrix():
     # Drive the capital-growth model toward the degenerate multiplier:
     # its reduced matrix is proportional to the multiplier itself.
