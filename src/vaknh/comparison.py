@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import attrgetter
 
 import numpy as np
 
@@ -228,7 +227,6 @@ class _Unwritable(Exception):
 # A number of a record template, written as the mark the template is split
 # at; the writer escapes the control character in every string it writes.
 _SLOT, _MARK = object(), "\0"
-_FIELDS = attrgetter("index", "q", "v", "p_dep", "g", "delta_y", "tangency", "skipped")
 
 
 class _JsonWriter:
@@ -252,28 +250,30 @@ class _JsonWriter:
         ``repr`` sweep over all numbers and one join."""
         if not records:
             return "[]"
-        index, qs, vs, ps, gs, dys, tangency, skipped = zip(*map(_FIELDS, records))
+        qs, vs, ps = [r.q for r in records], [r.v for r in records], [r.p_dep for r in records]
+        gs, dys = [r.g for r in records], [r.delta_y for r in records]
+        tangency, skipped = [r.tangency for r in records], [r.skipped for r in records]
         if not (set(map(type, chain(qs, vs, ps))) <= {list} and set(map(type, tangency)) <= {dict}
                 and set(map(type, chain(gs, dys))) <= {list, type(None)}
                 and set(map(type, skipped)) <= {str, type(None)}):
             raise _Unwritable
-        numbers = list(chain.from_iterable(chain.from_iterable(zip(
-            zip(index), qs, vs, ps, *((x or () for x in xs) for xs in (gs, dys)),
-            map(dict.values, tangency)))))
-        if not (set(map(type, numbers)) <= {float, int} and all(map(math.isfinite, numbers))):
-            raise _Unwritable
-        shapes = list(zip(map(len, qs), map(len, vs), map(len, ps),
-                          *([None if x is None else len(x) for x in xs] for xs in (gs, dys)),
-                          map(tuple, tangency), skipped))
         # A template is the text after each number of a record, the last up
         # to the first number of the next record; every record starts with
         # the same ``head``.  An indent that holds the mark fails to unpack.
         open_, sep, close = self.join("[", [_MARK] * 2, "]", level).split(_MARK)
-        templates = {}
-        for shape in set(shapes):
-            head, *after = self.template(shape, level + 1)
-            templates[shape] = [*after[:-1], after[-1] + sep + head]
-        literals = [open_ + head, *chain.from_iterable(map(templates.__getitem__, shapes))]
+        numbers, literals, templates = [], [open_], {}
+        for r, q, v, p, g, dy, t, text in zip(records, qs, vs, ps, gs, dys, tangency, skipped):
+            numbers += (r.index, *q, *v, *p, *(g or ()), *(dy or ()), *t.values())
+            shape = (len(q), len(v), len(p), g if g is None else len(g),
+                     dy if dy is None else len(dy), tuple(t), text)
+            template = templates.get(shape)
+            if template is None:
+                head, *after = self.template(shape, level + 1)
+                template = templates[shape] = [*after[:-1], after[-1] + sep + head]
+            literals += template
+        if not (set(map(type, numbers)) <= {float, int} and all(map(math.isfinite, numbers))):
+            raise _Unwritable
+        literals[0] += head
         literals[-1] = literals[-1].removesuffix(sep + head) + close
         out = [None] * (2 * len(numbers) + 1)
         out[0::2], out[1::2] = literals, map(repr, numbers)
