@@ -292,7 +292,8 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
 
 
 def completed_env(sys: SystemDef, q, v) -> dict[str, float]:
-    """Environment with all velocities bound, dependent ones via psi."""
+    """Environment with all velocities bound, dependent ones via psi; a
+    state of the wrong size raises ``check_state``'s ValueError."""
     s = NhState(q, v)
     check_state(sys, s)
     env = state_env(sys, s)
