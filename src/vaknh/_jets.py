@@ -17,12 +17,12 @@ system's expression trees on the first sweep and stores on the
 for equal systems loaded again, and for equal candidate functions
 (``gradient_kernel``).  ``field_sweep`` runs the ``field`` kernel, the
 restricted sweep continued through the multiplier shift of the reduced
-equations (:mod:`vaknh.vakonomic`).  Each kernel gives the bits of the
-hyper-dual interpreter it is generated from, :func:`vaknh.expr.evaluate`
-over :class:`~vaknh.autodiff.HyperDual` numbers, in every value, every
-gradient entry and, while the intermediate values are finite, every
-Hessian entry of the upper triangle, up to the sign of a zero outside the
-structural pattern.  At one state a sweep runs ``Sweep.run``: where the
+equations (:mod:`vaknh.vakonomic`), on a flat argument list.  Each kernel
+gives the bits of the hyper-dual interpreter it is generated from,
+:func:`vaknh.expr.evaluate` over :class:`~vaknh.autodiff.HyperDual`
+numbers, in every value, every gradient entry and, while the intermediate
+values are finite, every Hessian entry of the upper triangle, up to the
+sign of a zero outside the structural pattern.  At one state a sweep runs ``Sweep.run``: where the
 kernel fails, ``Sweep.explain`` raises the interpreter's documented error.
 A sweep called with the wrong number of entries raises the kernel's
 ``TypeError``.
@@ -251,10 +251,11 @@ def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
     return np.frombuffer(bytearray(packed))
 
 
-def field_sweep(sys, q, v, mult) -> np.ndarray:
-    """The ``field`` kernel at (q, v) with multipliers ``mult`` as one
+def field_sweep(sys, args) -> np.ndarray:
+    """The ``field`` kernel at the flat state ``args``, the entries of q,
+    base v and the multipliers as floats (``_flat(q, v, mult)``), as one
     array, laid out as :func:`vaknh._kernel.compile_sweep` describes."""
-    return np.frombuffer(bytearray(_kernel(sys, "field").run(*_flat(q, v, mult))))
+    return np.frombuffer(bytearray(_kernel(sys, "field").run(*args)))
 
 
 def completion(sys, q, v):

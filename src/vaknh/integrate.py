@@ -18,18 +18,29 @@ Recorded monitors:
 * nonholonomic runs: the mechanical energy ``E_L``;
 * either: the value series of any supplied candidate expressions.
 
-Each field evaluation happens once, and a monitor row reads the evaluation
-of the field at its state: the jet of Lambda of ``vak_rhs``
-(:class:`~vaknh.vakonomic.VakDerivative`) or the Legendre lift of
-``nh_rhs`` (:class:`~vaknh.nonholonomic.NhDerivative`).  With rk45 that is
-the 7th stage of the step that accepted the state; with rk4 it is the first
-stage of the next step, so only the last row costs an evaluation of its
-own.  The row at t = 0 reads the first stage of the first step.  A row
-makes no jet sweep of its own.
+A vakonomic stage is the reduced equations evaluated from the packed state
+y = (q, v, p_dep) itself (``vakonomic._stage`` on ``y.tolist()``): it
+returns dy/dt and the buffer of the ``field`` kernel, and builds no state
+or derivative object; a nonholonomic stage is ``nh_rhs``.  Each field
+evaluation happens once, and a monitor row reads the evaluation of the
+field at its state: H, the eliminated momenta and the multiplier rates
+from the stage's buffer, with the expressions of ``hamiltonian`` and
+``w1_momenta``, or the energy from the Legendre lift of ``nh_rhs``
+(:class:`~vaknh.nonholonomic.NhDerivative`).  With rk45 that is the 7th
+stage of the step that accepted the state; with rk4 it is the first stage
+of the next step, so only the last row costs an evaluation of its own.  The
+row at t = 0 reads the first stage of the first step.  A row makes no jet
+sweep of its own.
+
+``Trajectory.stats`` (:class:`StepStats`) counts what the stepper did:
+field evaluations, accepted and rejected steps, and the smallest, largest
+and last step size.
 
 Integration stops with :class:`~vaknh.errors.IntegrationError` when an
 accepted state or its monitor row is not finite, or when the step size no
-longer advances the time.
+longer advances the time.  Step control needs a finite rtol >= 0, a finite
+atol > 0 and max_steps >= 1; other values raise ``ValueError`` before the
+first evaluation.
 
 Trajectories serialize to CSV with full double precision (17 significant
 digits) and parse back bit-exactly.
@@ -48,9 +59,9 @@ from . import expr as _expr
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
 from .nonholonomic import _energy, nh_rhs
 from .system import NhState, SystemDef, VakState, check_state, state_env
-from .vakonomic import _hamiltonian, _momenta, vak_rhs
+from .vakonomic import _hamiltonian, _momenta, _rates, _stage
 
-__all__ = ["Trajectory", "DriftReport", "integrate", "drift_report",
+__all__ = ["Trajectory", "StepStats", "DriftReport", "integrate", "drift_report",
            "trajectory_to_csv", "trajectory_from_csv",
            "write_trajectory_csv", "read_trajectory_csv"]
 
@@ -76,15 +87,31 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 _DP_ERR = _DP_B5 - _DP_B4
 
 
+@dataclass(frozen=True)
+class StepStats:
+    """How the stepper reached ``t_end``: its field evaluations, its
+    accepted steps and rejected step attempts, and the smallest, largest
+    and last accepted step size."""
+
+    evaluations: int
+    accepted: int
+    rejected: int
+    h_min: float
+    h_max: float
+    h_last: float
+
+
 @dataclass
 class Trajectory:
     """Integration output: strictly increasing times, one state per time and
-    aligned monitor series."""
+    aligned monitor series.  ``stats`` describes the steps of an
+    integration; a trajectory read from CSV has none."""
 
     dynamics: str                 # "vak" | "nh"
     times: np.ndarray
     states: list
     monitors: dict[str, np.ndarray]
+    stats: StepStats | None = None
 
 
 @dataclass
@@ -107,11 +134,15 @@ def _unpack(sys, dynamics, y):
 
 
 def _flat_rhs(sys, dynamics):
-    """The field as f(y) -> (dy/dt, the evaluation it was read from)."""
-    rhs = vak_rhs if dynamics == "vak" else nh_rhs
+    """The field as f(y) -> (dy/dt, the evaluation a monitor row reads):
+    the vakonomic stage's buffer, or the ``NhDerivative``."""
+    if dynamics == "vak":
+        def f(y):
+            return _stage(sys, y.tolist(), "vakonomic matrix")
+        return f
 
     def f(y):
-        d = rhs(sys, _unpack(sys, dynamics, y))
+        d = nh_rhs(sys, _unpack(sys, dynamics, y))
         return d.dy, d
     return f
 
@@ -135,13 +166,13 @@ def _monitor_row(sys, dynamics, state, at_state, candidates):
     """Monitors at ``state``, read from ``at_state``, the field's evaluation
     there: hamiltonian, w1_momenta and energy on what the stepper computed."""
     if dynamics == "vak":
-        lam = at_state.lam
-        row = [_hamiltonian(lam, sys.n, state.v), *_momenta(lam, sys.n),
-               *at_state.dp_dep]
+        row = [_hamiltonian(sys, at_state, state.v), *_momenta(sys, at_state),
+               *_rates(sys, at_state)]
     else:
         row = [_energy(sys, state, at_state.lift)]
-    env = state_env(sys, state)
-    row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]
+    if candidates:
+        env = state_env(sys, state)
+        row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]
     return row
 
 
@@ -181,6 +212,12 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if method == "rk4" and not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be non-negative and finite, got {rtol!r}")
+    if not 0 < atol < math.inf:
+        raise ValueError(f"atol must be positive and finite, got {atol!r}")
+    if not max_steps >= 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     if dynamics == "vak" and not isinstance(s0, VakState):
         raise TypeError("vak dynamics needs a VakState initial condition")
     if dynamics == "nh" and not isinstance(s0, NhState):
@@ -216,9 +253,9 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     accept(0.0, y)
     try:
         if method == "rk4":
-            _run_rk4(f, y, t_end, dt, max_steps, accept, monitor)
+            stats = _run_rk4(f, y, t_end, dt, max_steps, accept, monitor)
         else:
-            _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor)
+            stats = _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor)
     except (SingularMatrixError, EvalError) as exc:
         raise IntegrationError(
             f"integration of {sys.name!r} halted at t={float(times[-1])!r}, "
@@ -227,7 +264,7 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     columns = np.array(monitor_rows)
     monitors = {name: columns[:, i].copy() for i, name in enumerate(names)}
     return Trajectory(dynamics=dynamics, times=np.array(times),
-                      states=states, monitors=monitors)
+                      states=states, monitors=monitors, stats=stats)
 
 
 def _require_finite(sys, values, names, t):
@@ -261,9 +298,10 @@ def _require_rk4_steps(t_end, dt, max_steps):
 
 def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):
     t = 0.0
+    h_min, h_max = math.inf, 0.0
     k1, at_y = f(y)
     monitor(at_y)
-    for _ in range(max_steps):
+    for steps in range(1, max_steps + 1):
         h = min(dt, t_end - t)
         _require_advance(t, h)
         k2, _ = f(y + 0.5 * h * k1)
@@ -276,8 +314,10 @@ def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):
         # gives y's monitor row.
         k1, at_y = f(y)
         monitor(at_y)
+        h_min, h_max = min(h_min, h), max(h_max, h)
         if t >= t_end:
-            return
+            # The first k1, then k2, k3, k4 and the next k1 per step.
+            return StepStats(1 + 4 * steps, steps, 0, float(h_min), float(h_max), float(h))
     raise IntegrationError(f"max_steps exceeded at t={float(t)!r}", t=float(t))
 
 
@@ -287,7 +327,8 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
     monitor(at_y)
     h = _initial_step(f, y, k1, t_end, rtol, atol)
     stages = np.empty((7, len(y)))
-    for _ in range(max_steps):
+    h_min, h_max, rejected = math.inf, 0.0, 0
+    for steps in range(1, max_steps + 1):
         h = min(h, t_end - t)
         rejections = 0
         while True:
@@ -304,6 +345,7 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
             if norm <= 1.0:
                 break
             rejections += 1
+            rejected += 1
             if rejections > 30:
                 raise IntegrationError(
                     f"step size control failed at t={float(t)!r} (30 rejections)",
@@ -316,8 +358,12 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
         k1 = stages[6].copy()
         accept(t, y)
         monitor(at_y)
+        h_min, h_max = min(h_min, h), max(h_max, h)
         if t >= t_end:
-            return
+            # The first stage and the initial step's guess, then six
+            # stages per attempt.
+            return StepStats(2 + 6 * (steps + rejected), steps, rejected,
+                             float(h_min), float(h_max), float(h))
         factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
         h *= factor
     raise IntegrationError(f"max_steps exceeded at t={float(t)!r}", t=float(t))

@@ -10,7 +10,7 @@ with Ctilde_ab = d2L~/dv_a dv_b - Leg_dep . d2psi/dv_a dv_b, where Leg_dep
 is the ambient velocity gradient of L in the dependent slots evaluated at
 completed velocities.  The right-hand side r has the same shape as the
 vakonomic one with the multipliers replaced by Leg_dep, which is how the
-shared core in :mod:`vaknh.vakonomic` is reused.
+one stage of the reduced equations in :mod:`vaknh.vakonomic` serves both.
 
 The Chetaev multipliers themselves are not part of the state; they are
 recovered along a trajectory from the dependent components of the ambient
@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as _expr
 from ._jets import ambient_table, ambient_velocity_gradient, restricted_table
 from .system import NhState, SystemDef, check_state, complete_velocities, completed_env
-from .vakonomic import _field, _reduced_dynamics
+from .vakonomic import _args, _jet, _stage
 
 __all__ = [
     "NhDerivative",
@@ -68,7 +68,8 @@ def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
     """Reduced regularity matrix (symmetric); for linear constraints it
     coincides with the vakonomic matrix at any multiplier value."""
     check_state(sys, s)
-    return _field(sys, s, _dependent_momenta(sys, s))[0].hess[sys.n:, sys.n:]
+    buf = _stage(sys, _args(s, _dependent_momenta(sys, s)))[1]
+    return _jet(sys, buf).hess[sys.n:, sys.n:]
 
 
 def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
@@ -77,8 +78,7 @@ def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
     result keeps the Legendre lift it was computed from."""
     check_state(sys, s)
     lift = legendre_lift(sys, s)
-    dy, _ = _reduced_dynamics(sys, s, lift[sys.dependent_positions],
-                              "nonholonomic matrix")
+    dy, _ = _stage(sys, _args(s, lift[sys.dependent_positions]), "nonholonomic matrix", s)
     n, k = sys.n, 2 * sys.n - sys.m
     return NhDerivative(dq=dy[:n], dv=dy[n:k], lift=lift, dy=dy[:k])
 

@@ -23,11 +23,21 @@ of the eliminated momenta.  One generated function, the ``field`` kernel
 the completed velocities, dp_dep and dpsi/dv as one buffer; Cbar and the
 terms of r are views of it.  r, the determinant guard and the solve stay
 in numpy, whose dot products and solve round differently from plain
-floats.  The nonholonomic field is the same system with the Legendre
-momenta Leg_dep of the dependent velocities in place of p_dep
-(:mod:`vaknh.nonholonomic`).  Invertibility of Cbar is exactly the
-condition for the dynamics to be well-posed (and for the phase space to
-carry a symplectic structure), which ``symplectic_check`` probes pointwise.
+floats; the determinant and the solve are the LAPACK gufuncs that
+``np.linalg.det`` and ``np.linalg.solve`` call, called directly.  The
+nonholonomic field is the same system with the Legendre momenta Leg_dep of
+the dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
+
+``_stage`` is the one implementation of these equations: from the
+kernel's flat arguments to the derivative of the packed state and the
+buffer.  ``vak_rhs``, ``cbar``, ``hamiltonian``, ``w1_momenta`` and the
+nonholonomic ``nh_rhs`` and ``ctilde`` read through it, and the vakonomic
+stage of :func:`vaknh.integrate.integrate` is ``_stage`` on the packed
+state itself, with no state or derivative object built around it.
+
+Invertibility of Cbar is exactly the condition for the dynamics to be
+well-posed (and for the phase space to carry a symplectic structure),
+which ``symplectic_check`` probes pointwise.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._jets import Jet, _row_jet, ambient_table, field_sweep, restricted_table
 from .errors import SingularMatrixError
@@ -64,8 +75,7 @@ class VakDerivative:
     dq: np.ndarray      # n completed velocities (dependent entries = psi)
     dv: np.ndarray      # n-m base accelerations
     dp_dep: np.ndarray  # m multiplier rates
-    # The jet of Lambda at the state; a trajectory's monitor row reads H
-    # and the eliminated momenta from it.
+    # The jet of Lambda at the state.
     lam: Jet | None = field(default=None, compare=False, repr=False)
     # The derivative of the packed state (q, v, p_dep): dq, dv and dp_dep
     # are views of it.
@@ -90,80 +100,107 @@ def _shifted(tab, mult) -> Jet:
     return tab.jet(row)
 
 
-def _field(sys, s, mult):
-    """The jet of Lambda = L~ - mult . psi at the (q, v) of ``s``; the
-    derivative of the packed state (q, v, mult) with zeros in place of the
-    base accelerations (the completed velocities dq, then n-m zeros, then
-    dp = dLambda/dq_dep); and the m x (n-m) gradients of psi in the base
-    velocities.  They are views of one buffer of the ``field`` kernel,
-    equal bit for bit to the shifted restricted table.  Where the kernel
-    fails, ``field_sweep`` raises the documented error (``Sweep.run``)."""
-    n, m = sys.n, sys.m
-    k = 2 * n - m
-    buf = field_sweep(sys, s.q, s.v, mult)
-    size = 1 + k + k * k
-    return (_row_jet(buf[:size], k), buf[size:size + 2 * n],
-            buf[size + 2 * n:].reshape(m, n - m))
-
-
-def _momenta(lam, n) -> np.ndarray:
-    """Eliminated momenta p_a = dLambda/dv_a from the jet of Lambda."""
-    return lam.grad[n:]
-
-
-def _hamiltonian(lam, n, v) -> float:
-    """H = p_a v_a - Lambda from the jet of Lambda at base velocities v."""
-    return float(_momenta(lam, n) @ v - lam.value)
-
-
 def det_threshold(c, order):
     """det(c) and the threshold DET_RTOL * max|entry|^order at or below
     which |det| counts as singular, for a square matrix of that order.  A
     NaN entry makes the threshold NaN.  For a stack of matrices, the arrays
-    of both, bit for bit the values of each matrix on its own."""
+    of both, bit for bit the values of each matrix on its own.  The
+    determinant is that of ``np.linalg.det``, from the LAPACK gufunc it
+    calls, called directly."""
     if c.ndim > 2:
         # numpy's array power rounds differently from its scalar power.
         largest = np.abs(c).max(axis=(-2, -1)).tolist()
-        return np.linalg.det(c), DET_RTOL * np.array([np.float64(x) ** order
-                                                      for x in largest])
+        return (_umath_linalg.det(c, signature="d->d"),
+                DET_RTOL * np.array([np.float64(x) ** order for x in largest]))
     sizes = list(map(abs, c.ravel().tolist()))
     largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
-    return float(np.linalg.det(c)), DET_RTOL * np.float64(largest) ** order
+    return (float(_umath_linalg.det(c, signature="d->d")),
+            DET_RTOL * np.float64(largest) ** order)
+
+
+def _solve(c, r):
+    """``np.linalg.solve(c, r)`` for a square matrix and a vector, bit for
+    bit: the LAPACK gufunc it calls, called directly, with floating-point
+    errors ignored as that function ignores them.  Where the result is not
+    all finite, ``np.linalg.solve`` runs itself, so that a matrix LAPACK
+    finds singular raises its ``LinAlgError``."""
+    with np.errstate(all="ignore"):
+        x = _umath_linalg.solve1(c, r, signature="dd->d")
+    if not all(map(math.isfinite, x.tolist())):
+        x = np.linalg.solve(c, r)
+    return x
 
 
 def _singular_message(sys, what, det) -> str:
     return f"{what} is singular for system {sys.name!r} (det={det!r})"
 
 
-def _det_guard(c, nb, sys, s, what):
-    det, threshold = det_threshold(c, nb)
-    if abs(det) <= threshold:
-        raise SingularMatrixError(_singular_message(sys, what, det), det, s)
-    return det
+def _stage(sys, args, what=None, state=None):
+    """The reduced equations at the flat state ``args``, the ``field``
+    kernel's arguments (q, v, mult): the one implementation of both fields.
+    With ``mult`` = p_dep it is the vakonomic field; with ``mult`` = the
+    Legendre momenta Leg_dep of the dependent velocities it is the
+    nonholonomic one (the two right-hand sides coincide under that
+    substitution).
 
-
-def _reduced_dynamics(sys, s, mult, what):
-    """The reduced equations with multiplier vector ``mult``: one array of
-    the completed velocities dq (n), the base accelerations dv (n-m) and the
-    multiplier rates dp (m), in this order, and the jet of Lambda.
-
-    With ``mult`` = p_dep this is the vakonomic field; with ``mult`` = the
-    Legendre momenta of the dependent velocities it is the nonholonomic one
-    (the two right-hand sides coincide under that substitution).
+    Returns the derivative of the packed state (q, v, mult) -- the
+    completed velocities dq (n), the base accelerations dv (n-m) and the
+    multiplier rates dp (m), in this order -- and the kernel's buffer, which
+    ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates`` read.  With
+    ``what`` None only the buffer is computed, and the derivative is None.
+    Otherwise a reduced matrix that fails the determinant guard raises
+    :class:`SingularMatrixError` naming ``what``; it carries ``state``, by
+    default the :class:`VakState` whose entries ``args`` are, built only
+    then.  Where the kernel fails, ``field_sweep`` raises the documented
+    error.
     """
-    n, k = sys.n, 2 * sys.n - sys.m
-    lam, known, psi_v = _field(sys, s, mult)
-    c = lam.hess[n:, n:]
-    _det_guard(c, k - n, sys, s, what)
+    n, m = sys.n, sys.m
+    k = 2 * n - m
+    size = 1 + k + k * k
+    buf = field_sweep(sys, args)
+    if what is None:
+        return None, buf
+    hess = buf[1 + k:size].reshape(k, k)
+    c = hess[n:, n:]
+    det, threshold = det_threshold(c, k - n)
+    if abs(det) <= threshold:
+        if state is None:
+            state = VakState(args[:n], args[n:k], args[k:])
+        raise SingularMatrixError(_singular_message(sys, what, det), det, state)
+    known = buf[size:size + 2 * n]
     dq, dp = known[:n], known[k:]
-    r = lam.grad[sys.base_positions] - dq @ lam.hess[:n, n:] + dp @ psi_v
+    r = (buf[1:1 + k][sys.base_positions] - dq @ hess[:n, n:]
+         + dp @ buf[size + 2 * n:].reshape(m, k - n))
     dy = known.copy()
-    dy[n:k] = np.linalg.solve(c, r)
-    return dy, lam
+    dy[n:k] = _solve(c, r)
+    return dy, buf
+
+
+def _jet(sys, buf) -> Jet:
+    """The jet of Lambda in a stage's buffer."""
+    k = 2 * sys.n - sys.m
+    return _row_jet(buf[:1 + k + k * k], k)
+
+
+def _momenta(sys, buf) -> np.ndarray:
+    """Eliminated momenta p_a = dLambda/dv_a from a stage's buffer."""
+    return buf[1 + sys.n:1 + 2 * sys.n - sys.m]
+
+
+def _hamiltonian(sys, buf, v) -> float:
+    """H = p_a v_a - Lambda from a stage's buffer at base velocities v."""
+    return float(_momenta(sys, buf) @ v - float(buf[0]))
+
+
+def _rates(sys, buf) -> np.ndarray:
+    """The multiplier rates dp = dLambda/dq_dep from a stage's buffer."""
+    k = 2 * sys.n - sys.m
+    start = 1 + k + k * k + k
+    return buf[start:start + sys.m]
 
 
 def _reduced_lanes(sys, tab, v, mult, skip):
-    """``_reduced_dynamics`` over stacked states, from their stacked
+    """The reduced equations of ``_stage`` over stacked states, from their stacked
     restricted table ``tab``: the shift, the determinant guard, and one
     solve over the lanes that are neither in ``skip`` nor singular.  Returns
     the stacked dq, dv (NaN where not solved) and dp, the determinants and
@@ -186,10 +223,16 @@ def _reduced_lanes(sys, tab, v, mult, skip):
     return dq, dv, dp, det, singular
 
 
+def _args(s, mult):
+    """The ``field`` kernel's arguments at the (q, v) of the state ``s``
+    with the multiplier vector ``mult``."""
+    return s.q.tolist() + s.v.tolist() + mult.tolist()
+
+
 def cbar(sys: SystemDef, s: VakState) -> np.ndarray:
     """Reduced velocity-Hessian matrix at a vakonomic state (symmetric)."""
     check_state(sys, s)
-    return _field(sys, s, s.p_dep)[0].hess[sys.n:, sys.n:]
+    return _jet(sys, _stage(sys, _args(s, s.p_dep))[1]).hess[sys.n:, sys.n:]
 
 
 def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
@@ -248,18 +291,18 @@ def _warn_if_velocity_dependent_hessian(sys, q, w0):
 def w1_momenta(sys: SystemDef, s: VakState) -> np.ndarray:
     """Eliminated momenta conjugate to the base coordinates:
     p_a = dL~/dv_a - p_dep . dpsi/dv_a.  Along a trajectory the same values
-    are read from the field's evaluation (``VakDerivative.lam``)."""
+    are read from the buffer of the stage at the state."""
     check_state(sys, s)
-    return _momenta(_field(sys, s, s.p_dep)[0], sys.n)
+    return _momenta(sys, _stage(sys, _args(s, s.p_dep))[1])
 
 
 def hamiltonian(sys: SystemDef, s: VakState) -> float:
     """H = p_a v_a + p_dep . psi - L~, with the eliminated momenta derived
     from the state.  Conserved along the vakonomic flow (autonomous system).
-    Along a trajectory the same value is read from the field's evaluation
-    (``VakDerivative.lam``)."""
+    Along a trajectory the same value is read from the buffer of the stage
+    at the state."""
     check_state(sys, s)
-    return _hamiltonian(_field(sys, s, s.p_dep)[0], sys.n, s.v)
+    return _hamiltonian(sys, _stage(sys, _args(s, s.p_dep))[1], s.v)
 
 
 def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
@@ -270,6 +313,7 @@ def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
     result keeps the jet of Lambda it was computed from.
     """
     check_state(sys, s)
-    dy, lam = _reduced_dynamics(sys, s, s.p_dep, "vakonomic matrix")
+    dy, buf = _stage(sys, _args(s, s.p_dep), "vakonomic matrix", s)
     n, nb = sys.n, sys.n - sys.m
-    return VakDerivative(dq=dy[:n], dv=dy[n:n + nb], dp_dep=dy[n + nb:], lam=lam, dy=dy)
+    return VakDerivative(dq=dy[:n], dv=dy[n:n + nb], dp_dep=dy[n + nb:],
+                         lam=_jet(sys, buf), dy=dy)

@@ -54,7 +54,7 @@ def _assert_same_jet(got, expected):
 def test_vak_field_equals_shifted_restricted_table(name, seed):
     sysdef = get_model(name)
     (s,) = random_states(name, 1, seed)
-    _jets.field_sweep(sysdef, s.q, s.v, s.p_dep)   # the kernel itself succeeds
+    _jets.field_sweep(sysdef, _jets._flat(s.q, s.v, s.p_dep))   # the kernel itself succeeds
     lam, dq, dv, dp = _reference(sysdef, s, s.p_dep)
     if dv is None:
         with pytest.raises(SingularMatrixError):
@@ -137,7 +137,7 @@ def test_domain_errors_raise_the_documented_error(lagrangian, q, v, message):
         _jets._kernel(sysdef, "field").scalar(*q, *v, 0.5)
     s = VakState(q, v, (0.5,))
     with pytest.raises(EvalError, match=message):
-        _jets.field_sweep(sysdef, q, v, (0.5,))
+        _jets.field_sweep(sysdef, _jets._flat(q, v, (0.5,)))
     for evaluate in (vak_rhs, cbar, hamiltonian, w1_momenta):
         with pytest.raises(EvalError, match=message):
             evaluate(sysdef, s)

@@ -72,6 +72,45 @@ def test_library_argument_errors_are_usage_errors(extra, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--rtol", "-1"], "rtol must be non-negative and finite, got -1.0"),
+    (["--rtol", "nan"], "rtol must be non-negative and finite, got nan"),
+    (["--rtol", "inf"], "rtol must be non-negative and finite, got inf"),
+    (["--rtol", "0", "--atol", "0"], "atol must be positive and finite, got 0.0"),
+    (["--atol=-1e-9"], "atol must be positive and finite, got -1e-09"),
+    (["--atol", "nan"], "atol must be positive and finite, got nan"),
+    (["--max-steps", "0"], "max_steps must be at least 1, got 0"),
+    (["--max-steps", "-5"], "max_steps must be at least 1, got -5"),
+    (["--method", "rk4", "--max-steps", "0"], "max_steps must be at least 1, got 0"),
+], ids=["negative-rtol", "nan-rtol", "inf-rtol", "zero-tolerances", "negative-atol",
+        "nan-atol", "zero-max-steps", "negative-max-steps", "rk4-zero-max-steps"])
+def test_step_control_errors_are_usage_errors(extra, message, capsys):
+    assert run(MARTINET + ["--t-end", "1", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_step_control_is_checked_before_the_first_evaluation(monkeypatch):
+    from vaknh import integrate as integrate_module
+
+    def no_evaluations(*_):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(integrate_module, "_stage", no_evaluations)
+    m, s0 = get_model("martinet"), VakState([0, 1, 0], [1, 0], [1.0])
+    for options in ({"rtol": -1.0}, {"rtol": float("nan")}, {"atol": 0.0},
+                    {"atol": float("inf")}, {"max_steps": 0}):
+        with pytest.raises(ValueError, match=next(iter(options))):
+            integrate(m, "vak", s0, t_end=1.0, **options)
+
+
+def test_pure_absolute_error_control_runs():
+    traj = integrate(get_model("martinet"), "vak", VakState([0, 1, 0], [1, 0], [1.0]),
+                     t_end=0.5, rtol=0.0, atol=1e-10)
+    assert traj.times[-1] == 0.5
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_scan_rejects_sample_counts_below_one(count, capsys):
     assert run(["scan", "martinet", "--samples", str(count)]) == 1
@@ -107,7 +146,7 @@ def test_rk4_that_cannot_reach_t_end_fails_before_the_first_step(capsys, monkeyp
     def no_evaluations(*_):
         raise AssertionError("the field was evaluated")
 
-    monkeypatch.setattr(integrate_module, "vak_rhs", no_evaluations)
+    monkeypatch.setattr(integrate_module, "_stage", no_evaluations)
     assert run(MARTINET + ["--t-end", "1", "--method", "rk4", "--dt", "1e-20"]) == 3
     assert capsys.readouterr().err == (
         "numeric error: rk4 needs 1e+20 steps of dt=1e-20 to reach t_end=1.0, "

@@ -94,6 +94,8 @@ def test_csv_round_trip_bitwise():
         assert np.array_equal(a.p_dep, b.p_dep)
     for name in traj.monitors:
         assert np.array_equal(back.monitors[name], traj.monitors[name])
+    assert traj.stats.accepted == len(traj.times) - 1
+    assert back.stats is None
 
 
 @pytest.mark.parametrize("rows", [

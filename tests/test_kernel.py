@@ -67,7 +67,7 @@ def _check_field(sysdef, q, v, mult):
         oracles.reference_restricted_table(sysdef, q, v)
     except EvalError as exc:
         with pytest.raises(EvalError) as got:
-            _jets.field_sweep(sysdef, q, v, mult)
+            _jets.field_sweep(sysdef, _jets._flat(q, v, mult))
         assert str(got.value) == str(exc)
         with pytest.raises((ArithmeticError, ValueError)):
             _jets._kernel(sysdef, "field").scalar(*_jets._flat(q, v, mult))
@@ -80,7 +80,7 @@ def _check_field(sysdef, q, v, mult):
     expected = np.concatenate([[lam.value], lam.grad, lam.hess.ravel(), dq, np.zeros(n - m),
                                lam.grad[sysdef.dependent_positions],
                                tab.grads[:m, n:].ravel()])
-    assert _same_bits(_jets.field_sweep(sysdef, q, v, mult), expected)
+    assert _same_bits(_jets.field_sweep(sysdef, _jets._flat(q, v, mult)), expected)
 
 
 def _check_sweeps(sysdef, q, v, v_full, mult):
@@ -256,7 +256,7 @@ def test_wrong_number_of_entries_raises_the_kernels_type_error():
     for sweep, args in ((_jets.restricted_table, (q, v)),
                         (_jets.ambient_table, (q, v_full)),
                         (_jets.ambient_velocity_gradient, (q, v_full)),
-                        (_jets.field_sweep, (q, v, (0.5,)))):
+                        (_jets.field_sweep, (_jets._flat(q, v, (0.5,)),))):
         with pytest.raises(TypeError):
             sweep(sysdef, *args)
     with pytest.raises(TypeError):

@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from vaknh import _jets, integrate as _integrate, nonholonomic, vakonomic
+from vaknh import _jets, integrate as _integrate, nonholonomic, system, vakonomic
+from vaknh import expr as E
 from vaknh.nonholonomic import energy
 from vaknh.system import NhState, VakState
 from vaknh.vakonomic import hamiltonian, vak_rhs, w1_momenta
@@ -71,19 +72,21 @@ def _calls(fn, *targets):
     return counts
 
 
-# A stage's one sweep is the fused field kernel (field_sweep); inside
-# integrate no restricted table is built.
+# A vakonomic stage of the steppers is one call of the core,
+# ``vakonomic._stage``, from the packed state, and its one sweep is the fused
+# field kernel (field_sweep).  Inside integrate no restricted table is built,
+# and none of the per-state functions runs.
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_every_vak_sweep_belongs_to_a_stage(method):
     counts = _calls(lambda: _run("rolling_penny", "vak", method),
-                    _jets.field_sweep, _jets.restricted_table, vakonomic.vak_rhs,
-                    vakonomic.hamiltonian, vakonomic.w1_momenta)
-    assert counts["vak_rhs"] > 20
-    assert counts["field_sweep"] == counts["vak_rhs"]
+                    _jets.field_sweep, _jets.restricted_table, vakonomic._stage,
+                    vakonomic.vak_rhs, vakonomic.hamiltonian, vakonomic.w1_momenta)
+    assert counts["_stage"] > 20
+    assert counts["field_sweep"] == counts["_stage"]
     assert counts["restricted_table"] == 0
-    assert counts["hamiltonian"] == counts["w1_momenta"] == 0
+    assert counts["vak_rhs"] == counts["hamiltonian"] == counts["w1_momenta"] == 0
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
@@ -105,8 +108,41 @@ def test_rk45_evaluations_per_step():
     sysdef = get_model("martinet")
     s0 = VakState([0, 1, 0], [0.8, -0.4], [1.2])
     counts = _calls(lambda: _integrate.integrate(sysdef, "vak", s0, t_end=0.5),
-                    vakonomic.vak_rhs)
+                    vakonomic._stage, vakonomic.vak_rhs)
     traj = _integrate.integrate(sysdef, "vak", s0, t_end=0.5)
     steps = len(traj.times) - 1
-    assert (counts["vak_rhs"] - 2) % 6 == 0
-    assert steps * 6 <= counts["vak_rhs"] - 2 < steps * 7
+    assert counts["vak_rhs"] == 0
+    assert (counts["_stage"] - 2) % 6 == 0
+    assert steps * 6 <= counts["_stage"] - 2 < steps * 7
+    stats = traj.stats
+    assert stats.evaluations == counts["_stage"]
+    assert stats.accepted == steps
+    assert stats.evaluations == 2 + 6 * (stats.accepted + stats.rejected)
+    # A step moves t by h up to the rounding of t + h.
+    h = np.diff(traj.times)
+    assert stats.h_min <= stats.h_last <= stats.h_max
+    assert np.allclose([stats.h_min, stats.h_max, stats.h_last],
+                       [h.min(), h.max(), h[-1]], rtol=1e-12, atol=0)
+
+
+def test_rows_bind_the_state_only_for_candidates():
+    sysdef = get_model("martinet")
+    s0 = VakState([0, 1, 0], [0.8, -0.4], [1.2])
+    counts = _calls(lambda: _integrate.integrate(sysdef, "vak", s0, t_end=0.5),
+                    system.state_env)
+    assert counts["state_env"] == 0
+    candidates = {"x": E.parse("x")}
+    traj = []
+    counts = _calls(lambda: traj.append(_integrate.integrate(
+        sysdef, "vak", s0, t_end=0.5, candidates=candidates)), system.state_env)
+    assert counts["state_env"] == len(traj[0].times)
+    assert _bits(traj[0].monitors["G_x"]) == _bits([s.q[0] for s in traj[0].states])
+
+
+@pytest.mark.parametrize("dynamics", ["vak", "nh"])
+def test_rk4_stats_count_the_stages(dynamics):
+    sysdef, traj = _run("martinet", dynamics, "rk4")
+    stats = traj.stats
+    steps = len(traj.times) - 1
+    assert (stats.evaluations, stats.accepted, stats.rejected) == (1 + 4 * steps, steps, 0)
+    assert stats.h_max == 0.05 and stats.h_min <= stats.h_last <= 0.05
