@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as _expr
-from ._jets import ambient_table, ambient_velocity_gradient, restricted_table
+from ._jets import ambient_table, ambient_velocity_gradient, field_sweep, restricted_table
 from .system import NhState, SystemDef, check_state, complete_velocities, completed_env
 from .vakonomic import _args, _jet, _stage
 
@@ -68,7 +68,7 @@ def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
     """Reduced regularity matrix (symmetric); for linear constraints it
     coincides with the vakonomic matrix at any multiplier value."""
     check_state(sys, s)
-    buf = _stage(sys, _args(s, _dependent_momenta(sys, s)))[1]
+    buf = field_sweep(sys, _args(s, _dependent_momenta(sys, s)))
     return _jet(sys, buf).hess[sys.n:, sys.n:]
 
 

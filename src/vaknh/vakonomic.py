@@ -30,10 +30,11 @@ the dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
 
 ``_stage`` is the one implementation of these equations: from the
 kernel's flat arguments to the derivative of the packed state and the
-buffer.  ``vak_rhs``, ``cbar``, ``hamiltonian``, ``w1_momenta`` and the
-nonholonomic ``nh_rhs`` and ``ctilde`` read through it, and the vakonomic
-stage of :func:`vaknh.integrate.integrate` is ``_stage`` on the packed
-state itself, with no state or derivative object built around it.
+buffer.  ``vak_rhs`` and the nonholonomic ``nh_rhs`` evaluate through it,
+and the vakonomic stage of :func:`vaknh.integrate.integrate` is ``_stage``
+on the packed state itself, with no state or derivative object built
+around it.  ``cbar``, ``hamiltonian``, ``w1_momenta`` and ``ctilde`` read
+the kernel's buffer with the readers ``_stage``'s callers use.
 
 Invertibility of Cbar is exactly the condition for the dynamics to be
 well-posed (and for the phase space to carry a symplectic structure),
@@ -112,7 +113,7 @@ def det_threshold(c, order):
         largest = np.abs(c).max(axis=(-2, -1)).tolist()
         return (_umath_linalg.det(c, signature="d->d"),
                 DET_RTOL * np.array([np.float64(x) ** order for x in largest]))
-    sizes = list(map(abs, c.ravel().tolist()))
+    sizes = [abs(x) for row in c.tolist() for x in row]
     largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
     return (float(_umath_linalg.det(c, signature="d->d")),
             DET_RTOL * np.float64(largest) ** order)
@@ -135,7 +136,7 @@ def _singular_message(sys, what, det) -> str:
     return f"{what} is singular for system {sys.name!r} (det={det!r})"
 
 
-def _stage(sys, args, what=None, state=None):
+def _stage(sys, args, what, state=None):
     """The reduced equations at the flat state ``args``, the ``field``
     kernel's arguments (q, v, mult): the one implementation of both fields.
     With ``mult`` = p_dep it is the vakonomic field; with ``mult`` = the
@@ -146,9 +147,8 @@ def _stage(sys, args, what=None, state=None):
     Returns the derivative of the packed state (q, v, mult) -- the
     completed velocities dq (n), the base accelerations dv (n-m) and the
     multiplier rates dp (m), in this order -- and the kernel's buffer, which
-    ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates`` read.  With
-    ``what`` None only the buffer is computed, and the derivative is None.
-    Otherwise a reduced matrix that fails the determinant guard raises
+    ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates`` read.  A
+    reduced matrix that fails the determinant guard raises
     :class:`SingularMatrixError` naming ``what``; it carries ``state``, by
     default the :class:`VakState` whose entries ``args`` are, built only
     then.  Where the kernel fails, ``field_sweep`` raises the documented
@@ -158,8 +158,6 @@ def _stage(sys, args, what=None, state=None):
     k = 2 * n - m
     size = 1 + k + k * k
     buf = field_sweep(sys, args)
-    if what is None:
-        return None, buf
     hess = buf[1 + k:size].reshape(k, k)
     c = hess[n:, n:]
     det, threshold = det_threshold(c, k - n)
@@ -174,6 +172,11 @@ def _stage(sys, args, what=None, state=None):
     dy = known.copy()
     dy[n:k] = _solve(c, r)
     return dy, buf
+
+
+# The buffer of the ``field`` kernel, as ``_stage`` reads it.  ``cbar``,
+# ``hamiltonian`` and ``w1_momenta`` (and ``ctilde``) read the kernel's
+# buffer without the guard and the solve, which a singular matrix fails.
 
 
 def _jet(sys, buf) -> Jet:
@@ -232,7 +235,7 @@ def _args(s, mult):
 def cbar(sys: SystemDef, s: VakState) -> np.ndarray:
     """Reduced velocity-Hessian matrix at a vakonomic state (symmetric)."""
     check_state(sys, s)
-    return _jet(sys, _stage(sys, _args(s, s.p_dep))[1]).hess[sys.n:, sys.n:]
+    return _jet(sys, field_sweep(sys, _args(s, s.p_dep))).hess[sys.n:, sys.n:]
 
 
 def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
@@ -293,7 +296,7 @@ def w1_momenta(sys: SystemDef, s: VakState) -> np.ndarray:
     p_a = dL~/dv_a - p_dep . dpsi/dv_a.  Along a trajectory the same values
     are read from the buffer of the stage at the state."""
     check_state(sys, s)
-    return _momenta(sys, _stage(sys, _args(s, s.p_dep))[1])
+    return _momenta(sys, field_sweep(sys, _args(s, s.p_dep)))
 
 
 def hamiltonian(sys: SystemDef, s: VakState) -> float:
@@ -302,7 +305,7 @@ def hamiltonian(sys: SystemDef, s: VakState) -> float:
     Along a trajectory the same value is read from the buffer of the stage
     at the state."""
     check_state(sys, s)
-    return _hamiltonian(sys, _stage(sys, _args(s, s.p_dep))[1], s.v)
+    return _hamiltonian(sys, field_sweep(sys, _args(s, s.p_dep)), s.v)
 
 
 def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
