@@ -12,8 +12,9 @@ catalog    list the built-in models
 Exit codes: 0 success, 1 usage/IO/parse error, 2 failed check,
 3 numeric diagnostic (singular matrix, domain error, failed integration).
 
-A state vector may start with a minus sign: ``--q -0.3,0.5`` and
-``--q=-0.3,0.5`` are the same.
+A state vector or a numeric option may start with a minus sign:
+``--q -0.3,0.5`` and ``--q=-0.3,0.5`` are the same, and so are
+``--atol -1e-9`` and ``--atol=-1e-9``.
 """
 
 from __future__ import annotations
@@ -41,15 +42,18 @@ class _UsageError(Exception):
     pass
 
 
-_VECTOR_FLAGS = ("--q", "--v", "--p")
+# The options whose value is a number or a comma-separated vector.
+_NUMBER_FLAGS = ("--q", "--v", "--p", "--t-end", "--dt", "--rtol", "--atol", "--tol")
 
 
 def _join_vectors(argv):
-    """Rewrite ``--q -0.3,0.5`` as ``--q=-0.3,0.5``: argparse takes a value
-    that starts with a minus sign and is not a single number for an option."""
+    """Rewrite ``--q -0.3,0.5`` as ``--q=-0.3,0.5`` and ``--atol -1e-9`` as
+    ``--atol=-1e-9``: argparse takes a value that starts with a minus sign
+    and is not a plain decimal number, such as a vector or a number in
+    exponent form, for an option."""
     out = []
     for arg in argv:
-        if out and out[-1] in _VECTOR_FLAGS and re.match(r"-\.?\d", arg):
+        if out and out[-1] in _NUMBER_FLAGS and re.match(r"-\.?\d", arg):
             arg = f"{out.pop()}={arg}"
         out.append(arg)
     return out

@@ -20,10 +20,20 @@ The two flows live on different spaces but project onto each other through
 Each quantity has one implementation in the package, a phase over stacked
 states (``_Lanes``) that runs the array form of the generated kernels
 (:mod:`vaknh._jets`) and one stacked determinant and solve per field.
-``scan`` runs the phases over batches of ``BATCH`` sampled states and
-aggregates the records into a JSON-serializable report.  ``compare_state``
-(the ``compare`` command) and the functions above run them on a stack of
-one state, so they agree with ``scan`` by construction.
+``scan`` runs the phases over batches of ``BATCH`` sampled states.
+``compare_state`` (the ``compare`` command) and the functions above run
+them on a stack of one state, so they agree with ``scan`` by construction.
+
+The report of ``scan`` is columnar: it keeps each batch's stacked results
+(``_Batch``), one row per sample, with a code that gives the row's record
+shape (evaluated, or skipped with its text and with or without p).  The
+summary is computed from the columns.  ``ComparisonReport.records`` are
+built from them on first access; from then on they are what the report
+holds.  One writer, ``_JsonWriter``, writes the JSON text from either
+source: each hands it the numbers of every record, index first, and the
+text after each number, from one template per record shape; the writer
+turns the numbers into text with one ``repr`` sweep and the report with one
+join.
 """
 
 from __future__ import annotations
@@ -113,7 +123,7 @@ def tangency_residuals(sys: SystemDef, candidates: dict[str, _expr.Expression],
     field.  A candidate cuts out a flow-invariant set at ``s`` when both its
     value and this residual vanish there."""
     out = _one(sys, s, lambda lanes: lanes.tangency(candidates))
-    return {name: values[0] for name, values in out.items()}
+    return {name: float(values[0]) for name, values in out.items()}
 
 
 def compare_state(sys: SystemDef, s: VakState, candidates=None) -> dict:
@@ -123,7 +133,7 @@ def compare_state(sys: SystemDef, s: VakState, candidates=None) -> dict:
     the error that ``scan`` gives as the record's skip reason."""
     g, dv, nh_dv, tangency = _one(sys, s, lambda lanes: lanes.record(candidates))
     return {"g": None if g is None else g[0].tolist(), "deltaY": (dv - nh_dv)[0].tolist(),
-            "tangency": {name: values[0] for name, values in tangency.items()},
+            "tangency": {name: float(values[0]) for name, values in tangency.items()},
             "vak_dv": dv[0].tolist(), "nh_dv": nh_dv[0].tolist()}
 
 
@@ -181,35 +191,64 @@ class ComparisonRecord:
     skipped: str | None = None
 
 
-@dataclass
+def _record_dict(index, q, v, p, g, delta_y, tangency, skipped) -> dict:
+    """A record as it is written in the report."""
+    return {"index": index, "q": q, "v": v, "p": p, "g": g, "deltaY": delta_y,
+            "tangency": tangency, "skipped": skipped}
+
+
 class ComparisonReport:
-    system: str
-    records: list
-    summary: dict
+    """A scan report: the system's name, the summary and the records.
+
+    ``scan`` keeps each batch's stacked columns (``_Batch``), and the
+    records are built from them on the first read of ``records``.  From then
+    on, and for a report constructed with its records, the records are what
+    the report holds and writes."""
+
+    def __init__(self, system: str, records: list | None, summary: dict):
+        self.system, self.summary = system, summary
+        self._records, self._batches = records, ()
+
+    @classmethod
+    def _of_batches(cls, system, batches, summary) -> ComparisonReport:
+        report = cls(system, None, summary)
+        report._batches = batches
+        return report
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = [r for batch in self._batches for r in batch.records()]
+            self._batches = ()
+        return self._records
+
+    @records.setter
+    def records(self, records):
+        self._records, self._batches = records, ()
+
+    def __eq__(self, other):
+        if type(other) is not ComparisonReport:
+            return NotImplemented
+        return ((self.system, self.records, self.summary)
+                == (other.system, other.records, other.summary))
+
+    def __repr__(self):
+        return (f"ComparisonReport(system={self.system!r}, records={self.records!r}, "
+                f"summary={self.summary!r})")
 
     def to_json_dict(self) -> dict:
         return {
             "system": self.system,
             "summary": dict(self.summary),
-            "records": [
-                {
-                    "index": r.index,
-                    "q": r.q,
-                    "v": r.v,
-                    "p": r.p_dep,
-                    "g": r.g,
-                    "deltaY": r.delta_y,
-                    "tangency": r.tangency,
-                    "skipped": r.skipped,
-                }
-                for r in self.records
-            ],
+            "records": [_record_dict(r.index, r.q, r.v, r.p_dep, r.g, r.delta_y, r.tangency,
+                                     r.skipped) for r in self.records],
         }
 
     def to_json(self, indent=None) -> str:
         """The report as strict JSON; a NaN or an infinity raises ValueError.
 
-        Written directly from the records, byte for byte what
+        Written directly from the batch columns, or from the records once
+        they are read, byte for byte what
         ``json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)``
         writes.  A non-finite number, or a value of a kind the writer does
         not know, is left to ``json.dumps``, which raises its own error or
@@ -218,6 +257,38 @@ class ComparisonReport:
             return _JsonWriter(indent).report(self)
         except (_Unwritable, ValueError, OverflowError):
             return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """The records of one batch of ``scan``, as columns.
+
+    Row i is the record of sample ``first + i``.  ``code[i]`` picks the
+    row's record shape from ``shapes``: (len q, len v, len p, len g or None,
+    len deltaY or None, tangency names, skip text).  Shape 0 is that of an
+    evaluated record; the others are skipped.  ``columns[i]`` holds the
+    record's numbers after its index, in the order they are written (q, v,
+    p, g, deltaY, tangency values); a shape with fewer numbers reads the
+    leading ones."""
+
+    first: int
+    columns: np.ndarray
+    code: np.ndarray
+    shapes: tuple
+
+    def records(self) -> list:
+        """The batch's records, read off its rows by their shapes."""
+        rows, codes, out = self.columns.tolist(), self.code.tolist(), []
+        for i, (row, code) in enumerate(zip(rows, codes)):
+            *lengths, names, skipped = self.shapes[code]
+            parts, at = [], 0
+            for k in (*lengths, len(names)):
+                parts.append(None if k is None else row[at:at + k])
+                at += k or 0
+            q, v, p, g, dy, values = parts
+            out.append(ComparisonRecord(self.first + i, q, v, p, g, dy, dict(zip(names, values)),
+                                        skipped))
+        return out
 
 
 class _Unwritable(Exception):
@@ -232,24 +303,88 @@ _SLOT, _MARK = object(), "\0"
 class _JsonWriter:
     """The output of ``json.dumps(..., indent=indent)`` for finite floats and
     ints, strings, None and str-keyed dicts and lists of them; a value at
-    ``level`` is nested in that many containers."""
+    ``level`` is nested in that many containers.
+
+    The records are written in one pass from two sources, the batch columns
+    or the records: each gives the numbers of every record, index first, and
+    the text after each number, from one template per record shape."""
 
     def __init__(self, indent):
         if indent is not None and not isinstance(indent, str):
             indent = " " * indent
         self.indent = indent
+        # The records list is written at level 1.  An indent that holds the
+        # mark fails to unpack.
+        self.open, self.sep, self.close = self.join("[", [_MARK] * 2, "]", 1).split(_MARK)
+        self.templates = {}
 
     def report(self, report: ComparisonReport) -> str:
-        return self.join("{", [f'"system": {self.value(report.system, 1)}',
-                               f'"summary": {self.value(dict(report.summary), 1)}',
-                               f'"records": {self.records(report.records, 1)}'], "}", 0)
+        """The report in one join: the numbers of every record in one
+        ``repr`` sweep, between the text around them."""
+        if report._records is None:
+            parts = [self.batch(batch) for batch in report._batches]
+        else:
+            parts = [self.listed(report._records)]
+        # The text before and after the records list; no written string
+        # holds the mark.
+        before, after = self.join("{", [f'"system": {self.value(report.system, 1)}',
+                                        f'"summary": {self.value(dict(report.summary), 1)}',
+                                        f'"records": {_MARK}'], "}", 0).split(_MARK)
+        literals, numbers = [], []
+        for text, values in parts:
+            literals += text
+            numbers += values
+        if not numbers:
+            return before + "[]" + after
+        literals[-1] = literals[-1].removesuffix(self.sep + self.head) + self.close + after
+        out = [None] * (2 * len(numbers) + 1)
+        out[0], out[2::2], out[1::2] = before + self.open + self.head, literals, map(repr, numbers)
+        return "".join(out)
 
-    def records(self, records, level) -> str:
-        """The list of comparison records written at ``level`` in one pass:
-        one template per record shape for the text between the numbers, one
-        ``repr`` sweep over all numbers and one join."""
-        if not records:
-            return "[]"
+    def template(self, shape) -> list[str]:
+        """The text after each number of a record of ``shape``, the last up
+        to the first number of the next record; every record starts with the
+        same ``head``."""
+        template = self.templates.get(shape)
+        if template is None:
+            *lengths, names, skipped = shape
+            q, v, p, g, dy = (None if k is None else [_SLOT] * k for k in lengths)
+            written = _record_dict(_SLOT, q, v, p, g, dy, dict.fromkeys(names, _SLOT), skipped)
+            self.head, *after = self.value(written, 2).split(_MARK)
+            template = self.templates[shape] = [*after[:-1], after[-1] + self.sep + self.head]
+        return template
+
+    def batch(self, batch: _Batch):
+        """The text and numbers of a batch's records.  The numbers of each
+        shape are laid out by slicing, the index as an int; where a batch
+        holds several shapes, each shape's records are scattered to their
+        places."""
+        groups, widths = [], np.zeros(len(batch.shapes), dtype=np.intp)
+        for code, shape in enumerate(batch.shapes):
+            rows = np.flatnonzero(batch.code == code)
+            if len(rows):
+                template = self.template(shape)
+                values = np.empty((len(rows), len(template)))
+                values[:, 1:] = batch.columns[rows, :len(template) - 1]
+                if not np.isfinite(values[:, 1:]).all():
+                    raise _Unwritable
+                numbers = values.ravel().tolist()
+                numbers[::len(template)] = (rows + batch.first).tolist()
+                groups.append((rows, template * len(rows), numbers))
+                widths[code] = len(template)
+        if len(groups) == 1:
+            return groups[0][1:]
+        sizes = widths[batch.code]
+        starts = np.cumsum(sizes) - sizes
+        literals = np.empty(int(sizes.sum()), dtype=object)
+        numbers = np.empty_like(literals)
+        for rows, text, values in groups:
+            at = (starts[rows, None] + np.arange(sizes[rows[0]])).ravel()
+            literals[at], numbers[at] = text, values
+        return literals.tolist(), numbers.tolist()
+
+    def listed(self, records):
+        """The text and numbers of a list of records, read record by record."""
         qs, vs, ps = [r.q for r in records], [r.v for r in records], [r.p_dep for r in records]
         gs, dys = [r.g for r in records], [r.delta_y for r in records]
         tangency, skipped = [r.tangency for r in records], [r.skipped for r in records]
@@ -257,35 +392,14 @@ class _JsonWriter:
                 and set(map(type, chain(gs, dys))) <= {list, type(None)}
                 and set(map(type, skipped)) <= {str, type(None)}):
             raise _Unwritable
-        # A template is the text after each number of a record, the last up
-        # to the first number of the next record; every record starts with
-        # the same ``head``.  An indent that holds the mark fails to unpack.
-        open_, sep, close = self.join("[", [_MARK] * 2, "]", level).split(_MARK)
-        numbers, literals, templates = [], [open_], {}
+        numbers, literals = [], []
         for r, q, v, p, g, dy, t, text in zip(records, qs, vs, ps, gs, dys, tangency, skipped):
             numbers += (r.index, *q, *v, *p, *(g or ()), *(dy or ()), *t.values())
-            shape = (len(q), len(v), len(p), g if g is None else len(g),
-                     dy if dy is None else len(dy), tuple(t), text)
-            template = templates.get(shape)
-            if template is None:
-                head, *after = self.template(shape, level + 1)
-                template = templates[shape] = [*after[:-1], after[-1] + sep + head]
-            literals += template
+            literals += self.template((len(q), len(v), len(p), g if g is None else len(g),
+                                       dy if dy is None else len(dy), tuple(t), text))
         if not (set(map(type, numbers)) <= {float, int} and all(map(math.isfinite, numbers))):
             raise _Unwritable
-        literals[0] += head
-        literals[-1] = literals[-1].removesuffix(sep + head) + close
-        out = [None] * (2 * len(numbers) + 1)
-        out[0::2], out[1::2] = literals, map(repr, numbers)
-        return "".join(out)
-
-    def template(self, shape, level) -> list[str]:
-        """A record of ``shape`` written at ``level``, split at its numbers."""
-        *lengths, names, skipped = shape
-        q, v, p, g, dy = (None if k is None else [_SLOT] * k for k in lengths)
-        record = ComparisonRecord(_SLOT, q, v, p, g, dy, dict.fromkeys(names, _SLOT), skipped)
-        written = ComparisonReport("", [record], {}).to_json_dict()["records"][0]
-        return self.value(written, level).split(_MARK)
+        return literals, numbers
 
     def value(self, x, level) -> str:
         if isinstance(x, dict):
@@ -464,7 +578,7 @@ class _Lanes:
             total = 0.0
             for var in used[name]:
                 total = total + grads[:, trees.index(name) * k + seeded.index(var)] * flow[var]
-            out[name] = total.tolist() if used[name] else [0.0] * len(q)
+            out[name] = total if used[name] else np.zeros(len(q))
         return out
 
     def record(self, candidates):
@@ -505,29 +619,49 @@ def _contract_g(v, delta, r):
     return g
 
 
-def _scan_lanes(sys, first, q, v, p, candidates) -> list:
+def _scan_lanes(sys, first, q, v, p, candidates) -> _Batch:
     """The records of the stacked samples (q, v, p), numbered from
-    ``first``; ``p`` is None in legendre mode.  A record with an error is
-    skipped with its text, and without p when the Legendre lift failed."""
+    ``first``, as columns; ``p`` is None in legendre mode.  A record with an
+    error is skipped with its text, and without p when the Legendre lift
+    failed; each distinct error is put into words once."""
     lanes = _Lanes(sys, q, v, p)
-    unlifted = lanes.done.tolist()
+    unlifted = lanes.done.copy()
     g, dv, nh_dv, tangency = lanes.record(candidates)
-    qs, vs, ps = q.tolist(), v.tolist(), lanes.p.tolist()
-    gs = [None] * len(q) if g is None else g.tolist()
-    deltas = (dv - nh_dv).tolist()
-    records = []
-    for i, event in enumerate(lanes.events):
-        if event is None:
-            records.append(ComparisonRecord(
-                index=first + i, q=qs[i], v=vs[i], p_dep=ps[i], g=gs[i], delta_y=deltas[i],
-                tangency={name: values[i] for name, values in tangency.items()}))
-        else:
-            reason = (str(event) if isinstance(event, EvalError)
-                      else _singular_message(sys, *event))
-            records.append(ComparisonRecord(index=first + i, q=qs[i], v=vs[i],
-                                            p_dep=[] if unlifted[i] else ps[i],
-                                            skipped=reason))
-    return records
+    columns = np.column_stack([q, v, lanes.p, *(() if g is None else (g,)), dv - nh_dv,
+                               *tangency.values()])
+    n, nb, m = sys.n, sys.n - sys.m, sys.m
+    shapes = {(n, nb, m, None if g is None else nb, nb, tuple(tangency), None): 0}
+    skipped = np.flatnonzero(lanes.done)
+    events = list(map(lanes.events.__getitem__, skipped.tolist()))
+    # A lane's error, and whether p is written.  A text is put into words
+    # once per distinct key; a singular matrix's text holds its det, with
+    # the sign of a zero.
+    copysign = math.copysign
+    keys = [(e, u) if type(e) is not tuple else (e, u, copysign(1.0, e[1]))
+            for e, u in zip(events, unlifted[skipped].tolist())]
+    codes = {}
+    for key, event in dict(zip(keys, events)).items():
+        if event is None:   # a lane whose failure was not explained: evaluated
+            codes[key] = 0
+            continue
+        text = str(event) if isinstance(event, EvalError) else _singular_message(sys, *event)
+        codes[key] = shapes.setdefault((n, nb, 0 if key[1] else m, None, None, (), text),
+                                       len(shapes))
+    code = np.zeros(len(q), dtype=np.intp)
+    code[skipped] = list(map(codes.__getitem__, keys))
+    return _Batch(first, columns, code, tuple(shapes))
+
+
+def _fraction(values, tol):
+    """The share of the rows of ``values`` whose largest absolute value is
+    below ``tol``; None without rows.  The largest is taken as Python's
+    ``max`` takes it: a NaN first value is the largest, a later NaN is
+    passed over."""
+    if not len(values):
+        return None
+    size = np.abs(values)
+    top = np.where(np.isnan(size[:, 0]), np.nan, np.fmax.reduce(size, axis=1))
+    return sum(1 for x in top.tolist() if x < tol) / len(top)
 
 
 def _draw(sys, sampler):
@@ -566,30 +700,22 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
         raise ValueError("random p mode needs one bounds pair per dependent coordinate")
 
     q, v, p = _draw(sys, sampler)
-    records = []
+    batches = []
     with np.errstate(all="ignore"):
         for first in range(0, sampler.count, BATCH):
             part = slice(first, first + BATCH)
-            records += _scan_lanes(sys, first, q[part], v[part],
-                                   None if p is None else p[part], candidates)
-
-    evaluated = [r for r in records if r.skipped is None]
-    def fraction(read):
-        values = [read(r) for r in evaluated]
-        if not values or any(v is None for v in values):
-            return None
-        return sum(1 for v in values if v < tol) / len(values)
-
+            batches.append(_scan_lanes(sys, first, q[part], v[part],
+                                       None if p is None else p[part], candidates))
+    evaluated = np.concatenate([batch.columns[batch.code == 0] for batch in batches])
+    at = sys.n + nb + sys.m + (nb if sys.linear else 0)   # the first column of deltaY
     summary = {
         "samples": sampler.count,
         "evaluated": len(evaluated),
-        "skipped": len(records) - len(evaluated),
+        "skipped": sampler.count - len(evaluated),
         "tol": tol,
         "seed": sampler.seed,
         "p_mode": sampler.p_mode,
-        "fraction_g_below_tol": fraction(
-            lambda r: max(map(abs, r.g)) if r.g is not None else None),
-        "fraction_deltay_below_tol": fraction(
-            lambda r: max(map(abs, r.delta_y))),
+        "fraction_g_below_tol": _fraction(evaluated[:, at - nb:at], tol) if sys.linear else None,
+        "fraction_deltay_below_tol": _fraction(evaluated[:, at:at + nb], tol),
     }
-    return ComparisonReport(system=sys.name, records=records, summary=summary)
+    return ComparisonReport._of_batches(sys.name, batches, summary)

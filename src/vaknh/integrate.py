@@ -21,11 +21,12 @@ Recorded monitors:
 A vakonomic stage is the reduced equations evaluated from the packed state
 y = (q, v, p_dep) itself (``vakonomic._stage`` on ``y.tolist()``): it
 returns dy/dt and the buffer of the ``field`` kernel, and builds no state
-or derivative object; a nonholonomic stage is ``nh_rhs``.  Each field
+or derivative object; a nonholonomic stage is ``nh_rhs`` without its check
+of the state (``nonholonomic._nh_rhs``).  Each field
 evaluation happens once, and a monitor row reads the evaluation of the
 field at its state: H, the eliminated momenta and the multiplier rates
 from the stage's buffer, with the expressions of ``hamiltonian`` and
-``w1_momenta``, or the energy from the Legendre lift of ``nh_rhs``
+``w1_momenta``, or the energy from the Legendre lift of the nh stage
 (:class:`~vaknh.nonholonomic.NhDerivative`).  With rk45 that is the 7th
 stage of the step that accepted the state; with rk4 it is the first stage
 of the next step, so only the last row costs an evaluation of its own.  The
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
-from .nonholonomic import _energy, nh_rhs
+from .nonholonomic import _energy, _nh_rhs
 from .system import NhState, SystemDef, VakState, check_state, state_env
 from .vakonomic import _hamiltonian, _momenta, _rates, _stage
 
@@ -142,7 +143,7 @@ def _flat_rhs(sys, dynamics):
         return f
 
     def f(y):
-        d = nh_rhs(sys, _unpack(sys, dynamics, y))
+        d = _nh_rhs(sys, _unpack(sys, dynamics, y))
         return d.dy, d
     return f
 

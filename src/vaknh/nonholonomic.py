@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr as _expr
 from ._jets import ambient_table, ambient_velocity_gradient, field_sweep, restricted_table
-from .system import NhState, SystemDef, check_state, complete_velocities, completed_env
+from .system import NhState, SystemDef, _complete_velocities, check_state, completed_env
 from .vakonomic import _args, _jet, _stage
 
 __all__ = [
@@ -54,8 +54,12 @@ def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
     """Full momentum covector p_A = dL/d(velocity_A) at completed velocities
     (the embedding of the constraint submanifold into phase space)."""
     check_state(sys, s)
-    vfull = complete_velocities(sys, s)
-    return ambient_velocity_gradient(sys, s.q, vfull)
+    return _lift(sys, s)
+
+
+def _lift(sys, s) -> np.ndarray:
+    """``legendre_lift`` at a state it does not check."""
+    return ambient_velocity_gradient(sys, s.q, _complete_velocities(sys, s))
 
 
 def _dependent_momenta(sys: SystemDef, s) -> np.ndarray:
@@ -77,7 +81,15 @@ def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
     :class:`~vaknh.errors.SingularMatrixError` when regularity fails.  The
     result keeps the Legendre lift it was computed from."""
     check_state(sys, s)
-    lift = legendre_lift(sys, s)
+    return _nh_rhs(sys, s)
+
+
+def _nh_rhs(sys, s) -> NhDerivative:
+    """``nh_rhs`` at a state it does not check: the integrator's
+    nonholonomic stage, where ``_require_finite`` checks each accepted
+    state and a non-finite stage state gives a non-finite derivative, which
+    the step control rejects."""
+    lift = _lift(sys, s)
     dy, _ = _stage(sys, _args(s, lift[sys.dependent_positions]), "nonholonomic matrix", s)
     n, k = sys.n, 2 * sys.n - sys.m
     return NhDerivative(dq=dy[:n], dv=dy[n:k], lift=lift, dy=dy[:k])

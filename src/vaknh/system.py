@@ -136,12 +136,21 @@ class VakState:
 
 
 def check_state(sys: SystemDef, s) -> None:
+    """Raise ValueError unless ``s`` has the sizes of a state of ``sys``
+    and finite components; the error names the first component that is
+    not finite."""
     if len(s.q) != sys.n:
         raise ValueError(f"state has {len(s.q)} positions, system {sys.name!r} has {sys.n}")
     if len(s.v) != sys.n - sys.m:
         raise ValueError(f"state has {len(s.v)} base velocities, expected {sys.n - sys.m}")
     if isinstance(s, VakState) and len(s.p_dep) != sys.m:
         raise ValueError(f"state has {len(s.p_dep)} multipliers, expected {sys.m}")
+    values = np.concatenate([s.q, s.v, s.p_dep] if isinstance(s, VakState) else [s.q, s.v])
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"state component {sys.state_names[i]} = {float(values[i])!r} "
+                         "is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +292,11 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
     """Full n-velocity vector: base components from the state, dependent
     components from psi."""
     check_state(sys, s)
+    return _complete_velocities(sys, s)
+
+
+def _complete_velocities(sys: SystemDef, s) -> np.ndarray:
+    """``complete_velocities`` at a state it does not check."""
     env = state_env(sys, s)
     full = np.empty(sys.n)
     full[sys.base_positions] = s.v

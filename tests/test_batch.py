@@ -38,7 +38,7 @@ from test_expr import _exprs
 from test_kernel import _same_bits
 
 GOLDEN = Path(__file__).parent / "golden"
-KINDS = ("restricted", "ambient", "velocity_gradient", "completion")
+KINDS = ("restricted", "ambient", "velocity_gradient", "completion", "field")
 FAILURES = (EvalError, ArithmeticError, ValueError)
 CANDIDATES = """\
 C1 = p_z - (y^2/2)*dx
@@ -48,7 +48,9 @@ C4 = 2.5
 """
 
 
-def _blocks(sysdef, kind, q, v, v_full):
+def _blocks(sysdef, kind, q, v, v_full, mult):
+    if kind == "field":
+        return q, v, mult
     return (q, v) if kind in ("restricted", "completion") else (q, v_full)
 
 
@@ -78,9 +80,10 @@ def test_array_kernels_equal_scalar_kernels_on_models(name):
     q = np.array([s.q for s in states])
     v = np.array([s.v for s in states])
     v_full = np.array([complete_velocities(sysdef, s) for s in states])
+    mult = np.array([s.p_dep for s in states])
     for kind in KINDS:
         _assert_lanes_match(_jets._kernel(sysdef, kind),
-                            _blocks(sysdef, kind, q, v, v_full),
+                            _blocks(sysdef, kind, q, v, v_full, mult),
                             _scalar(_jets._kernel(sysdef, kind)))
 
 
@@ -108,9 +111,10 @@ def test_math_functions_run_lane_by_lane_with_math():
     q = rng.uniform(0.1, 3.0, (4000, 3))
     v = rng.uniform(-3.0, 3.0, (4000, 2))
     v_full = np.column_stack([v, rng.uniform(-3.0, 3.0, 4000)])
+    mult = rng.uniform(-3.0, 3.0, (4000, 1))
     for kind in KINDS:
         _assert_lanes_match(_jets._kernel(sysdef, kind),
-                            _blocks(sysdef, kind, q, v, v_full),
+                            _blocks(sysdef, kind, q, v, v_full, mult),
                             _scalar(_jets._kernel(sysdef, kind)))
 
 
@@ -129,10 +133,10 @@ def test_array_kernels_equal_scalar_kernels_on_random_trees(lagrangian, psi, lan
     sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
                        lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
     values = np.array(lanes)
-    q, v, v_full = values[:, :3], values[:, 3:5], values[:, 3:6]
+    q, v, v_full, mult = values[:, :3], values[:, 3:5], values[:, 3:6], values[:, 5:]
     for kind in KINDS:
         _assert_lanes_match(_jets._kernel(sysdef, kind),
-                            _blocks(sysdef, kind, q, v, v_full),
+                            _blocks(sysdef, kind, q, v, v_full, mult),
                             _scalar(_jets._kernel(sysdef, kind)))
     # The gradient kernel of tangency_residuals against autodiff.partial.
     names = ["x", "y", "k1", "dx", "dy"]
@@ -510,6 +514,100 @@ def test_martinet_candidates_report_takes_the_fast_path():
     assert all(r.tangency for r in report.records if r.skipped is None)
     with _fast_path_only():
         assert report.to_json(2) and report.to_json()
+
+
+def _candidates(sysdef):
+    if sysdef.name == "martinet":
+        return parse_candidates(CANDIDATES)
+    return parse_candidates(f"G = {sysdef.coords[0]}*p_{sysdef.dependent[0]}"
+                            f" + d{sysdef.base[-1]}^2\nC = 1.5\n")
+
+
+@pytest.mark.parametrize("with_candidates", [False, True], ids=["plain", "candidates"])
+@pytest.mark.parametrize("p_mode", ["random", "legendre"])
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_report_from_columns_equals_the_records(name, p_mode, with_candidates):
+    # The report is written from the batch columns before its records are
+    # built; then the records built from the same columns equal the
+    # oracle's, and write the same text.
+    sysdef = get_model(name)
+    candidates = _candidates(sysdef) if with_candidates else {}
+    sampler = _sampler(name, 40, 8, p_mode)
+    report = scan(sysdef, sampler, candidates)
+    with _fast_path_only():
+        texts = [report.to_json(indent) for indent in (None, 2)]
+    expected = oracles.scan(sysdef, sampler, candidates)
+    assert report.records == expected.records
+    assert report.summary == expected.summary
+    assert texts == [json.dumps(report.to_json_dict(), indent=indent, allow_nan=False)
+                     for indent in (None, 2)]
+    with _fast_path_only():
+        assert [report.to_json(indent) for indent in (None, 2)] == texts
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("rolling_penny", []),
+    ("martinet", ["--p-mode", "legendre", "--candidates", str(GOLDEN / "martinet.cand")]),
+    ("von_neumann2", []),
+])
+def test_scan_command_builds_no_records(name, argv, monkeypatch, capsys):
+    def no_record(*_, **__):
+        raise AssertionError("a ComparisonRecord was built")
+
+    monkeypatch.setattr(ComparisonRecord, "__init__", no_record)
+    assert run(["scan", name, "--samples", "30", *argv]) == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 30
+
+
+def test_records_read_from_a_scan_are_what_it_writes():
+    # Once read, the records are the report: a changed value is written.
+    report = scan(get_model("martinet"), _sampler("martinet", 5, 2))
+    report.records[3].delta_y[1] = 0.125
+    report.records[0].skipped = "changed"
+    with _fast_path_only():
+        text = report.to_json(2)
+    assert text == json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
+    records = json.loads(text)["records"]
+    assert records[3]["deltaY"][1] == 0.125 and records[0]["skipped"] == "changed"
+
+
+def test_skip_texts_keep_the_sign_of_a_zero_det(monkeypatch):
+    # A skip text is put into words once per distinct error; det 0.0 and
+    # -0.0 are equal as floats but written differently.
+    sysdef = get_model("martinet")
+    q, v, p = comparison._draw(sysdef, _sampler("martinet", 5, 1))
+    what = "vakonomic matrix"
+    error = EvalError("math domain error in 'log(x)'")
+
+    class Lanes:
+        def __init__(self, sys, q, v, p):
+            self.p, self.done = p, np.zeros(len(q), dtype=bool)
+
+        def record(self, candidates):
+            self.events = [(what, 0.0), None, (what, -0.0), error, (what, 0.0)]
+            self.done = np.array([e is not None for e in self.events])
+            zeros = np.zeros((len(q), 2))
+            return zeros, zeros, zeros, {}
+
+    monkeypatch.setattr(comparison, "_Lanes", Lanes)
+    batch = comparison._scan_lanes(sysdef, 7, q, v, p, {})
+    message = "vakonomic matrix is singular for system 'martinet' (det={})"
+    assert [r.skipped for r in batch.records()] == [
+        message.format("0.0"), None, message.format("-0.0"), str(error), message.format("0.0")]
+    assert [r.index for r in batch.records()] == list(range(7, 12))
+
+
+_rows = st.lists(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 1e-10])),
+                          min_size=2, max_size=2), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows, st.sampled_from([1e-10, 0.5, 0.0, math.inf, math.nan]))
+def test_summary_fractions_take_max_as_python_does(rows, tol):
+    # Python's max keeps a leading NaN and passes over a later one.
+    values = [max(map(abs, row)) for row in rows]
+    expected = sum(1 for x in values if x < tol) / len(values) if values else None
+    assert comparison._fraction(np.array(rows).reshape(len(rows), 2), tol) == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from vaknh.cli import run
-from vaknh.comparison import Sampler, scan
+from vaknh.comparison import Sampler, compare_state, scan
 from vaknh.errors import IntegrationError
 from vaknh.integrate import integrate
-from vaknh.system import VakState
+from vaknh.nonholonomic import nh_rhs
+from vaknh.system import NhState, VakState
+from vaknh.vakonomic import cbar, hamiltonian, vak_rhs, w1_momenta
 
 from conftest import get_model
 
@@ -78,12 +80,13 @@ def test_library_argument_errors_are_usage_errors(extra, capsys):
     (["--rtol", "inf"], "rtol must be non-negative and finite, got inf"),
     (["--rtol", "0", "--atol", "0"], "atol must be positive and finite, got 0.0"),
     (["--atol=-1e-9"], "atol must be positive and finite, got -1e-09"),
+    (["--atol", "-1e-9"], "atol must be positive and finite, got -1e-09"),
     (["--atol", "nan"], "atol must be positive and finite, got nan"),
     (["--max-steps", "0"], "max_steps must be at least 1, got 0"),
     (["--max-steps", "-5"], "max_steps must be at least 1, got -5"),
     (["--method", "rk4", "--max-steps", "0"], "max_steps must be at least 1, got 0"),
 ], ids=["negative-rtol", "nan-rtol", "inf-rtol", "zero-tolerances", "negative-atol",
-        "nan-atol", "zero-max-steps", "negative-max-steps", "rk4-zero-max-steps"])
+        "negative-atol-separate-argument", "nan-atol", "zero-max-steps", "negative-max-steps", "rk4-zero-max-steps"])
 def test_step_control_errors_are_usage_errors(extra, message, capsys):
     assert run(MARTINET + ["--t-end", "1", *extra]) == 1
     captured = capsys.readouterr()
@@ -195,3 +198,21 @@ def test_overflow_prints_only_the_error_message():
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr == "numeric error: step size 0.0 does not advance t=0.0\n"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("function, state, message", [
+    (vak_rhs, VakState([0, NAN, 0], [1, 0], [1]), "y = nan"),
+    (nh_rhs, NhState([0, 1, 0], [INF, NAN]), "dx = inf"),
+    (hamiltonian, VakState([INF, 1, 0], [1, 0], [1]), "x = inf"),
+    (w1_momenta, VakState([0, 1, 0], [1, 0], [NAN]), "p_z = nan"),
+    (cbar, VakState([0, 1, 0], [1, -INF], [1]), "dy = -inf"),
+    (compare_state, VakState([0, 1, NAN], [1, 0], [1]), "z = nan"),
+], ids=["vak_rhs", "nh_rhs", "hamiltonian", "w1_momenta", "cbar", "compare_state"])
+def test_non_finite_states_are_rejected(function, state, message):
+    # The first component that is not finite is named; without the check
+    # each of these returns nan.
+    with pytest.raises(ValueError, match=f"^state component {message} is not finite$"):
+        function(get_model("martinet"), state)

@@ -91,15 +91,16 @@ def test_every_vak_sweep_belongs_to_a_stage(method):
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_every_nh_sweep_belongs_to_a_stage(method):
+    # The stage is ``nh_rhs`` without its check of the state.
     counts = _calls(lambda: _run("rolling_penny", "nh", method),
                     _jets.field_sweep, _jets.restricted_table,
-                    _jets.ambient_velocity_gradient, nonholonomic.nh_rhs,
-                    nonholonomic.energy)
-    assert counts["nh_rhs"] > 20
+                    _jets.ambient_velocity_gradient, nonholonomic._nh_rhs,
+                    nonholonomic.nh_rhs, nonholonomic.energy)
+    assert counts["_nh_rhs"] > 20
     assert counts["field_sweep"] == counts["ambient_velocity_gradient"] \
-        == counts["nh_rhs"]
+        == counts["_nh_rhs"]
     assert counts["restricted_table"] == 0
-    assert counts["energy"] == 0
+    assert counts["energy"] == counts["nh_rhs"] == 0
 
 
 def test_rk45_evaluations_per_step():

@@ -23,3 +23,18 @@ def test_pairs_needs_two_pairs_before_any_run(pairs, tmp_path, capsys):
     assert exit_.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+TRACE = Path(__file__).resolve().parents[1] / "tools" / "trace.py"
+
+
+def test_trace_prints_the_layers_of_one_command(capsys):
+    script = runpy.run_path(str(TRACE))
+    assert script["main"](["scan", "martinet", "--samples", "10"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("vaknh scan martinet --samples 10: exit 0, ")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+    for name in ("cli.run", "comparison.scan", "comparison.to_json"):
+        calls, total, self_ms = rows[name]
+        assert int(calls) == 1 and float(total) >= float(self_ms) >= 0.0
+    assert '"records"' not in out   # the report itself is discarded
