@@ -173,6 +173,13 @@ def _sampler(name, count, seed, p_mode="random", box=None):
                    v_bounds=tuple(box["v"]), p_bounds=tuple(box["p"]), p_mode=p_mode)
 
 
+def _candidates(sysdef):
+    if sysdef.name == "martinet":
+        return parse_candidates(CANDIDATES)
+    return parse_candidates(f"G = {sysdef.coords[0]}*p_{sysdef.dependent[0]}"
+                            f" + d{sysdef.base[-1]}^2\nC = 1.5\n")
+
+
 def _count_per_state(monkeypatch):
     """The positions q of the lanes re-run at their one state, in order."""
     calls = []
@@ -292,11 +299,7 @@ def test_per_state_functions_equal_the_oracle(name):
         more = comparison._draw(sysdef, _sampler(name, 20, 5, box=box))
         q, v, p = (np.concatenate([a, b]) for a, b in zip((q, v, p), more))
         p[::7] = 0.0
-    if name == "martinet":
-        candidates = parse_candidates(CANDIDATES)
-    else:
-        candidates = parse_candidates(f"G = {sysdef.coords[0]}*p_{sysdef.dependent[0]}"
-                                      f" + d{sysdef.base[-1]}^2\nC = 1.5\n")
+    candidates = _candidates(sysdef)
     for qi, vi, pi in zip(q, v, p):
         s = VakState(qi, vi, pi)
         for got, expected, args in [
@@ -514,13 +517,6 @@ def test_martinet_candidates_report_takes_the_fast_path():
     assert all(r.tangency for r in report.records if r.skipped is None)
     with _fast_path_only():
         assert report.to_json(2) and report.to_json()
-
-
-def _candidates(sysdef):
-    if sysdef.name == "martinet":
-        return parse_candidates(CANDIDATES)
-    return parse_candidates(f"G = {sysdef.coords[0]}*p_{sysdef.dependent[0]}"
-                            f" + d{sysdef.base[-1]}^2\nC = 1.5\n")
 
 
 @pytest.mark.parametrize("with_candidates", [False, True], ids=["plain", "candidates"])
