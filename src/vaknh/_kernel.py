@@ -516,9 +516,9 @@ def compile_sweep(sys, kind: str) -> Sweep:
     Lambda's gradient at the dependent positions; then the gradients of
     psi in the base velocities, one m x (n-m) matrix row by row.  The
     shift subtracts mult_j * psi_j from every entry of the Lagrangian's jet
-    for j = 0, 1, ... in turn, the operations ``vakonomic._shifted`` makes
-    on the restricted table, so the jet is equal to its result bit for
-    bit.
+    for j = 0, 1, ... in turn, the operations of the shift of the
+    restricted table's rows in numpy (the tests' oracle), so the jet is
+    equal to its result bit for bit.
     """
     coords = list(sys.coords)
     base = coords + [sys.velocity_of(c) for c in sys.base]

@@ -49,11 +49,11 @@ _NUMBER_FLAGS = ("--q", "--v", "--p", "--t-end", "--dt", "--rtol", "--atol", "--
 def _join_vectors(argv):
     """Rewrite ``--q -0.3,0.5`` as ``--q=-0.3,0.5`` and ``--atol -1e-9`` as
     ``--atol=-1e-9``: argparse takes a value that starts with a minus sign
-    and is not a plain decimal number, such as a vector or a number in
-    exponent form, for an option."""
+    and is not a plain decimal number, such as a vector, a number in
+    exponent form or ``-inf`` (``float``'s ``inf`` and ``nan``, any case)."""
     out = []
     for arg in argv:
-        if out and out[-1] in _NUMBER_FLAGS and re.match(r"-\.?\d", arg):
+        if out and out[-1] in _NUMBER_FLAGS and re.match(r"-(\.?\d|inf|nan)", arg, re.I):
             arg = f"{out.pop()}={arg}"
         out.append(arg)
     return out

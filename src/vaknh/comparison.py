@@ -19,7 +19,9 @@ The two flows live on different spaces but project onto each other through
 
 Each quantity has one implementation in the package, a phase over stacked
 states (``_Lanes``) that runs the array form of the generated kernels
-(:mod:`vaknh._jets`) and one stacked determinant and solve per field.
+(:mod:`vaknh._jets`); a field is the integrator's ``field`` kernel read by
+``vakonomic._stage_lanes``.  The lift and the vakonomic field are evaluated
+once per stack, and every phase that needs them reads them.
 ``scan`` runs the phases over batches of ``BATCH`` sampled states.
 ``compare_state`` (the ``compare`` command) and the functions above run
 them on a stack of one state, so they agree with ``scan`` by construction.
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -51,7 +54,7 @@ from ._jets import (_kernel, ambient_velocity_gradient, completion, gradient_ker
                     restricted_table, run_lanes)
 from .errors import EvalError, SingularMatrixError, VaknhError
 from .system import NhState, SystemDef, VakState, check_state, require_linear
-from .vakonomic import _reduced_lanes, _singular_message
+from .vakonomic import _singular_message, _stage_lanes
 
 __all__ = [
     "ComparisonRecord",
@@ -99,7 +102,7 @@ def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
     """Difference of base accelerations between the vakonomic field at ``s``
     and the nonholonomic field at its projection.  Defined for nonlinear
     constraints too, unlike ``g_residuals``."""
-    return _one(sys, s, lambda lanes: lanes.vak()[1] - lanes.nh())[0]
+    return _one(sys, s, lambda lanes: lanes.vak[1] - lanes.nh())[0]
 
 
 def candidate_variables(sys: SystemDef) -> set[str]:
@@ -485,7 +488,7 @@ class _Lanes:
         self.events = [None] * len(q)
         self.done = np.zeros(len(q), dtype=bool)   # lanes with an error
         if p is None:
-            self.p = self.lift()
+            self.p = self.lift
 
     def mark(self, bad, event):
         """Give each lane in ``bad`` without an error yet ``event(lane)``."""
@@ -505,8 +508,10 @@ class _Lanes:
 
         self.mark(bad, error)
 
+    @cached_property
     def lift(self):
-        """The Legendre momenta Leg_dep: completion, then the Legendre map."""
+        """The Legendre momenta Leg_dep: completion, then the Legendre map;
+        evaluated once."""
         sys, q, v = self.sys, self.q, self.v
         dependent, failed = completion(sys, q, v)
         vfull = np.empty((len(q), sys.n))
@@ -532,35 +537,40 @@ class _Lanes:
     def g(self):
         """``g_residuals``: the curvature, then the Legendre lift."""
         r = self.curvature()
-        return _contract_g(self.v, self.p - self.lift(), r)
+        return _contract_g(self.v, self.p - self.lift, r)
 
     def field(self, mult, what):
         """dq, dv and dp of the field with multipliers ``mult``, matrix ``what``."""
         sys, q, v = self.sys, self.q, self.v
-        tab, bad = restricted_table(sys, q, v)
-        self.fail(bad, _kernel(sys, "restricted"), q, v)
-        dq, dv, dp, det, singular = _reduced_lanes(sys, tab, v, mult, self.done)
+        sweep = _kernel(sys, "field")
+        buf, bad = run_lanes(sweep, q, v, mult)
+        self.fail(bad, sweep, q, v, mult)
+        dy, det, singular = _stage_lanes(sys, buf, self.done)
         dets = det.tolist()
         self.mark(singular, lambda i: (what, dets[i]))
-        return dq, dv, dp
+        return np.split(dy, [sys.n, 2 * sys.n - sys.m], axis=1)
 
+    @cached_property
     def vak(self):
+        """dq, dv and dp of the vakonomic field, evaluated once."""
         return self.field(self.p, "vakonomic matrix")
 
     def nh(self):
-        """dv of the nonholonomic field: the Legendre lift, then the field."""
-        return self.field(self.lift(), "nonholonomic matrix")[1]
+        """dv of the nonholonomic field: the vakonomic one where p is the
+        Legendre lift (legendre mode), else the field at the lift."""
+        if self.p is self.lift:
+            return self.vak[1]
+        return self.field(self.lift, "nonholonomic matrix")[1]
 
-    def tangency(self, candidates, vak=None):
-        """``tangency_residuals`` along the vakonomic field ``vak`` (dq, dv,
-        dp), evaluated here if not given: one list of values per candidate,
-        from one gradient kernel of all candidates."""
+    def tangency(self, candidates):
+        """``tangency_residuals`` along the vakonomic field: one list of
+        values per candidate, from one gradient kernel of all candidates."""
         sys, q, v, p = self.sys, self.q, self.v, self.p
         error = _non_state(sys, candidates)
         if error is not None:
             self.mark(np.ones(len(q), dtype=bool), lambda i: error)
             return {}
-        dq, dv, dp = vak or self.vak()
+        dq, dv, dp = self.vak
         # The candidate variables, in the order of the columns of q, v and p.
         names = sys.state_names
         flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))
@@ -586,9 +596,7 @@ class _Lanes:
         constraints are linear), the base accelerations of the vakonomic and
         of the nonholonomic field, and the tangency residuals."""
         g = self.g() if self.sys.linear else None
-        vak = self.vak()
-        nh_dv = self.nh()
-        return g, vak[1], nh_dv, self.tangency(candidates, vak) if candidates else {}
+        return g, self.vak[1], self.nh(), self.tangency(candidates) if candidates else {}
 
 
 def _one(sys, s, run):

@@ -33,8 +33,9 @@ kernel's flat arguments to the derivative of the packed state and the
 buffer.  ``vak_rhs`` and the nonholonomic ``nh_rhs`` evaluate through it,
 and the vakonomic stage of :func:`vaknh.integrate.integrate` is ``_stage``
 on the packed state itself, with no state or derivative object built
-around it.  ``cbar``, ``hamiltonian``, ``w1_momenta`` and ``ctilde`` read
-the kernel's buffer with the readers ``_stage``'s callers use.
+around it; the comparison phases run its stacked twin ``_stage_lanes``.
+``cbar``, ``hamiltonian``, ``w1_momenta`` and ``ctilde`` read the kernel's
+buffer with the readers ``_stage``'s callers use.
 
 Invertibility of Cbar is exactly the condition for the dynamics to be
 well-posed (and for the phase space to carry a symplectic structure),
@@ -87,18 +88,6 @@ class VakDerivative:
 class SymplecticReport:
     det: float
     invertible: bool
-
-
-def _shifted(tab, mult) -> Jet:
-    """Jet of the shifted Lagrangian Lambda = L~ - mult . psi over the
-    variables of the restricted table ``tab``: the one place where the
-    multipliers enter the reduced equations.  For stacked tables ``mult``
-    holds one multiplier vector per lane, and the jets are stacked too."""
-    rows = tab.rows
-    row = rows[..., tab.m, :]
-    for j in range(tab.m):
-        row = row - mult[..., j, None] * rows[..., j, :]
-    return tab.jet(row)
 
 
 def det_threshold(c, order):
@@ -202,28 +191,27 @@ def _rates(sys, buf) -> np.ndarray:
     return buf[start:start + sys.m]
 
 
-def _reduced_lanes(sys, tab, v, mult, skip):
-    """The reduced equations of ``_stage`` over stacked states, from their stacked
-    restricted table ``tab``: the shift, the determinant guard, and one
-    solve over the lanes that are neither in ``skip`` nor singular.  Returns
-    the stacked dq, dv (NaN where not solved) and dp, the determinants and
-    the mask of singular lanes; every solved lane equals the state's own
-    evaluation bit for bit."""
-    n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
-    lam = _shifted(tab, mult)
-    c = lam.hess[:, n:, n:]
-    det, threshold = det_threshold(c, n - m)
+def _stage_lanes(sys, buf, skip):
+    """``_stage`` over the stacked ``field`` buffer ``buf`` of N states, with
+    one solve over the lanes neither in ``skip`` nor singular.  Returns the
+    stacked derivatives (dv NaN where not solved), the determinants and the
+    singular mask; each solved lane equals ``_stage``'s bit for bit."""
+    n, m = sys.n, sys.m
+    k = 2 * n - m
+    size = 1 + k + k * k
+    hess = buf[:, 1 + k:size].reshape(len(buf), k, k)
+    c = hess[:, n:, n:]
+    det, threshold = det_threshold(c, k - n)
     singular = np.abs(det) <= threshold
-    dq = np.empty((len(v), n))
-    dq[:, base] = v
-    dq[:, dep] = tab.values[:, :m]
-    dp = lam.grad[:, dep]
-    r = (lam.grad[:, base] - (dq[:, None] @ lam.hess[:, :n, n:])[:, 0]
-         + (dp[:, None] @ tab.grads[:, :m, n:])[:, 0])
+    known = buf[:, size:size + 2 * n]
+    dq, dp = known[:, :n], known[:, k:]
+    r = (buf[:, 1:1 + k][:, sys.base_positions] - (dq[:, None] @ hess[:, :n, n:])[:, 0]
+         + (dp[:, None] @ buf[:, size + 2 * n:].reshape(len(buf), m, k - n))[:, 0])
     solved = ~(skip | singular)
-    dv = np.full((len(v), n - m), np.nan)
-    dv[solved] = np.linalg.solve(c[solved], r[solved][..., None])[..., 0]
-    return dq, dv, dp, det, singular
+    dy = known.copy()
+    dy[:, n:k] = np.nan
+    dy[solved, n:k] = np.linalg.solve(c[solved], r[solved][..., None])[..., 0]
+    return dy, det, singular
 
 
 def _args(s, mult):

@@ -15,6 +15,12 @@
   products in opposite orders, and the chain rule forms (f'' g_i) g_j on
   one side and (f'' g_j) g_i on the other.
 
+* ``_shifted``: the multiplier shift Lambda = L~ - mult . psi of a
+  restricted table, made in numpy on its rows: the oracle of the ``field``
+  kernel, which the package's reduced equations (``vakonomic._stage`` and
+  its stacked twin ``_stage_lanes``) read and which carries the same
+  shift on in generated code.
+
 * ``curvature``, ``g_residuals``, ``field_residual``,
   ``tangency_residuals``, ``evaluate_one`` and ``scan``: the comparison
   quantities evaluated state by state, the reference for the batched
@@ -174,6 +180,18 @@ def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
     result = E.evaluate(sys.lagrangian, env)
     _, grad, _ = _parts(result, n)
     return grad
+
+
+def _shifted(tab, mult) -> Jet:
+    """Jet of the shifted Lagrangian Lambda = L~ - mult . psi over the
+    variables of the restricted table ``tab``: the one place where the
+    multipliers enter the reduced equations.  For stacked tables ``mult``
+    holds one multiplier vector per lane, and the jets are stacked too."""
+    rows = tab.rows
+    row = rows[..., tab.m, :]
+    for j in range(tab.m):
+        row = row - mult[..., j, None] * rows[..., j, :]
+    return tab.jet(row)
 
 
 # ---------------------------------------------------------------------------

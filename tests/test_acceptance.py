@@ -182,6 +182,21 @@ def test_criterion_6_holonomic():
     _report(6, "holonomic comparison trivial", worst <= 1e-12, f"max {worst:.1e}")
 
 
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_criterion_6_holonomic_trajectories_agree(seed):
+    # R = 0: the vakonomic flow from (q, v, p) at any p projects onto the
+    # nonholonomic flow from (q, v).  The same rk4 steps must give the same
+    # (q, v) columns to within 1e-12 of their largest entry.
+    h = get_model("holonomic_demo")
+    for s in random_states("holonomic_demo", 3, seed):
+        vak = integrate(h, "vak", s, t_end=2.0, method="rk4", dt=0.01)
+        nh = integrate(h, "nh", NhState(s.q, s.v), t_end=2.0, method="rk4", dt=0.01)
+        assert np.array_equal(vak.times, nh.times) and len(vak.times) == 201
+        vak_qv = np.array([np.concatenate([x.q, x.v]) for x in vak.states])
+        nh_qv = np.array([np.concatenate([x.q, x.v]) for x in nh.states])
+        assert np.max(np.abs(vak_qv - nh_qv)) <= 1e-12 * np.max(np.abs(nh_qv))
+
+
 def test_criterion_7_structural_identities():
     worst_c, worst_sign = 0.0, 0.0
     verdicts_agree = True

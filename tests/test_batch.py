@@ -8,7 +8,8 @@ the per-state functions in ``tests/oracles.py``).
   what the oracle's do.
 * ``ComparisonReport.to_json`` writes what ``json.dumps`` writes.
 * ``compare`` at a scanned state reads that record's values, from the
-  sweeps of a one-sample scan.
+  sweeps of a one-sample scan, and a batch evaluates each of its states
+  once: one lift, one field sweep per field.
 """
 
 import json
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vaknh import _jets, comparison, expr as E
+from vaknh import _jets, comparison, expr as E, vakonomic
 from vaknh._kernel import compile_gradients
 from vaknh.autodiff import partial
 from vaknh.cli import run
@@ -660,8 +661,9 @@ def _record_calls(monkeypatch, calls, function, label):
 
 def test_compare_evaluates_its_state_once(tmp_path, monkeypatch, capsys):
     # One compare makes the stacked sweeps of a one-sample scan and no
-    # other: no field kernel (vak_rhs, nh_rhs) and no interpreted partial
-    # derivative.
+    # other: one restricted sweep (the curvature), one Legendre lift, the
+    # stacked field kernel of each field, no scalar field kernel (vak_rhs,
+    # nh_rhs) and no interpreted partial derivative.
     candidates = tmp_path / "c.cand"
     candidates.write_text(CANDIDATES, encoding="utf-8")
     sysdef, sampler = get_model("martinet"), _sampler("martinet", 1, 4)
@@ -681,7 +683,28 @@ def test_compare_evaluates_its_state_once(tmp_path, monkeypatch, capsys):
                 f"--p={_csv(record.p_dep)}", "--candidates", str(candidates)]) == 0
     assert json.loads(capsys.readouterr().out)["deltaY"] == record.delta_y
     assert calls == scanned
-    assert scanned.count(("restricted_table", 2)) == 3
-    assert scanned.count(("ambient_velocity_gradient", 2)) == 2
+    assert scanned.count(("restricted_table", 2)) == 1
+    assert scanned.count(("ambient_velocity_gradient", 2)) == 1
+    assert scanned.count("field sweep of martinet") == 2
     assert "gradients" in scanned
     assert "field_sweep" not in calls and "partial" not in calls
+
+
+@pytest.mark.parametrize("p_mode, fields", [("random", 2), ("legendre", 1)])
+def test_a_batch_evaluates_each_state_once(monkeypatch, p_mode, fields):
+    # The curvature's restricted sweep, one Legendre lift (completion, then
+    # the velocity gradient) and a field sweep, determinant and solve per
+    # field; in legendre mode p is the lift, so the two fields are one.
+    sysdef = get_model("rolling_penny")
+    calls = []
+    _record_calls(monkeypatch, calls, _jets.run_lanes, lambda sweep, *_: sweep.label)
+    _record_calls(monkeypatch, calls, vakonomic.det_threshold, lambda *_: "det")
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: calls.append("solve") or solve(*args))
+    report = scan(sysdef, _sampler("rolling_penny", 50, 3, p_mode))
+    assert report.summary["evaluated"] == 50
+    assert sorted(calls) == sorted(
+        [f"restricted sweep of {sysdef.name}", f"completion sweep of {sysdef.name}",
+         f"velocity_gradient sweep of {sysdef.name}"]
+        + [f"field sweep of {sysdef.name}", "det", "solve"] * fields)

@@ -1,10 +1,13 @@
-"""The fused ``field`` kernel against the restricted table it replaces.
+"""The fused ``field`` kernel against the restricted table and its shift.
 
-``vak_rhs`` and ``nh_rhs`` read the jet of Lambda, the completed
-velocities, the psi gradients and the multiplier rates from one buffer of
-the ``field`` kernel.  The reference here builds them as the reduced
-equations did from ``_jets.restricted_table`` and ``vakonomic._shifted``;
-every entry must agree bit for bit.
+The reduced equations read the jet of Lambda, the completed velocities,
+the psi gradients and the multiplier rates from one buffer of the
+``field`` kernel: ``vak_rhs``, ``nh_rhs`` and the integrator through
+``vakonomic._stage``, the comparison phases of ``scan`` and ``compare``
+through its stacked twin ``_stage_lanes``.  The reference here builds them
+from ``_jets.restricted_table`` and the oracle's multiplier shift
+(``oracles._shifted``); every entry must agree bit for bit, and the
+stacked stage must equal the stage at each lane.
 """
 
 import numpy as np
@@ -15,9 +18,11 @@ from vaknh import _jets
 from vaknh.errors import EvalError, SingularMatrixError
 from vaknh.nonholonomic import ctilde, legendre_lift, nh_rhs
 from vaknh.system import NhState, VakState, load_system
-from vaknh.vakonomic import DET_RTOL, _shifted, cbar, hamiltonian, vak_rhs, w1_momenta
+from vaknh.vakonomic import (DET_RTOL, _stage, _stage_lanes, cbar, hamiltonian, vak_rhs,
+                             w1_momenta)
 
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
+from oracles import _shifted
 from test_kernel import _DOMAIN, _same_bits
 
 _SEEDS = st.integers(0, 2**32 - 1)
@@ -86,6 +91,40 @@ def test_nh_field_equals_shifted_restricted_table(name, seed):
     d = nh_rhs(sysdef, s)
     assert _same_bits(d.dy, np.concatenate([dq, dv]))
     assert _same_bits(d.dq, dq) and _same_bits(d.dv, dv)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_stacked_stage_equals_the_stage_at_each_lane(name):
+    sysdef = get_model(name)
+    states = random_states(name, 300, 23)
+    q, v, p = (np.array([getattr(s, x) for s in states]) for x in ("q", "v", "p_dep"))
+    if name == "von_neumann2":
+        # dK2 up to 2 leaves the square root's domain at some states, and
+        # p = 0 makes the reduced matrix singular.
+        v *= 4.0
+        p[::7] = 0.0
+    buf, failed = _jets.run_lanes(_jets._kernel(sysdef, "field"), q, v, p)
+    with np.errstate(all="ignore"):   # as scan and compare run it
+        dy, det, singular = _stage_lanes(sysdef, buf, failed)
+    outcomes = []
+    for i, args in enumerate(np.column_stack([q, v, p]).tolist()):
+        try:
+            expected, _ = _stage(sysdef, args, "vakonomic matrix")
+        except EvalError:
+            assert failed[i]
+            outcomes.append("failed")
+            continue
+        except SingularMatrixError as exc:
+            assert not failed[i] and singular[i]
+            assert _same_bits(det[i], exc.det)
+            outcomes.append("singular")
+            continue
+        assert not failed[i] and not singular[i]
+        assert _same_bits(dy[i], expected)
+        outcomes.append("solved")
+    assert "solved" in outcomes
+    if name == "von_neumann2":
+        assert "failed" in outcomes and "singular" in outcomes
 
 
 _CONSTANT = """name constant

@@ -85,8 +85,18 @@ def test_library_argument_errors_are_usage_errors(extra, capsys):
     (["--max-steps", "0"], "max_steps must be at least 1, got 0"),
     (["--max-steps", "-5"], "max_steps must be at least 1, got -5"),
     (["--method", "rk4", "--max-steps", "0"], "max_steps must be at least 1, got 0"),
+    # A value that float() reads as -inf or -nan, as a separate argument.
+    (["--atol", "-inf"], "atol must be positive and finite, got -inf"),
+    (["--atol", "-NaN"], "atol must be positive and finite, got nan"),
+    (["--rtol", "-Infinity"], "rtol must be non-negative and finite, got -inf"),
+    (["--t-end", "-inf"], "t_end must be positive and finite, got -inf"),
+    (["--method", "rk4", "--dt", "-INF"], "dt must be positive and finite, got -inf"),
+    (["--q", "-inf,1,0"], "--q must be finite numbers"),
+    (["--v", "-nan,0"], "--v must be finite numbers"),
 ], ids=["negative-rtol", "nan-rtol", "inf-rtol", "zero-tolerances", "negative-atol",
-        "negative-atol-separate-argument", "nan-atol", "zero-max-steps", "negative-max-steps", "rk4-zero-max-steps"])
+        "negative-atol-separate-argument", "nan-atol", "zero-max-steps", "negative-max-steps",
+        "rk4-zero-max-steps", "minus-inf-atol", "minus-nan-atol", "minus-infinity-rtol",
+        "minus-inf-t-end", "minus-inf-dt", "minus-inf-q", "minus-nan-v"])
 def test_step_control_errors_are_usage_errors(extra, message, capsys):
     assert run(MARTINET + ["--t-end", "1", *extra]) == 1
     captured = capsys.readouterr()

@@ -14,9 +14,10 @@ from vaknh import _jets, comparison, expr as E
 from vaknh.errors import EvalError
 from vaknh.models import builtin
 from vaknh.system import NhState, SystemDef, VakState, complete_velocities, load_system
-from vaknh.vakonomic import _shifted, vak_rhs
+from vaknh.vakonomic import vak_rhs
 
 import oracles
+from oracles import _shifted
 from conftest import ALL_MODELS, get_model, random_states
 from test_expr import _exprs
 
@@ -267,22 +268,26 @@ def test_kernel_that_fails_where_its_interpreter_does_not(monkeypatch):
     sysdef = builtin("martinet")
     s = VakState((0.1, 0.2, 0.3), (0.5, 0.6), (0.7,))
 
-    restricted = _jets._kernel(sysdef, "restricted")
+    restricted, field = _jets._kernel(sysdef, "restricted"), _jets._kernel(sysdef, "field")
 
     def fails(*args):
         raise ValueError
 
-    def marks(*columns):   # every lane marked
-        lanes = len(columns[0])
-        return np.zeros((restricted.outputs, lanes)), np.ones(lanes, bool)
+    def marks(sweep):
+        def array(*columns):   # every lane marked
+            lanes = len(columns[0])
+            return np.zeros((sweep.outputs, lanes)), np.ones(lanes, bool)
+        return array
 
-    monkeypatch.setattr(restricted, "scalar", fails)
-    monkeypatch.setattr(restricted, "array", marks)
-    monkeypatch.setattr(_jets._kernel(sysdef, "field"), "scalar", fails)
+    for sweep in (restricted, field):
+        monkeypatch.setattr(sweep, "scalar", fails)
+        monkeypatch.setattr(sweep, "array", marks(sweep))
     with pytest.raises(RuntimeError, match="^restricted sweep of martinet: the kernel "
                        "failed where its interpreter does not$"):
         _jets.restricted_table(sysdef, s.q, s.v)
     with pytest.raises(RuntimeError, match="^field sweep of martinet: "):
         vak_rhs(sysdef, s)
-    with pytest.raises(RuntimeError, match="^restricted sweep of martinet: "):
+    with pytest.raises(RuntimeError, match="^field sweep of martinet: "):
         comparison.field_residual(sysdef, s)
+    with pytest.raises(RuntimeError, match="^restricted sweep of martinet: "):
+        comparison.g_residuals(sysdef, s)

@@ -5,6 +5,11 @@ The runtime keeps one implementation of each sweep, the generated kernel:
 where a kernel failure becomes an error, and the interpreted sweeps are the
 tests' oracle (``tests/oracles.py``).  Only ``system`` (``verify_linearity``)
 and ``_kernel`` (``Sweep.explain``) use the hyper-dual interpreter.
+
+The reduced equations have one implementation, ``vakonomic._stage`` and its
+stacked twin ``_stage_lanes``, on the buffer of the ``field`` kernel: only
+``vakonomic`` calls numpy's linear algebra, and the multiplier shift made
+in numpy (``_shifted``) is the tests' oracle of that kernel.
 """
 
 import ast
@@ -14,6 +19,7 @@ import vaknh
 
 PACKAGE = Path(vaknh.__file__).resolve().parent
 AUTODIFF_USERS = {"system", "_kernel"}
+LINALG = ("np.linalg.", "numpy.linalg.", "linalg.", "_umath_linalg.")
 
 
 def _modules():
@@ -53,4 +59,28 @@ def test_only_system_and_kernel_import_autodiff():
 def test_no_module_defines_an_interpreted_sweep():
     found = [(name, defined) for name, tree in _modules()
              for defined in _defined_names(tree) if defined.startswith("reference_")]
+    assert found == []
+
+
+def _dotted(node) -> str:
+    """The dotted name an attribute chain spells, or '' for any other node."""
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_only_vakonomic_calls_linear_algebra():
+    callers = {name for name, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _dotted(node.func).startswith(LINALG)}
+    assert callers == {"vakonomic"}
+    # Any other module imports no function of numpy.linalg by name.
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                assert name == "vakonomic", node.module
+
+
+def test_no_module_defines_the_numpy_multiplier_shift():
+    found = [name for name, tree in _modules() if "_shifted" in set(_defined_names(tree))]
     assert found == []

@@ -38,3 +38,22 @@ def test_trace_prints_the_layers_of_one_command(capsys):
         calls, total, self_ms = rows[name]
         assert int(calls) == 1 and float(total) >= float(self_ms) >= 0.0
     assert '"records"' not in out   # the report itself is discarded
+
+
+def test_trace_counts_the_sweeps_of_one_command(capsys):
+    # A one-sample random-p scan of a linear model: the curvature's
+    # restricted sweep, one Legendre lift and one field sweep per field,
+    # each run once, stacked; then the sweeps are unwrapped again.
+    from vaknh import _jets, comparison
+    from vaknh._kernel import Sweep
+
+    run, run_lanes = Sweep.run, _jets.run_lanes
+    script = runpy.run_path(str(TRACE))
+    assert script["main"](["scan", "rolling_penny", "--samples", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index(next(line for line in lines if line.startswith("sweep "))) + 1:]
+    rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in table}
+    assert rows == {f"{kind} sweep of rolling_penny": ["0", count]
+                    for kind, count in [("restricted", "1"), ("completion", "1"),
+                                        ("velocity_gradient", "1"), ("field", "2")]}
+    assert Sweep.run is run and comparison.run_lanes is run_lanes is _jets.run_lanes

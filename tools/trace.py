@@ -7,8 +7,11 @@ the span tracer of the benchmark (``bench/spans.py``), and discards what the
 command writes to stdout.  Prints the command's exit code and wall time,
 then one row per traced function that ran: its calls, its total time and
 its self time (the total less the time of the traced functions it called),
-the largest total first.  The package is not changed: the tracer wraps the
-functions of ``bench/spans.TARGETS`` while the command runs.
+the largest total first.  Then one row per generated sweep that ran, by
+``Sweep.label``: its scalar runs (``Sweep.run``, one state) and its stacked
+runs (``_jets.run_lanes``, one batch of states).  The package is not
+changed: the tracer wraps the functions of ``bench/spans.TARGETS``, and
+this script ``Sweep.run`` and ``run_lanes``, while the command runs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import contextlib
 import io
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,12 +29,46 @@ for path in (ROOT / "bench", ROOT / "src"):
         sys.path.insert(0, str(path))
 
 
+@contextlib.contextmanager
+def counted_sweeps(counts: Counter):
+    """Count in ``counts`` the runs of each generated sweep while installed,
+    keyed by (``Sweep.label``, "scalar" or "stacked"): ``Sweep.run`` is
+    wrapped on its class, and ``_jets.run_lanes`` under every name a
+    ``vaknh`` module binds it to."""
+    from vaknh import _jets
+    from vaknh._kernel import Sweep
+
+    run, run_lanes = Sweep.run, _jets.run_lanes
+
+    def scalar(sweep, *args):
+        counts[sweep.label, "scalar"] += 1
+        return run(sweep, *args)
+
+    def stacked(sweep, *blocks):
+        counts[sweep.label, "stacked"] += 1
+        return run_lanes(sweep, *blocks)
+
+    bound = [(module, key) for name, module in list(sys.modules.items())
+             if module is not None and name.split(".")[0] == "vaknh"
+             for key, value in list(vars(module).items()) if value is run_lanes]
+    Sweep.run = scalar
+    for module, key in bound:
+        setattr(module, key, stacked)
+    try:
+        yield counts
+    finally:
+        Sweep.run = run
+        for module, key in bound:
+            setattr(module, key, run_lanes)
+
+
 def main(argv=None) -> int:
     from spans import Tracer
     from vaknh import cli
 
     argv = sys.argv[1:] if argv is None else list(argv)
-    with Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+    with Tracer() as tracer, counted_sweeps(Counter()) as sweeps, \
+            contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
         code = cli.run(argv)
         wall = time.perf_counter() - start
@@ -42,6 +80,11 @@ def main(argv=None) -> int:
     for name in names:
         print(f"{name:36s} {table.calls(name):7d} {table.total(name) * 1e3:10.3f} "
               f"{table.self_total(name) * 1e3:10.3f}")
+    labels = sorted({label for label, _ in sweeps})
+    width = max([36, *map(len, labels)])
+    print(f"{'sweep':{width}s} {'scalar':>7s} {'stacked':>7s}")
+    for label in labels:
+        print(f"{label:{width}s} {sweeps[label, 'scalar']:7d} {sweeps[label, 'stacked']:7d}")
     return code
 
 
