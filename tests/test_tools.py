@@ -51,7 +51,7 @@ def test_trace_counts_the_sweeps_of_one_command(capsys):
     script = runpy.run_path(str(TRACE))
     assert script["main"](["scan", "rolling_penny", "--samples", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    table = lines[lines.index(next(line for line in lines if line.startswith("sweep "))) + 1:]
+    table = lines[next(i for i, line in enumerate(lines) if line.startswith("sweep ")) + 1:]
     rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in table}
     assert rows == {f"{kind} sweep of rolling_penny": ["0", count]
                     for kind, count in [("restricted", "1"), ("completion", "1"),

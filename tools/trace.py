@@ -30,14 +30,15 @@ for path in (ROOT / "bench", ROOT / "src"):
 
 
 @contextlib.contextmanager
-def counted_sweeps(counts: Counter):
-    """Count in ``counts`` the runs of each generated sweep while installed,
+def counted_sweeps():
+    """A ``Counter`` of the runs of each generated sweep while installed,
     keyed by (``Sweep.label``, "scalar" or "stacked"): ``Sweep.run`` is
     wrapped on its class, and ``_jets.run_lanes`` under every name a
     ``vaknh`` module binds it to."""
     from vaknh import _jets
     from vaknh._kernel import Sweep
 
+    counts = Counter()
     run, run_lanes = Sweep.run, _jets.run_lanes
 
     def scalar(sweep, *args):
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
     from vaknh import cli
 
     argv = sys.argv[1:] if argv is None else list(argv)
-    with Tracer() as tracer, counted_sweeps(Counter()) as sweeps, \
+    with Tracer() as tracer, counted_sweeps() as sweeps, \
             contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
         code = cli.run(argv)
