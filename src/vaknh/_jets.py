@@ -17,8 +17,11 @@ system's expression trees on the first sweep and stores on the
 for equal systems loaded again, and for equal candidate functions
 (``gradient_kernel``).  ``field_sweep`` runs the ``field`` kernel, the
 restricted sweep continued through the multiplier shift of the reduced
-equations (:mod:`vaknh.vakonomic`), on a flat argument list.  Each kernel
-gives the bits of the hyper-dual interpreter it is generated from,
+equations (:mod:`vaknh.vakonomic`), on a flat argument list.
+``completion``, the kernel of psi on plain floats, is the one completion of
+the velocities: :func:`vaknh.system.complete_velocities`,
+:func:`vaknh.system.completed_env` and the Legendre lift read it.  Each
+kernel gives the bits of the hyper-dual interpreter it is generated from,
 :func:`vaknh.expr.evaluate` over :class:`~vaknh.autodiff.HyperDual`
 numbers, in every value, every gradient entry and, while the intermediate
 values are finite, every Hessian entry of the upper triangle, up to the
@@ -60,10 +63,7 @@ class Jet:
 
 def _row_jet(row, k) -> Jet:
     """The jet of ``k`` variables laid out in ``row`` as the value, the
-    gradient and the row-major Hessian; rows stacked along leading axes
-    give the stacked jets (an array of values)."""
-    if row.ndim > 1:
-        return Jet(row[..., 0], row[..., 1:1 + k], row[..., 1 + k:].reshape(row.shape[:-1] + (k, k)))
+    gradient and the row-major Hessian."""
     return Jet(float(row[0]), row[1:1 + k], row[1 + k:].reshape(k, k))
 
 
@@ -79,7 +79,8 @@ class RestrictedTable:
     ``hessians`` (m+1, k, k) are views of that buffer; ``lag``, ``psi`` and
     ``psi_grad`` are slices of them.  A kernel's buffer is read-only.  The
     tables of N stacked states share one buffer of shape (N, m+1, 1+k+k*k),
-    and every view gains the leading axis.
+    and ``values``, ``grads``, ``hessians`` and ``psi_grad`` gain the
+    leading axis; ``jet``, ``lag`` and ``psi`` read the table of one state.
     """
 
     rows: np.ndarray
@@ -115,12 +116,12 @@ class RestrictedTable:
 
     @property
     def lag(self) -> Jet:
-        return self.jet(self.rows[..., self.m, :])
+        return self.jet(self.rows[self.m])
 
     @property
     def psi(self) -> list[Jet]:
         """One jet per dependent coordinate, in declaration order."""
-        return [self.jet(self.rows[..., j, :]) for j in range(self.m)]
+        return [self.jet(row) for row in self.rows[:self.m]]
 
     @property
     def psi_grad(self) -> np.ndarray:
@@ -259,9 +260,10 @@ def field_sweep(sys, args) -> np.ndarray:
 
 
 def completion(sys, q, v):
-    """The dependent velocities psi(q, v) of stacked states, (N, n) positions
-    and (N, n-m) base velocities, evaluated on plain floats bit for bit as
-    :func:`vaknh.expr.evaluate` does (:func:`vaknh.system.complete_velocities`
-    at one state): the (N, m) values and the mask of the lanes where the
-    kernel failed."""
-    return run_lanes(_kernel(sys, "completion"), q, v)
+    """The dependent velocities psi(q, v), evaluated on plain floats bit for
+    bit as :func:`vaknh.expr.evaluate` does: the m values at one state, or,
+    given stacked states, (N, n) positions and (N, n-m) base velocities,
+    the (N, m) values and the mask of the lanes where the kernel failed."""
+    if getattr(q, "ndim", 1) == 2:   # stacked states
+        return run_lanes(_kernel(sys, "completion"), q, v)
+    return np.frombuffer(bytearray(_kernel(sys, "completion").run(*_flat(q, v))))

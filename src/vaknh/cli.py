@@ -243,6 +243,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    comparison._require_tol(args.tol)
     sysdef = _load(args.system)
     q = _vector(args.q, sysdef.n, "q")
     v = _vector(args.v, sysdef.n - sysdef.m, "v")

@@ -53,7 +53,8 @@ from . import expr as _expr
 from ._jets import (_kernel, ambient_velocity_gradient, completion, gradient_kernel,
                     restricted_table, run_lanes)
 from .errors import EvalError, SingularMatrixError, VaknhError
-from .system import NhState, SystemDef, VakState, check_state, require_linear
+from .system import (NhState, SystemDef, VakState, _full_velocities, check_state,
+                     require_linear)
 from .vakonomic import _singular_message, _stage_lanes
 
 __all__ = [
@@ -514,9 +515,7 @@ class _Lanes:
         evaluated once."""
         sys, q, v = self.sys, self.q, self.v
         dependent, failed = completion(sys, q, v)
-        vfull = np.empty((len(q), sys.n))
-        vfull[:, sys.base_positions] = v
-        vfull[:, sys.dependent_positions] = dependent
+        vfull = _full_velocities(sys, v, dependent)
         lift, bad = ambient_velocity_gradient(sys, q, vfull)
         self.fail(failed, _kernel(sys, "completion"), q, v)
         self.fail(bad, _kernel(sys, "velocity_gradient"), q, vfull)
@@ -649,9 +648,6 @@ def _scan_lanes(sys, first, q, v, p, candidates) -> _Batch:
             for e, u in zip(events, unlifted[skipped].tolist())]
     codes = {}
     for key, event in dict(zip(keys, events)).items():
-        if event is None:   # a lane whose failure was not explained: evaluated
-            codes[key] = 0
-            continue
         text = str(event) if isinstance(event, EvalError) else _singular_message(sys, *event)
         codes[key] = shapes.setdefault((n, nb, 0 if key[1] else m, None, None, (), text),
                                        len(shapes))
@@ -686,6 +682,13 @@ def _draw(sys, sampler):
     return x[:, :n], x[:, n:n + nb], (x[:, n + nb:] if sampler.p_mode == "random" else None)
 
 
+def _require_tol(tol) -> None:
+    """Raise ValueError unless the agreement tolerance ``tol`` is
+    non-negative and finite."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
+
+
 def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) -> ComparisonReport:
     """Evaluate the comparison residuals over sampled states.
 
@@ -699,6 +702,7 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     """
     if sampler.count < 1:
         raise ValueError(f"sample count must be at least 1, got {sampler.count}")
+    _require_tol(tol)
     if sampler.p_mode not in ("random", "legendre"):
         raise ValueError(f"p_mode must be 'random' or 'legendre', got {sampler.p_mode!r}")
     nb = sys.n - sys.m

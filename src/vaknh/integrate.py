@@ -18,20 +18,18 @@ Recorded monitors:
 * nonholonomic runs: the mechanical energy ``E_L``;
 * either: the value series of any supplied candidate expressions.
 
-A vakonomic stage is the reduced equations evaluated from the packed state
-y = (q, v, p_dep) itself (``vakonomic._stage`` on ``y.tolist()``): it
-returns dy/dt and the buffer of the ``field`` kernel, and builds no state
-or derivative object; a nonholonomic stage is ``nh_rhs`` without its check
-of the state (``nonholonomic._nh_rhs``).  Each field
-evaluation happens once, and a monitor row reads the evaluation of the
-field at its state: H, the eliminated momenta and the multiplier rates
-from the stage's buffer, with the expressions of ``hamiltonian`` and
-``w1_momenta``, or the energy from the Legendre lift of the nh stage
-(:class:`~vaknh.nonholonomic.NhDerivative`).  With rk45 that is the 7th
-stage of the step that accepted the state; with rk4 it is the first stage
-of the next step, so only the last row costs an evaluation of its own.  The
-row at t = 0 reads the first stage of the first step.  A row makes no jet
-sweep of its own.
+A stage is ``vakonomic._stage`` on the packed state itself, and builds no
+state or derivative object: on y = (q, v, p_dep) it gives dy/dt and the
+``field`` kernel's buffer; on y = (q, v) followed by the Leg_dep of the
+Legendre lift at (q, v) (``nonholonomic._lift``), the (q, v) part of dy/dt
+and the lift.  Each field evaluation happens once, and a monitor row reads
+the evaluation of the field at its state: H, the eliminated momenta and
+the multiplier rates from the stage's buffer, with the expressions of
+``hamiltonian`` and ``w1_momenta``, or the energy from the stage's
+Legendre lift.  With rk45 that is the 7th stage of the step that accepted
+the state; with rk4 it is the first stage of the next step, so only the
+last row costs an evaluation of its own.  The row at t = 0 reads the first
+stage of the first step.  A row makes no jet sweep of its own.
 
 ``Trajectory.stats`` (:class:`StepStats`) counts what the stepper did:
 field evaluations, accepted and rejected steps, and the smallest, largest
@@ -58,7 +56,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
-from .nonholonomic import _energy, _nh_rhs
+from .nonholonomic import _energy, _lift
 from .system import NhState, SystemDef, VakState, check_state, state_env
 from .vakonomic import _hamiltonian, _momenta, _rates, _stage
 
@@ -136,15 +134,19 @@ def _unpack(sys, dynamics, y):
 
 def _flat_rhs(sys, dynamics):
     """The field as f(y) -> (dy/dt, the evaluation a monitor row reads):
-    the vakonomic stage's buffer, or the ``NhDerivative``."""
+    the vakonomic stage's buffer, or the nonholonomic stage's Legendre
+    lift."""
     if dynamics == "vak":
         def f(y):
             return _stage(sys, y.tolist(), "vakonomic matrix")
         return f
 
+    n, k, dependent = sys.n, 2 * sys.n - sys.m, sys.dependent_positions
+
     def f(y):
-        d = _nh_rhs(sys, _unpack(sys, dynamics, y))
-        return d.dy, d
+        lift = _lift(sys, y[:n], y[n:])
+        dy, _ = _stage(sys, y.tolist() + lift[dependent].tolist(), "nonholonomic matrix")
+        return dy[:k], lift
     return f
 
 
@@ -170,7 +172,7 @@ def _monitor_row(sys, dynamics, state, at_state, candidates):
         row = [_hamiltonian(sys, at_state, state.v), *_momenta(sys, at_state),
                *_rates(sys, at_state)]
     else:
-        row = [_energy(sys, state, at_state.lift)]
+        row = [_energy(sys, state, at_state)]
     if candidates:
         env = state_env(sys, state)
         row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]

@@ -10,7 +10,11 @@ with Ctilde_ab = d2L~/dv_a dv_b - Leg_dep . d2psi/dv_a dv_b, where Leg_dep
 is the ambient velocity gradient of L in the dependent slots evaluated at
 completed velocities.  The right-hand side r has the same shape as the
 vakonomic one with the multipliers replaced by Leg_dep, which is how the
-one stage of the reduced equations in :mod:`vaknh.vakonomic` serves both.
+one stage of the reduced equations in :mod:`vaknh.vakonomic` serves both:
+the nonholonomic field at (q, v) is ``_stage`` at (q, v, Leg_dep).  Leg_dep
+comes from the Legendre lift ``_lift``, two generated kernels on a flat
+state: the completion of the velocities, then the velocity gradient of L
+at the completed velocities.
 
 The Chetaev multipliers themselves are not part of the state; they are
 recovered along a trajectory from the dependent components of the ambient
@@ -19,13 +23,14 @@ Euler-Lagrange residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as _expr
-from ._jets import ambient_table, ambient_velocity_gradient, field_sweep, restricted_table
-from .system import NhState, SystemDef, _complete_velocities, check_state, completed_env
+from ._jets import (ambient_table, ambient_velocity_gradient, completion, field_sweep,
+                    restricted_table)
+from .system import NhState, SystemDef, _full_velocities, check_state, completed_env
 from .vakonomic import _args, _jet, _stage
 
 __all__ = [
@@ -43,29 +48,26 @@ __all__ = [
 class NhDerivative:
     dq: np.ndarray  # n completed velocities
     dv: np.ndarray  # n-m base accelerations
-    # The Legendre lift at the state (legendre_lift); a trajectory's
-    # monitor row reads the energy from it.
-    lift: np.ndarray | None = field(default=None, compare=False, repr=False)
-    # The derivative of the packed state (q, v): dq and dv are views of it.
-    dy: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
     """Full momentum covector p_A = dL/d(velocity_A) at completed velocities
     (the embedding of the constraint submanifold into phase space)."""
     check_state(sys, s)
-    return _lift(sys, s)
+    return _lift(sys, s.q, s.v)
 
 
-def _lift(sys, s) -> np.ndarray:
-    """``legendre_lift`` at a state it does not check."""
-    return ambient_velocity_gradient(sys, s.q, _complete_velocities(sys, s))
+def _lift(sys, q, v) -> np.ndarray:
+    """``legendre_lift`` at the positions ``q`` and base velocities ``v``,
+    which it does not check: the completion kernel, then the velocity
+    gradient kernel at the completed velocities."""
+    return ambient_velocity_gradient(sys, q, _full_velocities(sys, v, completion(sys, q, v)))
 
 
 def _dependent_momenta(sys: SystemDef, s) -> np.ndarray:
     """Leg_dep: the Legendre momenta of the dependent velocities at the
-    (q, v) of ``s``."""
-    return legendre_lift(sys, s)[sys.dependent_positions]
+    (q, v) of ``s``, which it does not check."""
+    return _lift(sys, s.q, s.v)[sys.dependent_positions]
 
 
 def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
@@ -77,22 +79,12 @@ def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
 
 
 def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
-    """Nonholonomic vector field at a state; raises
-    :class:`~vaknh.errors.SingularMatrixError` when regularity fails.  The
-    result keeps the Legendre lift it was computed from."""
+    """Nonholonomic vector field at a state: ``_stage`` at (q, v, Leg_dep).
+    Raises :class:`~vaknh.errors.SingularMatrixError` when regularity
+    fails."""
     check_state(sys, s)
-    return _nh_rhs(sys, s)
-
-
-def _nh_rhs(sys, s) -> NhDerivative:
-    """``nh_rhs`` at a state it does not check: the integrator's
-    nonholonomic stage, where ``_require_finite`` checks each accepted
-    state and a non-finite stage state gives a non-finite derivative, which
-    the step control rejects."""
-    lift = _lift(sys, s)
-    dy, _ = _stage(sys, _args(s, lift[sys.dependent_positions]), "nonholonomic matrix", s)
-    n, k = sys.n, 2 * sys.n - sys.m
-    return NhDerivative(dq=dy[:n], dv=dy[n:k], lift=lift, dy=dy[:k])
+    dy, _ = _stage(sys, _args(s, _dependent_momenta(sys, s)), "nonholonomic matrix")
+    return NhDerivative(dq=dy[:sys.n], dv=dy[sys.n:2 * sys.n - sys.m])
 
 
 def euler_lagrange_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarray:
@@ -124,15 +116,15 @@ def nh_multipliers(sys: SystemDef, s: NhState, accel: NhDerivative) -> np.ndarra
 def energy(sys: SystemDef, s: NhState) -> float:
     """Mechanical energy v . dL/dv - L at completed velocities; conserved by
     the nonholonomic flow for linear homogeneous constraints.  Along a
-    trajectory the lift is read from the field's evaluation
-    (``NhDerivative.lift``)."""
+    trajectory the lift is read from the stage's evaluation at the state."""
     check_state(sys, s)
     return _energy(sys, s, legendre_lift(sys, s))
 
 
 def _energy(sys, s, lift) -> float:
     """Mechanical energy at ``s`` from its Legendre lift; the completed
-    velocities and L are evaluated on plain floats."""
+    velocities (the completion kernel) and L are evaluated on plain
+    floats."""
     env = completed_env(sys, s.q, s.v)
     vfull = np.array([env[sys.velocity_of(c)] for c in sys.coords])
     return float(np.dot(vfull, lift) - _expr.evaluate(sys.lagrangian, env))

@@ -290,29 +290,35 @@ def state_env(sys: SystemDef, s) -> dict[str, float]:
 
 def complete_velocities(sys: SystemDef, s) -> np.ndarray:
     """Full n-velocity vector: base components from the state, dependent
-    components from psi."""
+    components from psi (the ``completion`` kernel)."""
+    # Imported here, so that ``import vaknh`` and ``load_system`` do not
+    # import the kernel generator.
+    from ._jets import completion
+
     check_state(sys, s)
-    return _complete_velocities(sys, s)
+    return _full_velocities(sys, s.v, completion(sys, s.q, s.v))
 
 
-def _complete_velocities(sys: SystemDef, s) -> np.ndarray:
-    """``complete_velocities`` at a state it does not check."""
-    env = state_env(sys, s)
-    full = np.empty(sys.n)
-    full[sys.base_positions] = s.v
-    for c, pos in zip(sys.dependent, sys.dependent_positions):
-        full[pos] = _expr.evaluate(sys.psi[c], env)
+def _full_velocities(sys: SystemDef, v, dependent) -> np.ndarray:
+    """The n velocities with the base velocities ``v`` and the dependent
+    ones ``dependent`` in their positions; stacked states stack along the
+    leading axis."""
+    full = np.empty(np.shape(v)[:-1] + (sys.n,))
+    full[..., sys.base_positions] = v
+    full[..., sys.dependent_positions] = dependent
     return full
 
 
 def completed_env(sys: SystemDef, q, v) -> dict[str, float]:
-    """Environment with all velocities bound, dependent ones via psi; a
-    state of the wrong size raises ``check_state``'s ValueError."""
+    """Environment with all velocities bound, dependent ones via psi (the
+    ``completion`` kernel); a state of the wrong size raises
+    ``check_state``'s ValueError."""
+    from ._jets import completion
+
     s = NhState(q, v)
     check_state(sys, s)
     env = state_env(sys, s)
-    for c in sys.dependent:
-        env[sys.velocity_of(c)] = _expr.evaluate(sys.psi[c], env)
+    env.update(zip(map(sys.velocity_of, sys.dependent), completion(sys, s.q, s.v).tolist()))
     return env
 
 

@@ -31,9 +31,10 @@ the dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
 ``_stage`` is the one implementation of these equations: from the
 kernel's flat arguments to the derivative of the packed state and the
 buffer.  ``vak_rhs`` and the nonholonomic ``nh_rhs`` evaluate through it,
-and the vakonomic stage of :func:`vaknh.integrate.integrate` is ``_stage``
-on the packed state itself, with no state or derivative object built
-around it; the comparison phases run its stacked twin ``_stage_lanes``.
+and both stages of :func:`vaknh.integrate.integrate` are ``_stage`` on the
+packed state itself, with no state or derivative object built around it
+(the nonholonomic one with the Legendre momenta appended); the comparison
+phases run its stacked twin ``_stage_lanes``.
 ``cbar``, ``hamiltonian``, ``w1_momenta`` and ``ctilde`` read the kernel's
 buffer with the readers ``_stage``'s callers use.
 
@@ -45,7 +46,7 @@ which ``symplectic_check`` probes pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -77,11 +78,6 @@ class VakDerivative:
     dq: np.ndarray      # n completed velocities (dependent entries = psi)
     dv: np.ndarray      # n-m base accelerations
     dp_dep: np.ndarray  # m multiplier rates
-    # The jet of Lambda at the state.
-    lam: Jet | None = field(default=None, compare=False, repr=False)
-    # The derivative of the packed state (q, v, p_dep): dq, dv and dp_dep
-    # are views of it.
-    dy: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def _singular_message(sys, what, det) -> str:
     return f"{what} is singular for system {sys.name!r} (det={det!r})"
 
 
-def _stage(sys, args, what, state=None):
+def _stage(sys, args, what):
     """The reduced equations at the flat state ``args``, the ``field``
     kernel's arguments (q, v, mult): the one implementation of both fields.
     With ``mult`` = p_dep it is the vakonomic field; with ``mult`` = the
@@ -138,10 +134,11 @@ def _stage(sys, args, what, state=None):
     multiplier rates dp (m), in this order -- and the kernel's buffer, which
     ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates`` read.  A
     reduced matrix that fails the determinant guard raises
-    :class:`SingularMatrixError` naming ``what``; it carries ``state``, by
-    default the :class:`VakState` whose entries ``args`` are, built only
-    then.  Where the kernel fails, ``field_sweep`` raises the documented
-    error.
+    :class:`SingularMatrixError` naming ``what``, the "vakonomic matrix" or
+    the "nonholonomic matrix"; it carries the state whose entries ``args``
+    are, a :class:`VakState` or the :class:`NhState` of its (q, v), built
+    only then.  Where the kernel fails, ``field_sweep`` raises the
+    documented error.
     """
     n, m = sys.n, sys.m
     k = 2 * n - m
@@ -151,8 +148,8 @@ def _stage(sys, args, what, state=None):
     c = hess[n:, n:]
     det, threshold = det_threshold(c, k - n)
     if abs(det) <= threshold:
-        if state is None:
-            state = VakState(args[:n], args[n:k], args[k:])
+        state = (VakState(args[:n], args[n:k], args[k:]) if what == "vakonomic matrix"
+                 else NhState(args[:n], args[n:k]))
         raise SingularMatrixError(_singular_message(sys, what, det), det, state)
     known = buf[size:size + 2 * n]
     dq, dp = known[:n], known[k:]
@@ -300,11 +297,9 @@ def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
     """Explicit vakonomic vector field at a state.
 
     Raises :class:`SingularMatrixError` when the reduced matrix fails the
-    determinant guard (the flow is not uniquely defined there).  The
-    result keeps the jet of Lambda it was computed from.
+    determinant guard (the flow is not uniquely defined there).
     """
     check_state(sys, s)
-    dy, buf = _stage(sys, _args(s, s.p_dep), "vakonomic matrix", s)
+    dy, _ = _stage(sys, _args(s, s.p_dep), "vakonomic matrix")
     n, nb = sys.n, sys.n - sys.m
-    return VakDerivative(dq=dy[:n], dv=dy[n:n + nb], dp_dep=dy[n + nb:],
-                         lam=_jet(sys, buf), dy=dy)
+    return VakDerivative(dq=dy[:n], dv=dy[n:n + nb], dp_dep=dy[n + nb:])

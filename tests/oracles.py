@@ -15,6 +15,10 @@
   products in opposite orders, and the chain rule forms (f'' g_i) g_j on
   one side and (f'' g_j) g_i on the other.
 
+* ``reference_complete_velocities``: the completed velocities with each
+  psi evaluated through ``expr.evaluate`` on plain floats, the oracle of
+  the ``completion`` kernel that the package completes velocities with.
+
 * ``_shifted``: the multiplier shift Lambda = L~ - mult . psi of a
   restricted table, made in numpy on its rows: the oracle of the ``field``
   kernel, which the package's reduced equations (``vakonomic._stage`` and
@@ -182,11 +186,21 @@ def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
     return grad
 
 
+def reference_complete_velocities(sys, s) -> np.ndarray:
+    """The n velocities at the state ``s``: its base velocities, and each
+    psi evaluated by the interpreter in declaration order."""
+    env = state_env(sys, s)
+    full = np.empty(sys.n)
+    full[sys.base_positions] = s.v
+    for c, pos in zip(sys.dependent, sys.dependent_positions):
+        full[pos] = E.evaluate(sys.psi[c], env)
+    return full
+
+
 def _shifted(tab, mult) -> Jet:
     """Jet of the shifted Lagrangian Lambda = L~ - mult . psi over the
     variables of the restricted table ``tab``: the one place where the
-    multipliers enter the reduced equations.  For stacked tables ``mult``
-    holds one multiplier vector per lane, and the jets are stacked too."""
+    multipliers enter the reduced equations, at one state."""
     rows = tab.rows
     row = rows[..., tab.m, :]
     for j in range(tab.m):

@@ -6,12 +6,13 @@ lines.  Every tolerance is pinned here; nothing is calibrated elsewhere.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vaknh import expr as E
 from vaknh.autodiff import partial, second_partial
 from vaknh.comparison import (Sampler, curvature, field_residual, g_residuals, scan,
                               tangency_residuals)
-from vaknh.integrate import drift_report, integrate
+from vaknh.integrate import integrate
 from vaknh.maps import mu_to_lambda, upsilon
 from vaknh.models import CATALOG
 from vaknh.nonholonomic import ctilde, euler_lagrange_residual, legendre_lift, nh_rhs
@@ -274,21 +275,26 @@ def test_criterion_9_autodiff():
             f"mixed partials exactly symmetric: {exact_symmetry}")
 
 
-def test_criterion_10_conservation():
-    worst_h, worst_e = 0.0, 0.0
+# Largest drift of H along the vakonomic flow and of E_L along the
+# nonholonomic flow, relative to 1 + |initial value|, from rk45 at its
+# default tolerances to t = 10.  At most 4.3e-9 was seen over 1200 random
+# states of the models whose H moves at all.
+_CONSERVATION_TOL = 2e-8
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_criterion_10_conservation(seed):
+    worst = 0.0
     details = []
-    rng = np.random.default_rng(52)
     for name in LINEAR_MODELS:
         sysdef = get_model(name)
-        q = rng.uniform(-0.5, 0.5, sysdef.n)
-        v = rng.uniform(0.3, 0.8, sysdef.n - sysdef.m)
-        p = rng.uniform(-1.0, 1.0, sysdef.m)
-        vak_traj = integrate(sysdef, "vak", VakState(q, v, p), t_end=10.0)
-        h_drift = drift_report(sysdef, vak_traj).maxima["H_drift"]
-        nh_traj = integrate(sysdef, "nh", NhState(q, v), t_end=10.0)
-        e_drift = drift_report(sysdef, nh_traj).maxima["E_L_drift"]
-        worst_h = max(worst_h, h_drift)
-        worst_e = max(worst_e, e_drift)
-        details.append(f"{name} H {h_drift:.1e} E {e_drift:.1e}")
-    _report(10, "conservation along both flows",
-            worst_h <= 1e-7 and worst_e <= 1e-7, "; ".join(details))
+        (s,) = random_states(name, 1, seed)
+        drifts = []
+        for dynamics, s0, monitor in (("vak", s, "H"), ("nh", NhState(s.q, s.v), "E_L")):
+            values = integrate(sysdef, dynamics, s0, t_end=10.0).monitors[monitor]
+            drifts.append(float(np.max(np.abs(values - values[0]))) / (1.0 + abs(values[0])))
+        worst = max(worst, *drifts)
+        details.append(f"{name} H {drifts[0]:.1e} E {drifts[1]:.1e}")
+    _report(10, "conservation along both flows", worst <= _CONSERVATION_TOL,
+            "; ".join(details))

@@ -18,8 +18,8 @@ from vaknh import _jets
 from vaknh.errors import EvalError, SingularMatrixError
 from vaknh.nonholonomic import ctilde, legendre_lift, nh_rhs
 from vaknh.system import NhState, VakState, load_system
-from vaknh.vakonomic import (DET_RTOL, _stage, _stage_lanes, cbar, hamiltonian, vak_rhs,
-                             w1_momenta)
+from vaknh.vakonomic import (DET_RTOL, _jet, _stage, _stage_lanes, cbar, hamiltonian,
+                             vak_rhs, w1_momenta)
 
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from oracles import _shifted
@@ -47,6 +47,13 @@ def _reference(sysdef, s, mult):
     return lam, dq, np.linalg.solve(c, r), dp
 
 
+def _run_stage(sysdef, s, mult, what):
+    """``vakonomic._stage`` at the (q, v) of ``s`` with the multipliers
+    ``mult``: the derivative of the packed state and the jet of Lambda."""
+    dy, buf = _stage(sysdef, _jets._flat(s.q, s.v, mult), what)
+    return dy, _jet(sysdef, buf)
+
+
 def _assert_same_jet(got, expected):
     assert _same_bits(got.value, expected.value)
     assert _same_bits(got.grad, expected.grad)
@@ -66,8 +73,9 @@ def test_vak_field_equals_shifted_restricted_table(name, seed):
             vak_rhs(sysdef, s)
         return
     d = vak_rhs(sysdef, s)
-    _assert_same_jet(d.lam, lam)
-    assert _same_bits(d.dy, np.concatenate([dq, dv, dp]))
+    dy, jet = _run_stage(sysdef, s, s.p_dep, "vakonomic matrix")
+    _assert_same_jet(jet, lam)
+    assert _same_bits(dy, np.concatenate([dq, dv, dp]))
     assert _same_bits(d.dq, dq) and _same_bits(d.dv, dv) and _same_bits(d.dp_dep, dp)
     assert _same_bits(cbar(sysdef, s), lam.hess[sysdef.n:, sysdef.n:])
     assert _same_bits(w1_momenta(sysdef, s), lam.grad[sysdef.n:])
@@ -89,7 +97,8 @@ def test_nh_field_equals_shifted_restricted_table(name, seed):
             nh_rhs(sysdef, s)
         return
     d = nh_rhs(sysdef, s)
-    assert _same_bits(d.dy, np.concatenate([dq, dv]))
+    dy, _ = _run_stage(sysdef, s, mult, "nonholonomic matrix")
+    assert _same_bits(dy[:len(dq) + len(dv)], np.concatenate([dq, dv]))
     assert _same_bits(d.dq, dq) and _same_bits(d.dv, dv)
 
 
@@ -143,8 +152,10 @@ def test_constant_psi_runs_through_the_field_kernel(psi, linear):
     s = VakState((0.3, -0.2), (1.5,), (0.7,))
     lam, dq, dv, dp = _reference(sysdef, s, s.p_dep)
     d = vak_rhs(sysdef, s)
-    _assert_same_jet(d.lam, lam)
-    assert _same_bits(d.dy, np.concatenate([dq, dv, dp]))
+    dy, jet = _run_stage(sysdef, s, s.p_dep, "vakonomic matrix")
+    _assert_same_jet(jet, lam)
+    assert _same_bits(dy, np.concatenate([dq, dv, dp]))
+    assert _same_bits(np.concatenate([d.dq, d.dv, d.dp_dep]), dy)
     assert _same_bits(cbar(sysdef, s), lam.hess[sysdef.n:, sysdef.n:])
     assert _same_bits(w1_momenta(sysdef, s), lam.grad[sysdef.n:])
     assert _same_bits(hamiltonian(sysdef, s), lam.grad[sysdef.n:] @ s.v - lam.value)
@@ -153,13 +164,17 @@ def test_constant_psi_runs_through_the_field_kernel(psi, linear):
         mult = legendre_lift(sysdef, s)[sysdef.dependent_positions]
         lam, dq, dv, _ = _reference(sysdef, s, mult)
         assert _same_bits(ctilde(sysdef, s), lam.hess[sysdef.n:, sysdef.n:])
-        assert _same_bits(nh_rhs(sysdef, s).dy, np.concatenate([dq, dv]))
+        d = nh_rhs(sysdef, s)
+        dy, _ = _run_stage(sysdef, s, mult, "nonholonomic matrix")
+        assert _same_bits(dy[:len(dq) + len(dv)], np.concatenate([dq, dv]))
+        assert _same_bits(np.concatenate([d.dq, d.dv]), dy[:len(dq) + len(dv)])
 
 
 def test_results_are_writable():
     sysdef = get_model("rolling_penny")
     (s,) = random_states("rolling_penny", 1, 5)
-    results = [cbar(sysdef, s), w1_momenta(sysdef, s), vak_rhs(sysdef, s).lam.hess,
+    results = [cbar(sysdef, s), w1_momenta(sysdef, s),
+               _run_stage(sysdef, s, s.p_dep, "vakonomic matrix")[1].hess,
                ctilde(sysdef, NhState(s.q, s.v))]
     for result in results:
         result[...] = 0.0

@@ -134,6 +134,35 @@ def test_scan_rejects_sample_counts_below_one(count, capsys):
         scan(get_model("martinet"), sampler)
 
 
+_SCAN = ["scan", "martinet", "--samples", "2"]
+_COMPARE = ["compare", "martinet", "--q", "0,1,0", "--v", "1,0", "--p", "1"]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (_SCAN + ["--tol", "nan"], "nan"),
+    (_SCAN + ["--tol", "inf"], "inf"),
+    (_SCAN + ["--tol", "-1"], "-1.0"),
+    (_SCAN + ["--tol", "-inf"], "-inf"),
+    (_COMPARE + ["--tol", "-inf"], "-inf"),
+    (_COMPARE + ["--tol", "nan"], "nan"),
+    (_COMPARE + ["--tol", "-1e-3"], "-0.001"),
+], ids=["scan-nan", "scan-inf", "scan-negative", "scan-minus-inf", "compare-minus-inf",
+        "compare-nan", "compare-negative"])
+def test_tol_that_is_negative_or_not_finite_is_a_usage_error(argv, shown, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be non-negative and finite, got {shown}\n"
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_scan_rejects_a_tol_that_is_negative_or_not_finite(tol):
+    sampler = Sampler(count=2, seed=0, q_bounds=((-1, 1),) * 3,
+                      v_bounds=((-1, 1),) * 2, p_bounds=((-1, 1),))
+    with pytest.raises(ValueError, match="^tol must be non-negative and finite, got "):
+        scan(get_model("martinet"), sampler, tol=tol)
+
+
 def test_negative_vectors_as_separate_arguments(capsys):
     spaced = ["integrate", "martinet", "--dynamics", "vak", "--q", "-0.3,1,0",
               "--v", "-1,0.5", "--p", "-1", "--t-end", "0.5"]

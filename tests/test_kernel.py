@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from vaknh import _jets, comparison, expr as E
 from vaknh.errors import EvalError
 from vaknh.models import builtin
-from vaknh.system import NhState, SystemDef, VakState, complete_velocities, load_system
+from vaknh.nonholonomic import legendre_lift, nh_rhs
+from vaknh.system import (NhState, SystemDef, VakState, complete_velocities, completed_env,
+                          load_system)
 from vaknh.vakonomic import vak_rhs
 
 import oracles
@@ -213,6 +215,34 @@ def test_completion_outside_the_domain_marks_the_lane():
         _jets._kernel(sysdef, "completion").scalar(1.0, 1.0, 2.0)
     with pytest.raises(EvalError, match="sqrt of negative value"):
         complete_velocities(sysdef, NhState((1.0, 1.0), (2.0,)))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_completed_velocities_equal_the_interpreter(name):
+    # complete_velocities, completed_env and the Legendre lift complete the
+    # velocities with the completion kernel, at one state.
+    sysdef = get_model(name)
+    for s in random_states(name, 30, 48):
+        s = NhState(s.q, s.v)
+        expected = oracles.reference_complete_velocities(sysdef, s)
+        assert _same_bits(complete_velocities(sysdef, s), expected)
+        env = completed_env(sysdef, s.q, s.v)
+        assert _same_bits(np.array([env[sysdef.velocity_of(c)] for c in sysdef.coords]),
+                          expected)
+        lift = oracles.reference_ambient_velocity_gradient(sysdef, s.q, expected)
+        assert _same_bits(legendre_lift(sysdef, s), lift)
+
+
+def test_completion_errors_are_the_interpreters():
+    sysdef = get_model("von_neumann2")
+    s = NhState((1.0, 1.0), (2.0,))     # sqrt of a negative
+    with pytest.raises(EvalError) as expected:
+        oracles.reference_complete_velocities(sysdef, s)
+    for fn in (complete_velocities, legendre_lift, nh_rhs,
+               lambda sysdef, s: completed_env(sysdef, s.q, s.v)):
+        with pytest.raises(EvalError) as error:
+            fn(sysdef, s)
+        assert str(error.value) == str(expected.value)
 
 
 def test_equal_systems_share_their_kernels():

@@ -13,6 +13,9 @@ in numpy (``_shifted``) is the tests' oracle of that kernel.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vaknh
@@ -84,3 +87,16 @@ def test_only_vakonomic_calls_linear_algebra():
 def test_no_module_defines_the_numpy_multiplier_shift():
     found = [name for name, tree in _modules() if "_shifted" in set(_defined_names(tree))]
     assert found == []
+
+
+def test_loading_a_system_imports_no_kernel_generator():
+    # ``import vaknh`` and ``load_system`` are the set-up of every command;
+    # the kernel generator is imported by the commands that run a sweep.
+    code = ("import sys, vaknh\n"
+            "vaknh.load_system(vaknh.builtin_source('martinet'))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('vaknh.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    modules = ast.literal_eval(done.stdout)
+    assert "vaknh.system" in modules
+    assert "vaknh._kernel" not in modules and "vaknh._jets" not in modules

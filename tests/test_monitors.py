@@ -72,10 +72,11 @@ def _calls(fn, *targets):
     return counts
 
 
-# A vakonomic stage of the steppers is one call of the core,
-# ``vakonomic._stage``, from the packed state, and its one sweep is the fused
-# field kernel (field_sweep).  Inside integrate no restricted table is built,
-# and none of the per-state functions runs.
+# A stage of the steppers is one call of the core, ``vakonomic._stage``, from
+# the packed state, and its one sweep is the fused field kernel
+# (field_sweep); a nonholonomic stage appends Leg_dep from one Legendre lift
+# (completion, then ambient_velocity_gradient).  Inside integrate no
+# restricted table is built, and none of the per-state functions runs.
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
@@ -91,16 +92,47 @@ def test_every_vak_sweep_belongs_to_a_stage(method):
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_every_nh_sweep_belongs_to_a_stage(method):
-    # The stage is ``nh_rhs`` without its check of the state.
+    # The stage is ``vakonomic._stage`` at (q, v, Leg_dep), with Leg_dep
+    # from one Legendre lift.
     counts = _calls(lambda: _run("rolling_penny", "nh", method),
                     _jets.field_sweep, _jets.restricted_table,
-                    _jets.ambient_velocity_gradient, nonholonomic._nh_rhs,
+                    _jets.ambient_velocity_gradient, vakonomic._stage,
                     nonholonomic.nh_rhs, nonholonomic.energy)
-    assert counts["_nh_rhs"] > 20
+    assert counts["_stage"] > 20
     assert counts["field_sweep"] == counts["ambient_velocity_gradient"] \
-        == counts["_nh_rhs"]
+        == counts["_stage"]
     assert counts["restricted_table"] == 0
     assert counts["energy"] == counts["nh_rhs"] == 0
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_an_nh_run_evaluates_psi_only_in_generated_kernels(method):
+    # Each stage runs one Legendre lift and one field sweep, and the
+    # velocities are completed by the completion kernel: the interpreter
+    # never evaluates a psi tree.
+    sysdef = get_model("rolling_penny")
+    trees = list(sysdef.psi.values())
+    codes = {_jets.field_sweep.__code__: "field_sweep",
+             _jets.ambient_velocity_gradient.__code__: "ambient_velocity_gradient"}
+    counts = {"field_sweep": 0, "ambient_velocity_gradient": 0, "psi": 0}
+
+    def profile(frame, event, _arg):
+        if event != "call":
+            return
+        if frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+        elif frame.f_code is E.evaluate.__code__ and any(
+                frame.f_locals["e"] is tree for tree in trees):
+            counts["psi"] += 1
+
+    sys.setprofile(profile)
+    try:
+        _, traj = _run("rolling_penny", "nh", method)
+    finally:
+        sys.setprofile(None)
+    assert traj.stats.evaluations > 20
+    assert counts == {"field_sweep": traj.stats.evaluations,
+                      "ambient_velocity_gradient": traj.stats.evaluations, "psi": 0}
 
 
 def test_rk45_evaluations_per_step():
