@@ -146,6 +146,15 @@ def _vector(text, length, what, default=None):
     return values
 
 
+def _require_sampling(args):
+    """Reject a ``--samples`` below 1 and a negative ``--seed`` before the
+    command writes anything."""
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
+
+
 def _load_candidates(path):
     if path is None:
         return {}
@@ -182,6 +191,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _require_sampling(args)
     try:
         sysdef = _load(args.system)
     except AdmissibilityError as exc:
@@ -260,6 +270,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _require_sampling(args)
     sysdef = _load(args.system)
     if args.system in models.CATALOG:
         box = models.CATALOG[args.system].sample_box

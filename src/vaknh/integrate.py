@@ -18,18 +18,24 @@ Recorded monitors:
 * nonholonomic runs: the mechanical energy ``E_L``;
 * either: the value series of any supplied candidate expressions.
 
-A stage is ``vakonomic._stage`` on the packed state itself, and builds no
-state or derivative object: on y = (q, v, p_dep) it gives dy/dt and the
-``field`` kernel's buffer; on y = (q, v) followed by the Leg_dep of the
-Legendre lift at (q, v) (``nonholonomic._lift``), the (q, v) part of dy/dt
-and the lift.  Each field evaluation happens once, and a monitor row reads
-the evaluation of the field at its state: H, the eliminated momenta and
-the multiplier rates from the stage's buffer, with the expressions of
-``hamiltonian`` and ``w1_momenta``, or the energy from the stage's
-Legendre lift.  With rk45 that is the 7th stage of the step that accepted
-the state; with rk4 it is the first stage of the next step, so only the
-last row costs an evaluation of its own.  The row at t = 0 reads the first
-stage of the first step.  A row makes no jet sweep of its own.
+A stage is the stage of ``vakonomic._bind_stage``, bound once per run,
+on the packed state itself, and builds no state or derivative object: on
+y = (q, v, p_dep) it gives dy/dt and the ``field`` kernel's buffer; on
+y = (q, v) followed by the Leg_dep of the Legendre lift at (q, v)
+(``nonholonomic._lift``), the (q, v) part of dy/dt and the lift.  The run
+binds the buffer and its views once, and the stepper runs under one
+``np.errstate`` that ignores floating-point errors: the finiteness checks
+report what numpy would warn about.  Each field evaluation happens once,
+and a monitor row reads the evaluation of the field at its state: H, the
+eliminated momenta and the multiplier rates from the stage's buffer, with
+the expressions of ``hamiltonian`` and ``w1_momenta``, or the energy from
+the stage's Legendre lift.  With rk45 that is the 7th stage of the step
+that accepted the state; with rk4 it is the first stage of the next step,
+so only the last row costs an evaluation of its own.  The row at t = 0
+reads the first stage of the first step.  A row makes no jet sweep of its
+own, and it reads the bound buffer before the next stage overwrites it.
+Step control runs on Python floats where they give numpy's bits: the
+error norm, the step size and the finiteness checks.
 
 ``Trajectory.stats`` (:class:`StepStats`) counts what the stepper did:
 field evaluations, accepted and rejected steps, and the smallest, largest
@@ -58,7 +64,7 @@ from . import expr as _expr
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
 from .nonholonomic import _energy, _lift
 from .system import NhState, SystemDef, VakState, check_state, state_env
-from .vakonomic import _hamiltonian, _momenta, _rates, _stage
+from .vakonomic import _bind_stage, _hamiltonian, _momenta, _rates
 
 __all__ = ["Trajectory", "StepStats", "DriftReport", "integrate", "drift_report",
            "trajectory_to_csv", "trajectory_from_csv",
@@ -135,17 +141,27 @@ def _unpack(sys, dynamics, y):
 def _flat_rhs(sys, dynamics):
     """The field as f(y) -> (dy/dt, the evaluation a monitor row reads):
     the vakonomic stage's buffer, or the nonholonomic stage's Legendre
-    lift."""
+    lift.  The stage is bound here, once per run, and f runs where
+    floating-point errors are ignored.
+
+    The vakonomic buffer is the bound stage's own, which the next call of
+    f overwrites: a monitor row reads it before the next stage runs.  rk45
+    reads the 7th stage's buffer before the next step's first stage, and
+    rk4 reads ``k1, at_y = f(y)`` before its next stage.  dy/dt is a fresh
+    array on every call."""
     if dynamics == "vak":
+        stage = _bind_stage(sys, "vakonomic matrix")
+
         def f(y):
-            return _stage(sys, y.tolist(), "vakonomic matrix")
+            return stage(y.tolist())
         return f
 
+    stage = _bind_stage(sys, "nonholonomic matrix")
     n, k, dependent = sys.n, 2 * sys.n - sys.m, sys.dependent_positions
 
     def f(y):
         lift = _lift(sys, y[:n], y[n:])
-        dy, _ = _stage(sys, y.tolist() + lift[dependent].tolist(), "nonholonomic matrix")
+        dy, _ = stage(y.tolist() + lift[dependent].tolist())
         return dy[:k], lift
     return f
 
@@ -169,8 +185,8 @@ def _monitor_row(sys, dynamics, state, at_state, candidates):
     """Monitors at ``state``, read from ``at_state``, the field's evaluation
     there: hamiltonian, w1_momenta and energy on what the stepper computed."""
     if dynamics == "vak":
-        row = [_hamiltonian(sys, at_state, state.v), *_momenta(sys, at_state),
-               *_rates(sys, at_state)]
+        row = [_hamiltonian(sys, at_state, state.v), *_momenta(sys, at_state).tolist(),
+               *_rates(sys, at_state).tolist()]
     else:
         row = [_energy(sys, state, at_state)]
     if candidates:
@@ -179,16 +195,24 @@ def _monitor_row(sys, dynamics, state, at_state, candidates):
     return row
 
 
+def _rms(e) -> float:
+    """``np.sqrt(np.mean(e ** 2))`` of a float vector, bit for bit, as a
+    Python float: ``np.mean`` is ``np.add.reduce`` divided by the count,
+    and both square roots round correctly."""
+    return math.sqrt(float(np.add.reduce(e * e)) / len(e))
+
+
 def _initial_step(f, y0, f0, t_end, rtol, atol):
     """Hairer-style cheap guess for the first adaptive step."""
     scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     y1 = y0 + h0 * f0
     f1, _ = f(y1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    # numpy's division, which gives inf or NaN where h0 underflowed to 0.
+    d2 = float(_rms((f1 - f0) / scale) / np.float64(h0))
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -242,7 +266,7 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
 
     def accept(t, y):
         """Record the state y at time t, once per step."""
-        _require_finite(sys, y, state_names, t)
+        _require_finite(sys, y.tolist(), state_names, t)
         times.append(t)
         states.append(_unpack(sys, dynamics, y))
 
@@ -255,10 +279,13 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
 
     accept(0.0, y)
     try:
-        if method == "rk4":
-            stats = _run_rk4(f, y, t_end, dt, max_steps, accept, monitor)
-        else:
-            stats = _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor)
+        # One error state for the whole run: the finiteness checks of
+        # accept and monitor report what numpy would warn about.
+        with np.errstate(all="ignore"):
+            if method == "rk4":
+                stats = _run_rk4(f, y, t_end, dt, max_steps, accept, monitor)
+            else:
+                stats = _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor)
     except (SingularMatrixError, EvalError) as exc:
         raise IntegrationError(
             f"integration of {sys.name!r} halted at t={float(times[-1])!r}, "
@@ -271,8 +298,9 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
 
 
 def _require_finite(sys, values, names, t):
-    """Raise unless every entry of ``values`` (named by ``names``) is finite."""
-    if not np.isfinite(values).all():
+    """Raise unless every entry of the list ``values`` (named by ``names``)
+    is finite."""
+    if not all(map(math.isfinite, values)):
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise IntegrationError(
             f"integration of {sys.name!r} stopped at t={float(t)!r}: "
@@ -344,7 +372,7 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
             # at_y is the field's evaluation there.
             err = h * (stages.T @ _DP_ERR)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            norm = np.sqrt(np.mean((err / scale) ** 2))
+            norm = _rms(err / scale)
             if norm <= 1.0:
                 break
             rejections += 1

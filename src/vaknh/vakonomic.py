@@ -28,15 +28,21 @@ floats; the determinant and the solve are the LAPACK gufuncs that
 nonholonomic field is the same system with the Legendre momenta Leg_dep of
 the dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
 
-``_stage`` is the one implementation of these equations: from the
-kernel's flat arguments to the derivative of the packed state and the
-buffer.  ``vak_rhs`` and the nonholonomic ``nh_rhs`` evaluate through it,
-and both stages of :func:`vaknh.integrate.integrate` are ``_stage`` on the
-packed state itself, with no state or derivative object built around it
-(the nonholonomic one with the Legendre momenta appended); the comparison
-phases run its stacked twin ``_stage_lanes``.
-``cbar``, ``hamiltonian``, ``w1_momenta`` and ``ctilde`` read the kernel's
-buffer with the readers ``_stage``'s callers use.
+The stage that ``_bind_stage`` binds is the one implementation of these
+equations: from the kernel's flat arguments to the derivative of the
+packed state and the buffer.  Binding allocates the buffer and its views
+once; each call writes the kernel's outputs into the buffer, so a reader
+of the buffer reads it before the next call.  The solve in a call enters
+no ``np.errstate``: the caller ignores floating-point errors.  ``_stage``
+binds and calls once, in an errstate of its own, so its buffer is its
+own; ``vak_rhs`` and the nonholonomic ``nh_rhs`` evaluate through it.
+:func:`vaknh.integrate.integrate` binds each run's stage once and calls it
+on the packed state itself, with no state or derivative object built
+around it (the nonholonomic one with the Legendre momenta appended), under
+one errstate for the run; the comparison phases run its stacked twin
+``_stage_lanes``.  ``cbar``, ``hamiltonian``, ``w1_momenta`` and
+``ctilde`` read the kernel's buffer with the readers the stage's callers
+use.
 
 Invertibility of Cbar is exactly the condition for the dynamics to be
 well-posed (and for the phase space to carry a symplectic structure),
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ._jets import Jet, _row_jet, ambient_table, field_sweep, restricted_table
+from ._jets import Jet, _kernel, _row_jet, ambient_table, field_sweep, restricted_table
 from .errors import SingularMatrixError
 from .system import (NhState, SystemDef, VakState, check_state, complete_velocities,
                      require_linear)
@@ -106,12 +112,18 @@ def det_threshold(c, order):
 
 def _solve(c, r):
     """``np.linalg.solve(c, r)`` for a square matrix and a vector, bit for
-    bit: the LAPACK gufunc it calls, called directly, with floating-point
-    errors ignored as that function ignores them.  Where the result is not
-    all finite, ``np.linalg.solve`` runs itself, so that a matrix LAPACK
-    finds singular raises its ``LinAlgError``."""
+    bit: ``_solve_ignoring`` with floating-point errors ignored, as
+    ``np.linalg.solve`` ignores them."""
     with np.errstate(all="ignore"):
-        x = _umath_linalg.solve1(c, r, signature="dd->d")
+        return _solve_ignoring(c, r)
+
+
+def _solve_ignoring(c, r):
+    """``_solve`` for a caller that already ignores floating-point errors:
+    the LAPACK gufunc that ``np.linalg.solve`` calls, called directly.
+    Where the result is not all finite, ``np.linalg.solve`` runs itself, so
+    that a matrix LAPACK finds singular raises its ``LinAlgError``."""
+    x = _umath_linalg.solve1(c, r, signature="dd->d")
     if not all(map(math.isfinite, x.tolist())):
         x = np.linalg.solve(c, r)
     return x
@@ -121,46 +133,70 @@ def _singular_message(sys, what, det) -> str:
     return f"{what} is singular for system {sys.name!r} (det={det!r})"
 
 
-def _stage(sys, args, what):
-    """The reduced equations at the flat state ``args``, the ``field``
-    kernel's arguments (q, v, mult): the one implementation of both fields.
-    With ``mult`` = p_dep it is the vakonomic field; with ``mult`` = the
-    Legendre momenta Leg_dep of the dependent velocities it is the
-    nonholonomic one (the two right-hand sides coincide under that
-    substitution).
+def _bind_stage(sys, what):
+    """The reduced equations of ``sys`` as a function of the flat state
+    ``args``, the ``field`` kernel's arguments (q, v, mult): the one
+    implementation of both fields.  With ``mult`` = p_dep it is the
+    vakonomic field; with ``mult`` = the Legendre momenta Leg_dep of the
+    dependent velocities it is the nonholonomic one (the two right-hand
+    sides coincide under that substitution).
 
-    Returns the derivative of the packed state (q, v, mult) -- the
-    completed velocities dq (n), the base accelerations dv (n-m) and the
-    multiplier rates dp (m), in this order -- and the kernel's buffer, which
-    ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates`` read.  A
-    reduced matrix that fails the determinant guard raises
+    The kernel's buffer and its views -- Cbar, the mixed block of the
+    Hessian, the gradient, dq, dp and dpsi/dv -- are made here, once; each
+    call writes the kernel's outputs into that buffer and reads them
+    through the views.  A call returns the derivative of the packed state
+    (q, v, mult) -- the completed velocities dq (n), the base accelerations
+    dv (n-m) and the multiplier rates dp (m), in this order -- in an array
+    of its own, and the buffer, which ``_jet``, ``_momenta``,
+    ``_hamiltonian`` and ``_rates`` read until the next call overwrites it.
+    The solve runs without an ``np.errstate`` of its own: the caller
+    ignores floating-point errors.
+
+    A reduced matrix that fails the determinant guard raises
     :class:`SingularMatrixError` naming ``what``, the "vakonomic matrix" or
     the "nonholonomic matrix"; it carries the state whose entries ``args``
     are, a :class:`VakState` or the :class:`NhState` of its (q, v), built
-    only then.  Where the kernel fails, ``field_sweep`` raises the
-    documented error.
+    only then.  Where the kernel fails, ``Sweep.run`` raises the documented
+    error.
     """
     n, m = sys.n, sys.m
     k = 2 * n - m
     size = 1 + k + k * k
-    buf = field_sweep(sys, args)
+    sweep = _kernel(sys, "field")
+    run = sweep.run
+    store = bytearray(8 * sweep.outputs)
+    out = memoryview(store)
+    buf = np.frombuffer(store)
+    grad = buf[1:1 + k]
     hess = buf[1 + k:size].reshape(k, k)
-    c = hess[n:, n:]
-    det, threshold = det_threshold(c, k - n)
-    if abs(det) <= threshold:
-        state = (VakState(args[:n], args[n:k], args[k:]) if what == "vakonomic matrix"
-                 else NhState(args[:n], args[n:k]))
-        raise SingularMatrixError(_singular_message(sys, what, det), det, state)
+    c, cross = hess[n:, n:], hess[:n, n:]
     known = buf[size:size + 2 * n]
     dq, dp = known[:n], known[k:]
-    r = (buf[1:1 + k][sys.base_positions] - dq @ hess[:n, n:]
-         + dp @ buf[size + 2 * n:].reshape(m, k - n))
-    dy = known.copy()
-    dy[n:k] = _solve(c, r)
-    return dy, buf
+    psi_v = buf[size + 2 * n:].reshape(m, k - n)
+    base, order = sys.base_positions, k - n
+
+    def stage(args):
+        out[:] = run(*args)
+        det, threshold = det_threshold(c, order)
+        if abs(det) <= threshold:
+            state = (VakState(args[:n], args[n:k], args[k:]) if what == "vakonomic matrix"
+                     else NhState(args[:n], args[n:k]))
+            raise SingularMatrixError(_singular_message(sys, what, det), det, state)
+        r = grad[base] - dq @ cross + dp @ psi_v
+        dy = known.copy()
+        dy[n:k] = _solve_ignoring(c, r)
+        return dy, buf
+    return stage
 
 
-# The buffer of the ``field`` kernel, as ``_stage`` reads it.  ``cbar``,
+def _stage(sys, args, what):
+    """``_bind_stage``'s stage at the flat state ``args``, with a buffer of
+    its own and floating-point errors ignored."""
+    with np.errstate(all="ignore"):
+        return _bind_stage(sys, what)(args)
+
+
+# The buffer of the ``field`` kernel, as the stage reads it.  ``cbar``,
 # ``hamiltonian`` and ``w1_momenta`` (and ``ctilde``) read the kernel's
 # buffer without the guard and the solve, which a singular matrix fails.
 

@@ -50,8 +50,7 @@ from vaknh.autodiff import HyperDual, partial
 from vaknh.comparison import ComparisonRecord, ComparisonReport, _draw
 from vaknh.errors import EvalError, SingularMatrixError
 from vaknh.nonholonomic import _dependent_momenta, nh_rhs
-from vaknh.system import (NhState, VakState, check_state, complete_velocities,
-                          require_linear, state_env)
+from vaknh.system import NhState, VakState, check_state, require_linear, state_env
 from vaknh.vakonomic import vak_rhs
 
 
@@ -302,7 +301,7 @@ def vak_dae_rhs(sys, q, qdot, lam):
 
 def nh_dae_trajectory(sys, s0, t_eval, rtol=1e-10, atol=1e-12):
     """q(t) at the requested times from the ambient nonholonomic DAE."""
-    qdot0 = complete_velocities(sys, s0)
+    qdot0 = reference_complete_velocities(sys, s0)
     y0 = np.concatenate([s0.q, qdot0])
     n = sys.n
 
@@ -320,7 +319,7 @@ def vak_dae_trajectory(sys, s0, t_eval, rtol=1e-10, atol=1e-12):
     """q(t) from the ambient vakonomic DAE.  The initial extended
     multipliers are lam = p_dep - Leg_dep, the conversion that makes the
     two formulations describe the same flow."""
-    qdot0 = complete_velocities(sys, s0)
+    qdot0 = reference_complete_velocities(sys, s0)
     lift = reference_ambient_velocity_gradient(sys, s0.q, qdot0)
     lam0 = s0.p_dep - np.array([lift[pos] for pos in sys.dependent_positions])
     y0 = np.concatenate([s0.q, qdot0, lam0])

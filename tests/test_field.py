@@ -18,8 +18,8 @@ from vaknh import _jets
 from vaknh.errors import EvalError, SingularMatrixError
 from vaknh.nonholonomic import ctilde, legendre_lift, nh_rhs
 from vaknh.system import NhState, VakState, load_system
-from vaknh.vakonomic import (DET_RTOL, _jet, _stage, _stage_lanes, cbar, hamiltonian,
-                             vak_rhs, w1_momenta)
+from vaknh.vakonomic import (DET_RTOL, _bind_stage, _jet, _stage, _stage_lanes, cbar,
+                             hamiltonian, vak_rhs, w1_momenta)
 
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from oracles import _shifted
@@ -197,3 +197,25 @@ def test_domain_errors_raise_the_documented_error(lagrangian, q, v, message):
             evaluate(sysdef, s)
     with pytest.raises(EvalError, match=message):
         ctilde(sysdef, NhState(q, v))
+
+
+@pytest.mark.parametrize("what", ["vakonomic matrix", "nonholonomic matrix"])
+def test_a_bound_stage_returns_dy_of_its_own(what):
+    # The buffer of a binding is overwritten by its next call; dy is not
+    # part of it, and two bindings of one system share no buffer.
+    sysdef = get_model("rolling_penny")
+    states = random_states("rolling_penny", 2, 11)
+    first, second = _bind_stage(sysdef, what), _bind_stage(sysdef, what)
+    args = [_jets._flat(s.q, s.v, s.p_dep) for s in states]
+    dy, buf = first(args[0])
+    assert not np.shares_memory(dy, buf)
+    kept = buf.copy()
+    dy_other, buf_other = second(args[1])
+    assert not np.shares_memory(buf, buf_other)
+    assert _same_bits(buf, kept)
+    # The same binding again: the same buffer, a fresh dy.
+    dy_again, buf_again = first(args[1])
+    assert buf_again is buf and not np.shares_memory(dy_again, dy)
+    assert _same_bits(buf_again, buf_other) and _same_bits(dy_again, dy_other)
+    expected, _ = _stage(sysdef, args[0], what)
+    assert _same_bits(dy, expected)

@@ -110,7 +110,7 @@ def test_step_control_is_checked_before_the_first_evaluation(monkeypatch):
     def no_evaluations(*_):
         raise AssertionError("the field was evaluated")
 
-    monkeypatch.setattr(integrate_module, "_stage", no_evaluations)
+    monkeypatch.setattr(integrate_module, "_bind_stage", no_evaluations)
     m, s0 = get_model("martinet"), VakState([0, 1, 0], [1, 0], [1.0])
     for options in ({"rtol": -1.0}, {"rtol": float("nan")}, {"atol": 0.0},
                     {"atol": float("inf")}, {"max_steps": 0}):
@@ -132,6 +132,20 @@ def test_scan_rejects_sample_counts_below_one(count, capsys):
                       v_bounds=((-1, 1),) * 2, p_bounds=((-1, 1),))
     with pytest.raises(ValueError, match="at least 1"):
         scan(get_model("martinet"), sampler)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "martinet", "--samples", "0"], "--samples must be at least 1, got 0"),
+    (["check", "martinet", "--samples", "-2"], "--samples must be at least 1, got -2"),
+    (["check", "martinet", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["scan", "martinet", "--samples", "0"], "--samples must be at least 1, got 0"),
+    (["scan", "martinet", "--seed", "-1"], "--seed must be non-negative, got -1"),
+], ids=["check-samples-0", "check-samples-negative", "check-seed", "scan-samples", "scan-seed"])
+def test_sampling_flags_are_checked_before_any_output(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 _SCAN = ["scan", "martinet", "--samples", "2"]
@@ -188,7 +202,7 @@ def test_rk4_that_cannot_reach_t_end_fails_before_the_first_step(capsys, monkeyp
     def no_evaluations(*_):
         raise AssertionError("the field was evaluated")
 
-    monkeypatch.setattr(integrate_module, "_stage", no_evaluations)
+    monkeypatch.setattr(integrate_module, "_bind_stage", no_evaluations)
     assert run(MARTINET + ["--t-end", "1", "--method", "rk4", "--dt", "1e-20"]) == 3
     assert capsys.readouterr().err == (
         "numeric error: rk4 needs 1e+20 steps of dt=1e-20 to reach t_end=1.0, "

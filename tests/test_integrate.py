@@ -4,11 +4,12 @@ import pytest
 from vaknh import expr as E
 from vaknh.cli import run
 from vaknh.errors import IntegrationError
-from vaknh.integrate import (drift_report, integrate, trajectory_from_csv,
-                             trajectory_to_csv)
+from vaknh.integrate import (_require_finite, _rms, drift_report, integrate,
+                             trajectory_from_csv, trajectory_to_csv)
 from vaknh.system import NhState, VakState
 
 from conftest import get_model
+from test_linalg import _bits, _entries
 
 
 def test_particle_nh_straight_line():
@@ -146,3 +147,41 @@ def test_state_type_mismatch_rejected():
         integrate(m, "vak", NhState([0, 1, 0], [1, 0]), t_end=1.0)
     with pytest.raises(TypeError):
         integrate(m, "nh", VakState([0, 1, 0], [1, 0], [1.0]), t_end=1.0)
+
+
+def _with_non_finite(rng, length):
+    """``test_linalg._entries``, with about one entry in five NaN or +-inf."""
+    v = _entries(rng, length)
+    special = np.array([np.nan, np.inf, -np.inf])[rng.integers(0, 3, length)]
+    return np.where(rng.random(length) < 0.2, special, v)
+
+
+def test_plain_float_step_control_equals_numpy_bit_for_bit():
+    # The stepper's norm, step factor and finiteness check on plain floats
+    # against the numpy forms they replace.
+    rng = np.random.default_rng(67)
+    sysdef = get_model("martinet")
+    names = [f"y{i}" for i in range(12)]
+    rejected = 0
+    with np.errstate(all="ignore"):
+        for length in range(1, 13):
+            for _ in range(1000):
+                err, scale = _with_non_finite(rng, length), _with_non_finite(rng, length)
+                e = err / scale
+                expected = np.sqrt(np.mean((err / scale) ** 2))
+                norm = _rms(e)
+                assert type(norm) is float and _bits(norm) == _bits(expected)
+                if norm != 0.0:
+                    assert _bits(max(0.2, 0.9 * norm ** -0.2)) \
+                        == _bits(max(0.2, 0.9 * expected ** -0.2))
+                finite = bool(np.isfinite(e).all())
+                try:
+                    _require_finite(sysdef, e.tolist(), names, 0.0)
+                except IntegrationError as exc:
+                    rejected += 1
+                    assert not finite
+                    first = int(np.flatnonzero(~np.isfinite(e))[0])
+                    assert f": {names[first]} = " in str(exc)
+                else:
+                    assert finite
+    assert 0 < rejected < 12 * 1000

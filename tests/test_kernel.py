@@ -199,7 +199,8 @@ def test_completion_kernel_equals_the_interpreter(name):
     psi, failed = _jets.completion(sysdef, q, v)
     assert not failed.any()
     for i, s in enumerate(states):
-        expected = complete_velocities(sysdef, s)[sysdef.dependent_positions]
+        expected = oracles.reference_complete_velocities(sysdef, s)[
+            sysdef.dependent_positions]
         scalar = _jets._kernel(sysdef, "completion").scalar(*q[i], *v[i])
         assert _same_bits(np.frombuffer(scalar), expected)
         assert _same_bits(psi[i], expected)

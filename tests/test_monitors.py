@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vaknh import _jets, integrate as _integrate, nonholonomic, system, vakonomic
+from vaknh._kernel import Sweep
 from vaknh import expr as E
 from vaknh.nonholonomic import energy
 from vaknh.system import NhState, VakState
@@ -56,13 +57,18 @@ def test_nh_rows_equal_fresh_energy(name, method):
 
 
 def _calls(fn, *targets):
-    """Run fn() and count the calls of each target function's code."""
+    """Run fn() and count the calls of each target function's code.  The
+    runs of a generated sweep (``Sweep.run``) count under the sweep's kind,
+    such as "field"."""
     codes = {t.__code__: t.__name__ for t in targets}
     counts = dict.fromkeys(codes.values(), 0)
 
     def profile(frame, event, _arg):
         if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
+            name = codes[frame.f_code]
+            if frame.f_code is Sweep.run.__code__:
+                name = frame.f_locals["self"].label.split()[0]
+            counts[name] = counts.get(name, 0) + 1
 
     sys.setprofile(profile)
     try:
@@ -72,35 +78,43 @@ def _calls(fn, *targets):
     return counts
 
 
-# A stage of the steppers is one call of the core, ``vakonomic._stage``, from
-# the packed state, and its one sweep is the fused field kernel
-# (field_sweep); a nonholonomic stage appends Leg_dep from one Legendre lift
-# (completion, then ambient_velocity_gradient).  Inside integrate no
-# restricted table is built, and none of the per-state functions runs.
+# A stage of the steppers is one call of the core, the stage that
+# ``vakonomic._bind_stage`` binds once per run, on the packed state, and its
+# one sweep is the fused field kernel (its ``Sweep.run``); a nonholonomic
+# stage appends Leg_dep from one Legendre lift (completion, then
+# ambient_velocity_gradient).  Inside integrate no restricted table is
+# built, and none of the per-state functions runs.
+
+
+def _stage():
+    """A bound stage: every binding runs the code of this one."""
+    return vakonomic._bind_stage(get_model("martinet"), "vakonomic matrix")
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_every_vak_sweep_belongs_to_a_stage(method):
-    counts = _calls(lambda: _run("rolling_penny", "vak", method),
-                    _jets.field_sweep, _jets.restricted_table, vakonomic._stage,
+    runs = []
+    counts = _calls(lambda: runs.append(_run("rolling_penny", "vak", method)),
+                    Sweep.run, _jets.field_sweep, _jets.restricted_table, _stage(),
                     vakonomic.vak_rhs, vakonomic.hamiltonian, vakonomic.w1_momenta)
-    assert counts["_stage"] > 20
-    assert counts["field_sweep"] == counts["_stage"]
-    assert counts["restricted_table"] == 0
+    assert counts["stage"] > 20
+    assert counts["field"] == counts["stage"] == runs[0][1].stats.evaluations
+    assert counts["field_sweep"] == counts["restricted_table"] == 0
     assert counts["vak_rhs"] == counts["hamiltonian"] == counts["w1_momenta"] == 0
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_every_nh_sweep_belongs_to_a_stage(method):
-    # The stage is ``vakonomic._stage`` at (q, v, Leg_dep), with Leg_dep
-    # from one Legendre lift.
-    counts = _calls(lambda: _run("rolling_penny", "nh", method),
-                    _jets.field_sweep, _jets.restricted_table,
-                    _jets.ambient_velocity_gradient, vakonomic._stage,
+    # The stage is the bound stage at (q, v, Leg_dep), with Leg_dep from
+    # one Legendre lift.
+    runs = []
+    counts = _calls(lambda: runs.append(_run("rolling_penny", "nh", method)),
+                    Sweep.run, _jets.restricted_table,
+                    _jets.ambient_velocity_gradient, _stage(),
                     nonholonomic.nh_rhs, nonholonomic.energy)
-    assert counts["_stage"] > 20
-    assert counts["field_sweep"] == counts["ambient_velocity_gradient"] \
-        == counts["_stage"]
+    assert counts["stage"] > 20
+    assert counts["field"] == counts["ambient_velocity_gradient"] \
+        == counts["stage"] == runs[0][1].stats.evaluations
     assert counts["restricted_table"] == 0
     assert counts["energy"] == counts["nh_rhs"] == 0
 
@@ -112,9 +126,9 @@ def test_an_nh_run_evaluates_psi_only_in_generated_kernels(method):
     # never evaluates a psi tree.
     sysdef = get_model("rolling_penny")
     trees = list(sysdef.psi.values())
-    codes = {_jets.field_sweep.__code__: "field_sweep",
+    codes = {_stage().__code__: "stage",
              _jets.ambient_velocity_gradient.__code__: "ambient_velocity_gradient"}
-    counts = {"field_sweep": 0, "ambient_velocity_gradient": 0, "psi": 0}
+    counts = {"stage": 0, "ambient_velocity_gradient": 0, "psi": 0}
 
     def profile(frame, event, _arg):
         if event != "call":
@@ -131,7 +145,7 @@ def test_an_nh_run_evaluates_psi_only_in_generated_kernels(method):
     finally:
         sys.setprofile(None)
     assert traj.stats.evaluations > 20
-    assert counts == {"field_sweep": traj.stats.evaluations,
+    assert counts == {"stage": traj.stats.evaluations,
                       "ambient_velocity_gradient": traj.stats.evaluations, "psi": 0}
 
 
@@ -141,14 +155,14 @@ def test_rk45_evaluations_per_step():
     sysdef = get_model("martinet")
     s0 = VakState([0, 1, 0], [0.8, -0.4], [1.2])
     counts = _calls(lambda: _integrate.integrate(sysdef, "vak", s0, t_end=0.5),
-                    vakonomic._stage, vakonomic.vak_rhs)
+                    _stage(), vakonomic.vak_rhs)
     traj = _integrate.integrate(sysdef, "vak", s0, t_end=0.5)
     steps = len(traj.times) - 1
     assert counts["vak_rhs"] == 0
-    assert (counts["_stage"] - 2) % 6 == 0
-    assert steps * 6 <= counts["_stage"] - 2 < steps * 7
+    assert (counts["stage"] - 2) % 6 == 0
+    assert steps * 6 <= counts["stage"] - 2 < steps * 7
     stats = traj.stats
-    assert stats.evaluations == counts["_stage"]
+    assert stats.evaluations == counts["stage"]
     assert stats.accepted == steps
     assert stats.evaluations == 2 + 6 * (stats.accepted + stats.rejected)
     # A step moves t by h up to the rounding of t + h.

@@ -57,3 +57,30 @@ def test_trace_counts_the_sweeps_of_one_command(capsys):
                     for kind, count in [("restricted", "1"), ("completion", "1"),
                                         ("velocity_gradient", "1"), ("field", "2")]}
     assert Sweep.run is run and comparison.run_lanes is run_lanes is _jets.run_lanes
+
+
+def test_trace_times_the_stepper_of_an_integrate_command(capsys):
+    # Each stage is one field evaluation with one scalar field sweep; the
+    # run loop's own time is its total less the stages'.
+    from vaknh import integrate as integrate_module
+    from vaknh.system import VakState
+
+    from conftest import get_model
+
+    flat_rhs, run_rk45 = integrate_module._flat_rhs, integrate_module._run_rk45
+    script = runpy.run_path(str(TRACE))
+    assert script["main"](["integrate", "martinet", "--dynamics", "vak", "--q", "0,1,0",
+                           "--v", "0.8,-0.4", "--p", "1.2", "--t-end", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines}
+    stepper = lines.index(next(line for line in lines if line.startswith("stepper ")))
+    stage, loop = (line.split() for line in lines[stepper + 1:stepper + 3])
+    traj = integrate_module.integrate(get_model("martinet"), "vak",
+                                      VakState([0, 1, 0], [0.8, -0.4], [1.2]), t_end=0.5)
+    assert traj.stats.evaluations > 20
+    assert stage[0] == "stage" and int(stage[1]) == traj.stats.evaluations
+    assert rows["field sweep of martinet"] == [str(traj.stats.evaluations), "0"]
+    assert loop[:3] == ["run", "loop", "1"]
+    assert float(loop[3]) >= float(stage[2]) and float(loop[4]) >= 0.0
+    assert integrate_module._flat_rhs is flat_rhs
+    assert integrate_module._run_rk45 is run_rk45

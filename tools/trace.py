@@ -9,9 +9,14 @@ then one row per traced function that ran: its calls, its total time and
 its self time (the total less the time of the traced functions it called),
 the largest total first.  Then one row per generated sweep that ran, by
 ``Sweep.label``: its scalar runs (``Sweep.run``, one state) and its stacked
-runs (``_jets.run_lanes``, one batch of states).  The package is not
-changed: the tracer wraps the functions of ``bench/spans.TARGETS``, and
-this script ``Sweep.run`` and ``run_lanes``, while the command runs.
+runs (``_jets.run_lanes``, one batch of states).  For an ``integrate``
+command, last, the stepper as a layer: the stage calls and their time
+(the stage that ``integrate._flat_rhs`` returns, one field evaluation
+each), and the run loop (``_run_rk45`` or ``_run_rk4``) with its own time,
+its total less the stage time.  The package is not changed: the tracer
+wraps the functions of ``bench/spans.TARGETS``, and this script
+``Sweep.run``, ``run_lanes``, ``_flat_rhs`` and the run loops, while the
+command runs.
 """
 
 from __future__ import annotations
@@ -63,12 +68,58 @@ def counted_sweeps():
             setattr(module, key, run_lanes)
 
 
+@contextlib.contextmanager
+def timed_stepper():
+    """A ``Counter`` of the stepper's stage calls ("stage calls"), their
+    time ("stage s"), its run loops ("loops") and their time ("loop s")
+    while installed: ``integrate._flat_rhs`` and the run loops are wrapped
+    on their module."""
+    from vaknh import integrate
+
+    totals = Counter()
+    clock = time.perf_counter
+    flat_rhs = integrate._flat_rhs
+    loops = {name: getattr(integrate, name) for name in ("_run_rk45", "_run_rk4")}
+
+    def timed_flat_rhs(sys_, dynamics):
+        f = flat_rhs(sys_, dynamics)
+
+        def stage(y):
+            start = clock()
+            try:
+                return f(y)
+            finally:
+                totals["stage s"] += clock() - start
+                totals["stage calls"] += 1
+        return stage
+
+    def timed_loop(run):
+        def loop(*args):
+            start = clock()
+            try:
+                return run(*args)
+            finally:
+                totals["loop s"] += clock() - start
+                totals["loops"] += 1
+        return loop
+
+    integrate._flat_rhs = timed_flat_rhs
+    for name, run in loops.items():
+        setattr(integrate, name, timed_loop(run))
+    try:
+        yield totals
+    finally:
+        integrate._flat_rhs = flat_rhs
+        for name, run in loops.items():
+            setattr(integrate, name, run)
+
+
 def main(argv=None) -> int:
     from spans import Tracer
     from vaknh import cli
 
     argv = sys.argv[1:] if argv is None else list(argv)
-    with Tracer() as tracer, counted_sweeps() as sweeps, \
+    with Tracer() as tracer, counted_sweeps() as sweeps, timed_stepper() as stepper, \
             contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
         code = cli.run(argv)
@@ -86,6 +137,12 @@ def main(argv=None) -> int:
     print(f"{'sweep':{width}s} {'scalar':>7s} {'stacked':>7s}")
     for label in labels:
         print(f"{label:{width}s} {sweeps[label, 'scalar']:7d} {sweeps[label, 'stacked']:7d}")
+    if stepper["loops"]:
+        stage_ms, loop_ms = stepper["stage s"] * 1e3, stepper["loop s"] * 1e3
+        print(f"{'stepper':36s} {'calls':>7s} {'total ms':>10s} {'self ms':>10s}")
+        print(f"{'stage':36s} {stepper['stage calls']:7d} {stage_ms:10.3f} {stage_ms:10.3f}")
+        print(f"{'run loop':36s} {stepper['loops']:7d} {loop_ms:10.3f} "
+              f"{loop_ms - stage_ms:10.3f}")
     return code
 
 
