@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import Sweep, compile_gradients, compile_sweep
+from .system import _kept
 
 
 @dataclass
@@ -149,21 +150,10 @@ class AmbientTable:
 
 
 # Sweeps already generated in this process, oldest first, keyed by what the
-# generated source depends on.  The trees enter by ``repr``: Const(-0.0) and
-# Const(0.0) are equal and hash alike, but emit different kernels.
+# generated source depends on: the kind and ``SystemDef._key``, or the
+# candidate functions.
 _SWEEPS: dict = {}
 _SWEEPS_KEPT = 64
-
-
-def _kept(key, build) -> Sweep:
-    """The sweep kept under ``key``, or else ``build()``, kept from now on."""
-    sweep = _SWEEPS.get(key)
-    if sweep is None:
-        sweep = build()
-        if len(_SWEEPS) >= _SWEEPS_KEPT:
-            del _SWEEPS[next(iter(_SWEEPS))]
-        _SWEEPS[key] = sweep
-    return sweep
 
 
 def _kernel(sys, kind) -> Sweep:
@@ -172,9 +162,8 @@ def _kernel(sys, kind) -> Sweep:
     keeps them, or else new ones."""
     sweep = sys._kernels.get(kind)
     if sweep is None:
-        key = (kind, sys.name, sys.coords, sys.dependent, repr(sys.lagrangian),
-               tuple(repr(sys.psi[c]) for c in sys.dependent))
-        sweep = sys._kernels[kind] = _kept(key, lambda: compile_sweep(sys, kind))
+        sweep = sys._kernels[kind] = _kept(_SWEEPS, _SWEEPS_KEPT, (kind, sys._key),
+                                           lambda: compile_sweep(sys, kind))
     return sweep
 
 
@@ -182,7 +171,7 @@ def gradient_kernel(trees, names, seeded) -> Sweep:
     """The generated gradients of ``trees`` in the variables ``seeded``
     (:func:`vaknh._kernel.compile_gradients`), kept with the sweeps."""
     key = ("gradients", tuple(names), tuple(seeded), tuple(map(repr, trees)))
-    return _kept(key, lambda: compile_gradients(trees, names, seeded))
+    return _kept(_SWEEPS, _SWEEPS_KEPT, key, lambda: compile_gradients(trees, names, seeded))
 
 
 def _flat(*vectors):

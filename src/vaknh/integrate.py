@@ -22,20 +22,30 @@ A stage is the stage of ``vakonomic._bind_stage``, bound once per run,
 on the packed state itself, and builds no state or derivative object: on
 y = (q, v, p_dep) it gives dy/dt and the ``field`` kernel's buffer; on
 y = (q, v) followed by the Leg_dep of the Legendre lift at (q, v)
-(``nonholonomic._lift``), the (q, v) part of dy/dt and the lift.  The run
-binds the buffer and its views once, and the stepper runs under one
-``np.errstate`` that ignores floating-point errors: the finiteness checks
-report what numpy would warn about.  Each field evaluation happens once,
-and a monitor row reads the evaluation of the field at its state: H, the
-eliminated momenta and the multiplier rates from the stage's buffer, with
-the expressions of ``hamiltonian`` and ``w1_momenta``, or the energy from
-the stage's Legendre lift.  With rk45 that is the 7th stage of the step
+(``nonholonomic._lift``), the (q, v) part of dy/dt and the lift.  It
+takes y as the Python floats that are the kernel's arguments, and writes
+dy/dt into the stepper's row for that stage.  rk45 forms each stage input
+y + h * (stages[:i].T @ a_i) in Python floats from the gemv's list: a
+product and a sum per entry, each rounded once, as numpy rounds them.  The
+run binds the buffer, its views and the views of the stage rows once, and
+the stepper runs under one ``np.errstate`` that ignores floating-point
+errors: the finiteness checks report what numpy would warn about.  Each
+field evaluation happens once, and a monitor row reads the evaluation of
+the field at its state: H, the eliminated momenta and the multiplier rates
+from the stage's buffer, with the expressions of ``hamiltonian`` and
+``w1_momenta`` and v read from the packed state, or the energy from the
+stage's Legendre lift.  With rk45 that is the 7th stage of the step
 that accepted the state; with rk4 it is the first stage of the next step,
 so only the last row costs an evaluation of its own.  The row at t = 0
 reads the first stage of the first step.  A row makes no jet sweep of its
 own, and it reads the bound buffer before the next stage overwrites it.
 Step control runs on Python floats where they give numpy's bits: the
 error norm, the step size and the finiteness checks.
+
+Each accepted state is recorded once, as the list of floats the stepper
+already holds; the :class:`Trajectory` keeps the packed rows as its one
+form of the states, and builds state objects only when ``states`` is
+read.
 
 ``Trajectory.stats`` (:class:`StepStats`) counts what the stepper did:
 field evaluations, accepted and rejected steps, and the smallest, largest
@@ -48,7 +58,7 @@ atol > 0 and max_steps >= 1; other values raise ``ValueError`` before the
 first evaluation.
 
 Trajectories serialize to CSV with full double precision (17 significant
-digits) and parse back bit-exactly.
+digits, one ``%.17g`` format per row) and parse back bit-exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,15 +119,27 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Integration output: strictly increasing times, one state per time and
-    aligned monitor series.  ``stats`` describes the steps of an
-    integration; a trajectory read from CSV has none."""
+    """Integration output: strictly increasing times, one packed state per
+    time and aligned monitor series.  ``stats`` describes the steps of an
+    integration; a trajectory read from CSV has none.
+
+    ``packed`` is the one stored form of the states: one row per time, the
+    packed state (q, v, p_dep) of a system with ``n`` positions and ``m``
+    constraints, or (q, v) for "nh".  ``states`` is built from it on first
+    read: one :class:`VakState` or :class:`NhState` per row, whose arrays
+    are views of that row."""
 
     dynamics: str                 # "vak" | "nh"
     times: np.ndarray
-    states: list
+    packed: np.ndarray            # (len(times), width)
+    n: int
+    m: int
     monitors: dict[str, np.ndarray]
     stats: StepStats | None = None
+
+    @cached_property
+    def states(self) -> list:
+        return [_unpack(self.dynamics, self.n, self.m, row) for row in self.packed]
 
 
 @dataclass
@@ -131,38 +154,40 @@ def _pack(sys, dynamics, s):
     return np.concatenate([s.q, s.v])
 
 
-def _unpack(sys, dynamics, y):
-    n, nb = sys.n, sys.n - sys.m
+def _unpack(dynamics, n, m, y):
+    """The state whose packed form is the array y, with views of y."""
+    k = 2 * n - m
     if dynamics == "vak":
-        return VakState(y[:n], y[n:n + nb], y[n + nb:])
-    return NhState(y[:n], y[n:n + nb])
+        return VakState(y[:n], y[n:k], y[k:])
+    return NhState(y[:n], y[n:k])
 
 
 def _flat_rhs(sys, dynamics):
-    """The field as f(y) -> (dy/dt, the evaluation a monitor row reads):
-    the vakonomic stage's buffer, or the nonholonomic stage's Legendre
-    lift.  The stage is bound here, once per run, and f runs where
-    floating-point errors are ignored.
+    """The field as f(args, row) -> (row, the evaluation a monitor row
+    reads): it writes dy/dt at the packed state whose entries are the
+    Python floats ``args`` into ``row``, and returns the vakonomic stage's
+    buffer or the nonholonomic stage's Legendre lift.  The stage is bound
+    here, once per run, and f runs where floating-point errors are
+    ignored.
 
-    The vakonomic buffer is the bound stage's own, which the next call of
-    f overwrites: a monitor row reads it before the next stage runs.  rk45
-    reads the 7th stage's buffer before the next step's first stage, and
-    rk4 reads ``k1, at_y = f(y)`` before its next stage.  dy/dt is a fresh
-    array on every call."""
+    The vakonomic f is the bound stage itself, and its buffer is the
+    stage's own, which the next call overwrites: a monitor row reads it
+    before the next stage runs.  rk45 reads the 7th stage's buffer before
+    the next step's first stage, and rk4 reads the first stage's before
+    its next stage."""
     if dynamics == "vak":
-        stage = _bind_stage(sys, "vakonomic matrix")
-
-        def f(y):
-            return stage(y.tolist())
-        return f
+        return _bind_stage(sys, "vakonomic matrix")
 
     stage = _bind_stage(sys, "nonholonomic matrix")
     n, k, dependent = sys.n, 2 * sys.n - sys.m, sys.dependent_positions
+    whole = np.empty(k + sys.m)
 
-    def f(y):
+    def f(args, row):
+        y = np.array(args)
         lift = _lift(sys, y[:n], y[n:])
-        dy, _ = stage(y.tolist() + lift[dependent].tolist())
-        return dy[:k], lift
+        stage(args + lift[dependent].tolist(), whole)
+        row[:] = whole[:k]
+        return row, lift
     return f
 
 
@@ -181,16 +206,18 @@ def _monitor_names(sys, dynamics, candidates):
     return names
 
 
-def _monitor_row(sys, dynamics, state, at_state, candidates):
-    """Monitors at ``state``, read from ``at_state``, the field's evaluation
-    there: hamiltonian, w1_momenta and energy on what the stepper computed."""
+def _monitor_row(sys, dynamics, y, at_state, candidates):
+    """Monitors at the packed state ``y``, read from ``at_state``, the
+    field's evaluation there: hamiltonian, w1_momenta and energy on what
+    the stepper computed."""
+    n, k = sys.n, 2 * sys.n - sys.m
     if dynamics == "vak":
-        row = [_hamiltonian(sys, at_state, state.v), *_momenta(sys, at_state).tolist(),
+        row = [_hamiltonian(sys, at_state, y[n:k]), *_momenta(sys, at_state).tolist(),
                *_rates(sys, at_state).tolist()]
     else:
-        row = [_energy(sys, state, at_state)]
+        row = [_energy(sys, y[:n], y[n:k], at_state)]
     if candidates:
-        env = state_env(sys, state)
+        env = state_env(sys, _unpack(dynamics, n, sys.m, y))
         row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]
     return row
 
@@ -210,7 +237,7 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     y1 = y0 + h0 * f0
-    f1, _ = f(y1)
+    f1, _ = f(y1.tolist(), np.empty(len(y1)))
     # numpy's division, which gives inf or NaN where h0 underflowed to 0.
     d2 = float(_rms((f1 - f0) / scale) / np.float64(h0))
     if max(d1, d2) <= 1e-15:
@@ -261,23 +288,24 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     names = _monitor_names(sys, dynamics, candidates)
 
     times = []
-    states = []
+    packed = []
     monitor_rows = []
 
     def accept(t, y):
-        """Record the state y at time t, once per step."""
-        _require_finite(sys, y.tolist(), state_names, t)
+        """Record the packed state y, a list of floats, at time t, once per
+        step."""
+        _require_finite(sys, y, state_names, t)
         times.append(t)
-        states.append(_unpack(sys, dynamics, y))
+        packed.append(y)
 
-    def monitor(at_state):
-        """Record the monitor row of the last state from the field's
-        evaluation there."""
-        row = _monitor_row(sys, dynamics, states[-1], at_state, candidates)
+    def monitor(y, at_state):
+        """Record the monitor row of the last state, the array y, from the
+        field's evaluation there."""
+        row = _monitor_row(sys, dynamics, y, at_state, candidates)
         _require_finite(sys, row, names, times[-1])
         monitor_rows.append(row)
 
-    accept(0.0, y)
+    accept(0.0, y.tolist())
     try:
         # One error state for the whole run: the finiteness checks of
         # accept and monitor report what numpy would warn about.
@@ -289,12 +317,12 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     except (SingularMatrixError, EvalError) as exc:
         raise IntegrationError(
             f"integration of {sys.name!r} halted at t={float(times[-1])!r}, "
-            f"q={states[-1].q.tolist()!r}: {exc}", t=float(times[-1])) from exc
+            f"q={packed[-1][:sys.n]!r}: {exc}", t=float(times[-1])) from exc
 
     columns = np.array(monitor_rows)
     monitors = {name: columns[:, i].copy() for i, name in enumerate(names)}
-    return Trajectory(dynamics=dynamics, times=np.array(times),
-                      states=states, monitors=monitors, stats=stats)
+    return Trajectory(dynamics=dynamics, times=np.array(times), packed=np.array(packed),
+                      n=sys.n, m=sys.m, monitors=monitors, stats=stats)
 
 
 def _require_finite(sys, values, names, t):
@@ -330,21 +358,23 @@ def _require_rk4_steps(t_end, dt, max_steps):
 def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):
     t = 0.0
     h_min, h_max = math.inf, 0.0
-    k1, at_y = f(y)
-    monitor(at_y)
+    k1, k2, k3, k4 = np.empty((4, len(y)))
+    _, at_y = f(y.tolist(), k1)
+    monitor(y, at_y)
     for steps in range(1, max_steps + 1):
         h = min(dt, t_end - t)
         _require_advance(t, h)
-        k2, _ = f(y + 0.5 * h * k1)
-        k3, _ = f(y + 0.5 * h * k2)
-        k4, _ = f(y + h * k3)
+        f((y + 0.5 * h * k1).tolist(), k2)
+        f((y + 0.5 * h * k2).tolist(), k3)
+        f((y + h * k3).tolist(), k4)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_end if t + h >= t_end else t + h
-        accept(t, y)
+        entries = y.tolist()
+        accept(t, entries)
         # The next step's first stage is the field at y; its evaluation
         # gives y's monitor row.
-        k1, at_y = f(y)
-        monitor(at_y)
+        _, at_y = f(entries, k1)
+        monitor(y, at_y)
         h_min, h_max = min(h_min, h), max(h_max, h)
         if t >= t_end:
             # The first k1, then k2, k3, k4 and the next k1 per step.
@@ -353,23 +383,32 @@ def _run_rk4(f, y, t_end, dt, max_steps, accept, monitor):
 
 
 def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
+    """Dormand-Prince 5(4) from the array y.  Each stage writes its row of
+    ``stages``; its input y + h * (stages[:i].T @ a_i) is formed in Python
+    floats from the gemv's list, with numpy's bits (a product, then a sum,
+    each rounded once), and passed to the stage as the kernel's arguments.
+    The 7th stage's input is the 5th-order solution: its list is the
+    accepted state, and its array is built once per attempt."""
     t = 0.0
-    k1, at_y = f(y)
-    monitor(at_y)
-    h = _initial_step(f, y, k1, t_end, rtol, atol)
     stages = np.empty((7, len(y)))
+    columns = [stages[:i].T for i in range(7)]
+    entries = y.tolist()
+    _, at_y = f(entries, stages[0])
+    monitor(y, at_y)
+    h = _initial_step(f, y, stages[0], t_end, rtol, atol)
     h_min, h_max, rejected = math.inf, 0.0, 0
     for steps in range(1, max_steps + 1):
         h = min(h, t_end - t)
         rejections = 0
         while True:
             _require_advance(t, h)
-            stages[0] = k1
             for i in range(1, 7):
-                y_new = y + h * (stages[:i].T @ _DP_A[i])
-                stages[i], at_y = f(y_new)
+                sums = (columns[i] @ _DP_A[i]).tolist()
+                stage_in = [a + h * b for a, b in zip(entries, sums)]
+                _, at_y = f(stage_in, stages[i])
             # FSAL: the last stage input is the 5th-order solution, and
             # at_y is the field's evaluation there.
+            y_new = np.array(stage_in)
             err = h * (stages.T @ _DP_ERR)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             norm = _rms(err / scale)
@@ -383,12 +422,11 @@ def _run_rk45(f, y, t_end, rtol, atol, max_steps, accept, monitor):
                     t=float(t))
             h *= max(0.2, 0.9 * norm ** -0.2)
         t = t_end if t + h >= t_end else t + h
-        y = y_new
-        # Copy the last stage out of the reused stage buffer, which the
-        # next attempt overwrites.
-        k1 = stages[6].copy()
-        accept(t, y)
-        monitor(at_y)
+        y, entries = y_new, stage_in
+        # The last stage is the next step's first.
+        stages[0] = stages[6]
+        accept(t, entries)
+        monitor(y, at_y)
         h_min, h_max = min(h_min, h), max(h_max, h)
         if t >= t_end:
             # The first stage and the initial step's guess, then six
@@ -424,21 +462,19 @@ def drift_report(sys: SystemDef, traj: Trajectory) -> DriftReport:
 
 def trajectory_to_csv(sys: SystemDef, traj: Trajectory) -> str:
     """The header, then one row per time: t, the packed state and the
-    monitors, each number in ``.17g`` form, which reads back bitwise."""
+    monitors, each number in ``%.17g`` form, which reads back bitwise."""
     names = _state_names(sys, traj.dynamics)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["t", *names, *traj.monitors])
-    states = np.reshape([_pack(sys, traj.dynamics, s) for s in traj.states],
-                        (len(traj.states), len(names)))
-    rows = np.column_stack([traj.times, states, *traj.monitors.values()]).tolist()
-    buf.writelines(",".join(map("{:.17g}".format, row)) + "\n" for row in rows)
+    rows = np.column_stack([traj.times, traj.packed, *traj.monitors.values()]).tolist()
+    line = ",".join(["%.17g"] * (1 + len(names) + len(traj.monitors))) + "\n"
+    buf.writelines(line % tuple(row) for row in rows)
     return buf.getvalue()
 
 
 def trajectory_from_csv(sys: SystemDef, text: str) -> Trajectory:
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    n, nb = sys.n, sys.n - sys.m
     expected_vak = ["t"] + _state_names(sys, "vak")
     expected_nh = ["t"] + _state_names(sys, "nh")
     if header[:len(expected_vak)] == expected_vak:
@@ -448,20 +484,17 @@ def trajectory_from_csv(sys: SystemDef, text: str) -> Trajectory:
     else:
         raise VaknhError(f"CSV header does not match system {sys.name!r}")
     monitor_names = header[ncols:]
-    times, states, rows = [], [], []
+    times, packed, rows = [], [], []
     for row in reader:
         values = list(map(float, row))
         times.append(values[0])
-        if dynamics == "vak":
-            states.append(VakState(values[1:1 + n], values[1 + n:1 + n + nb],
-                                   values[1 + n + nb:ncols]))
-        else:
-            states.append(NhState(values[1:1 + n], values[1 + n:ncols]))
+        packed.append(values[1:ncols])
         rows.append(values[ncols:])
     columns = np.array(rows) if rows else np.empty((0, len(monitor_names)))
     monitors = {name: columns[:, i].copy() for i, name in enumerate(monitor_names)}
     return Trajectory(dynamics=dynamics, times=np.array(times),
-                      states=states, monitors=monitors)
+                      packed=np.array(packed).reshape(len(packed), ncols - 1),
+                      n=sys.n, m=sys.m, monitors=monitors)
 
 
 def write_trajectory_csv(sys: SystemDef, traj: Trajectory, path) -> None:

@@ -118,13 +118,13 @@ def energy(sys: SystemDef, s: NhState) -> float:
     the nonholonomic flow for linear homogeneous constraints.  Along a
     trajectory the lift is read from the stage's evaluation at the state."""
     check_state(sys, s)
-    return _energy(sys, s, legendre_lift(sys, s))
+    return _energy(sys, s.q, s.v, legendre_lift(sys, s))
 
 
-def _energy(sys, s, lift) -> float:
-    """Mechanical energy at ``s`` from its Legendre lift; the completed
+def _energy(sys, q, v, lift) -> float:
+    """Mechanical energy at (q, v) from its Legendre lift; the completed
     velocities (the completion kernel) and L are evaluated on plain
     floats."""
-    env = completed_env(sys, s.q, s.v)
+    env = completed_env(sys, q, v)
     vfull = np.array([env[sys.velocity_of(c)] for c in sys.coords])
     return float(np.dot(vfull, lift) - _expr.evaluate(sys.lagrangian, env))

@@ -13,6 +13,14 @@ with ``d`` (position ``x`` pairs with velocity ``dx``).
 Requiring the solved form makes the rank condition on the constraint
 velocity-Jacobian structural: no psi expression may mention a dependent
 velocity, which the loader enforces.
+
+``load_system`` verifies a system declared linear by sampling (20 samples,
+seed 0), and ``SystemDef.linear`` of one not declared linear reads the same
+verification.  The process keeps the report for equal systems (equal
+``SystemDef._key``, the key of the generated kernels), so an equal system
+is verified once per process; the same samples give the same report.  A
+failing report still raises ``LinearityError`` on every load, and a
+verification that raises is not kept.
 """
 
 from __future__ import annotations
@@ -88,14 +96,24 @@ class SystemDef:
     def linear(self) -> bool:
         """Whether the constraints are linear homogeneous in the base
         velocities: the declaration, which ``load_system`` verified, or else
-        one sampled verification on first use.  Constraints that cannot be
-        evaluated at the samples are not verified, so not linear."""
+        the sampled verification of equal systems (``_sampled_linearity``).
+        Constraints that cannot be evaluated at the samples are not
+        verified, so not linear."""
         if self.declared_linear:
             return True
         try:
-            return verify_linearity(self, samples=20, seed=0).linear
+            return _sampled_linearity(self).linear
         except EvalError:
             return False
+
+    @cached_property
+    def _key(self) -> tuple:
+        """What the generated kernels and the sampled linearity verification
+        depend on: systems with equal keys share them.  The trees enter by
+        ``repr``: Const(-0.0) and Const(0.0) are equal and hash alike, but
+        emit different kernels."""
+        return (self.name, self.coords, self.dependent, repr(self.lagrangian),
+                tuple(repr(self.psi[c]) for c in self.dependent))
 
     def velocity_of(self, coord: str) -> str:
         return "d" + coord
@@ -251,7 +269,7 @@ def load_system(source: str) -> SystemDef:
                     lagrangian=lagrangian, psi=psi, declared_linear=linear)
 
     if linear:
-        report = verify_linearity(sys, samples=20, seed=0)
+        report = _sampled_linearity(sys)
         if not report.linear:
             raise LinearityError(
                 f"system {name!r} is declared linear but fails verification "
@@ -373,6 +391,34 @@ def verify_linearity(sys: SystemDef, samples: int, seed: int) -> LinearityReport
                 if attempt == 9:
                     raise
     return LinearityReport(True, None)
+
+
+# Sampled verifications already made in this process, oldest first, by
+# ``SystemDef._key``.
+_REPORTS: dict = {}
+_REPORTS_KEPT = 64
+
+
+def _kept(store, limit, key, build):
+    """The entry of ``store`` under ``key``, or else ``build()``, kept from
+    now on, the oldest entry making room when ``store`` holds ``limit``.
+    What ``build`` raises is not kept."""
+    entry = store.get(key)
+    if entry is None:
+        entry = build()
+        if len(store) >= limit:
+            del store[next(iter(store))]
+        store[key] = entry
+    return entry
+
+
+def _sampled_linearity(sys: SystemDef) -> LinearityReport:
+    """``verify_linearity(sys, samples=20, seed=0)``, made once per process
+    for equal systems (the last ``_REPORTS_KEPT`` of them): the same samples
+    give the same report.  A verification that raises ``EvalError`` is not
+    kept, and runs again at the next call."""
+    return _kept(_REPORTS, _REPORTS_KEPT, sys._key,
+                 lambda: verify_linearity(sys, samples=20, seed=0))
 
 
 def require_linear(sys: SystemDef, what: str) -> None:

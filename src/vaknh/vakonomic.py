@@ -21,10 +21,17 @@ where r collects the remaining terms of the expanded total time derivative
 of the eliminated momenta.  One generated function, the ``field`` kernel
 (:mod:`vaknh._kernel`), takes (q, v, mult) and returns the jet of Lambda,
 the completed velocities, dp_dep and dpsi/dv as one buffer; Cbar and the
-terms of r are views of it.  r, the determinant guard and the solve stay
-in numpy, whose dot products and solve round differently from plain
-floats; the determinant and the solve are the LAPACK gufuncs that
-``np.linalg.det`` and ``np.linalg.solve`` call, called directly.  The
+terms of r are views of it.  r and the solve stay in numpy, whose dot
+products and solve round differently from plain floats; the determinant
+and the solve are the LAPACK gufuncs that ``np.linalg.det`` and
+``np.linalg.solve`` call, called directly.  The determinant guard's
+threshold has one home, ``_threshold``, which forms DET_RTOL *
+max|entry|**order in Python floats with numpy's bits.  The stage reads
+Cbar's entries as Python floats and skips the det of a 2 x 2 Cbar that
+``_certainly_regular`` certifies: a plain-float estimate of the det above
+four thresholds, with the largest entry between 1e-100 and 1e100, proves
+numpy's det above the threshold (the argument is in its docstring).  Any
+other Cbar runs the det and the guard.  The
 nonholonomic field is the same system with the Legendre momenta Leg_dep of
 the dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
 
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -98,16 +106,57 @@ def det_threshold(c, order):
     NaN entry makes the threshold NaN.  For a stack of matrices, the arrays
     of both, bit for bit the values of each matrix on its own.  The
     determinant is that of ``np.linalg.det``, from the LAPACK gufunc it
-    calls, called directly."""
+    calls, called directly; the threshold is ``_threshold``'s."""
     if c.ndim > 2:
-        # numpy's array power rounds differently from its scalar power.
         largest = np.abs(c).max(axis=(-2, -1)).tolist()
         return (_umath_linalg.det(c, signature="d->d"),
-                DET_RTOL * np.array([np.float64(x) ** order for x in largest]))
-    sizes = [abs(x) for row in c.tolist() for x in row]
-    largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
+                np.array([_threshold(x, order) for x in largest]))
     return (float(_umath_linalg.det(c, signature="d->d")),
-            DET_RTOL * np.float64(largest) ** order)
+            _threshold(_largest([abs(x) for row in c.tolist() for x in row]), order))
+
+
+def _largest(sizes):
+    """The largest of the Python floats ``sizes``, or NaN if one is NaN."""
+    return math.nan if math.isnan(sum(sizes)) else max(sizes)
+
+
+def _threshold(largest, order):
+    """DET_RTOL * largest ** order in Python floats, for a matrix of that
+    order whose largest absolute entry is ``largest``: the one home of the
+    determinant threshold.  Python's power calls libm ``pow``, as numpy's
+    scalar power does, so the bits are numpy's; where it overflows, numpy
+    gives inf and Python raises ``OverflowError``, mapped here to inf.  A
+    NaN ``largest`` gives a NaN threshold."""
+    try:
+        return DET_RTOL * largest ** order
+    except OverflowError:
+        return math.inf
+
+
+def _certainly_regular(c00, c01, c10, c11, largest, threshold):
+    """Whether the 2 x 2 matrix [[c00, c01], [c10, c11]], whose largest
+    absolute entry is ``largest``, certainly passes the determinant guard:
+    whether the det that ``np.linalg.det`` gives is above ``threshold`` =
+    ``_threshold(largest, 2)``, decided without computing that det.
+
+    It answers True only when 1e-100 < largest < 1e100 and the plain-float
+    estimate e = c00*c11 - c01*c10 has |e| > 4*threshold.  Let u = 2**-53
+    and M = largest**2; the threshold is within a factor 1 +- 3u of
+    1e-12*M.  In that range no product overflows, and one that underflows
+    errs by less than 1e-300, far below u*M.  The estimate is off the
+    exact det D by at most 6u*M (u*M per product, 2u*M (1 + u) for their
+    difference), so |D| > 3.9e-12*M.  numpy's det is
+    sign*exp(log|u_11| + log|u_22|) of dgetrf's LU with partial pivoting.
+    With p the pivot row and o the other, u_11 = c_p0 is an entry, and
+    u_22 = c_o1 - (c_o0/c_p0)*c_p1, with |c_o0/c_p0| <= 1, is computed with
+    an absolute error of at most 5u*largest, so u_11*u_22 is off D by at
+    most 5u*M.  With |D| > 3.9e-12*M and |u_22| <= 2*largest (1 + 3u),
+    both |u_11| and |u_22| lie in (1e-113, 1e101): each log is below 261
+    in size, and the logs, their sum and exp add a relative error below
+    1e-12.  So numpy's |det| >= (|D| - 5u*M)(1 - 1e-12) > 3.8e-12*M >
+    threshold: the guard passes.  Where this answers False, the stage runs
+    the det and the guard as written."""
+    return 1e-100 < largest < 1e100 and abs(c00 * c11 - c01 * c10) > 4.0 * threshold
 
 
 def _solve(c, r):
@@ -142,22 +191,26 @@ def _bind_stage(sys, what):
     sides coincide under that substitution).
 
     The kernel's buffer and its views -- Cbar, the mixed block of the
-    Hessian, the gradient, dq, dp and dpsi/dv -- are made here, once; each
-    call writes the kernel's outputs into that buffer and reads them
-    through the views.  A call returns the derivative of the packed state
-    (q, v, mult) -- the completed velocities dq (n), the base accelerations
-    dv (n-m) and the multiplier rates dp (m), in this order -- in an array
-    of its own, and the buffer, which ``_jet``, ``_momenta``,
-    ``_hamiltonian`` and ``_rates`` read until the next call overwrites it.
-    The solve runs without an ``np.errstate`` of its own: the caller
-    ignores floating-point errors.
+    Hessian, the gradient, dq, dp and dpsi/dv -- and the det gufunc are
+    bound here, once; each call writes the kernel's outputs into that
+    buffer and reads them through the views.  A call ``stage(args, dy)``
+    writes the derivative of the packed state (q, v, mult) -- the
+    completed velocities dq (n), the base accelerations dv (n-m) and the
+    multiplier rates dp (m), in this order -- into ``dy``, a row of the
+    caller's, or else into an array of its own, and returns it with the
+    buffer, which ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates``
+    read until the next call overwrites it.  The solve runs without an
+    ``np.errstate`` of its own: the caller ignores floating-point errors.
 
-    A reduced matrix that fails the determinant guard raises
-    :class:`SingularMatrixError` naming ``what``, the "vakonomic matrix" or
-    the "nonholonomic matrix"; it carries the state whose entries ``args``
-    are, a :class:`VakState` or the :class:`NhState` of its (q, v), built
-    only then.  Where the kernel fails, ``Sweep.run`` raises the documented
-    error.
+    The determinant guard reads Cbar's entries as Python floats and forms
+    the threshold with ``_threshold``.  A 2 x 2 Cbar that
+    ``_certainly_regular`` certifies passes without its det; any other
+    runs the det gufunc and the guard.  A reduced matrix that fails the
+    guard raises :class:`SingularMatrixError` naming ``what``, the
+    "vakonomic matrix" or the "nonholonomic matrix", with the det; it
+    carries the state whose entries ``args`` are, a :class:`VakState` or
+    the :class:`NhState` of its (q, v), built only then.  Where the kernel
+    fails, ``Sweep.run`` raises the documented error.
     """
     n, m = sys.n, sys.m
     k = 2 * n - m
@@ -166,6 +219,7 @@ def _bind_stage(sys, what):
     run = sweep.run
     store = bytearray(8 * sweep.outputs)
     out = memoryview(store)
+    entries = out.cast("d")
     buf = np.frombuffer(store)
     grad = buf[1:1 + k]
     hess = buf[1 + k:size].reshape(k, k)
@@ -174,16 +228,32 @@ def _bind_stage(sys, what):
     dq, dp = known[:n], known[k:]
     psi_v = buf[size + 2 * n:].reshape(m, k - n)
     base, order = sys.base_positions, k - n
+    # Cbar's entries in the buffer, row by row.
+    cells = [1 + k + i * k + j for i in range(n, k) for j in range(n, k)]
+    cbar_entries = itemgetter(*cells)
+    det, certified = _umath_linalg.det, _certainly_regular
 
-    def stage(args):
+    def stage(args, dy=None):
         out[:] = run(*args)
-        det, threshold = det_threshold(c, order)
-        if abs(det) <= threshold:
-            state = (VakState(args[:n], args[n:k], args[k:]) if what == "vakonomic matrix"
-                     else NhState(args[:n], args[n:k]))
-            raise SingularMatrixError(_singular_message(sys, what, det), det, state)
+        if order == 2:
+            c00, c01, c10, c11 = cbar_entries(entries)
+            largest = _largest((abs(c00), abs(c01), abs(c10), abs(c11)))
+            threshold = _threshold(largest, 2)
+            checked = not certified(c00, c01, c10, c11, largest, threshold)
+        else:
+            threshold = _threshold(_largest([abs(entries[i]) for i in cells]), order)
+            checked = True
+        if checked:
+            d = float(det(c, signature="d->d"))
+            if abs(d) <= threshold:
+                state = (VakState(args[:n], args[n:k], args[k:]) if what == "vakonomic matrix"
+                         else NhState(args[:n], args[n:k]))
+                raise SingularMatrixError(_singular_message(sys, what, d), d, state)
         r = grad[base] - dq @ cross + dp @ psi_v
-        dy = known.copy()
+        if dy is None:
+            dy = known.copy()
+        else:
+            dy[:] = known
         dy[n:k] = _solve_ignoring(c, r)
         return dy, buf
     return stage

@@ -19,6 +19,11 @@
   psi evaluated through ``expr.evaluate`` on plain floats, the oracle of
   the ``completion`` kernel that the package completes velocities with.
 
+* ``reference_det_threshold``: the determinant guard's det and threshold
+  as the package formed them before the threshold moved to Python floats
+  (``vakonomic._threshold``), with numpy's scalar power: the reference the
+  threshold and the stage's certified skip of the det are checked against.
+
 * ``_shifted``: the multiplier shift Lambda = L~ - mult . psi of a
   restricted table, made in numpy on its rows: the oracle of the ``field``
   kernel, which the package's reduced equations (``vakonomic._stage`` and
@@ -42,6 +47,7 @@
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.integrate import solve_ivp
 
 from vaknh import _jets, expr as E
@@ -51,7 +57,7 @@ from vaknh.comparison import ComparisonRecord, ComparisonReport, _draw
 from vaknh.errors import EvalError, SingularMatrixError
 from vaknh.nonholonomic import _dependent_momenta, nh_rhs
 from vaknh.system import NhState, VakState, check_state, require_linear, state_env
-from vaknh.vakonomic import vak_rhs
+from vaknh.vakonomic import DET_RTOL, vak_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +200,20 @@ def reference_complete_velocities(sys, s) -> np.ndarray:
     for c, pos in zip(sys.dependent, sys.dependent_positions):
         full[pos] = E.evaluate(sys.psi[c], env)
     return full
+
+
+def reference_det_threshold(c, order):
+    """det(c) and DET_RTOL * max|entry|^order, NaN where an entry is NaN,
+    per matrix of a stack: each largest entry raised with numpy's scalar
+    power, which rounds differently from its array power."""
+    if c.ndim > 2:
+        largest = np.abs(c).max(axis=(-2, -1)).tolist()
+        return (_umath_linalg.det(c, signature="d->d"),
+                DET_RTOL * np.array([np.float64(x) ** order for x in largest]))
+    sizes = [abs(x) for row in c.tolist() for x in row]
+    largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
+    return (float(_umath_linalg.det(c, signature="d->d")),
+            DET_RTOL * np.float64(largest) ** order)
 
 
 def _shifted(tab, mult) -> Jet:

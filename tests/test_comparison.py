@@ -255,3 +255,34 @@ def test_scan_rejects_bad_p_mode():
              Sampler(count=1, seed=0, q_bounds=((0, 1),) * 3,
                      v_bounds=((0, 1),) * 2, p_bounds=((0, 1),),
                      p_mode="fixed"))
+
+
+def _penny_divergence(s):
+    """The largest difference of the (q, v) columns of rk4 runs (dt 0.01 to
+    t = 5) of the vak flow from ``s`` and the nh flow from its (q, v),
+    relative to the largest entry of the nh columns."""
+    pen = get_model("rolling_penny")
+    vak = integrate(pen, "vak", s, t_end=5.0, method="rk4", dt=0.01)
+    nh = integrate(pen, "nh", NhState(s.q, s.v), t_end=5.0, method="rk4", dt=0.01)
+    assert np.array_equal(vak.times, nh.times) and vak.times[-1] == 5.0
+    nh_qv = nh.packed
+    return np.max(np.abs(vak.packed[:, :6] - nh_qv)) / np.max(np.abs(nh_qv))
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_penny_vak_flow_projects_on_nh_flow_from_invariant_sets(seed):
+    # The paper's comparison at the trajectory level: on the sets {p = 0}
+    # and {dphi = 0, p = c (cos phi, sin phi)}, which the vak flow leaves
+    # invariant, the vak flow projects onto the nh flow.  The lift
+    # p = 2 dtheta (cos phi, sin phi) of criterion 4 makes g vanish
+    # pointwise, but the set is not invariant, so the flows part.
+    rng = np.random.default_rng(seed)
+    pen = get_model("rolling_penny")
+    for s in random_states("rolling_penny", 2, seed):
+        phi, c = s.q[3], rng.uniform(-2.0, 2.0)
+        rest = VakState(s.q, [s.v[0], 0.0], [c * np.cos(phi), c * np.sin(phi)])
+        assert _penny_divergence(VakState(s.q, s.v, [0.0, 0.0])) <= 1e-12
+        assert _penny_divergence(rest) <= 1e-12
+        lift = VakState(s.q, s.v, [2 * s.v[0] * np.cos(phi), 2 * s.v[0] * np.sin(phi)])
+        assert np.max(np.abs(g_residuals(pen, lift))) <= 1e-15
+        assert _penny_divergence(lift) >= 1e-3

@@ -177,3 +177,69 @@ def test_state_names_follow_the_packed_state():
     assert state_env(sysdef, s) == dict(zip(sysdef.state_names, map(float, range(1, 9))))
     assert state_env(sysdef, NhState(s.q, s.v)) == dict(
         zip(sysdef.state_names[:6], map(float, range(1, 7))))
+
+
+# ``load_system`` verifies a declared-linear system once per process for
+# equal systems; ``SystemDef.linear`` reads the same store.
+
+
+def _counted_verifications(monkeypatch):
+    from vaknh import system
+
+    calls = []
+    verify = system.verify_linearity
+
+    def counted(sys, samples, seed):
+        calls.append((sys.name, samples, seed))
+        return verify(sys, samples, seed)
+
+    monkeypatch.setattr(system, "verify_linearity", counted)
+    return calls
+
+
+def test_an_equal_system_is_verified_once_per_process(monkeypatch):
+    calls = _counted_verifications(monkeypatch)
+    text = PARTICLE.replace("name particle", "name memo_once")
+    first, second = load_system(text), load_system("# again\n" + text)
+    assert first == second and first is not second
+    assert calls == [("memo_once", 20, 0)]
+    # A system not declared linear: its first ``linear`` verifies, an equal
+    # system's reads the kept report.
+    affine = text.replace("linear true", "linear false").replace("y*dx", "y*dx + 1")
+    assert not load_system(affine).linear and not load_system(affine).linear
+    assert calls == [("memo_once", 20, 0)] * 2
+
+
+def test_a_changed_psi_is_verified_anew(monkeypatch):
+    calls = _counted_verifications(monkeypatch)
+    text = PARTICLE.replace("name particle", "name memo_changed")
+    load_system(text)
+    load_system(text.replace("psi z = y*dx", "psi z = x*dx"))
+    load_system(text.replace("psi z = y*dx", "psi z = y*dy"))
+    assert len(calls) == 3
+
+
+def test_a_failing_declared_linear_system_fails_every_load(monkeypatch):
+    from vaknh.errors import LinearityError
+
+    calls = _counted_verifications(monkeypatch)
+    lying = PARTICLE.replace("name particle", "name memo_lying").replace("y*dx", "dx^2")
+    for _ in range(3):
+        with pytest.raises(LinearityError, match="declared linear but fails verification"):
+            load_system(lying)
+    assert len(calls) == 1
+
+
+def test_a_verification_that_raises_is_not_kept(monkeypatch):
+    from vaknh.errors import EvalError
+
+    calls = _counted_verifications(monkeypatch)
+    failing = PARTICLE.replace("name particle", "name memo_raises").replace(
+        "y*dx", "log(-1 - y^2)*dx")
+    for _ in range(2):
+        with pytest.raises(EvalError, match="log of non-positive value"):
+            load_system(failing)
+    assert len(calls) == 2
+    undeclared = load_system(failing.replace("linear true", "linear false"))
+    assert not undeclared.linear
+    assert len(calls) == 3

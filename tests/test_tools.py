@@ -84,3 +84,24 @@ def test_trace_times_the_stepper_of_an_integrate_command(capsys):
     assert float(loop[3]) >= float(stage[2]) and float(loop[4]) >= 0.0
     assert integrate_module._flat_rhs is flat_rhs
     assert integrate_module._run_rk45 is run_rk45
+
+
+def test_trace_counts_dets_and_verifications_of_an_integrate_command(capsys):
+    # A process verifies an equal system once: the second command makes no
+    # verification.  A stage runs the det only where it cannot certify its
+    # reduced matrix without it.
+    from numpy.linalg import _umath_linalg
+
+    det = _umath_linalg.det
+    script = runpy.run_path(str(TRACE))
+    argv = ["integrate", "martinet", "--dynamics", "vak", "--q", "0,1,0",
+            "--v", "0.8,-0.4", "--p", "1.2", "--t-end", "0.5"]
+    for _ in range(2):
+        assert script["main"](argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+    stepper = lines.index(next(line for line in lines if line.startswith("stepper ")))
+    rows = {line.split()[0]: line.split()[1:] for line in lines[stepper + 1:]}
+    assert list(rows) == ["stage", "run", "det", "verify_linearity"]
+    assert rows["verify_linearity"] == ["0"]
+    assert 0 <= int(rows["det"][0]) <= int(rows["stage"][0])
+    assert _umath_linalg.det is det

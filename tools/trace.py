@@ -13,10 +13,13 @@ runs (``_jets.run_lanes``, one batch of states).  For an ``integrate``
 command, last, the stepper as a layer: the stage calls and their time
 (the stage that ``integrate._flat_rhs`` returns, one field evaluation
 each), and the run loop (``_run_rk45`` or ``_run_rk4``) with its own time,
-its total less the stage time.  The package is not changed: the tracer
-wraps the functions of ``bench/spans.TARGETS``, and this script
-``Sweep.run``, ``run_lanes``, ``_flat_rhs`` and the run loops, while the
-command runs.
+its total less the stage time; then the calls of the LAPACK det gufunc,
+which a stage makes only where it cannot certify its reduced matrix
+without it, and the command's runs of ``system.verify_linearity``, which
+a process makes once for equal systems.  The package is not changed: the
+tracer wraps the functions of ``bench/spans.TARGETS``, and this script
+``Sweep.run``, ``run_lanes``, ``_flat_rhs``, the run loops and numpy's
+``_umath_linalg.det``, while the command runs.
 """
 
 from __future__ import annotations
@@ -71,12 +74,15 @@ def counted_sweeps():
 @contextlib.contextmanager
 def timed_stepper():
     """A ``Counter`` of the stepper's stage calls ("stage calls"), their
-    time ("stage s"), its run loops ("loops") and their time ("loop s")
-    while installed: ``integrate._flat_rhs`` and the run loops are wrapped
-    on their module."""
+    time ("stage s"), its run loops ("loops"), their time ("loop s") and
+    the calls of the LAPACK det gufunc ("det calls") while installed:
+    ``integrate._flat_rhs`` and the run loops are wrapped on their module,
+    and ``det`` on numpy's ``_umath_linalg``, where a stage binds it."""
+    from numpy.linalg import _umath_linalg
     from vaknh import integrate
 
     totals = Counter()
+    det = _umath_linalg.det
     clock = time.perf_counter
     flat_rhs = integrate._flat_rhs
     loops = {name: getattr(integrate, name) for name in ("_run_rk45", "_run_rk4")}
@@ -84,14 +90,18 @@ def timed_stepper():
     def timed_flat_rhs(sys_, dynamics):
         f = flat_rhs(sys_, dynamics)
 
-        def stage(y):
+        def stage(*args):
             start = clock()
             try:
-                return f(y)
+                return f(*args)
             finally:
                 totals["stage s"] += clock() - start
                 totals["stage calls"] += 1
         return stage
+
+    def counted_det(*args, **kwargs):
+        totals["det calls"] += 1
+        return det(*args, **kwargs)
 
     def timed_loop(run):
         def loop(*args):
@@ -104,12 +114,14 @@ def timed_stepper():
         return loop
 
     integrate._flat_rhs = timed_flat_rhs
+    _umath_linalg.det = counted_det
     for name, run in loops.items():
         setattr(integrate, name, timed_loop(run))
     try:
         yield totals
     finally:
         integrate._flat_rhs = flat_rhs
+        _umath_linalg.det = det
         for name, run in loops.items():
             setattr(integrate, name, run)
 
@@ -143,6 +155,8 @@ def main(argv=None) -> int:
         print(f"{'stage':36s} {stepper['stage calls']:7d} {stage_ms:10.3f} {stage_ms:10.3f}")
         print(f"{'run loop':36s} {stepper['loops']:7d} {loop_ms:10.3f} "
               f"{loop_ms - stage_ms:10.3f}")
+        print(f"{'det':36s} {stepper['det calls']:7d}")
+        print(f"{'verify_linearity':36s} {table.calls('system.verify_linearity'):7d}")
     return code
 
 
