@@ -18,25 +18,27 @@ for equal systems loaded again, and for equal candidate functions
 (``gradient_kernel``).  ``field_sweep`` runs the ``field`` kernel, the
 restricted sweep continued through the multiplier shift of the reduced
 equations (:mod:`vaknh.vakonomic`), on a flat argument list.
-``completion``, the kernel of psi on plain floats, is the one completion of
-the velocities: :func:`vaknh.system.complete_velocities`,
-:func:`vaknh.system.completed_env` and the Legendre lift read it.  Each
-kernel gives the bits of the hyper-dual interpreter it is generated from,
-:func:`vaknh.expr.evaluate` over :class:`~vaknh.autodiff.HyperDual`
-numbers, in every value, every gradient entry and, while the intermediate
-values are finite, every Hessian entry of the upper triangle, up to the
-sign of a zero outside the structural pattern.  At one state a sweep runs ``Sweep.run``: where the
-kernel fails, ``Sweep.explain`` raises the interpreter's documented error.
+``completion``, the kernel of psi on plain floats, completes the velocities
+of :func:`vaknh.system.complete_velocities` and
+:func:`vaknh.system.completed_env`.  The ``lift`` kernel is the Legendre
+lift, which ``ambient_velocity_gradient`` runs at one state: the same
+completion, then the velocity gradient of L at the completed velocities,
+in one run.  Each kernel gives the bits of the hyper-dual interpreter it is
+generated from, :func:`vaknh.expr.evaluate` over
+:class:`~vaknh.autodiff.HyperDual` numbers, in every value, every gradient
+entry and, while the intermediate values are finite, every Hessian entry of
+the upper triangle, up to the sign of a zero outside the structural
+pattern.  At one state a sweep runs ``Sweep.run``: where the kernel fails,
+``Sweep.explain`` raises the interpreter's documented error.
 A sweep called with the wrong number of entries raises the kernel's
 ``TypeError``.
 
-Given stacked states, one per row of 2-D (N, .) arrays, ``restricted_table``,
-``ambient_velocity_gradient`` and ``completion`` (psi on plain floats) run
-the array form of their kernel once over all N lanes.  They return the
-stacked results together with a failure mask: a lane is marked exactly
-where the scalar kernel fails at that state, and every other lane equals
-the scalar kernel's result bit for bit.  No interpreter runs there; the
-caller asks the sweep to explain a marked lane (``Sweep.explain``).
+``run_lanes`` runs the array form of a kernel once over N stacked states.
+It returns the stacked results together with a failure mask: a lane is
+marked exactly where the scalar kernel fails at that state, and every other
+lane equals the scalar kernel's result bit for bit.  No interpreter runs
+there; the caller asks the sweep to explain a marked lane
+(``Sweep.explain``).
 
 Kernel Hessians are exactly symmetric: the upper triangle is mirrored.
 """
@@ -209,16 +211,9 @@ def restricted_table(sys, q, v) -> RestrictedTable:
     """Differentiate psi and the restricted Lagrangian at (q, v).
 
     The dependent velocities are substituted as hyper-duals, so the
-    Lagrangian jets chain through the constraint completion.  Given stacked
-    states, (N, n) positions and (N, n-m) base velocities, it returns the N
-    tables as one, with ``rows`` of shape (N, m+1, 1+k+k*k), and the mask of
-    the lanes where the kernel failed.
+    Lagrangian jets chain through the constraint completion.
     """
     k = 2 * sys.n - sys.m
-    if getattr(q, "ndim", 1) == 2:   # stacked states
-        out, failed = run_lanes(_kernel(sys, "restricted"), q, v)
-        return RestrictedTable(out.reshape(len(out), sys.m + 1, 1 + k + k * k),
-                               sys.n, sys.m), failed
     packed = _kernel(sys, "restricted").run(*_flat(q, v))
     return RestrictedTable(_rows(packed, sys.m + 1, k), sys.n, sys.m)
 
@@ -231,14 +226,11 @@ def ambient_table(sys, q, v_full) -> AmbientTable:
     return AmbientTable(lag=_row_jet(_rows(packed, 1, k)[0], k), n=sys.n)
 
 
-def ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
-    """d(ambient L)/d(velocities) at completed velocities (the Legendre map).
-    Given stacked states it returns the (N, n) gradients and the mask of
-    the lanes where the kernel failed."""
-    if getattr(q, "ndim", 1) == 2:   # stacked states
-        return run_lanes(_kernel(sys, "velocity_gradient"), q, v_full)
-    packed = _kernel(sys, "velocity_gradient").run(*_flat(q, v_full))
-    return np.frombuffer(bytearray(packed))
+def ambient_velocity_gradient(sys, q, v) -> np.ndarray:
+    """The Legendre lift at the positions ``q`` and base velocities ``v``,
+    from one run of the ``lift`` kernel: the n completed velocities, then
+    d(ambient L)/d(velocities) there, the n momenta."""
+    return np.frombuffer(bytearray(_kernel(sys, "lift").run(*_flat(q, v))))
 
 
 def field_sweep(sys, args) -> np.ndarray:
@@ -250,9 +242,5 @@ def field_sweep(sys, args) -> np.ndarray:
 
 def completion(sys, q, v):
     """The dependent velocities psi(q, v), evaluated on plain floats bit for
-    bit as :func:`vaknh.expr.evaluate` does: the m values at one state, or,
-    given stacked states, (N, n) positions and (N, n-m) base velocities,
-    the (N, m) values and the mask of the lanes where the kernel failed."""
-    if getattr(q, "ndim", 1) == 2:   # stacked states
-        return run_lanes(_kernel(sys, "completion"), q, v)
+    bit as :func:`vaknh.expr.evaluate` does."""
     return np.frombuffer(bytearray(_kernel(sys, "completion").run(*_flat(q, v))))

@@ -222,6 +222,10 @@ class _Emitter:
         self._line("raise ValueError")
         return "_unreachable"
 
+    def seed(self, term, i):
+        """The variable ``term`` carrying the i-th derivative channel."""
+        return _Dual(term, [1.0 if j == i else 0.0 for j in range(self.k)], {})
+
     # -- hyper-duals ----------------------------------------------------------
 
     def _hmul(self, a, b):
@@ -407,6 +411,10 @@ class _Interpreter:
 
     evaluate = staticmethod(_expr.evaluate)
 
+    def seed(self, value, i):
+        """The variable ``value`` as a hyper-dual, with no channel."""
+        return HyperDual(value)
+
     def op(self, sym, a, b):
         return _FOLD[sym](a, b)
 
@@ -424,7 +432,9 @@ class Sweep:
     one float64 array of N lanes per argument and returns the outputs as an
     (outputs, N) array and the failure mask of the lanes.  ``evaluate(b,
     env)`` is that evaluation; its arguments are ``names``, in order, and
-    ``seeded`` of them carry derivative channels.
+    the variables ``seeded`` carry the derivative channels, in order: those
+    among the arguments from the start, any other once the evaluation has
+    computed it and seeds it (``b.seed``).
     """
 
     label: str
@@ -448,10 +458,12 @@ class Sweep:
         the state ``args``, where the kernel fails: the same evaluation,
         through :class:`_Interpreter`.  Raises ``RuntimeError`` if the
         interpreter does not fail there."""
+        b = _Interpreter(len(self.seeded))
         env = dict(zip(self.names, args))
-        for name in self.seeded:
-            env[name] = HyperDual(env[name])
-        self.evaluate(_Interpreter(len(self.seeded)), env)
+        for i, name in enumerate(self.seeded):
+            if name in env:
+                env[name] = b.seed(env[name], i)
+        self.evaluate(b, env)
         raise RuntimeError(f"{self.label}: the kernel failed where its interpreter does not")
 
     @cached_property
@@ -473,14 +485,14 @@ def _build(source, label, globals_):
 def _generate(label, names, seeded, hessian, evaluate) -> Sweep:
     """Emit both kernels of ``evaluate(builder, env)``, which returns the
     output terms when the builder is an :class:`_Emitter`; the kernels take
-    the variables ``names`` in order, and ``seeded`` of them carry
-    derivative channels."""
-    k = len(seeded)
-    b = _Emitter(k, hessian)
+    the variables ``names`` in order, and the variables ``seeded`` carry
+    the derivative channels (:class:`Sweep`)."""
+    b = _Emitter(len(seeded), hessian)
     args = {name: f"x{i}" for i, name in enumerate(names)}
     env = dict(args)
     for i, name in enumerate(seeded):
-        env[name] = _Dual(args[name], [1.0 if j == i else 0.0 for j in range(k)], {})
+        if name in args:
+            env[name] = b.seed(args[name], i)
     out = evaluate(b, env)
 
     head = f"def kernel({', '.join(args.values())}):\n"
@@ -498,14 +510,17 @@ def _generate(label, names, seeded, hessian, evaluate) -> Sweep:
 def compile_sweep(sys, kind: str) -> Sweep:
     """Build the kernels of one sweep of ``sys``.
 
-    The kernels take the flat state: (q, base v) for ``restricted`` and
-    ``completion``, (q, base v, mult) for ``field``, (q, all v) otherwise.
-    ``restricted`` returns one jet after the other, each as its value,
-    gradient and row-major Hessian in (q, base v): psi, one per dependent
-    coordinate, then the restricted Lagrangian; ``ambient`` the jet of the
-    Lagrangian in (q, all v); ``velocity_gradient`` the Lagrangian's
-    gradient in the velocities; ``completion`` the values of psi on plain
-    floats, as :func:`vaknh.expr.evaluate` computes them.
+    The kernels take the flat state: (q, all v) for ``ambient``, (q, base
+    v, mult) for ``field`` and (q, base v) otherwise.  ``restricted``
+    returns one jet after the other, each as its value, gradient and
+    row-major Hessian in (q, base v): psi, one per dependent coordinate,
+    then the restricted Lagrangian; ``ambient`` the jet of the Lagrangian
+    in (q, all v); ``completion`` the values of psi on plain floats, as
+    :func:`vaknh.expr.evaluate` computes them.  ``lift`` is the Legendre
+    lift: it completes the velocities as ``completion`` does, seeds the
+    dependent ones like the base ones, and returns the n completed
+    velocities, then the Lagrangian's gradient in the velocities there,
+    the n momenta.
 
     ``field`` continues the restricted sweep with the m multipliers, which
     carry no derivative channels.  It returns the jet of the shifted
@@ -551,18 +566,22 @@ def compile_sweep(sys, kind: str) -> Sweep:
     def lagrangian(b, env):
         return b.outputs([b.evaluate(sys.lagrangian, env)])
 
-    def velocity_gradient(b, env):
-        return lagrangian(b, env)[1:1 + sys.n]
-
     def completion(b, env):
         return [b.evaluate(sys.psi[c], env) for c in sys.dependent]
+
+    def lift(b, env):
+        # psi on the plain values of the base velocities, as in ``completion``
+        plain = {**env, **{name: env[name].value for name in base[sys.n:]}}
+        for c, value in zip(sys.dependent, completion(b, plain)):
+            env[sys.velocity_of(c)] = b.seed(value, sys.coord_index(c))
+        return [env[name].value for name in full[sys.n:]] + lagrangian(b, env)[1:1 + sys.n]
 
     names, seeded, evaluate = {
         "restricted": (base, base, restricted),
         "field": (base + mult, base, field),
         "ambient": (full, full, lagrangian),
-        "velocity_gradient": (full, full[sys.n:], velocity_gradient),
         "completion": (base, [], completion),
+        "lift": (base, full[sys.n:], lift),
     }[kind]
     return _generate(f"{kind} sweep of {sys.name}", names, seeded,
                      kind in ("restricted", "ambient", "field"), evaluate)

@@ -19,9 +19,11 @@ The two flows live on different spaces but project onto each other through
 
 Each quantity has one implementation in the package, a phase over stacked
 states (``_Lanes``) that runs the array form of the generated kernels
-(:mod:`vaknh._jets`); a field is the integrator's ``field`` kernel read by
-``vakonomic._stage_lanes``.  The lift and the vakonomic field are evaluated
-once per stack, and every phase that needs them reads them.
+(:mod:`vaknh._jets`) through ``_Lanes.run``, which explains the states a
+kernel marks; a field is the integrator's ``field`` kernel read by
+``vakonomic._stage_lanes``.  The Legendre lift (one run of the ``lift``
+kernel) and the vakonomic field are evaluated once per stack, and every
+phase that needs them reads them.
 ``scan`` runs the phases over batches of ``BATCH`` sampled states.
 ``compare_state`` (the ``compare`` command) and the functions above run
 them on a stack of one state, so they agree with ``scan`` by construction.
@@ -50,11 +52,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from . import expr as _expr
-from ._jets import (_kernel, ambient_velocity_gradient, completion, gradient_kernel,
-                    restricted_table, run_lanes)
+from ._jets import RestrictedTable, _kernel, gradient_kernel, run_lanes
 from .errors import EvalError, SingularMatrixError, VaknhError
-from .system import (NhState, SystemDef, VakState, _full_velocities, check_state,
-                     require_linear)
+from .system import NhState, SystemDef, VakState, check_state, require_linear
 from .vakonomic import _singular_message, _stage_lanes
 
 __all__ = [
@@ -106,15 +106,10 @@ def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
     return _one(sys, s, lambda lanes: lanes.vak[1] - lanes.nh())[0]
 
 
-def candidate_variables(sys: SystemDef) -> set[str]:
-    """Variable names a candidate constraint expression may use."""
-    return set(sys.state_names)
-
-
-def _non_state(sys, candidates) -> EvalError | None:
-    """The error of the first candidate that uses a variable that is not a
-    state variable, if any."""
-    allowed = candidate_variables(sys)
+def _non_state(names, candidates) -> EvalError | None:
+    """The error of the first candidate that uses a variable other than the
+    state variables ``names``, if any."""
+    allowed = set(names)
     for name, g in candidates.items():
         extra = _expr.free_vars(g) - allowed
         if extra:
@@ -479,9 +474,10 @@ class _Lanes:
 
     A lane keeps the first error of the phases run on it in ``events``: an
     :class:`EvalError`, or (what, det) for a singular matrix; its results
-    are not defined then.  Where a kernel marks a lane, the sweep of that
-    kernel explains it (``Sweep.explain``): it runs its own evaluation at
-    that one state, through the interpreter, only for the error it raises.
+    are not defined then.  Each phase runs its kernels through ``run``:
+    where a kernel marks a lane, the sweep of that kernel explains it
+    (``Sweep.explain``): it runs its own evaluation at that one state,
+    through the interpreter, only for the error it raises.
     """
 
     def __init__(self, sys, q, v, p):
@@ -497,10 +493,13 @@ class _Lanes:
             self.events[i] = event(i)
         self.done |= bad
 
-    def fail(self, bad, sweep, *blocks):
-        """Give each lane in ``bad`` without an error yet the error that
-        ``sweep`` explains at that lane's state, its row of ``blocks``, the
-        stacked arguments of the kernel that marked it."""
+    def run(self, sweep, *blocks):
+        """The (N, outputs) results of ``sweep`` over the stacked arguments
+        ``blocks``.  Each lane the kernel marks that has no error yet gets
+        the error that ``sweep`` explains at that lane's state, its row of
+        ``blocks``."""
+        out, bad = run_lanes(sweep, *blocks)
+
         def error(i):
             try:
                 sweep.explain(*chain.from_iterable(block[i].tolist() for block in blocks))
@@ -508,26 +507,23 @@ class _Lanes:
                 return exc
 
         self.mark(bad, error)
+        return out
 
     @cached_property
     def lift(self):
-        """The Legendre momenta Leg_dep: completion, then the Legendre map;
-        evaluated once."""
-        sys, q, v = self.sys, self.q, self.v
-        dependent, failed = completion(sys, q, v)
-        vfull = _full_velocities(sys, v, dependent)
-        lift, bad = ambient_velocity_gradient(sys, q, vfull)
-        self.fail(failed, _kernel(sys, "completion"), q, v)
-        self.fail(bad, _kernel(sys, "velocity_gradient"), q, vfull)
-        return lift[:, sys.dependent_positions]
+        """The Legendre momenta Leg_dep, from one run of the ``lift``
+        kernel."""
+        sys = self.sys
+        lift = self.run(_kernel(sys, "lift"), self.q, self.v)
+        return lift[:, sys.n + sys.dependent_positions]
 
     def curvature(self):
         """``curvature`` in matrix form."""
         sys, q = self.sys, self.q
         n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
         v = np.zeros((len(q), n - m))
-        tab, bad = restricted_table(sys, q, v)
-        self.fail(bad, _kernel(sys, "restricted"), q, v)
+        rows = self.run(_kernel(sys, "restricted"), q, v)
+        tab = RestrictedTable(rows.reshape(len(q), m + 1, -1), n, m)
         psi_v = tab.grads[:, :m, n:]
         h = tab.hessians[:, :m, :n, n:]
         a_mat = h[:, :, base] + psi_v.transpose(0, 2, 1)[:, None] @ h[:, :, dep]
@@ -541,9 +537,7 @@ class _Lanes:
     def field(self, mult, what):
         """dq, dv and dp of the field with multipliers ``mult``, matrix ``what``."""
         sys, q, v = self.sys, self.q, self.v
-        sweep = _kernel(sys, "field")
-        buf, bad = run_lanes(sweep, q, v, mult)
-        self.fail(bad, sweep, q, v, mult)
+        buf = self.run(_kernel(sys, "field"), q, v, mult)
         dy, det, singular = _stage_lanes(sys, buf, self.done)
         dets = det.tolist()
         self.mark(singular, lambda i: (what, dets[i]))
@@ -565,7 +559,7 @@ class _Lanes:
         """``tangency_residuals`` along the vakonomic field: one list of
         values per candidate, from one gradient kernel of all candidates."""
         sys, q, v, p = self.sys, self.q, self.v, self.p
-        error = _non_state(sys, candidates)
+        error = _non_state(sys.state_names, candidates)
         if error is not None:
             self.mark(np.ones(len(q), dtype=bool), lambda i: error)
             return {}
@@ -579,8 +573,7 @@ class _Lanes:
         seeded = sorted(set().union(*used.values()))
         if trees:
             sweep = gradient_kernel([candidates[name] for name in trees], names, seeded)
-            grads, bad = run_lanes(sweep, q, v, p)
-            self.fail(bad, sweep, q, v, p)
+            grads = self.run(sweep, q, v, p)
         k = len(seeded)
         out = {}
         for name in candidates:

@@ -20,13 +20,14 @@ Recorded monitors:
 
 A stage is the stage of ``vakonomic._bind_stage``, bound once per run,
 on the packed state itself, and builds no state or derivative object: on
-y = (q, v, p_dep) it gives dy/dt and the ``field`` kernel's buffer; on
-y = (q, v) followed by the Leg_dep of the Legendre lift at (q, v)
-(``nonholonomic._lift``), the (q, v) part of dy/dt and the lift.  It
-takes y as the Python floats that are the kernel's arguments, and writes
-dy/dt into the stepper's row for that stage.  rk45 forms each stage input
-y + h * (stages[:i].T @ a_i) in Python floats from the gemv's list: a
-product and a sum per entry, each rounded once, as numpy rounds them.  The
+y = (q, v, p_dep) it gives dy/dt and the ``field`` kernel's buffer.  An
+nh stage runs two kernels: the ``lift`` kernel at y = (q, v), then the
+bound stage at y followed by the Leg_dep of that lift, which writes dy/dt;
+it gives the lift's outputs, the completed velocities and the momenta.  A
+stage takes y as the Python floats that are the kernel's arguments, and
+writes dy/dt into the stepper's row for that stage.  rk45 forms each stage
+input y + h * (stages[:i].T @ a_i) in Python floats from the gemv's list:
+a product and a sum per entry, each rounded once, as numpy rounds them.  The
 run binds the buffer, its views and the views of the stage rows once, and
 the stepper runs under one ``np.errstate`` that ignores floating-point
 errors: the finiteness checks report what numpy would warn about.  Each
@@ -34,7 +35,7 @@ field evaluation happens once, and a monitor row reads the evaluation of
 the field at its state: H, the eliminated momenta and the multiplier rates
 from the stage's buffer, with the expressions of ``hamiltonian`` and
 ``w1_momenta`` and v read from the packed state, or the energy from the
-stage's Legendre lift.  With rk45 that is the 7th stage of the step
+stage's lift.  With rk45 that is the 7th stage of the step
 that accepted the state; with rk4 it is the first stage of the next step,
 so only the last row costs an evaluation of its own.  The row at t = 0
 reads the first stage of the first step.  A row makes no jet sweep of its
@@ -55,7 +56,9 @@ Integration stops with :class:`~vaknh.errors.IntegrationError` when an
 accepted state or its monitor row is not finite, or when the step size no
 longer advances the time.  Step control needs a finite rtol >= 0, a finite
 atol > 0 and max_steps >= 1; other values raise ``ValueError`` before the
-first evaluation.
+first evaluation.  So does a candidate that uses a variable other than the
+names of the packed state: it raises the ``EvalError`` that ``compare``
+and ``scan`` give it.
 
 Trajectories serialize to CSV with full double precision (17 significant
 digits, one ``%.17g`` format per row) and parse back bit-exactly.
@@ -73,7 +76,9 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
-from .nonholonomic import _energy, _lift
+from ._jets import _kernel
+from .comparison import _non_state
+from .nonholonomic import _energy
 from .system import NhState, SystemDef, VakState, check_state, state_env
 from .vakonomic import _bind_stage, _hamiltonian, _momenta, _rates
 
@@ -166,9 +171,9 @@ def _flat_rhs(sys, dynamics):
     """The field as f(args, row) -> (row, the evaluation a monitor row
     reads): it writes dy/dt at the packed state whose entries are the
     Python floats ``args`` into ``row``, and returns the vakonomic stage's
-    buffer or the nonholonomic stage's Legendre lift.  The stage is bound
-    here, once per run, and f runs where floating-point errors are
-    ignored.
+    buffer or the outputs of the nonholonomic stage's ``lift`` kernel.
+    The stage is bound here, once per run, and f runs where floating-point
+    errors are ignored.
 
     The vakonomic f is the bound stage itself, and its buffer is the
     stage's own, which the next call overwrites: a monitor row reads it
@@ -179,15 +184,13 @@ def _flat_rhs(sys, dynamics):
         return _bind_stage(sys, "vakonomic matrix")
 
     stage = _bind_stage(sys, "nonholonomic matrix")
-    n, k, dependent = sys.n, 2 * sys.n - sys.m, sys.dependent_positions
-    whole = np.empty(k + sys.m)
+    lift = _kernel(sys, "lift").run
+    momenta = (sys.n + sys.dependent_positions).tolist()
 
     def f(args, row):
-        y = np.array(args)
-        lift = _lift(sys, y[:n], y[n:])
-        stage(args + lift[dependent].tolist(), whole)
-        row[:] = whole[:k]
-        return row, lift
+        outputs = np.frombuffer(lift(*args))
+        stage(args + outputs[momenta].tolist(), row)
+        return row, outputs
     return f
 
 
@@ -215,7 +218,7 @@ def _monitor_row(sys, dynamics, y, at_state, candidates):
         row = [_hamiltonian(sys, at_state, y[n:k]), *_momenta(sys, at_state).tolist(),
                *_rates(sys, at_state).tolist()]
     else:
-        row = [_energy(sys, y[:n], y[n:k], at_state)]
+        row = [_energy(sys, y[:n], at_state)]
     if candidates:
         env = state_env(sys, _unpack(dynamics, n, sys.m, y))
         row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]
@@ -278,6 +281,9 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
         raise TypeError("nh dynamics needs an NhState initial condition")
     check_state(sys, s0)
     candidates = candidates or {}
+    error = _non_state(_state_names(sys, dynamics), candidates)
+    if error is not None:
+        raise error
 
     if method == "rk4":
         _require_rk4_steps(t_end, dt, max_steps)

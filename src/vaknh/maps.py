@@ -20,8 +20,7 @@ import numpy as np
 
 from ._jets import ambient_velocity_gradient, restricted_table
 from .nonholonomic import _dependent_momenta
-from .system import (NhState, SystemDef, VakState, check_state,
-                     complete_velocities, require_linear)
+from .system import NhState, SystemDef, VakState, check_state, require_linear
 
 __all__ = [
     "CovectorPoint",
@@ -48,15 +47,16 @@ class CovectorPoint:
 
 
 def legendre_shift(sys: SystemDef, pt: CovectorPoint, direction: str) -> CovectorPoint:
-    """Shift the covector by the Legendre map at completed velocities:
-    ``forward`` subtracts, ``inverse`` adds.  forward o inverse is the
-    identity bitwise (the same computed momenta are added and subtracted)."""
+    """Shift the covector by the Legendre map at completed velocities, the
+    momenta of one run of the ``lift`` kernel: ``forward`` subtracts,
+    ``inverse`` adds.  forward o inverse is the identity bitwise (the same
+    computed momenta are added and subtracted)."""
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if len(pt.p) != sys.n:
         raise ValueError(f"covector has {len(pt.p)} components, expected {sys.n}")
-    vfull = complete_velocities(sys, NhState(pt.q, pt.v))
-    leg = ambient_velocity_gradient(sys, pt.q, vfull)
+    check_state(sys, NhState(pt.q, pt.v))
+    leg = ambient_velocity_gradient(sys, pt.q, pt.v)[sys.n:]
     p = pt.p - leg if direction == "forward" else pt.p + leg
     return CovectorPoint(q=pt.q, p=p, v=pt.v)
 

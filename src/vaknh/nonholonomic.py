@@ -12,9 +12,9 @@ completed velocities.  The right-hand side r has the same shape as the
 vakonomic one with the multipliers replaced by Leg_dep, which is how the
 one stage of the reduced equations in :mod:`vaknh.vakonomic` serves both:
 the nonholonomic field at (q, v) is ``_stage`` at (q, v, Leg_dep).  Leg_dep
-comes from the Legendre lift ``_lift``, two generated kernels on a flat
-state: the completion of the velocities, then the velocity gradient of L
-at the completed velocities.
+comes from the Legendre lift, one run of the generated ``lift`` kernel at
+(q, v): the completed velocities, then the momenta dL/d(velocities) there.
+The lift, its dependent momenta and the energy read that one run.
 
 The Chetaev multipliers themselves are not part of the state; they are
 recovered along a trajectory from the dependent components of the ambient
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from ._jets import (ambient_table, ambient_velocity_gradient, completion, field_sweep,
-                    restricted_table)
-from .system import NhState, SystemDef, _full_velocities, check_state, completed_env
+from ._jets import ambient_table, ambient_velocity_gradient, field_sweep, restricted_table
+from .system import NhState, SystemDef, check_state
 from .vakonomic import _args, _jet, _stage
 
 __all__ = [
@@ -54,20 +53,13 @@ def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
     """Full momentum covector p_A = dL/d(velocity_A) at completed velocities
     (the embedding of the constraint submanifold into phase space)."""
     check_state(sys, s)
-    return _lift(sys, s.q, s.v)
-
-
-def _lift(sys, q, v) -> np.ndarray:
-    """``legendre_lift`` at the positions ``q`` and base velocities ``v``,
-    which it does not check: the completion kernel, then the velocity
-    gradient kernel at the completed velocities."""
-    return ambient_velocity_gradient(sys, q, _full_velocities(sys, v, completion(sys, q, v)))
+    return ambient_velocity_gradient(sys, s.q, s.v)[sys.n:]
 
 
 def _dependent_momenta(sys: SystemDef, s) -> np.ndarray:
     """Leg_dep: the Legendre momenta of the dependent velocities at the
     (q, v) of ``s``, which it does not check."""
-    return _lift(sys, s.q, s.v)[sys.dependent_positions]
+    return ambient_velocity_gradient(sys, s.q, s.v)[sys.n + sys.dependent_positions]
 
 
 def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
@@ -118,13 +110,14 @@ def energy(sys: SystemDef, s: NhState) -> float:
     the nonholonomic flow for linear homogeneous constraints.  Along a
     trajectory the lift is read from the stage's evaluation at the state."""
     check_state(sys, s)
-    return _energy(sys, s.q, s.v, legendre_lift(sys, s))
+    return _energy(sys, s.q, ambient_velocity_gradient(sys, s.q, s.v))
 
 
-def _energy(sys, q, v, lift) -> float:
-    """Mechanical energy at (q, v) from its Legendre lift; the completed
-    velocities (the completion kernel) and L are evaluated on plain
-    floats."""
-    env = completed_env(sys, q, v)
-    vfull = np.array([env[sys.velocity_of(c)] for c in sys.coords])
-    return float(np.dot(vfull, lift) - _expr.evaluate(sys.lagrangian, env))
+def _energy(sys, q, lift) -> float:
+    """Mechanical energy at the positions ``q`` from the ``lift`` kernel's
+    outputs there, the completed velocities and their momenta; L is
+    evaluated on plain floats at the completed velocities."""
+    n = sys.n
+    env = dict(zip(sys.coords, q.tolist()))
+    env.update(zip(map(sys.velocity_of, sys.coords), lift[:n].tolist()))
+    return float(np.dot(lift[:n], lift[n:]) - _expr.evaluate(sys.lagrangian, env))

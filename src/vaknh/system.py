@@ -314,16 +314,9 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
     from ._jets import completion
 
     check_state(sys, s)
-    return _full_velocities(sys, s.v, completion(sys, s.q, s.v))
-
-
-def _full_velocities(sys: SystemDef, v, dependent) -> np.ndarray:
-    """The n velocities with the base velocities ``v`` and the dependent
-    ones ``dependent`` in their positions; stacked states stack along the
-    leading axis."""
-    full = np.empty(np.shape(v)[:-1] + (sys.n,))
-    full[..., sys.base_positions] = v
-    full[..., sys.dependent_positions] = dependent
+    full = np.empty(sys.n)
+    full[sys.base_positions] = s.v
+    full[sys.dependent_positions] = completion(sys, s.q, s.v)
     return full
 
 

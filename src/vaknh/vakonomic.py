@@ -194,9 +194,9 @@ def _bind_stage(sys, what):
     Hessian, the gradient, dq, dp and dpsi/dv -- and the det gufunc are
     bound here, once; each call writes the kernel's outputs into that
     buffer and reads them through the views.  A call ``stage(args, dy)``
-    writes the derivative of the packed state (q, v, mult) -- the
-    completed velocities dq (n), the base accelerations dv (n-m) and the
-    multiplier rates dp (m), in this order -- into ``dy``, a row of the
+    writes the derivative of the packed state -- the completed velocities
+    dq (n), the base accelerations dv (n-m) and, for the vakonomic field,
+    the multiplier rates dp (m), in this order -- into ``dy``, a row of the
     caller's, or else into an array of its own, and returns it with the
     buffer, which ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates``
     read until the next call overwrites it.  The solve runs without an
@@ -226,6 +226,8 @@ def _bind_stage(sys, what):
     c, cross = hess[n:, n:], hess[:n, n:]
     known = buf[size:size + 2 * n]
     dq, dp = known[:n], known[k:]
+    if what == "nonholonomic matrix":
+        known = known[:k]   # its packed state is (q, v)
     psi_v = buf[size + 2 * n:].reshape(m, k - n)
     base, order = sys.base_positions, k - n
     # Cbar's entries in the buffer, row by row.

@@ -19,6 +19,10 @@
   psi evaluated through ``expr.evaluate`` on plain floats, the oracle of
   the ``completion`` kernel that the package completes velocities with.
 
+* ``reference_lift``: those completed velocities, then
+  ``reference_ambient_velocity_gradient`` at them, the oracle of the
+  ``lift`` kernel (the Legendre lift).
+
 * ``reference_det_threshold``: the determinant guard's det and threshold
   as the package formed them before the threshold moved to Python floats
   (``vakonomic._threshold``), with numpy's scalar power: the reference the
@@ -122,7 +126,7 @@ def reference_evaluate(e, env):
 # One sweep of HyperDual numbers with identity-seeded array channels through
 # expr.evaluate: the interpreter the package's kernels are generated from.
 # The generated kernels behind _jets.restricted_table, ambient_table and
-# ambient_velocity_gradient are code under test.
+# ambient_velocity_gradient (the lift) are code under test.
 
 
 def _seed_variables(values):
@@ -179,7 +183,7 @@ def reference_ambient_table(sys, q, v_full) -> AmbientTable:
 
 
 def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
-    """Interpreted :func:`ambient_velocity_gradient`."""
+    """The interpreted gradient of L in the velocities at (q, v_full)."""
     n = sys.n
     vel_names = [sys.velocity_of(c) for c in sys.coords]
     values = list(zip(vel_names, v_full))
@@ -200,6 +204,13 @@ def reference_complete_velocities(sys, s) -> np.ndarray:
     for c, pos in zip(sys.dependent, sys.dependent_positions):
         full[pos] = E.evaluate(sys.psi[c], env)
     return full
+
+
+def reference_lift(sys, q, v) -> np.ndarray:
+    """The interpreted :func:`ambient_velocity_gradient`: the completed
+    velocities at (q, v), then the gradient of L in the velocities there."""
+    full = reference_complete_velocities(sys, NhState(q, v))
+    return np.concatenate([full, reference_ambient_velocity_gradient(sys, q, full)])
 
 
 def reference_det_threshold(c, order):

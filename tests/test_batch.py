@@ -39,7 +39,7 @@ from test_expr import _exprs
 from test_kernel import _same_bits
 
 GOLDEN = Path(__file__).parent / "golden"
-KINDS = ("restricted", "ambient", "velocity_gradient", "completion", "field")
+KINDS = ("restricted", "ambient", "lift", "completion", "field")
 FAILURES = (EvalError, ArithmeticError, ValueError)
 CANDIDATES = """\
 C1 = p_z - (y^2/2)*dx
@@ -52,7 +52,7 @@ C4 = 2.5
 def _blocks(sysdef, kind, q, v, v_full, mult):
     if kind == "field":
         return q, v, mult
-    return (q, v) if kind in ("restricted", "completion") else (q, v_full)
+    return (q, v_full) if kind == "ambient" else (q, v)
 
 
 def _assert_lanes_match(sweep, blocks, reference):
@@ -92,10 +92,10 @@ def test_array_kernel_marks_lanes_outside_the_domain():
     sysdef = get_model("von_neumann2")
     q = np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 1.0]])
     v = np.array([[0.5], [2.0], [0.0]])     # the second: sqrt of a negative
-    tab, failed = _jets.restricted_table(sysdef, q, v)
+    rows, failed = _jets.run_lanes(_jets._kernel(sysdef, "restricted"), q, v)
     assert failed.tolist() == [False, True, False]
     for i in (0, 2):
-        assert tab.rows[i].tobytes() == _jets.restricted_table(sysdef, q[i], v[i]).rows.tobytes()
+        assert rows[i].tobytes() == _jets.restricted_table(sysdef, q[i], v[i]).rows.tobytes()
     with pytest.raises(EvalError, match="sqrt"):
         _jets.restricted_table(sysdef, q[1], v[1])
 
@@ -184,15 +184,16 @@ def _candidates(sysdef):
 def _count_per_state(monkeypatch):
     """The positions q of the lanes re-run at their one state, in order."""
     calls = []
-    fail = comparison._Lanes.fail
+    run = comparison._Lanes.run
 
-    def counted(lanes, bad, sweep, *blocks):
+    def counted(lanes, sweep, *blocks):
         def explain(*args):   # every kernel takes q first
             calls.append(list(args[:lanes.sys.n]))
             return sweep.explain(*args)
-        return fail(lanes, bad, SimpleNamespace(explain=explain), *blocks)
+        return run(lanes, SimpleNamespace(array=sweep.array, outputs=sweep.outputs,
+                                          explain=explain), *blocks)
 
-    monkeypatch.setattr(comparison._Lanes, "fail", counted)
+    monkeypatch.setattr(comparison._Lanes, "run", counted)
     return calls
 
 
@@ -362,8 +363,8 @@ def test_kernel_that_fails_at_every_state_marks_every_lane(capsys, tmp_path):
     q, v = np.zeros((3, 2)), np.ones((3, 1))
     with pytest.raises(OverflowError):
         _jets._kernel(sysdef, "restricted").array(*np.concatenate([q, v], axis=1).T)
-    tab, failed = _jets.restricted_table(sysdef, q, v)
-    assert failed.all() and np.isnan(tab.rows).all()
+    rows, failed = _jets.run_lanes(_jets._kernel(sysdef, "restricted"), q, v)
+    assert failed.all() and np.isnan(rows).all()
     message = "math range error in 'exp(1000.0)'"
     box = {"q": [(-1.0, 1.0)] * 2, "v": [(-1.0, 1.0)], "p": [(-1.0, 1.0)]}
     report = scan(sysdef, _sampler("constant", 5, 1, box=box))
@@ -661,20 +662,18 @@ def _record_calls(monkeypatch, calls, function, label):
 
 def test_compare_evaluates_its_state_once(tmp_path, monkeypatch, capsys):
     # One compare makes the stacked sweeps of a one-sample scan and no
-    # other: one restricted sweep (the curvature), one Legendre lift, the
-    # stacked field kernel of each field, no scalar field kernel (vak_rhs,
-    # nh_rhs) and no interpreted partial derivative.
+    # other: one restricted sweep (the curvature), one lift sweep, the
+    # stacked field kernel of each field and the candidates' gradients; no
+    # scalar sweep (vak_rhs, nh_rhs) and no interpreted partial derivative.
     candidates = tmp_path / "c.cand"
     candidates.write_text(CANDIDATES, encoding="utf-8")
     sysdef, sampler = get_model("martinet"), _sampler("martinet", 1, 4)
     record = scan(sysdef, sampler, parse_candidates(CANDIDATES)).records[0]
     calls = []
     _record_calls(monkeypatch, calls, _jets.run_lanes, lambda sweep, *_: sweep.label)
-    for function in (_jets.restricted_table, _jets.ambient_velocity_gradient):
-        _record_calls(monkeypatch, calls, function,
-                      lambda _, q, *rest, name=function.__name__: (name, np.ndim(q)))
-    _record_calls(monkeypatch, calls, _jets.field_sweep, lambda *_: "field_sweep")
-    _record_calls(monkeypatch, calls, partial, lambda *_: "partial")
+    for function in (_jets.restricted_table, _jets.ambient_velocity_gradient,
+                     _jets.field_sweep, partial):
+        _record_calls(monkeypatch, calls, function, lambda *_, name=function.__name__: name)
 
     assert scan(sysdef, sampler, parse_candidates(CANDIDATES)).records == [record]
     scanned = calls[:]
@@ -683,18 +682,16 @@ def test_compare_evaluates_its_state_once(tmp_path, monkeypatch, capsys):
                 f"--p={_csv(record.p_dep)}", "--candidates", str(candidates)]) == 0
     assert json.loads(capsys.readouterr().out)["deltaY"] == record.delta_y
     assert calls == scanned
-    assert scanned.count(("restricted_table", 2)) == 1
-    assert scanned.count(("ambient_velocity_gradient", 2)) == 1
-    assert scanned.count("field sweep of martinet") == 2
-    assert "gradients" in scanned
-    assert "field_sweep" not in calls and "partial" not in calls
+    assert sorted(scanned) == sorted(["restricted sweep of martinet", "lift sweep of martinet",
+                                      "field sweep of martinet", "field sweep of martinet",
+                                      "gradients"])
 
 
 @pytest.mark.parametrize("p_mode, fields", [("random", 2), ("legendre", 1)])
 def test_a_batch_evaluates_each_state_once(monkeypatch, p_mode, fields):
-    # The curvature's restricted sweep, one Legendre lift (completion, then
-    # the velocity gradient) and a field sweep, determinant and solve per
-    # field; in legendre mode p is the lift, so the two fields are one.
+    # The curvature's restricted sweep, one lift sweep (the Legendre lift)
+    # and a field sweep, determinant and solve per field; in legendre mode p
+    # is the lift, so the two fields are one.
     sysdef = get_model("rolling_penny")
     calls = []
     _record_calls(monkeypatch, calls, _jets.run_lanes, lambda sweep, *_: sweep.label)
@@ -705,6 +702,5 @@ def test_a_batch_evaluates_each_state_once(monkeypatch, p_mode, fields):
     report = scan(sysdef, _sampler("rolling_penny", 50, 3, p_mode))
     assert report.summary["evaluated"] == 50
     assert sorted(calls) == sorted(
-        [f"restricted sweep of {sysdef.name}", f"completion sweep of {sysdef.name}",
-         f"velocity_gradient sweep of {sysdef.name}"]
+        [f"restricted sweep of {sysdef.name}", f"lift sweep of {sysdef.name}"]
         + [f"field sweep of {sysdef.name}", "det", "solve"] * fields)

@@ -127,6 +127,32 @@ def test_compare_with_candidates(tmp_path, capsys):
     assert abs(payload["tangency"]["C1"]) <= 1e-15
 
 
+@pytest.mark.parametrize("dynamics", ["vak", "nh"])
+def test_integrate_rejects_a_non_state_candidate_as_compare_does(dynamics, tmp_path, capsys):
+    cands = tmp_path / "cands.txt"
+    cands.write_text("C1 = w + x\n")
+    state = ["martinet", "--q", "0,1,0", "--v", "0.8,-0.4", "--p", "1.2",
+             "--candidates", str(cands)]
+    message = "numeric error: candidate 'C1' uses non-state variable(s) ['w']\n"
+    assert run(["compare", *state]) == 3
+    assert capsys.readouterr() == ("", message)
+    assert run(["integrate", *state, "--dynamics", dynamics, "--t-end", "1"]) == 3
+    assert capsys.readouterr() == ("", message)
+
+
+def test_integrate_nh_rejects_a_multiplier_candidate(tmp_path, capsys):
+    # p_z is a state variable of the vakonomic dynamics only.
+    cands = tmp_path / "cands.txt"
+    cands.write_text("C1 = p_z - y*dx\n")
+    args = ["integrate", "martinet", "--q", "0,1,0", "--v", "0.8,-0.4", "--p", "1.2",
+            "--candidates", str(cands), "--t-end", "0.1"]
+    assert run([*args, "--dynamics", "vak"]) == 0
+    capsys.readouterr()
+    assert run([*args, "--dynamics", "nh"]) == 3
+    assert capsys.readouterr() == (
+        "", "numeric error: candidate 'C1' uses non-state variable(s) ['p_z']\n")
+
+
 def test_scan_writes_schema_valid_deterministic_json(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

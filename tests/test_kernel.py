@@ -27,8 +27,7 @@ from test_expr import _exprs
 SWEEPS = (
     (_jets.restricted_table, oracles.reference_restricted_table, "restricted"),
     (_jets.ambient_table, oracles.reference_ambient_table, "ambient"),
-    (_jets.ambient_velocity_gradient, oracles.reference_ambient_velocity_gradient,
-     "velocity_gradient"),
+    (_jets.ambient_velocity_gradient, oracles.reference_lift, "lift"),
 )
 
 
@@ -41,7 +40,7 @@ def _same_bits(a, b):
 
 
 def _assert_agree(got, expected):
-    if isinstance(expected, np.ndarray):   # ambient_velocity_gradient
+    if isinstance(expected, np.ndarray):   # the lift
         assert _same_bits(got, expected)
         return
     jets = zip(getattr(got, "psi", []) + [got.lag],
@@ -56,7 +55,7 @@ def _assert_agree(got, expected):
 
 
 def _args(sysdef, kind, q, v, v_full):
-    return (q, v) if kind == "restricted" else (q, v_full)
+    return (q, v_full) if kind == "ambient" else (q, v)
 
 
 def _check_field(sysdef, q, v, mult):
@@ -196,7 +195,7 @@ def test_completion_kernel_equals_the_interpreter(name):
     states = random_states(name, 30, 47)
     q = np.array([s.q for s in states])
     v = np.array([s.v for s in states])
-    psi, failed = _jets.completion(sysdef, q, v)
+    psi, failed = _jets.run_lanes(_jets._kernel(sysdef, "completion"), q, v)
     assert not failed.any()
     for i, s in enumerate(states):
         expected = oracles.reference_complete_velocities(sysdef, s)[
@@ -210,7 +209,7 @@ def test_completion_outside_the_domain_marks_the_lane():
     sysdef = get_model("von_neumann2")
     q = np.array([[1.0, 1.0], [1.0, 1.0]])
     v = np.array([[0.5], [2.0]])     # the second: sqrt of a negative
-    psi, failed = _jets.completion(sysdef, q, v)
+    psi, failed = _jets.run_lanes(_jets._kernel(sysdef, "completion"), q, v)
     assert failed.tolist() == [False, True]
     with pytest.raises((ValueError, ArithmeticError)):
         _jets._kernel(sysdef, "completion").scalar(1.0, 1.0, 2.0)
@@ -220,8 +219,9 @@ def test_completion_outside_the_domain_marks_the_lane():
 
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_completed_velocities_equal_the_interpreter(name):
-    # complete_velocities, completed_env and the Legendre lift complete the
-    # velocities with the completion kernel, at one state.
+    # complete_velocities and completed_env complete the velocities with the
+    # completion kernel, and the Legendre lift with the lift kernel, at one
+    # state.
     sysdef = get_model(name)
     for s in random_states(name, 30, 48):
         s = NhState(s.q, s.v)
@@ -232,6 +232,66 @@ def test_completed_velocities_equal_the_interpreter(name):
                           expected)
         lift = oracles.reference_ambient_velocity_gradient(sysdef, s.q, expected)
         assert _same_bits(legendre_lift(sysdef, s), lift)
+
+
+def _check_lift(sysdef, q, v):
+    """The ``lift`` kernel over the stacked states (q, v) and at each one:
+    the oracle's completed velocities and momenta bit for bit, or a marked
+    lane where the oracle fails, whose error ``Sweep.explain`` and
+    ``ambient_velocity_gradient`` raise with the oracle's text.  Where psi
+    fails, that is psi's error, the one the completion kernel explains."""
+    lift, completion = _jets._kernel(sysdef, "lift"), _jets._kernel(sysdef, "completion")
+    out, failed = _jets.run_lanes(lift, q, v)
+    _, unfinished = _jets.run_lanes(completion, q, v)
+    assert not (unfinished & ~failed).any()
+    for i, args in enumerate(np.concatenate([q, v], axis=1).tolist()):
+        try:
+            expected = oracles.reference_lift(sysdef, q[i], v[i])
+        except EvalError as exc:
+            assert failed[i]
+            with pytest.raises(EvalError) as got:
+                lift.explain(*args)
+            assert str(got.value) == str(exc)
+            with pytest.raises(EvalError) as got:
+                _jets.ambient_velocity_gradient(sysdef, q[i], v[i])
+            assert str(got.value) == str(exc)
+            if unfinished[i]:
+                with pytest.raises(EvalError) as got:
+                    completion.explain(*args)
+                assert str(got.value) == str(exc)
+            continue
+        assert not failed[i]
+        assert _same_bits(out[i], expected)
+        assert _same_bits(np.frombuffer(lift.scalar(*args)), expected)
+        assert _same_bits(_jets.ambient_velocity_gradient(sysdef, q[i], v[i]), expected)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS + ("von_neumann2 alpha1=0.3",))
+def test_lift_kernel_equals_the_oracles(name):
+    sysdef = builtin("von_neumann2", alpha1=0.3) if " " in name else get_model(name)
+    states = random_states(name.split()[0], 40, 49)
+    _check_lift(sysdef, np.array([s.q for s in states]), np.array([s.v for s in states]))
+
+
+def test_lift_fails_where_psi_leaves_its_domain_or_the_lagrangian_overflows():
+    # log(x) fails for x <= 0, exp(dx) overflows for dx = 800, and exp(dy)
+    # for x = 1e300, dx = 2, where dy = log(x)*dx is about 1381.
+    sysdef = SystemDef(name="log_exp", coords=("x", "y"), dependent=("y",),
+                       lagrangian=E.parse("exp(dx) + x*dy^2 + exp(dy)"),
+                       psi={"y": E.parse("log(x)*dx")}, declared_linear=False)
+    x, dx = np.meshgrid([-1.0, 0.0, 0.5, 2.0, 1e300], [0.3, -2.0, 2.0, 800.0])
+    q = np.column_stack([x.ravel(), np.full(x.size, 0.5)])
+    v = dx.reshape(-1, 1)
+    _check_lift(sysdef, q, v)
+    _, failed = _jets.run_lanes(_jets._kernel(sysdef, "lift"), q, v)
+    expected = (x <= 0.0) | (dx == 800.0) | ((x == 1e300) & (dx == 2.0))
+    assert failed.tolist() == expected.ravel().tolist()
+    messages = set()
+    for i in np.flatnonzero(failed).tolist():
+        with pytest.raises(EvalError) as got:
+            _jets.ambient_velocity_gradient(sysdef, q[i], v[i])
+        messages.add(str(got.value).split(" in ")[-1])
+    assert messages == {"'log(x)'", "'exp(dx)'", "'exp(dy)'"}
 
 
 def test_completion_errors_are_the_interpreters():
@@ -287,12 +347,12 @@ def test_wrong_number_of_entries_raises_the_kernels_type_error():
     q, v, v_full = (0.1, 0.2, 0.3, 0.4), (0.5, 0.6), (0.5, 0.6, 0.7)
     for sweep, args in ((_jets.restricted_table, (q, v)),
                         (_jets.ambient_table, (q, v_full)),
-                        (_jets.ambient_velocity_gradient, (q, v_full)),
+                        (_jets.ambient_velocity_gradient, (q, v)),
                         (_jets.field_sweep, (_jets._flat(q, v, (0.5,)),))):
         with pytest.raises(TypeError):
             sweep(sysdef, *args)
     with pytest.raises(TypeError):
-        _jets.ambient_velocity_gradient(sysdef, q[:3], v_full[:2])
+        _jets.ambient_velocity_gradient(sysdef, q[:3], v[:1])
 
 
 def test_kernel_that_fails_where_its_interpreter_does_not(monkeypatch):

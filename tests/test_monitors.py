@@ -81,9 +81,8 @@ def _calls(fn, *targets):
 # A stage of the steppers is one call of the core, the stage that
 # ``vakonomic._bind_stage`` binds once per run, on the packed state, and its
 # one sweep is the fused field kernel (its ``Sweep.run``); a nonholonomic
-# stage appends Leg_dep from one Legendre lift (completion, then
-# ambient_velocity_gradient).  Inside integrate no restricted table is
-# built, and none of the per-state functions runs.
+# stage appends Leg_dep from one run of the lift kernel.  Inside integrate
+# no restricted table is built, and none of the per-state functions runs.
 
 
 def _stage():
@@ -106,35 +105,36 @@ def test_every_vak_sweep_belongs_to_a_stage(method):
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_every_nh_sweep_belongs_to_a_stage(method):
     # The stage is the bound stage at (q, v, Leg_dep), with Leg_dep from
-    # one Legendre lift.
+    # one run of the lift kernel.
     runs = []
     counts = _calls(lambda: runs.append(_run("rolling_penny", "nh", method)),
                     Sweep.run, _jets.restricted_table,
                     _jets.ambient_velocity_gradient, _stage(),
                     nonholonomic.nh_rhs, nonholonomic.energy)
     assert counts["stage"] > 20
-    assert counts["field"] == counts["ambient_velocity_gradient"] \
-        == counts["stage"] == runs[0][1].stats.evaluations
-    assert counts["restricted_table"] == 0
+    assert counts["field"] == counts["lift"] == counts["stage"] == runs[0][1].stats.evaluations
+    assert "completion" not in counts
+    assert counts["restricted_table"] == counts["ambient_velocity_gradient"] == 0
     assert counts["energy"] == counts["nh_rhs"] == 0
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_an_nh_run_evaluates_psi_only_in_generated_kernels(method):
-    # Each stage runs one Legendre lift and one field sweep, and the
-    # velocities are completed by the completion kernel: the interpreter
-    # never evaluates a psi tree.
+    # Each stage runs one lift sweep, which completes the velocities, and
+    # one field sweep: the interpreter never evaluates a psi tree.
     sysdef = get_model("rolling_penny")
     trees = list(sysdef.psi.values())
-    codes = {_stage().__code__: "stage",
-             _jets.ambient_velocity_gradient.__code__: "ambient_velocity_gradient"}
-    counts = {"stage": 0, "ambient_velocity_gradient": 0, "psi": 0}
+    stage = _stage().__code__
+    counts = {"stage": 0, "psi": 0}
 
     def profile(frame, event, _arg):
         if event != "call":
             return
-        if frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
+        if frame.f_code is stage:
+            counts["stage"] += 1
+        elif frame.f_code is Sweep.run.__code__:
+            kind = frame.f_locals["self"].label.split()[0]
+            counts[kind] = counts.get(kind, 0) + 1
         elif frame.f_code is E.evaluate.__code__ and any(
                 frame.f_locals["e"] is tree for tree in trees):
             counts["psi"] += 1
@@ -145,8 +145,9 @@ def test_an_nh_run_evaluates_psi_only_in_generated_kernels(method):
     finally:
         sys.setprofile(None)
     assert traj.stats.evaluations > 20
-    assert counts == {"stage": traj.stats.evaluations,
-                      "ambient_velocity_gradient": traj.stats.evaluations, "psi": 0}
+    evaluations = traj.stats.evaluations
+    assert counts == {"stage": evaluations, "lift": evaluations, "field": evaluations,
+                      "psi": 0}
 
 
 def test_rk45_evaluations_per_step():

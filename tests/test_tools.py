@@ -42,8 +42,9 @@ def test_trace_prints_the_layers_of_one_command(capsys):
 
 def test_trace_counts_the_sweeps_of_one_command(capsys):
     # A one-sample random-p scan of a linear model: the curvature's
-    # restricted sweep, one Legendre lift and one field sweep per field,
-    # each run once, stacked; then the sweeps are unwrapped again.
+    # restricted sweep, one lift sweep (the Legendre lift) and one field
+    # sweep per field, each run once, stacked; then the sweeps are unwrapped
+    # again.
     from vaknh import _jets, comparison
     from vaknh._kernel import Sweep
 
@@ -54,8 +55,7 @@ def test_trace_counts_the_sweeps_of_one_command(capsys):
     table = lines[next(i for i, line in enumerate(lines) if line.startswith("sweep ")) + 1:]
     rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in table}
     assert rows == {f"{kind} sweep of rolling_penny": ["0", count]
-                    for kind, count in [("restricted", "1"), ("completion", "1"),
-                                        ("velocity_gradient", "1"), ("field", "2")]}
+                    for kind, count in [("restricted", "1"), ("lift", "1"), ("field", "2")]}
     assert Sweep.run is run and comparison.run_lanes is run_lanes is _jets.run_lanes
 
 
@@ -84,6 +84,22 @@ def test_trace_times_the_stepper_of_an_integrate_command(capsys):
     assert float(loop[3]) >= float(stage[2]) and float(loop[4]) >= 0.0
     assert integrate_module._flat_rhs is flat_rhs
     assert integrate_module._run_rk45 is run_rk45
+
+
+def test_trace_counts_the_two_sweeps_of_an_nh_stage(capsys):
+    # Each nh stage runs the lift kernel once, then the field kernel once,
+    # both at one state.
+    script = runpy.run_path(str(TRACE))
+    assert script["main"](["integrate", "rolling_penny", "--dynamics", "nh",
+                           "--q=0,0,0.2,0.3", "--v=0.7,0.4", "--t-end", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sweeps = lines.index(next(line for line in lines if line.startswith("sweep ")))
+    stepper = lines.index(next(line for line in lines if line.startswith("stepper ")))
+    rows = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines[sweeps + 1:stepper]}
+    stage = lines[stepper + 1].split()
+    assert stage[0] == "stage" and int(stage[1]) > 20
+    assert rows == {f"{kind} sweep of rolling_penny": [stage[1], "0"]
+                    for kind in ("lift", "field")}
 
 
 def test_trace_counts_dets_and_verifications_of_an_integrate_command(capsys):
