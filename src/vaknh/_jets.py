@@ -15,21 +15,21 @@ run straight-line kernels that :mod:`vaknh._kernel` generates from the
 system's expression trees on the first sweep and stores on the
 ``SystemDef``; the process keeps the last ``_SWEEPS_KEPT`` generated sweeps
 for equal systems loaded again, and for equal candidate functions
-(``gradient_kernel``).  ``field_sweep`` runs the ``field`` kernel, the
-restricted sweep continued through the multiplier shift of the reduced
-equations (:mod:`vaknh.vakonomic`), on a flat argument list.
-``completion``, the kernel of psi on plain floats, completes the velocities
-of :func:`vaknh.system.complete_velocities` and
+(``gradient_kernel``, their values and gradients).  ``field_sweep`` runs
+the ``field`` kernel, the restricted sweep continued through the multiplier
+shift of the reduced equations (:mod:`vaknh.vakonomic`), on a flat argument
+list.  ``completion``, the kernel of psi on plain floats, completes the
+velocities of :func:`vaknh.system.complete_velocities` and
 :func:`vaknh.system.completed_env`.  The ``lift`` kernel is the Legendre
 lift, which ``ambient_velocity_gradient`` runs at one state: the same
 completion, then the velocity gradient of L at the completed velocities,
-in one run.  Each kernel gives the bits of the hyper-dual interpreter it is
-generated from, :func:`vaknh.expr.evaluate` over
-:class:`~vaknh.autodiff.HyperDual` numbers, in every value, every gradient
-entry and, while the intermediate values are finite, every Hessian entry of
-the upper triangle, up to the sign of a zero outside the structural
-pattern.  At one state a sweep runs ``Sweep.run``: where the kernel fails,
-``Sweep.explain`` raises the interpreter's documented error.
+then L's value there on plain floats, in one run.  Each kernel gives the
+bits of the interpreter it is generated from, :func:`vaknh.expr.evaluate`
+over :class:`~vaknh.autodiff.HyperDual` numbers or plain floats, in every
+value, every gradient entry and, while the intermediate values are finite,
+every Hessian entry of the upper triangle, up to the sign of a zero outside
+the structural pattern.  At one state a sweep runs ``Sweep.run``: where the
+kernel fails, ``Sweep.explain`` raises the interpreter's documented error.
 A sweep called with the wrong number of entries raises the kernel's
 ``TypeError``.
 
@@ -170,8 +170,9 @@ def _kernel(sys, kind) -> Sweep:
 
 
 def gradient_kernel(trees, names, seeded) -> Sweep:
-    """The generated gradients of ``trees`` in the variables ``seeded``
-    (:func:`vaknh._kernel.compile_gradients`), kept with the sweeps."""
+    """The generated values and gradients of ``trees`` in the variables
+    ``seeded`` (:func:`vaknh._kernel.compile_gradients`), kept with the
+    sweeps."""
     key = ("gradients", tuple(names), tuple(seeded), tuple(map(repr, trees)))
     return _kept(_SWEEPS, _SWEEPS_KEPT, key, lambda: compile_gradients(trees, names, seeded))
 
@@ -228,8 +229,9 @@ def ambient_table(sys, q, v_full) -> AmbientTable:
 
 def ambient_velocity_gradient(sys, q, v) -> np.ndarray:
     """The Legendre lift at the positions ``q`` and base velocities ``v``,
-    from one run of the ``lift`` kernel: the n completed velocities, then
-    d(ambient L)/d(velocities) there, the n momenta."""
+    from one run of the ``lift`` kernel, 2n+1 entries: the n completed
+    velocities, then d(ambient L)/d(velocities) there, the n momenta, then
+    the value of L there."""
     return np.frombuffer(bytearray(_kernel(sys, "lift").run(*_flat(q, v))))
 
 

@@ -520,7 +520,8 @@ def compile_sweep(sys, kind: str) -> Sweep:
     lift: it completes the velocities as ``completion`` does, seeds the
     dependent ones like the base ones, and returns the n completed
     velocities, then the Lagrangian's gradient in the velocities there,
-    the n momenta.
+    the n momenta, then the Lagrangian's value there on plain floats, as
+    :func:`vaknh.expr.evaluate` computes it.
 
     ``field`` continues the restricted sweep with the m multipliers, which
     carry no derivative channels.  It returns the jet of the shifted
@@ -570,11 +571,13 @@ def compile_sweep(sys, kind: str) -> Sweep:
         return [b.evaluate(sys.psi[c], env) for c in sys.dependent]
 
     def lift(b, env):
-        # psi on the plain values of the base velocities, as in ``completion``
+        # psi, then L, on the plain values of the velocities, as in ``completion``
         plain = {**env, **{name: env[name].value for name in base[sys.n:]}}
         for c, value in zip(sys.dependent, completion(b, plain)):
+            plain[sys.velocity_of(c)] = value
             env[sys.velocity_of(c)] = b.seed(value, sys.coord_index(c))
-        return [env[name].value for name in full[sys.n:]] + lagrangian(b, env)[1:1 + sys.n]
+        return ([plain[name] for name in full[sys.n:]] + lagrangian(b, env)[1:1 + sys.n]
+                + [b.evaluate(sys.lagrangian, plain)])
 
     names, seeded, evaluate = {
         "restricted": (base, base, restricted),
@@ -588,12 +591,12 @@ def compile_sweep(sys, kind: str) -> Sweep:
 
 
 def compile_gradients(trees, names, seeded) -> Sweep:
-    """Build the kernels of the gradients of ``trees`` in the variables
-    ``seeded``: one gradient after the other, each entry equal bit for bit
-    to :func:`vaknh.autodiff.partial` of the tree in that variable.  The
-    kernels take the variables ``names`` in order."""
+    """Build the kernels of ``trees`` taking the variables ``names`` in
+    order: per tree, its value, then its gradient in the variables
+    ``seeded``, each entry equal bit for bit to :func:`vaknh.autodiff.partial`.
+    With nothing seeded the values are :func:`vaknh.expr.evaluate`'s."""
     def gradients(b, env):
         k = len(seeded)
-        return [g for tree in trees for g in b.outputs([b.evaluate(tree, env)])[1:1 + k]]
+        return [x for tree in trees for x in b.outputs([b.evaluate(tree, env)])[:1 + k]]
 
     return _generate("gradients", names, seeded, False, gradients)

@@ -557,30 +557,27 @@ class _Lanes:
 
     def tangency(self, candidates):
         """``tangency_residuals`` along the vakonomic field: one list of
-        values per candidate, from one gradient kernel of all candidates."""
+        values per candidate, from one kernel of the values and gradients
+        of all candidates, constants included."""
         sys, q, v, p = self.sys, self.q, self.v, self.p
-        error = _non_state(sys.state_names, candidates)
+        # The candidate variables, in the order of the columns of q, v and p.
+        names = sys.state_names
+        error = _non_state(names, candidates)
         if error is not None:
             self.mark(np.ones(len(q), dtype=bool), lambda i: error)
             return {}
         dq, dv, dp = self.vak
-        # The candidate variables, in the order of the columns of q, v and p.
-        names = sys.state_names
         flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))
         used = {name: sorted(_expr.free_vars(g)) for name, g in candidates.items()}
-        # A candidate with no variables is never evaluated: its residual is 0.
-        trees = [name for name in candidates if used[name]]
         seeded = sorted(set().union(*used.values()))
-        if trees:
-            sweep = gradient_kernel([candidates[name] for name in trees], names, seeded)
-            grads = self.run(sweep, q, v, p)
-        k = len(seeded)
+        jets = self.run(gradient_kernel(list(candidates.values()), names, seeded), q, v, p)
+        # Per candidate, its value, then its gradient in the seeded variables.
+        jets = jets.reshape(len(q), len(candidates), 1 + len(seeded))
         out = {}
-        for name in candidates:
-            total = 0.0
+        for i, name in enumerate(candidates):
+            out[name] = np.zeros(len(q))
             for var in used[name]:
-                total = total + grads[:, trees.index(name) * k + seeded.index(var)] * flow[var]
-            out[name] = total if used[name] else np.zeros(len(q))
+                out[name] = out[name] + jets[:, i, 1 + seeded.index(var)] * flow[var]
         return out
 
     def record(self, candidates):

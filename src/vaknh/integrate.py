@@ -23,9 +23,9 @@ on the packed state itself, and builds no state or derivative object: on
 y = (q, v, p_dep) it gives dy/dt and the ``field`` kernel's buffer.  An
 nh stage runs two kernels: the ``lift`` kernel at y = (q, v), then the
 bound stage at y followed by the Leg_dep of that lift, which writes dy/dt;
-it gives the lift's outputs, the completed velocities and the momenta.  A
-stage takes y as the Python floats that are the kernel's arguments, and
-writes dy/dt into the stepper's row for that stage.  rk45 forms each stage
+it gives the lift's outputs, the completed velocities, the momenta and L
+there.  A stage takes y as the Python floats that are the kernel's
+arguments, and writes dy/dt into the stepper's row for that stage.  rk45 forms each stage
 input y + h * (stages[:i].T @ a_i) in Python floats from the gemv's list:
 a product and a sum per entry, each rounded once, as numpy rounds them.  The
 run binds the buffer, its views and the views of the stage rows once, and
@@ -40,6 +40,8 @@ that accepted the state; with rk4 it is the first stage of the next step,
 so only the last row costs an evaluation of its own.  The row at t = 0
 reads the first stage of the first step.  A row makes no jet sweep of its
 own, and it reads the bound buffer before the next stage overwrites it.
+Candidate values come from one run per row of the candidates' kernel
+(``_jets.gradient_kernel``, nothing seeded), bound once per run.
 Step control runs on Python floats where they give numpy's bits: the
 error norm, the step size and the finiteness checks.
 
@@ -74,12 +76,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr as _expr
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
-from ._jets import _kernel
+from ._jets import _kernel, gradient_kernel
 from .comparison import _non_state
 from .nonholonomic import _energy
-from .system import NhState, SystemDef, VakState, check_state, state_env
+from .system import NhState, SystemDef, VakState, check_state
 from .vakonomic import _bind_stage, _hamiltonian, _momenta, _rates
 
 __all__ = ["Trajectory", "StepStats", "DriftReport", "integrate", "drift_report",
@@ -144,7 +145,10 @@ class Trajectory:
 
     @cached_property
     def states(self) -> list:
-        return [_unpack(self.dynamics, self.n, self.m, row) for row in self.packed]
+        n, k = self.n, 2 * self.n - self.m
+        if self.dynamics == "vak":
+            return [VakState(y[:n], y[n:k], y[k:]) for y in self.packed]
+        return [NhState(y[:n], y[n:k]) for y in self.packed]
 
 
 @dataclass
@@ -157,14 +161,6 @@ def _pack(sys, dynamics, s):
     if dynamics == "vak":
         return np.concatenate([s.q, s.v, s.p_dep])
     return np.concatenate([s.q, s.v])
-
-
-def _unpack(dynamics, n, m, y):
-    """The state whose packed form is the array y, with views of y."""
-    k = 2 * n - m
-    if dynamics == "vak":
-        return VakState(y[:n], y[n:k], y[k:])
-    return NhState(y[:n], y[n:k])
 
 
 def _flat_rhs(sys, dynamics):
@@ -209,19 +205,18 @@ def _monitor_names(sys, dynamics, candidates):
     return names
 
 
-def _monitor_row(sys, dynamics, y, at_state, candidates):
+def _monitor_row(sys, dynamics, y, at_state, values):
     """Monitors at the packed state ``y``, read from ``at_state``, the
     field's evaluation there: hamiltonian, w1_momenta and energy on what
-    the stepper computed."""
+    the stepper computed; then one run of the candidates' kernel ``values``."""
     n, k = sys.n, 2 * sys.n - sys.m
     if dynamics == "vak":
         row = [_hamiltonian(sys, at_state, y[n:k]), *_momenta(sys, at_state).tolist(),
                *_rates(sys, at_state).tolist()]
     else:
-        row = [_energy(sys, y[:n], at_state)]
-    if candidates:
-        env = state_env(sys, _unpack(dynamics, n, sys.m, y))
-        row += [float(_expr.evaluate(candidates[name], env)) for name in sorted(candidates)]
+        row = [_energy(sys, at_state)]
+    if values is not None:
+        row += np.frombuffer(values.run(*y.tolist())).tolist()
     return row
 
 
@@ -281,7 +276,8 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
         raise TypeError("nh dynamics needs an NhState initial condition")
     check_state(sys, s0)
     candidates = candidates or {}
-    error = _non_state(_state_names(sys, dynamics), candidates)
+    state_names = _state_names(sys, dynamics)
+    error = _non_state(state_names, candidates)
     if error is not None:
         raise error
 
@@ -290,8 +286,9 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
 
     f = _flat_rhs(sys, dynamics)
     y = _pack(sys, dynamics, s0)
-    state_names = _state_names(sys, dynamics)
     names = _monitor_names(sys, dynamics, candidates)
+    values = gradient_kernel([candidates[name] for name in sorted(candidates)],
+                             state_names, ()) if candidates else None
 
     times = []
     packed = []
@@ -307,7 +304,7 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     def monitor(y, at_state):
         """Record the monitor row of the last state, the array y, from the
         field's evaluation there."""
-        row = _monitor_row(sys, dynamics, y, at_state, candidates)
+        row = _monitor_row(sys, dynamics, y, at_state, values)
         _require_finite(sys, row, names, times[-1])
         monitor_rows.append(row)
 

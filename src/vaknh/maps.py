@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jets import ambient_velocity_gradient, restricted_table
-from .nonholonomic import _dependent_momenta
+from ._jets import restricted_table
+from .nonholonomic import _dependent_momenta, legendre_lift
 from .system import NhState, SystemDef, VakState, check_state, require_linear
 
 __all__ = [
@@ -48,15 +48,14 @@ class CovectorPoint:
 
 def legendre_shift(sys: SystemDef, pt: CovectorPoint, direction: str) -> CovectorPoint:
     """Shift the covector by the Legendre map at completed velocities, the
-    momenta of one run of the ``lift`` kernel: ``forward`` subtracts,
-    ``inverse`` adds.  forward o inverse is the identity bitwise (the same
-    computed momenta are added and subtracted)."""
+    momenta of ``legendre_lift``: ``forward`` subtracts, ``inverse`` adds.
+    forward o inverse is the identity bitwise (the same computed momenta
+    are added and subtracted)."""
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if len(pt.p) != sys.n:
         raise ValueError(f"covector has {len(pt.p)} components, expected {sys.n}")
-    check_state(sys, NhState(pt.q, pt.v))
-    leg = ambient_velocity_gradient(sys, pt.q, pt.v)[sys.n:]
+    leg = legendre_lift(sys, NhState(pt.q, pt.v))
     p = pt.p - leg if direction == "forward" else pt.p + leg
     return CovectorPoint(q=pt.q, p=p, v=pt.v)
 

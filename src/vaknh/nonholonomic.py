@@ -13,8 +13,9 @@ vakonomic one with the multipliers replaced by Leg_dep, which is how the
 one stage of the reduced equations in :mod:`vaknh.vakonomic` serves both:
 the nonholonomic field at (q, v) is ``_stage`` at (q, v, Leg_dep).  Leg_dep
 comes from the Legendre lift, one run of the generated ``lift`` kernel at
-(q, v): the completed velocities, then the momenta dL/d(velocities) there.
-The lift, its dependent momenta and the energy read that one run.
+(q, v): the completed velocities, then the momenta dL/d(velocities) there,
+then L there.  The lift, its dependent momenta and the energy read that one
+run.
 
 The Chetaev multipliers themselves are not part of the state; they are
 recovered along a trajectory from the dependent components of the ambient
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as _expr
 from ._jets import ambient_table, ambient_velocity_gradient, field_sweep, restricted_table
 from .system import NhState, SystemDef, check_state
 from .vakonomic import _args, _jet, _stage
@@ -53,7 +53,7 @@ def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
     """Full momentum covector p_A = dL/d(velocity_A) at completed velocities
     (the embedding of the constraint submanifold into phase space)."""
     check_state(sys, s)
-    return ambient_velocity_gradient(sys, s.q, s.v)[sys.n:]
+    return ambient_velocity_gradient(sys, s.q, s.v)[sys.n:2 * sys.n]
 
 
 def _dependent_momenta(sys: SystemDef, s) -> np.ndarray:
@@ -110,14 +110,11 @@ def energy(sys: SystemDef, s: NhState) -> float:
     the nonholonomic flow for linear homogeneous constraints.  Along a
     trajectory the lift is read from the stage's evaluation at the state."""
     check_state(sys, s)
-    return _energy(sys, s.q, ambient_velocity_gradient(sys, s.q, s.v))
+    return _energy(sys, ambient_velocity_gradient(sys, s.q, s.v))
 
 
-def _energy(sys, q, lift) -> float:
-    """Mechanical energy at the positions ``q`` from the ``lift`` kernel's
-    outputs there, the completed velocities and their momenta; L is
-    evaluated on plain floats at the completed velocities."""
+def _energy(sys, lift) -> float:
+    """Mechanical energy from the ``lift`` kernel's outputs at a state: the
+    completed velocities, their momenta and L."""
     n = sys.n
-    env = dict(zip(sys.coords, q.tolist()))
-    env.update(zip(map(sys.velocity_of, sys.coords), lift[:n].tolist()))
-    return float(np.dot(lift[:n], lift[n:]) - _expr.evaluate(sys.lagrangian, env))
+    return float(np.dot(lift[:n], lift[n:2 * n]) - lift[2 * n])

@@ -20,8 +20,13 @@
   the ``completion`` kernel that the package completes velocities with.
 
 * ``reference_lift``: those completed velocities, then
-  ``reference_ambient_velocity_gradient`` at them, the oracle of the
-  ``lift`` kernel (the Legendre lift).
+  ``reference_ambient_velocity_gradient`` at them, then L evaluated there
+  by ``expr.evaluate`` on plain floats, the oracle of the ``lift`` kernel
+  (the Legendre lift).
+
+* ``reference_energy``: the mechanical energy v . dL/dv - L with L from
+  ``expr.evaluate``, the formula the nonholonomic energy row used before it
+  read L from the lift kernel.
 
 * ``reference_det_threshold``: the determinant guard's det and threshold
   as the package formed them before the threshold moved to Python floats
@@ -208,9 +213,22 @@ def reference_complete_velocities(sys, s) -> np.ndarray:
 
 def reference_lift(sys, q, v) -> np.ndarray:
     """The interpreted :func:`ambient_velocity_gradient`: the completed
-    velocities at (q, v), then the gradient of L in the velocities there."""
+    velocities at (q, v), then the gradient of L in the velocities there,
+    then the value of L there on plain floats."""
     full = reference_complete_velocities(sys, NhState(q, v))
-    return np.concatenate([full, reference_ambient_velocity_gradient(sys, q, full)])
+    momenta = reference_ambient_velocity_gradient(sys, q, full)
+    env = dict(zip(sys.coords, map(float, q)))
+    env.update(zip(map(sys.velocity_of, sys.coords), full.tolist()))
+    return np.concatenate([full, momenta, [E.evaluate(sys.lagrangian, env)]])
+
+
+def reference_energy(sys, s) -> float:
+    """The mechanical energy at the state ``s``: the dot product of the
+    completed velocities with their momenta, less L evaluated by the
+    interpreter at the completed velocities (``reference_lift``)."""
+    n = sys.n
+    lift = reference_lift(sys, s.q, s.v)
+    return float(np.dot(lift[:n], lift[n:2 * n]) - lift[2 * n])
 
 
 def reference_det_threshold(c, order):
@@ -430,7 +448,10 @@ def tangency_residuals(sys, candidates, s):
     out = {}
     for name, g in candidates.items():
         total = 0.0
-        for var in sorted(E.free_vars(g)):
+        variables = sorted(E.free_vars(g))
+        if not variables:
+            E.evaluate(g, env)   # a constant has residual 0 where it is defined
+        for var in variables:
             total += partial(g, env, var) * flow[var]
         out[name] = float(total)
     return out

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vaknh import _jets, comparison, expr as E, vakonomic
 from vaknh._kernel import compile_gradients
-from vaknh.autodiff import partial
+from vaknh.autodiff import HyperDual, partial
 from vaknh.cli import run
 from vaknh.comparison import (ComparisonRecord, ComparisonReport, Sampler,
                               parse_candidates, scan)
@@ -139,13 +139,21 @@ def test_array_kernels_equal_scalar_kernels_on_random_trees(lagrangian, psi, lan
         _assert_lanes_match(_jets._kernel(sysdef, kind),
                             _blocks(sysdef, kind, q, v, v_full, mult),
                             _scalar(_jets._kernel(sysdef, kind)))
-    # The gradient kernel of tangency_residuals against autodiff.partial.
+    # The kernel of tangency_residuals against the hyper-dual interpreter's
+    # value and autodiff.partial, and with no variable seeded, the kernel of
+    # integrate's candidate rows against expr.evaluate on plain floats.
     names = ["x", "y", "k1", "dx", "dy"]
     seeded = sorted(E.free_vars(lagrangian) & set(names))
-    if seeded and not E.free_vars(lagrangian) - set(names):
-        sweep = compile_gradients([lagrangian], names, seeded)
-        _assert_lanes_match(sweep, (q, v), lambda args: [
-            partial(lagrangian, dict(zip(names, args)), var) for var in seeded])
+    if not E.free_vars(lagrangian) - set(names):
+        def jet(args):
+            env = dict(zip(names, args))
+            value = E.evaluate(lagrangian, {name: HyperDual(x) for name, x in env.items()})
+            return [getattr(value, "value", value),
+                    *(partial(lagrangian, env, var) for var in seeded)]
+
+        _assert_lanes_match(compile_gradients([lagrangian], names, seeded), (q, v), jet)
+        _assert_lanes_match(compile_gradients([lagrangian], names, ()), (q, v), lambda args: [
+            E.evaluate(lagrangian, dict(zip(names, args)))])
 
 
 # ---------------------------------------------------------------------------

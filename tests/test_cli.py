@@ -153,6 +153,48 @@ def test_integrate_nh_rejects_a_multiplier_candidate(tmp_path, capsys):
         "", "numeric error: candidate 'C1' uses non-state variable(s) ['p_z']\n")
 
 
+_STATE = ["martinet", "--q", "0,1,0", "--v", "0.8,-0.4", "--p", "1.2"]
+_UNDEFINED = "division by zero in '1.0 / 0.0'"
+
+
+def _candidates_file(tmp_path, text):
+    cands = tmp_path / "cands.txt"
+    cands.write_text(text)
+    return ["--candidates", str(cands)]
+
+
+def test_integrate_fails_on_a_candidate_undefined_everywhere(tmp_path, capsys):
+    argv = ["integrate", *_STATE, "--dynamics", "vak", "--t-end", "0.1",
+            *_candidates_file(tmp_path, "K = 1/0\n")]
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"q=[0.0, 1.0, 0.0]: {_UNDEFINED}\n")
+
+
+def test_compare_fails_on_a_candidate_undefined_everywhere(tmp_path, capsys):
+    assert run(["compare", *_STATE, *_candidates_file(tmp_path, "K = 1/0\n")]) == 3
+    assert capsys.readouterr() == ("", f"numeric error: {_UNDEFINED}\n")
+
+
+def test_scan_skips_every_sample_on_a_candidate_undefined_everywhere(tmp_path, capsys):
+    assert run(["scan", "martinet", "--samples", "3",
+                *_candidates_file(tmp_path, "C = 1.5\nK = 1/0\n")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["skipped"] == 3
+    assert {r["skipped"] for r in report["records"]} == {_UNDEFINED}
+
+
+def test_a_constant_candidate_has_its_value_and_no_tangency(tmp_path, capsys):
+    cands = _candidates_file(tmp_path, "C = 1.5\n")
+    assert run(["compare", *_STATE, *cands]) == 0
+    assert json.loads(capsys.readouterr().out)["tangency"] == {"C": 0.0}
+    out = tmp_path / "out.csv"
+    assert run(["integrate", *_STATE, "--dynamics", "vak", "--t-end", "0.1", *cands,
+                "--out", str(out)]) == 0
+    traj = read_trajectory_csv(get_model("martinet"), out)
+    assert traj.monitors["G_C"].tolist() == [1.5] * len(traj.times)
+
+
 def test_scan_writes_schema_valid_deterministic_json(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -294,6 +294,30 @@ def test_lift_fails_where_psi_leaves_its_domain_or_the_lagrangian_overflows():
     assert messages == {"'log(x)'", "'exp(dx)'", "'exp(dy)'"}
 
 
+_LANES = st.lists(st.lists(st.one_of(st.just(0.0), _VALUES), min_size=5, max_size=5),
+                  min_size=1, max_size=4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow in the interpreter
+@settings(max_examples=200, deadline=None)
+@given(_exprs(), _exprs(), _LANES)
+# A hyper-dual divides by multiplying with the reciprocal: dy*(1/7) is not
+# dy/7 here, and the lift's L is the plain quotient.
+@example(E.parse("dy/7 + dx"), E.parse("x*dx"), [[1.0, 0.0, 0.0, 1.0, 0.1]])
+# L fails on plain floats at x = dy = 0.1, where its hyper-dual denominator
+# is nonzero, and on both at x = dy = 0.7.
+@example(E.parse("1/(x/7 - dy/7)"), E.parse("dx"), [[0.1, 0.0, 0.0, 1.0, 0.1],
+                                                   [0.7, 0.0, 0.0, 1.0, 0.7]])
+def test_lift_gives_the_interpreters_lagrangian_on_random_systems(lagrangian, psi, lanes):
+    # The lift's last output is L at the completed velocities as
+    # expr.evaluate computes it, scalar and stacked, and a lane is marked
+    # exactly where the oracle (psi, the momenta, then L) fails.
+    sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
+                       lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
+    values = np.array(lanes)
+    _check_lift(sysdef, values[:, :3], values[:, 3:])
+
+
 def test_completion_errors_are_the_interpreters():
     sysdef = get_model("von_neumann2")
     s = NhState((1.0, 1.0), (2.0,))     # sqrt of a negative
@@ -336,8 +360,9 @@ def test_kernel_cache_tells_signed_zeros_apart():
         _assert_agree(got, oracles.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,)))
         assert np.signbit(got.lag.grad[0]) == np.signbit(zero)   # dL/dx = zero
         gradients = _jets.gradient_kernel([sysdef.lagrangian], ["x", "dx"], ["x"])
-        grad, failed = _jets.run_lanes(gradients, np.array([[1.0, 3.0]]))
-        assert not failed[0] and np.signbit(grad[0, 0]) == np.signbit(zero)
+        jet, failed = _jets.run_lanes(gradients, np.array([[1.0, 3.0]]))
+        assert not failed[0] and np.signbit(jet[0, 1]) == np.signbit(zero)
+        assert jet[0, 0] == zero - 9.0   # the value, then the gradient
 
 
 

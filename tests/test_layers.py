@@ -1,10 +1,15 @@
-"""Layer rules of the package, read from its source with ``ast``.
+"""Layer rules of the package, read from its source with ``ast``, and the
+interpreter's place at run time.
 
 The runtime keeps one implementation of each sweep, the generated kernel:
 ``Sweep.run`` and ``Sweep.explain`` (``vaknh._kernel``) are the one place
 where a kernel failure becomes an error, and the interpreted sweeps are the
 tests' oracle (``tests/oracles.py``).  Only ``system`` (``verify_linearity``)
-and ``_kernel`` (``Sweep.explain``) use the hyper-dual interpreter.
+and ``_kernel`` (``Sweep.explain``) use the interpreter, ``expr.evaluate``
+and the hyper-dual ``autodiff``.  Once a system is loaded, ``integrate``,
+``scan`` and ``compare`` evaluate through generated kernels alone: the
+interpreter runs only inside ``Sweep.explain``, to raise the error of a
+kernel that fails.
 
 The reduced equations have one implementation, ``vakonomic._stage`` and its
 stacked twin ``_stage_lanes``, on the buffer of the ``field`` kernel: only
@@ -16,12 +21,20 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import vaknh
+from vaknh import autodiff, expr, system
+from vaknh._kernel import Sweep
+from vaknh.cli import run
+from vaknh.models import builtin
 
 PACKAGE = Path(vaknh.__file__).resolve().parent
 AUTODIFF_USERS = {"system", "_kernel"}
+INTERPRETER = {"expr", "autodiff"}
 LINALG = ("np.linalg.", "numpy.linalg.", "linalg.", "_umath_linalg.")
 
 
@@ -57,6 +70,30 @@ def _defined_names(tree):
 def test_only_system_and_kernel_import_autodiff():
     users = {name for name, tree in _modules() if _imports_autodiff(tree)}
     assert "_kernel" in users and users <= AUTODIFF_USERS
+
+
+def _references_evaluate(tree) -> bool:
+    """Whether a module names ``vaknh.expr.evaluate``: imported by name, or
+    as an attribute of a name the module binds to ``vaknh.expr``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module in ("expr", "vaknh.expr") and alias.name == "evaluate":
+                    return True
+                if (node.module or "") in ("", "vaknh") and alias.name == "expr":
+                    aliases.add(alias.asname or "expr")
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "vaknh.expr")
+    return any(isinstance(node, ast.Attribute) and node.attr == "evaluate"
+               and _dotted(node.value) in aliases for node in ast.walk(tree))
+
+
+def test_only_system_and_kernel_reference_the_interpreter():
+    users = {name for name, tree in _modules()
+             if name not in INTERPRETER and _references_evaluate(tree)}
+    assert users == {"system", "_kernel"}
 
 
 def test_no_module_defines_an_interpreted_sweep():
@@ -100,3 +137,66 @@ def test_loading_a_system_imports_no_kernel_generator():
     modules = ast.literal_eval(done.stdout)
     assert "vaknh.system" in modules
     assert "vaknh._kernel" not in modules and "vaknh._jets" not in modules
+
+
+def _interpreter_calls(argv):
+    """Run the command ``argv`` and count the calls of ``expr.evaluate`` and
+    of the code of ``autodiff`` by the frame they run under: "explain"
+    (``Sweep.explain``), "verify" (``system.verify_linearity``) or
+    "elsewhere".  Returns the exit code and the counts."""
+    inside = {Sweep.explain.__code__: "explain", system.verify_linearity.__code__: "verify"}
+    counts = Counter()
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event != "call" or not (code is expr.evaluate.__code__
+                                   or code.co_filename == autodiff.__file__):
+            return
+        caller = frame.f_back
+        while caller is not None and caller.f_code not in inside:
+            caller = caller.f_back
+        where = "elsewhere" if caller is None else inside[caller.f_code]
+        counts[where, "evaluate" if code is expr.evaluate.__code__ else "autodiff"] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = run(argv)
+    finally:
+        sys.setprofile(None)
+    return code, counts
+
+
+_STATE = ["--q", "0,1,0", "--v", "0.8,-0.4", "--p", "1.2"]
+_CANDIDATES = "C1 = x/3 + y^2*dx\nC2 = dx^2 + dy^2\nC3 = 2.5\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["integrate", "martinet", "--dynamics", "vak", "--method", "rk45", "--t-end", "0.2"],
+    ["integrate", "martinet", "--dynamics", "vak", "--method", "rk4", "--t-end", "0.2"],
+    ["integrate", "martinet", "--dynamics", "nh", "--method", "rk45", "--t-end", "0.2"],
+    ["integrate", "martinet", "--dynamics", "nh", "--method", "rk4", "--t-end", "0.2"],
+    ["scan", "martinet", "--samples", "20"],
+    ["scan", "martinet", "--samples", "20", "--p-mode", "legendre"],
+    ["compare", "martinet"],
+], ids=["integrate-vak-rk45", "integrate-vak-rk4", "integrate-nh-rk45", "integrate-nh-rk4",
+        "scan-random", "scan-legendre", "compare"])
+def test_commands_evaluate_only_through_kernels_after_load(command, tmp_path, capsys):
+    builtin("martinet")   # the load, and its verification, kept by the process
+    cands = tmp_path / "cands.txt"
+    cands.write_text(_CANDIDATES + ("C4 = p_z*y\n" if "nh" not in command else ""))
+    state = [] if command[0] == "scan" else _STATE[:4 if "nh" in command else 6]
+    code, counts = _interpreter_calls([*command, *state, "--candidates", str(cands)])
+    assert code == 0, capsys.readouterr().err
+    assert counts == Counter()
+
+
+def test_a_kernel_failure_is_explained_by_the_interpreter(tmp_path, capsys):
+    builtin("rolling_penny")
+    cands = tmp_path / "cands.txt"
+    cands.write_text("C = sqrt(0.3 - x)\n")
+    code, counts = _interpreter_calls(
+        ["integrate", "rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3", "--v=0.7,0.4",
+         "--t-end", "5", "--candidates", str(cands)])
+    assert code == 3 and "sqrt of negative value" in capsys.readouterr().err
+    assert counts["explain", "evaluate"] > 0
+    assert set(counts) <= {("explain", "evaluate"), ("explain", "autodiff")}

@@ -2,9 +2,13 @@
 
 Every recorded row must equal, bit for bit, a fresh evaluation of
 ``hamiltonian``/``w1_momenta``/``vak_rhs`` (vakonomic) or ``energy``
-(nonholonomic) at the recorded state, and a row must make no jet sweep
-beyond those of the stages.
+(nonholonomic) at the recorded state, the energy also the interpreter's
+formula (``oracles.reference_energy``), and a row must make no jet sweep
+beyond those of the stages.  Candidate values equal ``expr.evaluate`` at
+the recorded state, from one run of a generated kernel per row.
 """
+
+import ast
 
 import sys
 
@@ -15,9 +19,11 @@ from vaknh import _jets, integrate as _integrate, nonholonomic, system, vakonomi
 from vaknh._kernel import Sweep
 from vaknh import expr as E
 from vaknh.nonholonomic import energy
-from vaknh.system import NhState, VakState
+from vaknh.errors import EvalError, IntegrationError
+from vaknh.system import NhState, VakState, state_env
 from vaknh.vakonomic import hamiltonian, vak_rhs, w1_momenta
 
+import oracles
 from conftest import get_model, random_states
 
 RUNS = [("rolling_penny", "rk45"), ("martinet", "rk45"), ("paramecium", "rk45"),
@@ -54,6 +60,7 @@ def test_nh_rows_equal_fresh_energy(name, method):
     assert len(traj.states) > 5
     for i, s in enumerate(traj.states):
         assert _bits(traj.monitors["E_L"][i]) == _bits(energy(sysdef, s))
+        assert _bits(traj.monitors["E_L"][i]) == _bits(oracles.reference_energy(sysdef, s))
 
 
 def _calls(fn, *targets):
@@ -174,17 +181,60 @@ def test_rk45_evaluations_per_step():
 
 
 def test_rows_bind_the_state_only_for_candidates():
+    # Candidate values come from one run of the candidates' kernel per row;
+    # no row builds an environment of the state.
     sysdef = get_model("martinet")
     s0 = VakState([0, 1, 0], [0.8, -0.4], [1.2])
     counts = _calls(lambda: _integrate.integrate(sysdef, "vak", s0, t_end=0.5),
-                    system.state_env)
-    assert counts["state_env"] == 0
+                    system.state_env, Sweep.run)
+    assert counts["state_env"] == 0 and "gradients" not in counts
     candidates = {"x": E.parse("x")}
     traj = []
     counts = _calls(lambda: traj.append(_integrate.integrate(
-        sysdef, "vak", s0, t_end=0.5, candidates=candidates)), system.state_env)
-    assert counts["state_env"] == len(traj[0].times)
+        sysdef, "vak", s0, t_end=0.5, candidates=candidates)), system.state_env, Sweep.run)
+    assert counts["state_env"] == 0
+    assert counts["gradients"] == len(traj[0].times)
     assert _bits(traj[0].monitors["G_x"]) == _bits([s.q[0] for s in traj[0].states])
+
+
+CANDIDATES = {"C1": "p_z - (y^2/2)*dx", "C2": "dx^2 + dy^2", "D": "x/3 + dy/7 - 1/(y + 3)",
+              "F": "exp(-x^2)*sin(dx) + sqrt(y^2 + 1)^1.5", "K": "2.5"}
+
+
+@pytest.mark.parametrize("dynamics", ["vak", "nh"])
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_candidate_rows_equal_the_interpreter(dynamics, method):
+    sysdef = get_model("martinet")
+    candidates = {name: E.parse(text) for name, text in CANDIDATES.items()
+                  if dynamics == "vak" or "p_z" not in text}
+    s0 = VakState([0, 1, 0], [0.8, -0.4], [1.2])
+    traj = _integrate.integrate(sysdef, dynamics, s0 if dynamics == "vak" else NhState(
+        s0.q, s0.v), t_end=1.0, method=method, dt=0.05, candidates=candidates)
+    assert len(traj.states) > 5
+    for name, tree in candidates.items():
+        expected = [E.evaluate(tree, state_env(sysdef, s)) for s in traj.states]
+        assert _bits(traj.monitors[f"G_{name}"]) == _bits(expected)
+
+
+def test_a_failing_candidate_row_raises_the_interpreters_error():
+    # The candidates in sorted order, the first that fails: at the start,
+    # sqrt before log; mid-run, where x passes 0.3.
+    sysdef = get_model("rolling_penny")
+    s0 = NhState([0.0, 0.0, 0.2, 0.3], [0.7, 0.4])
+    candidates = {"b": E.parse("log(x)"), "a": E.parse("sqrt(x - 1)")}
+    with pytest.raises(EvalError) as expected:
+        E.evaluate(candidates["a"], state_env(sysdef, s0))
+    with pytest.raises(IntegrationError) as got:
+        _integrate.integrate(sysdef, "nh", s0, t_end=1.0, candidates=candidates)
+    assert str(got.value).endswith(f"t=0.0, q=[0.0, 0.0, 0.2, 0.3]: {expected.value}")
+    tree = E.parse("sqrt(0.3 - x)")
+    with pytest.raises(IntegrationError) as got:
+        _integrate.integrate(sysdef, "nh", s0, t_end=5.0, candidates={"c": tree})
+    assert got.value.t > 0.0
+    q = ast.literal_eval(str(got.value).split("q=")[1].split("]")[0] + "]")
+    with pytest.raises(EvalError) as expected:
+        E.evaluate(tree, {"x": q[0]})
+    assert str(got.value).endswith(f": {expected.value}")
 
 
 @pytest.mark.parametrize("dynamics", ["vak", "nh"])

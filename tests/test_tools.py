@@ -121,3 +121,38 @@ def test_trace_counts_dets_and_verifications_of_an_integrate_command(capsys):
     assert rows["verify_linearity"] == ["0"]
     assert 0 <= int(rows["det"][0]) <= int(rows["stage"][0])
     assert _umath_linalg.det is det
+
+
+def test_trace_counts_the_interpreters_evaluations_by_caller(tmp_path, capsys):
+    # The first command of a process may verify the system's linearity; the
+    # second verifies nothing, and its energy and candidate rows come from
+    # kernels: the interpreter runs nowhere else.  Then evaluate is unwrapped.
+    from vaknh import _kernel, expr
+
+    evaluate, interpreter = expr.evaluate, _kernel._Interpreter.__dict__["evaluate"]
+    cands = tmp_path / "penny.cand"
+    cands.write_text("C = sqrt(x + 1)*dtheta\nK = 2\n")
+    script = runpy.run_path(str(TRACE))
+    argv = ["integrate", "rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3",
+            "--v=0.7,0.4", "--t-end", "0.5", "--candidates", str(cands)]
+    for _ in range(2):
+        assert script["main"](argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+    at = lines.index(next(line for line in lines if line.startswith("interpreter ")))
+    rows = {line.split()[0]: line.split()[1:] for line in lines[at + 1:at + 4]}
+    assert rows == {"verify_linearity": ["0"], "Sweep.explain": ["0"], "elsewhere": ["0"]}
+    assert expr.evaluate is evaluate
+    assert _kernel._Interpreter.__dict__["evaluate"] is interpreter
+
+
+def test_trace_counts_an_explained_kernel_failure(tmp_path, capsys):
+    cands = tmp_path / "penny.cand"
+    cands.write_text("C = sqrt(0.3 - x)\n")
+    script = runpy.run_path(str(TRACE))
+    assert script["main"](["integrate", "rolling_penny", "--dynamics", "nh",
+                           "--q=0,0,0.2,0.3", "--v=0.7,0.4", "--t-end", "5",
+                           "--candidates", str(cands)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(next(line for line in lines if line.startswith("interpreter ")))
+    rows = {line.split()[0]: int(line.split()[1]) for line in lines[at + 1:at + 4]}
+    assert rows["Sweep.explain"] == 1 and rows["elsewhere"] == 0

@@ -7,7 +7,10 @@ the span tracer of the benchmark (``bench/spans.py``), and discards what the
 command writes to stdout.  Prints the command's exit code and wall time,
 then one row per traced function that ran: its calls, its total time and
 its self time (the total less the time of the traced functions it called),
-the largest total first.  Then one row per generated sweep that ran, by
+the largest total first.  Then the command's evaluations by the
+interpreter (top-level calls of ``expr.evaluate``) by the caller they run
+under: ``system.verify_linearity``, ``Sweep.explain`` (a kernel failure
+explained), or elsewhere.  Then one row per generated sweep that ran, by
 ``Sweep.label``: its scalar runs (``Sweep.run``, one state) and its stacked
 runs (``_jets.run_lanes``, one batch of states).  For an ``integrate``
 command, last, the stepper as a layer: the stage calls and their time
@@ -18,8 +21,8 @@ which a stage makes only where it cannot certify its reduced matrix
 without it, and the command's runs of ``system.verify_linearity``, which
 a process makes once for equal systems.  The package is not changed: the
 tracer wraps the functions of ``bench/spans.TARGETS``, and this script
-``Sweep.run``, ``run_lanes``, ``_flat_rhs``, the run loops and numpy's
-``_umath_linalg.det``, while the command runs.
+``Sweep.run``, ``run_lanes``, ``_flat_rhs``, the run loops, numpy's
+``_umath_linalg.det`` and ``expr.evaluate``, while the command runs.
 """
 
 from __future__ import annotations
@@ -69,6 +72,45 @@ def counted_sweeps():
         Sweep.run = run
         for module, key in bound:
             setattr(module, key, run_lanes)
+
+
+@contextlib.contextmanager
+def counted_evaluations():
+    """A ``Counter`` of the interpreter's evaluations while installed, keyed
+    by the caller they run under: "verify_linearity", "Sweep.explain" or
+    "elsewhere".  An evaluation is a call of ``expr.evaluate`` that is not
+    made by ``expr.evaluate`` itself; it is wrapped under every name a
+    ``vaknh`` module binds it to, and as the interpreter's evaluation in
+    ``_kernel``."""
+    import inspect
+
+    from vaknh import _kernel, expr, system
+
+    counts = Counter()
+    evaluate, interpreter = expr.evaluate, _kernel._Interpreter.__dict__["evaluate"]
+    callers = {_kernel.Sweep.explain.__code__: "Sweep.explain",
+               inspect.unwrap(system.verify_linearity).__code__: "verify_linearity"}
+
+    def counted(e, env):
+        frame = sys._getframe(1)
+        if frame.f_code is not evaluate.__code__:
+            while frame is not None and frame.f_code not in callers:
+                frame = frame.f_back
+            counts["elsewhere" if frame is None else callers[frame.f_code]] += 1
+        return evaluate(e, env)
+
+    bound = [(module, key) for name, module in list(sys.modules.items())
+             if module is not None and name.split(".")[0] == "vaknh"
+             for key, value in list(vars(module).items()) if value is evaluate]
+    for module, key in bound:
+        setattr(module, key, counted)
+    _kernel._Interpreter.evaluate = staticmethod(counted)
+    try:
+        yield counts
+    finally:
+        for module, key in bound:
+            setattr(module, key, evaluate)
+        _kernel._Interpreter.evaluate = interpreter
 
 
 @contextlib.contextmanager
@@ -132,7 +174,7 @@ def main(argv=None) -> int:
 
     argv = sys.argv[1:] if argv is None else list(argv)
     with Tracer() as tracer, counted_sweeps() as sweeps, timed_stepper() as stepper, \
-            contextlib.redirect_stdout(io.StringIO()):
+            counted_evaluations() as evaluations, contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
         code = cli.run(argv)
         wall = time.perf_counter() - start
@@ -144,6 +186,9 @@ def main(argv=None) -> int:
     for name in names:
         print(f"{name:36s} {table.calls(name):7d} {table.total(name) * 1e3:10.3f} "
               f"{table.self_total(name) * 1e3:10.3f}")
+    print(f"{'interpreter':36s} {'calls':>7s}")
+    for caller in ("verify_linearity", "Sweep.explain", "elsewhere"):
+        print(f"{caller:36s} {evaluations[caller]:7d}")
     labels = sorted({label for label, _ in sweeps})
     width = max([36, *map(len, labels)])
     print(f"{'sweep':{width}s} {'scalar':>7s} {'stacked':>7s}")
