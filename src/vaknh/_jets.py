@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import Sweep, compile_gradients, compile_sweep
-from .system import _kept
 
 
 @dataclass
@@ -156,6 +155,19 @@ class AmbientTable:
 # candidate functions.
 _SWEEPS: dict = {}
 _SWEEPS_KEPT = 64
+
+
+def _kept(store, limit, key, build):
+    """The entry of ``store`` under ``key``, or else ``build()``, kept from
+    now on, the oldest entry making room when ``store`` holds ``limit``.
+    What ``build`` raises is not kept."""
+    entry = store.get(key)
+    if entry is None:
+        entry = build()
+        if len(store) >= limit:
+            del store[next(iter(store))]
+        store[key] = entry
+    return entry
 
 
 def _kernel(sys, kind) -> Sweep:

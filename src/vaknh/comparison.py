@@ -54,7 +54,8 @@ import numpy as np
 from . import expr as _expr
 from ._jets import RestrictedTable, _kernel, gradient_kernel, run_lanes
 from .errors import EvalError, SingularMatrixError, VaknhError
-from .system import NhState, SystemDef, VakState, check_state, require_linear
+from .system import (NhState, SystemDef, VakState, _non_state, check_state,
+                     require_linear)
 from .vakonomic import _singular_message, _stage_lanes
 
 __all__ = [
@@ -106,16 +107,6 @@ def field_residual(sys: SystemDef, s: VakState) -> np.ndarray:
     return _one(sys, s, lambda lanes: lanes.vak[1] - lanes.nh())[0]
 
 
-def _non_state(names, candidates) -> EvalError | None:
-    """The error of the first candidate that uses a variable other than the
-    state variables ``names``, if any."""
-    allowed = set(names)
-    for name, g in candidates.items():
-        extra = _expr.free_vars(g) - allowed
-        if extra:
-            return EvalError(f"candidate {name!r} uses non-state variable(s) {sorted(extra)}")
-
-
 def tangency_residuals(sys: SystemDef, candidates: dict[str, _expr.Expression],
                        s: VakState) -> dict[str, float]:
     """Directional derivative of each candidate function along the vakonomic
@@ -148,6 +139,8 @@ def parse_candidates(text: str) -> dict[str, _expr.Expression]:
         name = name.strip()
         if not eq or not name:
             raise VaknhError(f"candidates line {lineno}: expected 'name = expression'")
+        if name in out:
+            raise VaknhError(f"candidates line {lineno}: repeated candidate {name!r}")
         out[name] = _expr.parse(body.strip())
     return out
 

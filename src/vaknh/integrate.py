@@ -78,9 +78,8 @@ import numpy as np
 
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
 from ._jets import _kernel, gradient_kernel
-from .comparison import _non_state
 from .nonholonomic import _energy
-from .system import NhState, SystemDef, VakState, check_state
+from .system import NhState, SystemDef, VakState, _non_state, check_state
 from .vakonomic import _bind_stage, _hamiltonian, _momenta, _rates
 
 __all__ = ["Trajectory", "StepStats", "DriftReport", "integrate", "drift_report",

@@ -14,17 +14,16 @@ Requiring the solved form makes the rank condition on the constraint
 velocity-Jacobian structural: no psi expression may mention a dependent
 velocity, which the loader enforces.
 
-``load_system`` verifies a system declared linear by sampling (20 samples,
-seed 0), and ``SystemDef.linear`` of one not declared linear reads the same
-verification.  The process keeps the report for equal systems (equal
-``SystemDef._key``, the key of the generated kernels), so an equal system
-is verified once per process; the same samples give the same report.  A
-failing report still raises ``LinearityError`` on every load, and a
-verification that raises is not kept.
+Whether the constraints are linear homogeneous in the base velocities is
+decided in one place, ``_linearity``: a structural certificate read from
+the psi trees, or else, for a tree it leaves undecided, the sampled
+``verify_linearity`` (20 samples, seed 0).  ``load_system`` applies it to a
+system declared linear and ``SystemDef.linear`` to one that is not.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,22 +95,20 @@ class SystemDef:
     def linear(self) -> bool:
         """Whether the constraints are linear homogeneous in the base
         velocities: the declaration, which ``load_system`` verified, or else
-        the sampled verification of equal systems (``_sampled_linearity``).
-        Constraints that cannot be evaluated at the samples are not
-        verified, so not linear."""
+        ``_linearity``.  Constraints that cannot be evaluated at the samples
+        are not verified, so not linear."""
         if self.declared_linear:
             return True
         try:
-            return _sampled_linearity(self).linear
+            return _linearity(self).linear
         except EvalError:
             return False
 
     @cached_property
     def _key(self) -> tuple:
-        """What the generated kernels and the sampled linearity verification
-        depend on: systems with equal keys share them.  The trees enter by
-        ``repr``: Const(-0.0) and Const(0.0) are equal and hash alike, but
-        emit different kernels."""
+        """What the generated kernels depend on: systems with equal keys
+        share them.  The trees enter by ``repr``: Const(-0.0) and Const(0.0)
+        are equal and hash alike, but emit different kernels."""
         return (self.name, self.coords, self.dependent, repr(self.lagrangian),
                 tuple(repr(self.psi[c]) for c in self.dependent))
 
@@ -171,6 +168,16 @@ def check_state(sys: SystemDef, s) -> None:
                          "is not finite")
 
 
+def _non_state(names, candidates) -> EvalError | None:
+    """The error of the first candidate that uses a variable other than the
+    state variables ``names``, if any."""
+    allowed = set(names)
+    for name, g in candidates.items():
+        extra = _expr.free_vars(g) - allowed
+        if extra:
+            return EvalError(f"candidate {name!r} uses non-state variable(s) {sorted(extra)}")
+
+
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -185,8 +192,8 @@ def load_system(source: str) -> SystemDef:
 
     Performs all structural checks: coordinate partition consistency,
     admissibility (no dependent velocity inside any psi), variable closure
-    of the Lagrangian, and -- for files declared linear -- a sampled
-    verification of the declaration.
+    of the Lagrangian, and -- for files declared linear -- the verification
+    of the declaration (``_linearity``).
     """
     name = None
     coords = None
@@ -194,6 +201,7 @@ def load_system(source: str) -> SystemDef:
     linear = None
     lagrangian_text = None
     psi_texts: dict[str, str] = {}
+    seen: dict[str, int] = {}  # "name", ..., "psi <coord>" -> its line
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -201,6 +209,11 @@ def load_system(source: str) -> SystemDef:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        slot = f"psi {rest.partition('=')[0].strip()}" if key == "psi" else key
+        if slot in seen:
+            raise SystemFormatError(
+                f"line {lineno}: repeated {slot!r} line (first on line {seen[slot]})")
+        seen[slot] = lineno
         if key == "name":
             name = rest
         elif key == "coords":
@@ -269,7 +282,7 @@ def load_system(source: str) -> SystemDef:
                     lagrangian=lagrangian, psi=psi, declared_linear=linear)
 
     if linear:
-        report = _sampled_linearity(sys)
+        report = _linearity(sys)
         if not report.linear:
             raise LinearityError(
                 f"system {name!r} is declared linear but fails verification "
@@ -349,12 +362,10 @@ class LinearityReport:
     witness: tuple | None  # (q, v) arrays of a failing sample, if any
 
 
-_LINEARITY_TOL = 1e-12
-
-
 def verify_linearity(sys: SystemDef, samples: int, seed: int) -> LinearityReport:
     """Sampled check that every psi is linear homogeneous in the base
-    velocities: the velocity Hessian of each psi vanishes and psi(q, 0) = 0.
+    velocities: every entry of the velocity Hessian of each psi, and psi(q,
+    0), is exactly 0 (a NaN passes).
 
     States are drawn uniformly from [-1, 1] per coordinate.  A sample that
     raises a domain error is redrawn up to 10 times before the error is
@@ -373,11 +384,11 @@ def verify_linearity(sys: SystemDef, samples: int, seed: int) -> LinearityReport
             try:
                 for c in sys.dependent:
                     e = sys.psi[c]
-                    if abs(_expr.evaluate(e, env0)) > _LINEARITY_TOL:
+                    if abs(_expr.evaluate(e, env0)) > 0.0:
                         return LinearityReport(False, (q, v))
                     for i, va in enumerate(vel_names):
                         for vb in vel_names[i:]:
-                            if abs(second_partial(e, env, va, vb)) > _LINEARITY_TOL:
+                            if abs(second_partial(e, env, va, vb)) > 0.0:
                                 return LinearityReport(False, (q, v))
                 break
             except EvalError:
@@ -386,32 +397,35 @@ def verify_linearity(sys: SystemDef, samples: int, seed: int) -> LinearityReport
     return LinearityReport(True, None)
 
 
-# Sampled verifications already made in this process, oldest first, by
-# ``SystemDef._key``.
-_REPORTS: dict = {}
-_REPORTS_KEPT = 64
+def _degree(e, velocities):
+    """0 where ``e`` is free of ``velocities``, 1 where it is homogeneous of
+    degree 1 in them by construction, None where this walk cannot tell."""
+    if isinstance(e, _expr.Const):   # a literal past 1.8e308 parses as inf
+        return 0 if math.isfinite(e.value) else None
+    if isinstance(e, _expr.Var):
+        return int(e.name in velocities)
+    if isinstance(e, _expr.Unary):
+        d = _degree(e.arg, velocities)
+        return d if e.op == "neg" or (d == 0 and e.op in ("sin", "cos")) else None
+    if isinstance(e, _expr.Power):
+        d = _degree(e.base, velocities)
+        free = d == 0 and e.integer and e.exponent >= 0
+        return 0 if free else d if e.exponent == 1.0 else None
+    left, right = _degree(e.left, velocities), _degree(e.right, velocities)
+    if e.op == "/":
+        return left if isinstance(e.right, _expr.Const) and e.right.value != 0.0 else None
+    if e.op == "*":
+        return left + right if None not in (left, right) and left + right <= 1 else None
+    return left if left == right else None
 
 
-def _kept(store, limit, key, build):
-    """The entry of ``store`` under ``key``, or else ``build()``, kept from
-    now on, the oldest entry making room when ``store`` holds ``limit``.
-    What ``build`` raises is not kept."""
-    entry = store.get(key)
-    if entry is None:
-        entry = build()
-        if len(store) >= limit:
-            del store[next(iter(store))]
-        store[key] = entry
-    return entry
-
-
-def _sampled_linearity(sys: SystemDef) -> LinearityReport:
-    """``verify_linearity(sys, samples=20, seed=0)``, made once per process
-    for equal systems (the last ``_REPORTS_KEPT`` of them): the same samples
-    give the same report.  A verification that raises ``EvalError`` is not
-    kept, and runs again at the next call."""
-    return _kept(_REPORTS, _REPORTS_KEPT, sys._key,
-                 lambda: verify_linearity(sys, samples=20, seed=0))
+def _linearity(sys: SystemDef) -> LinearityReport:
+    """Linear when every psi is certified of degree 1 (``_degree``), else
+    ``verify_linearity(sys, samples=20, seed=0)``."""
+    velocities = set(map(sys.velocity_of, sys.base))
+    if all(_degree(sys.psi[c], velocities) == 1 for c in sys.dependent):
+        return LinearityReport(True, None)
+    return verify_linearity(sys, samples=20, seed=0)
 
 
 def require_linear(sys: SystemDef, what: str) -> None:

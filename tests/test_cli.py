@@ -358,3 +358,35 @@ def test_scan_of_unverifiable_constraints_reports_no_g(tmp_path, capsys):
     assert run(["scan", str(path), "--samples", "2"]) == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["skipped"] == 2 and summary["fraction_g_below_tol"] is None
+
+
+@pytest.mark.parametrize("psi", ["y*dx + 1e-13*dx^2", "y*dx + 4e-13*x"])
+def test_check_fails_a_small_nonlinear_term_declared_linear(psi, tmp_path, capsys):
+    # Both loaded as linear while the sampled rule had a tolerance of 1e-12.
+    assert run(["check", _particle_file(tmp_path, "y*dx", psi)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("linearity: FAIL (system 'constrained_particle' is declared "
+                          "linear but fails verification at state")
+    assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("psi z = y*dx\n", "psi z = y*dx\npsi z = x*dx\n",
+     "line 8: repeated 'psi z' line (first on line 7)"),
+    ("name constrained_particle\n", "name a\nname b\n",
+     "line 3: repeated 'name' line (first on line 2)"),
+])
+def test_check_rejects_a_repeated_key(old, new, message, tmp_path, capsys):
+    # Each used to load the last line of the key, with exit 0.
+    assert run(["check", _particle_file(tmp_path, old, new)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["compare"], ["integrate", "--dynamics", "vak", "--t-end", "0.1"],
+], ids=["compare", "integrate"])
+def test_a_repeated_candidate_is_an_error(command, tmp_path, capsys):
+    # Both commands used to take the last line, G = x.
+    argv = [command[0], *_STATE, *command[1:], *_candidates_file(tmp_path, "G = z\nG = x\n")]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", "error: candidates line 2: repeated candidate 'G'\n")

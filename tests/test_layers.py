@@ -32,6 +32,8 @@ from vaknh._kernel import Sweep
 from vaknh.cli import run
 from vaknh.models import builtin
 
+from conftest import LINEAR_MODELS
+
 PACKAGE = Path(vaknh.__file__).resolve().parent
 AUTODIFF_USERS = {"system", "_kernel"}
 INTERPRETER = {"expr", "autodiff"}
@@ -139,6 +141,32 @@ def test_loading_a_system_imports_no_kernel_generator():
     assert "vaknh._kernel" not in modules and "vaknh._jets" not in modules
 
 
+def _fresh_modules(code):
+    """The modules loaded after ``code`` runs in a new process."""
+    done = subprocess.run([sys.executable, "-c", code + "\nprint(sorted(sys.modules))"],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_loading_a_linear_catalog_model_samples_nothing():
+    # The tree walk certifies each of them: no verification runs, so the
+    # sampler's ``numpy.random`` is not imported.
+    code = ("import sys, vaknh\n"
+            "from vaknh import system\n"
+            "def refused(*args):\n"
+            "    raise AssertionError('verify_linearity ran')\n"
+            "system.verify_linearity = refused\n"
+            f"for name in {LINEAR_MODELS!r}:\n"
+            "    assert vaknh.builtin(name).linear\n")
+    assert "numpy.random" not in _fresh_modules(code)
+
+
+def test_integrate_does_not_import_comparison():
+    modules = _fresh_modules("import sys, vaknh.integrate")
+    assert "vaknh.integrate" in modules and "vaknh.comparison" not in modules
+
+
 def _interpreter_calls(argv):
     """Run the command ``argv`` and count the calls of ``expr.evaluate`` and
     of the code of ``autodiff`` by the frame they run under: "explain"
@@ -181,7 +209,8 @@ _CANDIDATES = "C1 = x/3 + y^2*dx\nC2 = dx^2 + dy^2\nC3 = 2.5\n"
 ], ids=["integrate-vak-rk45", "integrate-vak-rk4", "integrate-nh-rk45", "integrate-nh-rk4",
         "scan-random", "scan-legendre", "compare"])
 def test_commands_evaluate_only_through_kernels_after_load(command, tmp_path, capsys):
-    builtin("martinet")   # the load, and its verification, kept by the process
+    # The command's own load is counted too: the tree walk certifies
+    # martinet, so nothing is sampled.
     cands = tmp_path / "cands.txt"
     cands.write_text(_CANDIDATES + ("C4 = p_z*y\n" if "nh" not in command else ""))
     state = [] if command[0] == "scan" else _STATE[:4 if "nh" in command else 6]
@@ -191,7 +220,6 @@ def test_commands_evaluate_only_through_kernels_after_load(command, tmp_path, ca
 
 
 def test_a_kernel_failure_is_explained_by_the_interpreter(tmp_path, capsys):
-    builtin("rolling_penny")
     cands = tmp_path / "cands.txt"
     cands.write_text("C = sqrt(0.3 - x)\n")
     code, counts = _interpreter_calls(

@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from vaknh.errors import AdmissibilityError, SystemFormatError
-from vaknh.system import (NhState, VakState, complete_velocities, completed_env, load_system,
-                          restricted_lagrangian, serialize_system, state_env,
-                          verify_linearity)
+from vaknh import expr as E
+from vaknh.errors import AdmissibilityError, EvalError, LinearityError, SystemFormatError
+from vaknh.system import (NhState, SystemDef, VakState, _degree, complete_velocities,
+                          completed_env, load_system, restricted_lagrangian,
+                          serialize_system, state_env, verify_linearity)
 
-from conftest import ALL_MODELS, get_model
+from conftest import ALL_MODELS, LINEAR_MODELS, get_model
+from test_expr import _exprs
 
 PARTICLE = """\
 name particle
@@ -179,8 +184,9 @@ def test_state_names_follow_the_packed_state():
         zip(sysdef.state_names[:6], map(float, range(1, 7))))
 
 
-# ``load_system`` verifies a declared-linear system once per process for
-# equal systems; ``SystemDef.linear`` reads the same store.
+# ``load_system`` verifies a declared-linear system that the tree walk
+# leaves undecided on every load; ``SystemDef.linear`` of one not declared
+# linear makes the same decision.
 
 
 def _counted_verifications(monkeypatch):
@@ -197,28 +203,6 @@ def _counted_verifications(monkeypatch):
     return calls
 
 
-def test_an_equal_system_is_verified_once_per_process(monkeypatch):
-    calls = _counted_verifications(monkeypatch)
-    text = PARTICLE.replace("name particle", "name memo_once")
-    first, second = load_system(text), load_system("# again\n" + text)
-    assert first == second and first is not second
-    assert calls == [("memo_once", 20, 0)]
-    # A system not declared linear: its first ``linear`` verifies, an equal
-    # system's reads the kept report.
-    affine = text.replace("linear true", "linear false").replace("y*dx", "y*dx + 1")
-    assert not load_system(affine).linear and not load_system(affine).linear
-    assert calls == [("memo_once", 20, 0)] * 2
-
-
-def test_a_changed_psi_is_verified_anew(monkeypatch):
-    calls = _counted_verifications(monkeypatch)
-    text = PARTICLE.replace("name particle", "name memo_changed")
-    load_system(text)
-    load_system(text.replace("psi z = y*dx", "psi z = x*dx"))
-    load_system(text.replace("psi z = y*dx", "psi z = y*dy"))
-    assert len(calls) == 3
-
-
 def test_a_failing_declared_linear_system_fails_every_load(monkeypatch):
     from vaknh.errors import LinearityError
 
@@ -227,7 +211,7 @@ def test_a_failing_declared_linear_system_fails_every_load(monkeypatch):
     for _ in range(3):
         with pytest.raises(LinearityError, match="declared linear but fails verification"):
             load_system(lying)
-    assert len(calls) == 1
+    assert calls == [("memo_lying", 20, 0)] * 3
 
 
 def test_a_verification_that_raises_is_not_kept(monkeypatch):
@@ -243,3 +227,90 @@ def test_a_verification_that_raises_is_not_kept(monkeypatch):
     undeclared = load_system(failing.replace("linear true", "linear false"))
     assert not undeclared.linear
     assert len(calls) == 3
+
+
+# The structural certificate (``_degree``): psi homogeneous of degree 1 in
+# the base velocities by construction, or undecided (None).
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("y*dx", 1), ("-dx + x*dy", 1), ("dx - 2*dy", 1), ("x^2*dx", 1), ("x^0*dx", 1),
+    ("dx^1", 1), ("(sin(x) + cos(y))*dx", 1), ("dx/2", 1), ("-(y^2/2)*dx", 1),
+    ("x*y^3 - 1", 0),
+    ("dx^2", None), ("dx*dy", None), ("sqrt(x^2 + 1)*dx", None), ("x^-1*dx", None),
+    ("dx/x", None), ("dx/0", None), ("dx/-2", None), ("dx + 1", None), ("(dx + 1) - 1", None),
+    ("sin(dx)", None), ("exp(x)*dx", None), ("tan(x)*dx", None), ("x^0.5*dx", None),
+    ("x^100*dx", None), ("dx^2 - dx^2 + y*dx", None), ("sin(1e400*x)*dx", None),
+])
+def test_the_certificate_reads_the_tree(text, degree):
+    assert _degree(E.parse(text), {"dx", "dy"}) == degree
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_the_certificate_decides_every_linear_catalog_model(name):
+    sysdef = get_model(name)
+    velocities = set(map(sysdef.velocity_of, sysdef.base))
+    degrees = {_degree(sysdef.psi[c], velocities) for c in sysdef.dependent}
+    assert degrees == ({1} if name in LINEAR_MODELS else {None})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs())
+def test_a_certified_psi_passes_the_sampled_verification(tree):
+    # The sampler, exact hyper-dual Hessians at random states, is an oracle
+    # independent of the tree walk.  A tree times a velocity is certified
+    # whenever the tree is free of velocities.
+    velocities = {"dx", "dy", "dk1"}
+    for psi in (tree, E.Binary("*", tree, E.Var("dy"))):
+        if _degree(psi, velocities) != 1:
+            continue
+        sysdef = SystemDef(name="random", coords=("x", "y", "k1", "z"), dependent=("z",),
+                           lagrangian=E.parse("dz^2/2"), psi={"z": psi},
+                           declared_linear=False)
+        try:
+            report = verify_linearity(sysdef, 20, 0)
+        except EvalError as exc:
+            # A certified tree fails to evaluate only where sin or cos meet
+            # a velocity-free value that overflowed.
+            assert re.search(r"math domain error in '(sin|cos)\(", str(exc)), exc
+            continue
+        assert report.linear and report.witness is None
+
+
+def test_a_certified_system_is_not_sampled(monkeypatch):
+    calls = _counted_verifications(monkeypatch)
+    undeclared = PARTICLE.replace("linear true", "linear false")
+    assert load_system(PARTICLE).linear and load_system(undeclared).linear
+    assert calls == []
+    # An undecided tree is sampled, once per system.
+    rooted = load_system(undeclared.replace("y*dx", "sqrt(x^2 + 1)*dx"))
+    assert rooted.linear and rooted.linear
+    assert calls == [("particle", 20, 0)]
+
+
+@pytest.mark.parametrize("psi", ["y*dx + 1e-13*dx^2", "y*dx + 4e-13*x", "y*dx + 1e-7*dx^2"])
+def test_a_small_nonlinear_term_fails_the_declaration(psi):
+    # The sampled rule is exact zero: these loaded as linear under an
+    # absolute tolerance of 1e-12, except the last.
+    with pytest.raises(LinearityError, match="declared linear but fails verification"):
+        load_system(PARTICLE.replace("y*dx", psi))
+    assert not load_system(PARTICLE.replace("y*dx", psi).replace("linear true",
+                                                                   "linear false")).linear
+
+
+@pytest.mark.parametrize("psi", ["(dx + 1) - 1", "dx^2 - dx^2 + y*dx", "sqrt(x^2 + 1)*dx"])
+def test_an_undecided_linear_psi_passes_the_sampled_verification(psi):
+    assert load_system(PARTICLE.replace("y*dx", psi)).linear
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("psi z = y*dx\n", "psi z = y*dx\npsi z = x*dx\n",
+     "line 7: repeated 'psi z' line (first on line 6)"),
+    ("name particle\n", "name a\nname b\n", "line 2: repeated 'name' line (first on line 1)"),
+    ("linear true\n", "linear true\nlinear false\n",
+     "line 5: repeated 'linear' line (first on line 4)"),
+])
+def test_a_repeated_key_is_a_format_error(old, new, message):
+    with pytest.raises(SystemFormatError) as exc:
+        load_system(PARTICLE.replace(old, new))
+    assert str(exc.value) == message

@@ -103,18 +103,16 @@ def test_trace_counts_the_two_sweeps_of_an_nh_stage(capsys):
 
 
 def test_trace_counts_dets_and_verifications_of_an_integrate_command(capsys):
-    # A process verifies an equal system once: the second command makes no
-    # verification.  A stage runs the det only where it cannot certify its
-    # reduced matrix without it.
+    # The command's load certifies martinet from its tree: no verification
+    # runs.  A stage runs the det only where it cannot certify its reduced
+    # matrix without it.
     from numpy.linalg import _umath_linalg
 
     det = _umath_linalg.det
     script = runpy.run_path(str(TRACE))
-    argv = ["integrate", "martinet", "--dynamics", "vak", "--q", "0,1,0",
-            "--v", "0.8,-0.4", "--p", "1.2", "--t-end", "0.5"]
-    for _ in range(2):
-        assert script["main"](argv) == 0
-        lines = capsys.readouterr().out.splitlines()
+    assert script["main"](["integrate", "martinet", "--dynamics", "vak", "--q", "0,1,0",
+                           "--v", "0.8,-0.4", "--p", "1.2", "--t-end", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     stepper = lines.index(next(line for line in lines if line.startswith("stepper ")))
     rows = {line.split()[0]: line.split()[1:] for line in lines[stepper + 1:]}
     assert list(rows) == ["stage", "run", "det", "verify_linearity"]
@@ -124,20 +122,18 @@ def test_trace_counts_dets_and_verifications_of_an_integrate_command(capsys):
 
 
 def test_trace_counts_the_interpreters_evaluations_by_caller(tmp_path, capsys):
-    # The first command of a process may verify the system's linearity; the
-    # second verifies nothing, and its energy and candidate rows come from
-    # kernels: the interpreter runs nowhere else.  Then evaluate is unwrapped.
+    # The command's load certifies the penny from its tree, so it verifies
+    # nothing, and its energy and candidate rows come from kernels: the
+    # interpreter runs nowhere else.  Then evaluate is unwrapped.
     from vaknh import _kernel, expr
 
     evaluate, interpreter = expr.evaluate, _kernel._Interpreter.__dict__["evaluate"]
     cands = tmp_path / "penny.cand"
     cands.write_text("C = sqrt(x + 1)*dtheta\nK = 2\n")
     script = runpy.run_path(str(TRACE))
-    argv = ["integrate", "rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3",
-            "--v=0.7,0.4", "--t-end", "0.5", "--candidates", str(cands)]
-    for _ in range(2):
-        assert script["main"](argv) == 0
-        lines = capsys.readouterr().out.splitlines()
+    assert script["main"](["integrate", "rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3",
+                           "--v=0.7,0.4", "--t-end", "0.5", "--candidates", str(cands)]) == 0
+    lines = capsys.readouterr().out.splitlines()
     at = lines.index(next(line for line in lines if line.startswith("interpreter ")))
     rows = {line.split()[0]: line.split()[1:] for line in lines[at + 1:at + 4]}
     assert rows == {"verify_linearity": ["0"], "Sweep.explain": ["0"], "elsewhere": ["0"]}

@@ -19,10 +19,11 @@ each), and the run loop (``_run_rk45`` or ``_run_rk4``) with its own time,
 its total less the stage time; then the calls of the LAPACK det gufunc,
 which a stage makes only where it cannot certify its reduced matrix
 without it, and the command's runs of ``system.verify_linearity``, which
-a process makes once for equal systems.  The package is not changed: the
-tracer wraps the functions of ``bench/spans.TARGETS``, and this script
-``Sweep.run``, ``run_lanes``, ``_flat_rhs``, the run loops, numpy's
-``_umath_linalg.det`` and ``expr.evaluate``, while the command runs.
+a load makes only for a psi that the structural certificate leaves
+undecided.  The package is not changed: the tracer wraps the functions of
+``bench/spans.TARGETS``, and this script ``Sweep.run``, ``run_lanes``,
+``_flat_rhs``, the run loops, numpy's ``_umath_linalg.det`` and
+``expr.evaluate``, while the command runs.
 """
 
 from __future__ import annotations
