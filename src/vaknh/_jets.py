@@ -12,9 +12,9 @@ everything the equations of motion need:
 
 ``restricted_table``, ``ambient_table`` and ``ambient_velocity_gradient``
 run straight-line kernels that :mod:`vaknh._kernel` generates from the
-system's expression trees on the first sweep and stores on the
-``SystemDef``; the process keeps the last ``_SWEEPS_KEPT`` generated sweeps
-for equal systems loaded again, and for equal candidate functions
+system's expression trees on the first sweep.  One store, ``_SWEEPS``,
+keeps the last ``_SWEEPS_KEPT`` generated sweeps of the process, for equal
+systems loaded again and for equal candidate functions
 (``gradient_kernel``, their values and gradients).  ``field_sweep`` runs
 the ``field`` kernel, the restricted sweep continued through the multiplier
 shift of the reduced equations (:mod:`vaknh.vakonomic`), on a flat argument
@@ -171,14 +171,9 @@ def _kept(store, limit, key, build):
 
 
 def _kernel(sys, kind) -> Sweep:
-    """The generated kernels of sweep ``kind`` of ``sys``, built on first
-    use: those of an equal system loaded before, if the process still
-    keeps them, or else new ones."""
-    sweep = sys._kernels.get(kind)
-    if sweep is None:
-        sweep = sys._kernels[kind] = _kept(_SWEEPS, _SWEEPS_KEPT, (kind, sys._key),
-                                           lambda: compile_sweep(sys, kind))
-    return sweep
+    """The generated kernels of sweep ``kind`` of ``sys``: those of an equal
+    system, if the process still keeps them, or else new ones."""
+    return _kept(_SWEEPS, _SWEEPS_KEPT, (kind, sys._key), lambda: compile_sweep(sys, kind))
 
 
 def gradient_kernel(trees, names, seeded) -> Sweep:

@@ -8,9 +8,9 @@ first and second partial derivatives -- no finite-difference truncation.
 The derivative channels may hold plain floats or numpy arrays.  Seeding
 ``d1`` with a column of an identity matrix and ``d2`` with a row turns a
 single evaluation into a full gradient-plus-Hessian sweep (the cross terms
-broadcast into an outer-product shaped array); the internal dynamics code
-relies on this, while the public ``partial``/``second_partial``/``gradient``
-operations below stick to scalar seeds.
+broadcast into an outer-product shaped array); the interpreted sweeps of
+the tests' oracle (``tests/oracles.py``) rely on this, while the public
+``partial``/``second_partial``/``gradient`` operations stick to scalar seeds.
 """
 
 from __future__ import annotations

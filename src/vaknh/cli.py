@@ -219,7 +219,7 @@ def _cmd_check(args) -> int:
           f"{'invertible: PASS' if sym.invertible else 'singular: FAIL'}")
     ok &= sym.invertible
 
-    if report.linear:
+    if sysdef.linear:
         cmat = compatibility_matrix(sysdef, q)
         det, threshold = det_threshold(cmat, sysdef.m)
         invertible = abs(det) > threshold
@@ -323,3 +323,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     _sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

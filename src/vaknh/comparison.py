@@ -33,11 +33,11 @@ The report of ``scan`` is columnar: it keeps each batch's stacked results
 shape (evaluated, or skipped with its text and with or without p).  The
 summary is computed from the columns.  ``ComparisonReport.records`` are
 built from them on first access; from then on they are what the report
-holds.  One writer, ``_JsonWriter``, writes the JSON text from either
-source: each hands it the numbers of every record, index first, and the
-text after each number, from one template per record shape; the writer
-turns the numbers into text with one ``repr`` sweep and the report with one
-join.
+holds.  ``_JsonWriter`` writes the JSON text of a report that still holds
+its columns: the numbers of every record, index first, and the text after
+each number, from one template per record shape, turned into text with one
+``repr`` sweep and the report with one join.  A report that holds records
+is written by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -239,16 +239,18 @@ class ComparisonReport:
     def to_json(self, indent=None) -> str:
         """The report as strict JSON; a NaN or an infinity raises ValueError.
 
-        Written directly from the batch columns, or from the records once
-        they are read, byte for byte what
-        ``json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)``
-        writes.  A non-finite number, or a value of a kind the writer does
-        not know, is left to ``json.dumps``, which raises its own error or
+        The text is ``json.dumps(self.to_json_dict(), indent=indent,
+        allow_nan=False)``.  While the report holds its batch columns, it is
+        written from them (``_JsonWriter``), byte for byte the same; a
+        non-finite number, or a summary value of a kind the writer does not
+        know, is left to ``json.dumps``, which raises its own error or
         writes the value."""
-        try:
-            return _JsonWriter(indent).report(self)
-        except (_Unwritable, ValueError, OverflowError):
-            return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
+        if self._records is None:
+            try:
+                return _JsonWriter(indent).report(self)
+            except (_Unwritable, ValueError, OverflowError):
+                pass
+        return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -297,9 +299,9 @@ class _JsonWriter:
     ints, strings, None and str-keyed dicts and lists of them; a value at
     ``level`` is nested in that many containers.
 
-    The records are written in one pass from two sources, the batch columns
-    or the records: each gives the numbers of every record, index first, and
-    the text after each number, from one template per record shape."""
+    The records of a report are written in one pass from its batch columns:
+    the numbers of every record, index first, and the text after each
+    number, from one template per record shape."""
 
     def __init__(self, indent):
         if indent is not None and not isinstance(indent, str):
@@ -313,10 +315,7 @@ class _JsonWriter:
     def report(self, report: ComparisonReport) -> str:
         """The report in one join: the numbers of every record in one
         ``repr`` sweep, between the text around them."""
-        if report._records is None:
-            parts = [self.batch(batch) for batch in report._batches]
-        else:
-            parts = [self.listed(report._records)]
+        parts = [self.batch(batch) for batch in report._batches]
         # The text before and after the records list; no written string
         # holds the mark.
         before, after = self.join("{", [f'"system": {self.value(report.system, 1)}',
@@ -374,24 +373,6 @@ class _JsonWriter:
             at = (starts[rows, None] + np.arange(sizes[rows[0]])).ravel()
             literals[at], numbers[at] = text, values
         return literals.tolist(), numbers.tolist()
-
-    def listed(self, records):
-        """The text and numbers of a list of records, read record by record."""
-        qs, vs, ps = [r.q for r in records], [r.v for r in records], [r.p_dep for r in records]
-        gs, dys = [r.g for r in records], [r.delta_y for r in records]
-        tangency, skipped = [r.tangency for r in records], [r.skipped for r in records]
-        if not (set(map(type, chain(qs, vs, ps))) <= {list} and set(map(type, tangency)) <= {dict}
-                and set(map(type, chain(gs, dys))) <= {list, type(None)}
-                and set(map(type, skipped)) <= {str, type(None)}):
-            raise _Unwritable
-        numbers, literals = [], []
-        for r, q, v, p, g, dy, t, text in zip(records, qs, vs, ps, gs, dys, tangency, skipped):
-            numbers += (r.index, *q, *v, *p, *(g or ()), *(dy or ()), *t.values())
-            literals += self.template((len(q), len(v), len(p), g if g is None else len(g),
-                                       dy if dy is None else len(dy), tuple(t), text))
-        if not (set(map(type, numbers)) <= {float, int} and all(map(math.isfinite, numbers))):
-            raise _Unwritable
-        return literals, numbers
 
     def value(self, x, level) -> str:
         if isinstance(x, dict):

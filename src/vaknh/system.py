@@ -58,7 +58,8 @@ def _positions(coords, names) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemDef:
-    """Immutable definition of a constrained Lagrangian system."""
+    """Immutable definition of a constrained Lagrangian system.  Its kernels
+    are kept by :mod:`vaknh._jets`, which finds them by ``_key``."""
 
     name: str
     coords: tuple[str, ...]           # all n position names, declaration order
@@ -66,8 +67,6 @@ class SystemDef:
     lagrangian: _expr.Expression      # ambient L over (coords, d-coords)
     psi: dict[str, _expr.Expression]  # dependent coord -> constraint expression
     declared_linear: bool
-    # Sweep kernels generated on first use (see _jets); not part of equality.
-    _kernels: dict = field(default_factory=dict, compare=False, repr=False)
     # Derived from coords and dependent once, in __post_init__.  The
     # positions are read-only intp arrays, ready for fancy indexing.
     n: int = field(init=False, compare=False, repr=False)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import vaknh
 from vaknh.cli import run
 from vaknh.comparison import REPORT_SCHEMA
 from vaknh.integrate import read_trajectory_csv
@@ -60,6 +65,56 @@ psi x = dy^2
     assert capsys.readouterr().out == (
         "linearity: FAIL (system 'lying' is declared linear but fails verification at "
         "state (array([ 0.27392337, -0.46042657]), array([-0.91805295])))\n")
+
+
+HALF_LINEAR = """\
+name odd
+coords x y z
+dependent z
+linear {linear}
+lagrangian 0.5*(dx^2 + dy^2 + dz^2)
+psi z = y*dx + dx^2*(sqrt((x - {edge})^2) - (x - {edge}))
+"""
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 7])
+def test_check_skips_compatibility_of_a_nonlinear_system_whose_samples_pass(
+        seed, tmp_path, capsys):
+    # psi is linear where x >= 0 only.  The one sample of these seeds has
+    # x >= 0, but the system is not linear: the compatibility test is skipped.
+    path = tmp_path / "odd.sys"
+    path.write_text(HALF_LINEAR.format(linear="false", edge=0))
+    assert run(["check", str(path), "--samples", "1", "--seed", str(seed)]) == 2
+    out = capsys.readouterr().out
+    assert "linearity: declared false, verified true: FAIL\n" in out
+    assert out.endswith("compatibility: skipped (nonlinear constraints)\n")
+
+
+def test_check_tests_compatibility_of_a_linear_system_whose_samples_fail(tmp_path, capsys):
+    # psi is linear where x >= -0.95, as at every state the load samples; the
+    # one sample of seed 34 has x < -0.95.
+    path = tmp_path / "odd.sys"
+    path.write_text(HALF_LINEAR.format(linear="true", edge=-0.95))
+    assert run(["check", str(path), "--samples", "1", "--seed", "34"]) == 2
+    out = capsys.readouterr().out
+    assert "linearity: declared true, verified false: FAIL\n" in out
+    assert out.endswith("compatibility at probe q: det = 2.0, invertible: PASS\n")
+
+
+def _python_m(*argv):
+    """``python -m vaknh.cli argv`` in a new process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(vaknh.__file__).resolve().parent.parent)}
+    return subprocess.run([sys.executable, "-m", "vaknh.cli", *argv], capture_output=True,
+                          text=True, env=env)
+
+
+def test_python_m_vaknh_cli_runs_the_command():
+    done = _python_m("catalog")
+    assert done.returncode == 0
+    assert "martinet" in done.stdout and "von_neumann2" in done.stdout
+    done = _python_m("compare", "martinet")
+    assert done.returncode == 1
+    assert done.stderr == "error: the following arguments are required: --p\n"
 
 
 def test_check_reports_a_format_error_that_quotes_the_linearity_text(tmp_path, capsys):

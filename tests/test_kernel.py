@@ -181,11 +181,12 @@ def test_hessians_exactly_symmetric(name):
             assert np.array_equal(jet.hess, jet.hess.T)
 
 
-def test_kernels_compile_on_first_sweep_and_stay_out_of_equality():
+def test_kernels_compile_on_first_sweep_and_stay_out_of_equality(monkeypatch):
+    monkeypatch.setattr(_jets, "_SWEEPS", {})
     sysdef = builtin("martinet")
-    assert sysdef._kernels == {}
+    assert _jets._SWEEPS == {}
     _jets.restricted_table(sysdef, np.zeros(3), np.ones(2))
-    assert set(sysdef._kernels) == {"restricted"}
+    assert list(_jets._SWEEPS) == [("restricted", sysdef._key)]
     assert sysdef == builtin("martinet")
 
 
@@ -330,12 +331,13 @@ def test_completion_errors_are_the_interpreters():
         assert str(error.value) == str(expected.value)
 
 
-def test_equal_systems_share_their_kernels():
+def test_equal_systems_share_their_kernels(monkeypatch):
+    monkeypatch.setattr(_jets, "_SWEEPS", {})
     first, second = builtin("martinet"), builtin("martinet")
     sweep = _jets._kernel(first, "restricted")
-    assert second._kernels == {}
+    assert list(_jets._SWEEPS) == [("restricted", first._key)]
     assert _jets._kernel(second, "restricted") is sweep
-    assert set(second._kernels) == {"restricted"}
+    assert len(_jets._SWEEPS) == 1
     # Equal candidate functions share their gradient kernel, from the same table.
     names, seeded = ["x", "y", "dx"], ["dx", "x"]
     gradients = _jets.gradient_kernel([E.parse("x*dx"), E.parse("sin(dx) + x")], names, seeded)

@@ -11,6 +11,9 @@ and the hyper-dual ``autodiff``.  Once a system is loaded, ``integrate``,
 interpreter runs only inside ``Sweep.explain``, to raise the error of a
 kernel that fails.
 
+Generated kernels have one store, ``_jets._SWEEPS``: only ``_jets`` calls
+the generator, ``compile_sweep`` and ``compile_gradients`` of ``_kernel``.
+
 The reduced equations have one implementation, ``vakonomic._stage`` and its
 stacked twin ``_stage_lanes``, on the buffer of the ``field`` kernel: only
 ``vakonomic`` calls numpy's linear algebra, and the multiplier shift made
@@ -37,6 +40,7 @@ from conftest import LINEAR_MODELS
 PACKAGE = Path(vaknh.__file__).resolve().parent
 AUTODIFF_USERS = {"system", "_kernel"}
 INTERPRETER = {"expr", "autodiff"}
+GENERATORS = {"compile_sweep", "compile_gradients"}
 LINALG = ("np.linalg.", "numpy.linalg.", "linalg.", "_umath_linalg.")
 
 
@@ -126,6 +130,27 @@ def test_only_vakonomic_calls_linear_algebra():
 def test_no_module_defines_the_numpy_multiplier_shift():
     found = [name for name, tree in _modules() if "_shifted" in set(_defined_names(tree))]
     assert found == []
+
+
+def _generator_users(tree) -> bool:
+    """Whether a module imports ``compile_sweep`` or ``compile_gradients``
+    by name, or calls either through an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name in GENERATORS for alias in node.names):
+                return True
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in GENERATORS:
+                return True
+    return False
+
+
+def test_only_jets_calls_the_kernel_generator():
+    # Generated kernels have one store, ``_jets._SWEEPS``.
+    assert {name for name, tree in _modules() if _generator_users(tree)} == {"_jets"}
+    for source in ("from ._kernel import compile_sweep as build\n",
+                   "from . import _kernel\n_kernel.compile_gradients([], [], ())\n"):
+        assert _generator_users(ast.parse(source))
 
 
 def test_loading_a_system_imports_no_kernel_generator():
