@@ -1,34 +1,31 @@
-"""Batched first/second-derivative tables for the dynamics equations.
+"""Generated derivative kernels for the dynamics equations.
 
 One hyper-dual sweep returns the value, full gradient and full Hessian of an
-expression with respect to a chosen variable ordering.  Two tables cover
-everything the equations of motion need:
+expression with respect to a chosen variable ordering.  A system has five
+kinds of sweep (:func:`vaknh._kernel.compile_sweep`), named here with the
+function that runs each at one state:
 
-* the *restricted* table differentiates the constraint expressions and the
-  Lagrangian restricted to the constraint submanifold (dependent velocities
-  substituted), with respect to (positions, base velocities);
-* the *ambient* table differentiates the full Lagrangian with respect to
-  (positions, all velocities) at completed velocities.
+* ``restricted`` (``restricted_table``): psi and the Lagrangian restricted
+  to the constraint submanifold, in (positions, base velocities);
+* ``ambient`` (``ambient_table``): the full Lagrangian in (positions, all
+  velocities) at completed velocities;
+* ``field`` (``field_sweep``): the restricted sweep continued through the
+  multiplier shift of the reduced equations (:mod:`vaknh.vakonomic`);
+* ``lift`` (``ambient_velocity_gradient``): the Legendre lift, the
+  completion, then the velocity gradient of L and L's value there;
+* ``completion`` (``completion``): psi on plain floats, for
+  :func:`vaknh.system.complete_velocities` and ``completed_env``.
 
-``restricted_table``, ``ambient_table`` and ``ambient_velocity_gradient``
-run straight-line kernels that :mod:`vaknh._kernel` generates from the
-system's expression trees on the first sweep.  One store, ``_SWEEPS``,
-keeps the last ``_SWEEPS_KEPT`` generated sweeps of the process, for equal
-systems loaded again and for equal candidate functions
-(``gradient_kernel``, their values and gradients).  ``field_sweep`` runs
-the ``field`` kernel, the restricted sweep continued through the multiplier
-shift of the reduced equations (:mod:`vaknh.vakonomic`), on a flat argument
-list.  ``completion``, the kernel of psi on plain floats, completes the
-velocities of :func:`vaknh.system.complete_velocities` and
-:func:`vaknh.system.completed_env`.  The ``lift`` kernel is the Legendre
-lift, which ``ambient_velocity_gradient`` runs at one state: the same
-completion, then the velocity gradient of L at the completed velocities,
-then L's value there on plain floats, in one run.  Each kernel gives the
-bits of the interpreter it is generated from, :func:`vaknh.expr.evaluate`
-over :class:`~vaknh.autodiff.HyperDual` numbers or plain floats, in every
-value, every gradient entry and, while the intermediate values are finite,
-every Hessian entry of the upper triangle, up to the sign of a zero outside
-the structural pattern.  At one state a sweep runs ``Sweep.run``: where the
+:mod:`vaknh._kernel` generates the straight-line kernels from the system's
+expression trees on the first sweep.  One store, ``_SWEEPS``, keeps the
+last ``_SWEEPS_KEPT`` generated sweeps of the process, for equal systems
+loaded again and for equal candidate functions (``gradient_kernel``, their
+values and gradients).  Each kernel gives the bits of the interpreter it
+is generated from, :func:`vaknh.expr.evaluate` over
+:class:`~vaknh.autodiff.HyperDual` numbers or plain floats, in every value,
+every gradient entry and, while the intermediate values are finite, every
+Hessian entry of the upper triangle, up to the sign of a zero outside the
+structural pattern.  At one state a sweep runs ``Sweep.run``: where the
 kernel fails, ``Sweep.explain`` raises the interpreter's documented error.
 A sweep called with the wrong number of entries raises the kernel's
 ``TypeError``.

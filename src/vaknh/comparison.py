@@ -23,15 +23,17 @@ states (``_Lanes``) that runs the array form of the generated kernels
 kernel marks; a field is the integrator's ``field`` kernel read by
 ``vakonomic._stage_lanes``.  The Legendre lift (one run of the ``lift``
 kernel) and the vakonomic field are evaluated once per stack, and every
-phase that needs them reads them.
+phase that needs them reads them.  A lane that fails holds a code into the
+stack's list of distinct errors, each the exception the per-state
+functions raise at its state.
 ``scan`` runs the phases over batches of ``BATCH`` sampled states.
 ``compare_state`` (the ``compare`` command) and the functions above run
 them on a stack of one state, so they agree with ``scan`` by construction.
 
-The report of ``scan`` is columnar: it keeps each batch's stacked results
-(``_Batch``), one row per sample, with a code that gives the row's record
-shape (evaluated, or skipped with its text and with or without p).  The
-summary is computed from the columns.  ``ComparisonReport.records`` are
+The report of ``scan`` is columnar: it keeps the stacked results of all
+its samples in one block (``_Batch``), one row per sample, with a code that
+gives the row's record shape (evaluated, or skipped with its text and with
+or without p).  The summary is computed from the columns.  ``ComparisonReport.records`` are
 built from them on first access; from then on they are what the report
 holds.  ``_JsonWriter`` writes the JSON text of a report that still holds
 its columns: the numbers of every record, index first, and the text after
@@ -192,31 +194,26 @@ def _record_dict(index, q, v, p, g, delta_y, tangency, skipped) -> dict:
 class ComparisonReport:
     """A scan report: the system's name, the summary and the records.
 
-    ``scan`` keeps each batch's stacked columns (``_Batch``), and the
-    records are built from them on the first read of ``records``.  From then
-    on, and for a report constructed with its records, the records are what
-    the report holds and writes."""
+    ``scan`` keeps the stacked columns of all its samples (``_Batch``), and
+    the records are built from them on the first read of ``records``.  From
+    then on, and for a report constructed with its records, the records are
+    what the report holds and writes."""
 
     def __init__(self, system: str, records: list | None, summary: dict):
         self.system, self.summary = system, summary
-        self._records, self._batches = records, ()
+        self._records, self._batch = records, None
 
     @classmethod
-    def _of_batches(cls, system, batches, summary) -> ComparisonReport:
+    def _of_batch(cls, system, batch, summary) -> ComparisonReport:
         report = cls(system, None, summary)
-        report._batches = batches
+        report._batch = batch
         return report
 
     @property
     def records(self) -> list:
         if self._records is None:
-            self._records = [r for batch in self._batches for r in batch.records()]
-            self._batches = ()
+            self._records, self._batch = self._batch.records(), None
         return self._records
-
-    @records.setter
-    def records(self, records):
-        self._records, self._batches = records, ()
 
     def __eq__(self, other):
         if type(other) is not ComparisonReport:
@@ -240,7 +237,7 @@ class ComparisonReport:
         """The report as strict JSON; a NaN or an infinity raises ValueError.
 
         The text is ``json.dumps(self.to_json_dict(), indent=indent,
-        allow_nan=False)``.  While the report holds its batch columns, it is
+        allow_nan=False)``.  While the report holds its columns, it is
         written from them (``_JsonWriter``), byte for byte the same; a
         non-finite number, or a summary value of a kind the writer does not
         know, is left to ``json.dumps``, which raises its own error or
@@ -255,23 +252,22 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class _Batch:
-    """The records of one batch of ``scan``, as columns.
+    """The records of ``scan``, as one block of columns.
 
-    Row i is the record of sample ``first + i``.  ``code[i]`` picks the
-    row's record shape from ``shapes``: (len q, len v, len p, len g or None,
-    len deltaY or None, tangency names, skip text).  Shape 0 is that of an
-    evaluated record; the others are skipped.  ``columns[i]`` holds the
-    record's numbers after its index, in the order they are written (q, v,
-    p, g, deltaY, tangency values); a shape with fewer numbers reads the
-    leading ones."""
+    Row i is the record of sample i.  ``code[i]`` picks the row's record
+    shape from ``shapes``: (len q, len v, len p, len g or None, len deltaY
+    or None, tangency names, skip text).  Shape 0 is that of an evaluated
+    record; the others are skipped.  ``columns[i]`` holds the record's
+    numbers after its index, in the order they are written (q, v, p, g,
+    deltaY, tangency values); a shape with fewer numbers reads the leading
+    ones."""
 
-    first: int
     columns: np.ndarray
     code: np.ndarray
     shapes: tuple
 
     def records(self) -> list:
-        """The batch's records, read off its rows by their shapes."""
+        """The records, read off the rows by their shapes."""
         rows, codes, out = self.columns.tolist(), self.code.tolist(), []
         for i, (row, code) in enumerate(zip(rows, codes)):
             *lengths, names, skipped = self.shapes[code]
@@ -280,8 +276,7 @@ class _Batch:
                 parts.append(None if k is None else row[at:at + k])
                 at += k or 0
             q, v, p, g, dy, values = parts
-            out.append(ComparisonRecord(self.first + i, q, v, p, g, dy, dict(zip(names, values)),
-                                        skipped))
+            out.append(ComparisonRecord(i, q, v, p, g, dy, dict(zip(names, values)), skipped))
         return out
 
 
@@ -299,9 +294,9 @@ class _JsonWriter:
     ints, strings, None and str-keyed dicts and lists of them; a value at
     ``level`` is nested in that many containers.
 
-    The records of a report are written in one pass from its batch columns:
-    the numbers of every record, index first, and the text after each
-    number, from one template per record shape."""
+    The records of a report are written in one pass from its columns: the
+    numbers of every record, index first, and the text after each number,
+    from one template per record shape."""
 
     def __init__(self, indent):
         if indent is not None and not isinstance(indent, str):
@@ -315,16 +310,12 @@ class _JsonWriter:
     def report(self, report: ComparisonReport) -> str:
         """The report in one join: the numbers of every record in one
         ``repr`` sweep, between the text around them."""
-        parts = [self.batch(batch) for batch in report._batches]
+        literals, numbers = self.records(report._batch)
         # The text before and after the records list; no written string
         # holds the mark.
         before, after = self.join("{", [f'"system": {self.value(report.system, 1)}',
                                         f'"summary": {self.value(dict(report.summary), 1)}',
                                         f'"records": {_MARK}'], "}", 0).split(_MARK)
-        literals, numbers = [], []
-        for text, values in parts:
-            literals += text
-            numbers += values
         if not numbers:
             return before + "[]" + after
         literals[-1] = literals[-1].removesuffix(self.sep + self.head) + self.close + after
@@ -345,11 +336,11 @@ class _JsonWriter:
             template = self.templates[shape] = [*after[:-1], after[-1] + self.sep + self.head]
         return template
 
-    def batch(self, batch: _Batch):
-        """The text and numbers of a batch's records.  The numbers of each
-        shape are laid out by slicing, the index as an int; where a batch
-        holds several shapes, each shape's records are scattered to their
-        places."""
+    def records(self, batch: _Batch):
+        """The text and numbers of the records of ``batch``.  The numbers of
+        each shape are laid out by slicing, the index as an int; where the
+        records have several shapes, each shape's records are scattered to
+        their places."""
         groups, widths = [], np.zeros(len(batch.shapes), dtype=np.intp)
         for code, shape in enumerate(batch.shapes):
             rows = np.flatnonzero(batch.code == code)
@@ -360,7 +351,7 @@ class _JsonWriter:
                 if not np.isfinite(values[:, 1:]).all():
                     raise _Unwritable
                 numbers = values.ravel().tolist()
-                numbers[::len(template)] = (rows + batch.first).tolist()
+                numbers[::len(template)] = rows.tolist()
                 groups.append((rows, template * len(rows), numbers))
                 widths[code] = len(template)
         if len(groups) == 1:
@@ -446,26 +437,28 @@ class _Lanes:
     """The comparison phases over stacked states (q, v, p), one per row
     (lane); in legendre mode ``p`` is None and becomes the Legendre lift.
 
-    A lane keeps the first error of the phases run on it in ``events``: an
-    :class:`EvalError`, or (what, det) for a singular matrix; its results
-    are not defined then.  Each phase runs its kernels through ``run``:
-    where a kernel marks a lane, the sweep of that kernel explains it
-    (``Sweep.explain``): it runs its own evaluation at that one state,
-    through the interpreter, only for the error it raises.
+    A lane's ``code`` is 0, or 1 + the index in ``errors`` of the first
+    error of the phases run on it, the exception the per-state functions
+    raise at its state; its results are not defined then.  Each phase runs
+    its kernels through ``run``: where a kernel marks a lane, the sweep of
+    that kernel explains it (``Sweep.explain``): it runs its own evaluation
+    at that one state, through the interpreter, only for the error it
+    raises.
     """
 
     def __init__(self, sys, q, v, p):
         self.sys, self.q, self.v, self.p = sys, q, v, p
-        self.events = [None] * len(q)
-        self.done = np.zeros(len(q), dtype=bool)   # lanes with an error
+        self.code = np.zeros(len(q), dtype=np.intp)
+        self.errors = []
         if p is None:
             self.p = self.lift
 
-    def mark(self, bad, event):
-        """Give each lane in ``bad`` without an error yet ``event(lane)``."""
-        for i in np.flatnonzero(bad & ~self.done).tolist():
-            self.events[i] = event(i)
-        self.done |= bad
+    def mark(self, fresh, errors, which):
+        """Give the lanes in the mask ``fresh``, which have no error yet, the
+        errors ``errors[which]``: ``which`` holds an index per lane, in
+        order, or one for all of them."""
+        self.code[fresh] = len(self.errors) + 1 + which
+        self.errors += errors
 
     def run(self, sweep, *blocks):
         """The (N, outputs) results of ``sweep`` over the stacked arguments
@@ -473,14 +466,14 @@ class _Lanes:
         the error that ``sweep`` explains at that lane's state, its row of
         ``blocks``."""
         out, bad = run_lanes(sweep, *blocks)
-
-        def error(i):
+        fresh = bad & (self.code == 0)
+        errors = []
+        for i in np.flatnonzero(fresh).tolist():
             try:
                 sweep.explain(*chain.from_iterable(block[i].tolist() for block in blocks))
             except EvalError as exc:
-                return exc
-
-        self.mark(bad, error)
+                errors.append(exc)
+        self.mark(fresh, errors, np.arange(len(errors)))
         return out
 
     @cached_property
@@ -509,12 +502,20 @@ class _Lanes:
         return _contract_g(self.v, self.p - self.lift, r)
 
     def field(self, mult, what):
-        """dq, dv and dp of the field with multipliers ``mult``, matrix ``what``."""
+        """dq, dv and dp of the field with multipliers ``mult``, matrix
+        ``what``; a singular matrix gives one error per distinct det bit
+        pattern (0.0 and -0.0 are written apart), at its first lane."""
         sys, q, v = self.sys, self.q, self.v
         buf = self.run(_kernel(sys, "field"), q, v, mult)
-        dy, det, singular = _stage_lanes(sys, buf, self.done)
-        dets = det.tolist()
-        self.mark(singular, lambda i: (what, dets[i]))
+        dy, det, singular = _stage_lanes(sys, buf, self.code != 0)
+        fresh = singular & (self.code == 0)
+        _, first, which = np.unique(det[fresh].view(np.int64), return_index=True,
+                                    return_inverse=True)
+        lanes = np.flatnonzero(fresh)[first].tolist()
+        states = ([VakState(q[i], v[i], mult[i]) for i in lanes] if what == "vakonomic matrix"
+                  else [NhState(q[i], v[i]) for i in lanes])
+        self.mark(fresh, [SingularMatrixError(_singular_message(sys, what, d), d, state)
+                          for d, state in zip(det[lanes].tolist(), states)], which)
         return np.split(dy, [sys.n, 2 * sys.n - sys.m], axis=1)
 
     @cached_property
@@ -538,7 +539,7 @@ class _Lanes:
         names = sys.state_names
         error = _non_state(names, candidates)
         if error is not None:
-            self.mark(np.ones(len(q), dtype=bool), lambda i: error)
+            self.mark(self.code == 0, [error], 0)
             return {}
         dq, dv, dp = self.vak
         flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))
@@ -570,13 +571,8 @@ def _one(sys, s, run):
     with np.errstate(all="ignore"):
         lanes = _Lanes(sys, *(np.asarray(x, dtype=float)[None] for x in (s.q, s.v, s.p_dep)))
         out = run(lanes)
-    event = lanes.events[0]
-    if isinstance(event, tuple):
-        what, det = event
-        event = SingularMatrixError(_singular_message(sys, what, det), det,
-                                    s if what == "vakonomic matrix" else NhState(s.q, s.v))
-    if event is not None:
-        raise event
+    if lanes.code[0]:
+        raise lanes.errors[lanes.code[0] - 1]
     return out
 
 
@@ -590,34 +586,25 @@ def _contract_g(v, delta, r):
     return g
 
 
-def _scan_lanes(sys, first, q, v, p, candidates) -> _Batch:
-    """The records of the stacked samples (q, v, p), numbered from
-    ``first``, as columns; ``p`` is None in legendre mode.  A record with an
-    error is skipped with its text, and without p when the Legendre lift
-    failed; each distinct error is put into words once."""
+def _scan_lanes(sys, q, v, p, candidates, shapes):
+    """The records of the stacked samples (q, v, p) as columns and codes
+    into the record shapes ``shapes`` (shape -> code), which it extends;
+    ``p`` is None in legendre mode.  A record with an error is skipped with
+    its text, and without p when the Legendre lift failed; each distinct
+    error is put into words once."""
     lanes = _Lanes(sys, q, v, p)
-    unlifted = lanes.done.copy()
+    lifted = len(lanes.errors)   # the errors of the Legendre lift come first
     g, dv, nh_dv, tangency = lanes.record(candidates)
     columns = np.column_stack([q, v, lanes.p, *(() if g is None else (g,)), dv - nh_dv,
                                *tangency.values()])
     n, nb, m = sys.n, sys.n - sys.m, sys.m
-    shapes = {(n, nb, m, None if g is None else nb, nb, tuple(tangency), None): 0}
-    skipped = np.flatnonzero(lanes.done)
-    events = list(map(lanes.events.__getitem__, skipped.tolist()))
-    # A lane's error, and whether p is written.  A text is put into words
-    # once per distinct key; a singular matrix's text holds its det, with
-    # the sign of a zero.
-    copysign = math.copysign
-    keys = [(e, u) if type(e) is not tuple else (e, u, copysign(1.0, e[1]))
-            for e, u in zip(events, unlifted[skipped].tolist())]
-    codes = {}
-    for key, event in dict(zip(keys, events)).items():
-        text = str(event) if isinstance(event, EvalError) else _singular_message(sys, *event)
-        codes[key] = shapes.setdefault((n, nb, 0 if key[1] else m, None, None, (), text),
-                                       len(shapes))
-    code = np.zeros(len(q), dtype=np.intp)
-    code[skipped] = list(map(codes.__getitem__, keys))
-    return _Batch(first, columns, code, tuple(shapes))
+    # The shape of an evaluated record is the first the first batch adds.
+    codes = [shapes.setdefault((n, nb, m, None if g is None else nb, nb, tuple(tangency), None),
+                               len(shapes))]
+    for j, error in enumerate(lanes.errors):
+        codes.append(shapes.setdefault((n, nb, 0 if j < lifted else m, None, None, (),
+                                        str(error)), len(shapes)))
+    return columns, np.array(codes)[lanes.code]
 
 
 def _fraction(values, tol):
@@ -661,8 +648,9 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
     computed over the successfully evaluated records only.
 
     The samples are evaluated in batches of ``BATCH``, each phase once over
-    the stacked samples of a batch (``_scan_lanes``).  A record's skip
-    reason is the error the per-state functions raise at its state.
+    the stacked samples of a batch (``_scan_lanes``), into one block of
+    columns.  A record's skip reason is the error the per-state functions
+    raise at its state.
     """
     if sampler.count < 1:
         raise ValueError(f"sample count must be at least 1, got {sampler.count}")
@@ -676,13 +664,14 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
         raise ValueError("random p mode needs one bounds pair per dependent coordinate")
 
     q, v, p = _draw(sys, sampler)
-    batches = []
+    shapes, parts = {}, []
     with np.errstate(all="ignore"):
         for first in range(0, sampler.count, BATCH):
             part = slice(first, first + BATCH)
-            batches.append(_scan_lanes(sys, first, q[part], v[part],
-                                       None if p is None else p[part], candidates))
-    evaluated = np.concatenate([batch.columns[batch.code == 0] for batch in batches])
+            parts.append(_scan_lanes(sys, q[part], v[part], None if p is None else p[part],
+                                     candidates, shapes))
+    columns, code = (np.concatenate(block) for block in zip(*parts))
+    evaluated = columns[code == 0]
     at = sys.n + nb + sys.m + (nb if sys.linear else 0)   # the first column of deltaY
     summary = {
         "samples": sampler.count,
@@ -694,4 +683,4 @@ def scan(sys: SystemDef, sampler: Sampler, candidates=None, tol: float = 1e-10) 
         "fraction_g_below_tol": _fraction(evaluated[:, at - nb:at], tol) if sys.linear else None,
         "fraction_deltay_below_tol": _fraction(evaluated[:, at:at + nb], tol),
     }
-    return ComparisonReport._of_batches(sys.name, batches, summary)
+    return ComparisonReport._of_batch(sys.name, _Batch(columns, code, tuple(shapes)), summary)

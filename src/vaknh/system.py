@@ -248,6 +248,12 @@ def load_system(source: str) -> SystemDef:
             raise SystemFormatError(f"dependent coordinate {c!r} not among coords")
     if len(set(dependent)) != len(dependent):
         raise SystemFormatError("duplicate dependent coordinates")
+    # The names the state and the Lagrangian derive from the coordinates.
+    derived = {**{f"p_{d}": f"multiplier of {d!r}" for d in dependent},
+               **{f"d{c}": f"velocity of {c!r}" for c in coords}}
+    for c in coords:
+        if c in derived:
+            raise SystemFormatError(f"coordinate {c!r} is also the {derived[c]}")
     m, n = len(dependent), len(coords)
     if not 1 <= m < n:
         raise SystemFormatError(f"need 1 <= m < n, got m={m}, n={n}")

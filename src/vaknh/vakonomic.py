@@ -159,19 +159,13 @@ def _certainly_regular(c00, c01, c10, c11, largest, threshold):
     return 1e-100 < largest < 1e100 and abs(c00 * c11 - c01 * c10) > 4.0 * threshold
 
 
-def _solve(c, r):
-    """``np.linalg.solve(c, r)`` for a square matrix and a vector, bit for
-    bit: ``_solve_ignoring`` with floating-point errors ignored, as
-    ``np.linalg.solve`` ignores them."""
-    with np.errstate(all="ignore"):
-        return _solve_ignoring(c, r)
-
-
 def _solve_ignoring(c, r):
-    """``_solve`` for a caller that already ignores floating-point errors:
-    the LAPACK gufunc that ``np.linalg.solve`` calls, called directly.
-    Where the result is not all finite, ``np.linalg.solve`` runs itself, so
-    that a matrix LAPACK finds singular raises its ``LinAlgError``."""
+    """``np.linalg.solve(c, r)`` for a square matrix and a vector, bit for
+    bit, for a caller that ignores floating-point errors, as
+    ``np.linalg.solve`` ignores them: the LAPACK gufunc that
+    ``np.linalg.solve`` calls, called directly.  Where the result is not
+    all finite, ``np.linalg.solve`` runs itself, so that a matrix LAPACK
+    finds singular raises its ``LinAlgError``."""
     x = _umath_linalg.solve1(c, r, signature="dd->d")
     if not all(map(math.isfinite, x.tolist())):
         x = np.linalg.solve(c, r)

@@ -248,18 +248,20 @@ def test_scan_in_batches_equals_per_state_loop(monkeypatch):
     sampler = _sampler("von_neumann2", 200, 5, box=box)
     expected = oracles.scan(sysdef, sampler)
     batch = comparison._scan_lanes
-    sizes = []
+    qs = []
 
-    def counted(sysdef, first, q, *rest):
-        sizes.append((first, len(q)))
-        return batch(sysdef, first, q, *rest)
+    def counted(sysdef, q, *rest):
+        qs.append(q)
+        return batch(sysdef, q, *rest)
 
     monkeypatch.setattr(comparison, "BATCH", 16)
     monkeypatch.setattr(comparison, "_scan_lanes", counted)
     per_state = _count_per_state(monkeypatch)
     report = scan(sysdef, sampler)
     assert report.to_json() == expected.to_json()
-    assert sizes == [(first, 16) for first in range(0, 192, 16)] + [(192, 8)]
+    # The batches are the drawn samples, in order, 16 at a time.
+    assert [len(q) for q in qs] == [16] * 12 + [8]
+    assert np.concatenate(qs).tobytes() == comparison._draw(sysdef, sampler)[0].tobytes()
     assert per_state == [r.q for r in report.records if "sqrt" in (r.skipped or "")]
 
 
@@ -439,39 +441,36 @@ def _width(shape) -> int:
 
 
 @st.composite
-def _batches(draw, first):
-    """A batch of ``scan`` as columns: an evaluated record shape and skipped
-    ones, with or without p, whose rows are interleaved."""
+def _batches(draw):
+    """The records of ``scan`` as columns: an evaluated record shape and
+    skipped ones, with or without p, whose rows are interleaved."""
     q, v, p = draw(_lengths), draw(_lengths), draw(_lengths)
     g, dy = draw(st.one_of(st.none(), _lengths)), draw(st.one_of(st.none(), _lengths))
     names = tuple(draw(st.lists(_texts, max_size=3, unique=True)))
     shapes = ((q, v, p, g, dy, names, None),
               *((q, v, draw(st.sampled_from([0, p])), None, None, (), text)
                 for text in draw(st.lists(_texts, max_size=3, unique=True))))
-    code = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=6))
+    code = draw(st.lists(st.integers(0, len(shapes) - 1), max_size=12))
     width = _width(shapes[0])
     rows = draw(st.lists(st.lists(_floats, min_size=width, max_size=width),
                          min_size=len(code), max_size=len(code)))
-    return comparison._Batch(first, np.array(rows, dtype=float).reshape(len(code), width),
+    return comparison._Batch(np.array(rows, dtype=float).reshape(len(code), width),
                              np.array(code, dtype=np.intp), shapes)
 
 
 @st.composite
 def _column_reports(draw):
-    """The parts of a report that holds its batch columns (``_column_report``):
-    the system's name, the batches and the summary."""
-    batches, first = [], 0
-    for _ in range(draw(st.integers(0, 3))):
-        batches.append(draw(_batches(first)))
-        first += len(batches[-1].code)
-    summary = {"samples": first, "tol": draw(_numbers), "p_mode": draw(_texts),
+    """The parts of a report that holds its columns (``_column_report``):
+    the system's name, the columns and the summary."""
+    batch = draw(_batches())
+    summary = {"samples": len(batch.code), "tol": draw(_numbers), "p_mode": draw(_texts),
                "fraction_g_below_tol": None}
-    return draw(_texts), tuple(batches), summary
+    return draw(_texts), batch, summary
 
 
 def _column_report(parts) -> ComparisonReport:
-    system, batches, summary = parts
-    return ComparisonReport._of_batches(system, batches, dict(summary))
+    system, batch, summary = parts
+    return ComparisonReport._of_batch(system, batch, dict(summary))
 
 
 def _fast_path_only():
@@ -497,14 +496,14 @@ def test_to_json_equals_json_dumps_on_any_record_shapes(parts):
 @given(_column_reports(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
 def test_to_json_raises_json_dumps_error_at_any_position(parts, bad, data):
     # The numbers a row's shape reads; the columns past them are not written.
-    slots = [(batch.columns, i, j) for batch in parts[1]
-             for i, code in enumerate(batch.code.tolist())
+    batch = parts[1]
+    slots = [(i, j) for i, code in enumerate(batch.code.tolist())
              for j in range(_width(batch.shapes[code]))]
     if not slots:
         parts[2]["tol"] = bad
     else:
-        columns, i, j = data.draw(st.sampled_from(slots))
-        columns[i, j] = bad
+        i, j = data.draw(st.sampled_from(slots))
+        batch.columns[i, j] = bad
     for indent in INDENTS:
         with pytest.raises(ValueError) as expected:
             json.dumps(_column_report(parts).to_json_dict(), indent=indent, allow_nan=False)
@@ -537,6 +536,24 @@ def test_to_json_leaves_other_kinds_to_json_dumps(attr, value):
             text = report.to_json(indent)
         assert dumps.call_count == 1
         assert text == json.dumps(report.to_json_dict(), indent=indent, allow_nan=False)
+
+
+def test_a_report_of_columns_equals_one_of_the_same_records():
+    report, built = _scanned(), _scanned()
+    built = ComparisonReport(built.system, built.records, dict(built.summary))
+    text = report.to_json(2)
+    assert report._records is None   # it still holds its columns
+    assert report == built and not report != built
+    assert repr(report) == repr(built)
+    assert repr(report).startswith(
+        "ComparisonReport(system='martinet', records=[ComparisonRecord(index=0, q=[")
+    assert report.__eq__(report.to_json_dict()) is NotImplemented
+    assert report != report.to_json_dict()
+    # The comparison read the records: the report is written from them.
+    assert report.to_json(2) == text == json.dumps(report.to_json_dict(), indent=2,
+                                                   allow_nan=False)
+    built.records[0].q[0] += 1.0
+    assert report != built
 
 
 def test_to_json_with_the_template_mark_in_the_indent():
@@ -610,29 +627,37 @@ def test_records_read_from_a_scan_are_what_it_writes():
 
 
 def test_skip_texts_keep_the_sign_of_a_zero_det(monkeypatch):
-    # A skip text is put into words once per distinct error; det 0.0 and
-    # -0.0 are equal as floats but written differently.
+    # A singular matrix gives one error per distinct det, put into words
+    # once; det 0.0 and -0.0 are equal as floats but written differently.
+    # A lane keeps its first error.
     sysdef = get_model("martinet")
-    q, v, p = comparison._draw(sysdef, _sampler("martinet", 5, 1))
-    what = "vakonomic matrix"
     error = EvalError("math domain error in 'log(x)'")
+    stage_lanes, seen = comparison._stage_lanes, []
 
-    class Lanes:
-        def __init__(self, sys, q, v, p):
-            self.p, self.done = p, np.zeros(len(q), dtype=bool)
+    def zero_dets(sys, buf, skip):
+        dy, det, singular = stage_lanes(sys, buf, skip)
+        det, singular = det.copy(), singular.copy()
+        det[[0, 2, 3, 4]], singular[[0, 2, 3, 4]] = [0.0, -0.0, 0.0, 0.0], True
+        return dy, det, singular
 
+    class Lanes(comparison._Lanes):
         def record(self, candidates):
-            self.events = [(what, 0.0), None, (what, -0.0), error, (what, 0.0)]
-            self.done = np.array([e is not None for e in self.events])
-            zeros = np.zeros((len(q), 2))
-            return zeros, zeros, zeros, {}
+            seen.append(self)
+            self.mark(np.arange(5) == 3, [error], 0)
+            return super().record(candidates)
 
+    monkeypatch.setattr(comparison, "_stage_lanes", zero_dets)
     monkeypatch.setattr(comparison, "_Lanes", Lanes)
-    batch = comparison._scan_lanes(sysdef, 7, q, v, p, {})
+    report = scan(sysdef, _sampler("martinet", 5, 1))
     message = "vakonomic matrix is singular for system 'martinet' (det={})"
-    assert [r.skipped for r in batch.records()] == [
+    assert [r.skipped for r in report.records] == [
         message.format("0.0"), None, message.format("-0.0"), str(error), message.format("0.0")]
-    assert [r.index for r in batch.records()] == list(range(7, 12))
+    assert [r.index for r in report.records] == list(range(5))
+    (lanes,) = seen
+    zero, evaluated, minus_zero, first, again = lanes.code.tolist()
+    assert (evaluated, first, again) == (0, 1, zero) and len(lanes.errors) == 3
+    assert lanes.errors[0] is error
+    assert [repr(lanes.errors[c - 1].det) for c in (zero, minus_zero)] == ["0.0", "-0.0"]
 
 
 _rows = st.lists(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 1e-10])),

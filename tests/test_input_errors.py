@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from vaknh.cli import run
-from vaknh.comparison import Sampler, compare_state, scan
-from vaknh.errors import IntegrationError
-from vaknh.integrate import integrate
+from vaknh.comparison import Sampler, compare_state, curvature, scan
+from vaknh.errors import ExprSyntaxError, IntegrationError, SystemFormatError, VaknhError
+from vaknh.expr import parse
+from vaknh.integrate import integrate, trajectory_from_csv
+from vaknh.maps import CovectorPoint, lambda_to_mu, legendre_shift, vg_residual
 from vaknh.nonholonomic import nh_rhs
-from vaknh.system import NhState, VakState
-from vaknh.vakonomic import cbar, hamiltonian, vak_rhs, w1_momenta
+from vaknh.system import NhState, VakState, load_system
+from vaknh.vakonomic import cbar, compatibility_matrix, hamiltonian, vak_rhs, w1_momenta
 
 from conftest import get_model
 
@@ -269,3 +271,98 @@ def test_non_finite_states_are_rejected(function, state, message):
     # each of these returns nan.
     with pytest.raises(ValueError, match=f"^state component {message} is not finite$"):
         function(get_model("martinet"), state)
+
+
+PARTICLE = """\
+name particle
+coords x y z
+dependent z
+linear true
+lagrangian 0.5*(dx^2 + dy^2 + dz^2)
+psi z = y*dx
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("linear true", "linear true\nmass 1", "line 5: unknown key 'mass'"),
+    ("linear true\n", "", "missing 'linear' line"),
+    ("linear true", "linear yes", "line 4: linear must be true or false"),
+    ("psi z = y*dx", "psi z y*dx", "line 6: psi line needs '<coord> = <expression>'"),
+    ("coords x y z", "coords x 2y z", "bad coordinate name '2y'"),
+    ("coords x y z", "coords x y z x", "duplicate coordinate names"),
+    ("dependent z", "dependent w", "dependent coordinate 'w' not among coords"),
+    ("dependent z", "dependent z z", "duplicate dependent coordinates"),
+    ("coords x y z", "coords x dx z", "coordinate 'dx' is also the velocity of 'x'"),
+    ("coords x y z", "coords x p_z z", "coordinate 'p_z' is also the multiplier of 'z'"),
+], ids=["unknown-key", "missing-line", "linear-value", "psi-without-equals", "bad-name",
+        "duplicate-coords", "dependent-not-a-coord", "duplicate-dependent",
+        "coord-named-as-velocity", "coord-named-as-multiplier"])
+def test_system_file_errors_exit_1(old, new, message, tmp_path, capsys):
+    text = PARTICLE.replace(old, new)
+    with pytest.raises(SystemFormatError) as info:
+        load_system(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.sys"
+    path.write_text(text, encoding="utf-8")
+    for command in ("check", "scan"):
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "martinet", "--dynamics", "vak", "--v=1,0", "--p=1", "--t-end", "1"],
+     "--q is required here"),
+    (["compare", "martinet", "--q=0,a,0", "--v=1,0", "--p=1"],
+     "--q must be comma-separated numbers"),
+], ids=["missing-q", "q-not-numbers"])
+def test_state_vector_errors_exit_1(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("source, message", [
+    ("x + \u00b2", "malformed number '\u00b2' (line 1, column 5, offset 4)"),
+    ("x $ y", "unexpected character '$' (line 1, column 3, offset 2)"),
+], ids=["superscript-digit", "dollar"])
+def test_expression_syntax_errors_exit_1(source, message, tmp_path, capsys):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(source)
+    assert str(info.value) == message
+    path = tmp_path / "bad.cand"
+    path.write_text(f"G = {source}\n", encoding="utf-8")
+    assert run(["compare", "martinet", "--q=0,1,0", "--v=1,0", "--p=1",
+                "--candidates", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+_BOX = ((-1.0, 1.0),)
+_AT = NhState([0, 1, 0], [1, 0])
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda m: scan(m, Sampler(2, 0, _BOX * 2, _BOX * 2, _BOX)),
+     ValueError, "sampler bounds do not match the system dimensions"),
+    (lambda m: scan(m, Sampler(2, 0, _BOX * 3, _BOX * 2, ())),
+     ValueError, "random p mode needs one bounds pair per dependent coordinate"),
+    (lambda m: curvature(m, [0.0, 1.0]), ValueError, "expected 3 positions, got 2"),
+    (lambda m: compatibility_matrix(m, [0.0] * 4), ValueError, "expected 3 positions, got 4"),
+    (lambda m: legendre_shift(m, CovectorPoint([0, 1, 0], [1, 2], [1, 0]), "forward"),
+     ValueError, "covector has 2 components, expected 3"),
+    (lambda m: lambda_to_mu(m, _AT, [1.0, 2.0]), ValueError, "expected 1 multipliers, got 2"),
+    (lambda m: vg_residual(m, [1.0, 2.0], _AT),
+     ValueError, "expected 3 covector components, got 2"),
+    (lambda m: trajectory_from_csv(m, "t,a,b\n0,1,2\n"),
+     VaknhError, "CSV header does not match system 'martinet'"),
+], ids=["scan-q-v-bounds", "scan-p-bounds", "curvature", "compatibility_matrix",
+        "legendre_shift", "lambda_to_mu", "vg_residual", "trajectory_from_csv"])
+def test_wrong_sizes_are_rejected(call, kind, message):
+    with pytest.raises(kind) as info:
+        call(get_model("martinet"))
+    assert type(info.value) is kind
+    assert str(info.value) == message

@@ -55,6 +55,22 @@ def test_unknown_variable_in_lagrangian():
         load_system(bad)
 
 
+@pytest.mark.parametrize("coords, message", [
+    ("x dx z", "coordinate 'dx' is also the velocity of 'x'"),
+    ("dz x z", "coordinate 'dz' is also the velocity of 'z'"),
+    ("x p_z z", "coordinate 'p_z' is also the multiplier of 'z'"),
+    ("p_z z x", "coordinate 'p_z' is also the multiplier of 'z'"),
+], ids=["base-velocity", "dependent-velocity", "multiplier", "multiplier-first"])
+def test_coordinate_named_as_a_derived_name(coords, message):
+    # The state and the Lagrangian name the velocity of c d<c> and the
+    # multiplier of a dependent d p_<d>; a coordinate of either name would
+    # be two variables under one name.
+    with pytest.raises(SystemFormatError) as info:
+        load_system(PARTICLE.replace("coords x y z", f"coords {coords}"))
+    assert type(info.value) is SystemFormatError
+    assert str(info.value) == message
+
+
 def test_missing_psi_line():
     bad = PARTICLE.replace("psi z = y*dx\n", "")
     with pytest.raises(SystemFormatError, match="psi"):
