@@ -1,20 +1,21 @@
 """Generated derivative kernels for the dynamics equations.
 
 One hyper-dual sweep returns the value, full gradient and full Hessian of an
-expression with respect to a chosen variable ordering.  A system has five
+expression with respect to a chosen variable ordering.  A system has four
 kinds of sweep (:func:`vaknh._kernel.compile_sweep`), named here with the
 function that runs each at one state:
 
 * ``restricted`` (``restricted_table``): psi and the Lagrangian restricted
   to the constraint submanifold, in (positions, base velocities);
-* ``ambient`` (``ambient_table``): the full Lagrangian in (positions, all
-  velocities) at completed velocities;
+* ``ambient`` (``ambient_table``): the jet of the full Lagrangian in
+  (positions, all velocities) at completed velocities;
 * ``field`` (``field_sweep``): the restricted sweep continued through the
   multiplier shift of the reduced equations (:mod:`vaknh.vakonomic`);
 * ``lift`` (``ambient_velocity_gradient``): the Legendre lift, the
-  completion, then the velocity gradient of L and L's value there;
-* ``completion`` (``completion``): psi on plain floats, for
-  :func:`vaknh.system.complete_velocities` and ``completed_env``.
+  completion, then the velocity gradient of L and L's value there.
+
+``completion`` runs the values kernel of the psi trees (``gradient_kernel``
+with nothing seeded) for :func:`vaknh.system.complete_velocities`.
 
 :mod:`vaknh._kernel` generates the straight-line kernels from the system's
 expression trees on the first sweep.  One store, ``_SWEEPS``, keeps the
@@ -86,12 +87,6 @@ class RestrictedTable:
     n: int
     m: int
 
-    def qi(self, i):
-        return i
-
-    def vi(self, a):
-        return self.n + a
-
     @property
     def k(self) -> int:
         return 2 * self.n - self.m
@@ -126,20 +121,6 @@ class RestrictedTable:
     def psi_grad(self) -> np.ndarray:
         """m x (2n-m) matrix whose rows are the gradients of the psi."""
         return self.grads[..., :self.m, :]
-
-
-@dataclass
-class AmbientTable:
-    """Jets of the full Lagrangian in (positions, all velocities)."""
-
-    lag: Jet
-    n: int
-
-    def qi(self, i):
-        return i
-
-    def vi(self, i):
-        return self.n + i
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +204,13 @@ def restricted_table(sys, q, v) -> RestrictedTable:
     return RestrictedTable(_rows(packed, sys.m + 1, k), sys.n, sys.m)
 
 
-def ambient_table(sys, q, v_full) -> AmbientTable:
-    """Differentiate the ambient Lagrangian at completed velocities, with
-    every velocity treated as an independent variable."""
+def ambient_table(sys, q, v_full) -> Jet:
+    """The jet of the ambient Lagrangian at completed velocities, with
+    every velocity treated as an independent variable, in (positions, all
+    velocities)."""
     packed = _kernel(sys, "ambient").run(*_flat(q, v_full))
     k = 2 * sys.n
-    return AmbientTable(lag=_row_jet(_rows(packed, 1, k)[0], k), n=sys.n)
+    return _row_jet(_rows(packed, 1, k)[0], k)
 
 
 def ambient_velocity_gradient(sys, q, v) -> np.ndarray:
@@ -248,5 +230,8 @@ def field_sweep(sys, args) -> np.ndarray:
 
 def completion(sys, q, v):
     """The dependent velocities psi(q, v), evaluated on plain floats bit for
-    bit as :func:`vaknh.expr.evaluate` does."""
-    return np.frombuffer(bytearray(_kernel(sys, "completion").run(*_flat(q, v))))
+    bit as :func:`vaknh.expr.evaluate` does: the values kernel of the psi
+    trees in (positions, base velocities)."""
+    sweep = gradient_kernel([sys.psi[c] for c in sys.dependent],
+                            sys.state_names[:2 * sys.n - sys.m], ())
+    return np.frombuffer(bytearray(sweep.run(*_flat(q, v))))

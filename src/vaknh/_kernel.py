@@ -515,13 +515,13 @@ def compile_sweep(sys, kind: str) -> Sweep:
     returns one jet after the other, each as its value, gradient and
     row-major Hessian in (q, base v): psi, one per dependent coordinate,
     then the restricted Lagrangian; ``ambient`` the jet of the Lagrangian
-    in (q, all v); ``completion`` the values of psi on plain floats, as
-    :func:`vaknh.expr.evaluate` computes them.  ``lift`` is the Legendre
-    lift: it completes the velocities as ``completion`` does, seeds the
-    dependent ones like the base ones, and returns the n completed
-    velocities, then the Lagrangian's gradient in the velocities there,
-    the n momenta, then the Lagrangian's value there on plain floats, as
-    :func:`vaknh.expr.evaluate` computes it.
+    in (q, all v).  ``lift`` is the Legendre lift: it completes the
+    velocities with psi on plain floats, as :func:`vaknh.expr.evaluate`
+    computes them (the values kernel of :func:`compile_gradients` with
+    nothing seeded), seeds the dependent ones like the base ones, and
+    returns the n completed velocities, then the Lagrangian's gradient in
+    the velocities there, the n momenta, then the Lagrangian's value there
+    on plain floats, as :func:`vaknh.expr.evaluate` computes it.
 
     ``field`` continues the restricted sweep with the m multipliers, which
     carry no derivative channels.  It returns the jet of the shifted
@@ -571,7 +571,7 @@ def compile_sweep(sys, kind: str) -> Sweep:
         return [b.evaluate(sys.psi[c], env) for c in sys.dependent]
 
     def lift(b, env):
-        # psi, then L, on the plain values of the velocities, as in ``completion``
+        # psi, then L, on the plain values of the velocities
         plain = {**env, **{name: env[name].value for name in base[sys.n:]}}
         for c, value in zip(sys.dependent, completion(b, plain)):
             plain[sys.velocity_of(c)] = value
@@ -583,7 +583,6 @@ def compile_sweep(sys, kind: str) -> Sweep:
         "restricted": (base, base, restricted),
         "field": (base + mult, base, field),
         "ambient": (full, full, lagrangian),
-        "completion": (base, [], completion),
         "lift": (base, full[sys.n:], lift),
     }[kind]
     return _generate(f"{kind} sweep of {sys.name}", names, seeded,

@@ -55,10 +55,9 @@ import numpy as np
 
 from . import expr as _expr
 from ._jets import RestrictedTable, _kernel, gradient_kernel, run_lanes
-from .errors import EvalError, SingularMatrixError, VaknhError
-from .system import (NhState, SystemDef, VakState, _non_state, check_state,
-                     require_linear)
-from .vakonomic import _singular_message, _stage_lanes
+from .errors import EvalError, VaknhError
+from .system import SystemDef, VakState, _non_state, check_state, require_linear
+from .vakonomic import _singular, _stage_lanes
 
 __all__ = [
     "ComparisonRecord",
@@ -512,10 +511,8 @@ class _Lanes:
         _, first, which = np.unique(det[fresh].view(np.int64), return_index=True,
                                     return_inverse=True)
         lanes = np.flatnonzero(fresh)[first].tolist()
-        states = ([VakState(q[i], v[i], mult[i]) for i in lanes] if what == "vakonomic matrix"
-                  else [NhState(q[i], v[i]) for i in lanes])
-        self.mark(fresh, [SingularMatrixError(_singular_message(sys, what, d), d, state)
-                          for d, state in zip(det[lanes].tolist(), states)], which)
+        self.mark(fresh, [_singular(sys, what, d, np.concatenate((q[i], v[i], mult[i])))
+                          for d, i in zip(det[lanes].tolist(), lanes)], which)
         return np.split(dy, [sys.n, 2 * sys.n - sys.m], axis=1)
 
     @cached_property

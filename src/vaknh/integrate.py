@@ -60,7 +60,9 @@ longer advances the time.  Step control needs a finite rtol >= 0, a finite
 atol > 0 and max_steps >= 1; other values raise ``ValueError`` before the
 first evaluation.  So does a candidate that uses a variable other than the
 names of the packed state: it raises the ``EvalError`` that ``compare``
-and ``scan`` give it.
+and ``scan`` give it.  So do CSV columns (``t``, the packed state's and
+the monitors' names) that are not distinct: a ``VaknhError`` names the
+first repeated column.
 
 Trajectories serialize to CSV with full double precision (17 significant
 digits, one ``%.17g`` format per row) and parse back bit-exactly.
@@ -279,13 +281,18 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     error = _non_state(state_names, candidates)
     if error is not None:
         raise error
+    names = _monitor_names(sys, dynamics, candidates)
+    header = ["t", *state_names, *names]   # the CSV columns
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise VaknhError(f"the trajectory CSV of {sys.name!r} would repeat the "
+                         f"column {repeated[0]!r}")
 
     if method == "rk4":
         _require_rk4_steps(t_end, dt, max_steps)
 
     f = _flat_rhs(sys, dynamics)
     y = _pack(sys, dynamics, s0)
-    names = _monitor_names(sys, dynamics, candidates)
     values = gradient_kernel([candidates[name] for name in sorted(candidates)],
                              state_names, ()) if candidates else None
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jets import ambient_table, ambient_velocity_gradient, field_sweep, restricted_table
+from ._jets import _flat, ambient_table, ambient_velocity_gradient, field_sweep, restricted_table
 from .system import NhState, SystemDef, check_state
-from .vakonomic import _args, _jet, _stage
+from .vakonomic import _stage, _views
 
 __all__ = [
     "NhDerivative",
@@ -66,8 +66,8 @@ def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
     """Reduced regularity matrix (symmetric); for linear constraints it
     coincides with the vakonomic matrix at any multiplier value."""
     check_state(sys, s)
-    buf = field_sweep(sys, _args(s, _dependent_momenta(sys, s)))
-    return _jet(sys, buf).hess[sys.n:, sys.n:]
+    buf = field_sweep(sys, _flat(s.q, s.v, _dependent_momenta(sys, s)))
+    return _views(sys, buf)[1][sys.n:, sys.n:]
 
 
 def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
@@ -75,7 +75,7 @@ def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
     Raises :class:`~vaknh.errors.SingularMatrixError` when regularity
     fails."""
     check_state(sys, s)
-    dy, _ = _stage(sys, _args(s, _dependent_momenta(sys, s)), "nonholonomic matrix")
+    dy, _ = _stage(sys, _flat(s.q, s.v, _dependent_momenta(sys, s)), "nonholonomic matrix")
     return NhDerivative(dq=dy[:sys.n], dv=dy[sys.n:2 * sys.n - sys.m])
 
 
@@ -94,7 +94,7 @@ def euler_lagrange_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> 
     ddq[sys.base_positions] = accel.dv
     ddq[sys.dependent_positions] = (
         restricted_table(sys, s.q, s.v).psi_grad @ np.concatenate([dq, accel.dv]))
-    lag = ambient_table(sys, s.q, dq).lag
+    lag = ambient_table(sys, s.q, dq)
     return dq @ lag.hess[:n, n:] + ddq @ lag.hess[n:, n:] - lag.grad[:n]
 
 

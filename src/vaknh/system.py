@@ -326,7 +326,7 @@ def state_env(sys: SystemDef, s) -> dict[str, float]:
 
 def complete_velocities(sys: SystemDef, s) -> np.ndarray:
     """Full n-velocity vector: base components from the state, dependent
-    components from psi (the ``completion`` kernel)."""
+    components from psi (``_jets.completion``)."""
     # Imported here, so that ``import vaknh`` and ``load_system`` do not
     # import the kernel generator.
     from ._jets import completion
@@ -339,8 +339,8 @@ def complete_velocities(sys: SystemDef, s) -> np.ndarray:
 
 
 def completed_env(sys: SystemDef, q, v) -> dict[str, float]:
-    """Environment with all velocities bound, dependent ones via psi (the
-    ``completion`` kernel); a state of the wrong size raises
+    """Environment with all velocities bound, dependent ones via psi
+    (``_jets.completion``); a state of the wrong size raises
     ``check_state``'s ValueError."""
     from ._jets import completion
 

@@ -65,7 +65,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ._jets import Jet, _kernel, _row_jet, ambient_table, field_sweep, restricted_table
+from ._jets import _flat, _kernel, ambient_table, field_sweep, restricted_table
 from .errors import SingularMatrixError
 from .system import (NhState, SystemDef, VakState, check_state, complete_velocities,
                      require_linear)
@@ -172,8 +172,29 @@ def _solve_ignoring(c, r):
     return x
 
 
-def _singular_message(sys, what, det) -> str:
-    return f"{what} is singular for system {sys.name!r} (det={det!r})"
+def _views(sys, buf):
+    """The views of a ``field`` buffer that the reduced equations read,
+    for one state or for a stack of them (any leading axes): the gradient
+    and the Hessian of Lambda, the known part of the packed derivative
+    (dq, zeros in place of dv, dp) and dpsi/dv, an m x (n-m) matrix."""
+    n, m = sys.n, sys.m
+    k = 2 * n - m
+    size = 1 + k + k * k
+    lead = buf.shape[:-1]
+    return (buf[..., 1:1 + k], buf[..., 1 + k:size].reshape(lead + (k, k)),
+            buf[..., size:size + 2 * n], buf[..., size + 2 * n:].reshape(lead + (m, k - n)))
+
+
+def _singular(sys, what, det, args) -> SingularMatrixError:
+    """The error of the reduced matrix ``what``, the "vakonomic matrix" or
+    the "nonholonomic matrix", that fails the determinant guard with the
+    det ``det`` at the flat state ``args`` (q, v, mult).  It carries the
+    state: a :class:`VakState`, or the :class:`NhState` of its (q, v)."""
+    n, k = sys.n, 2 * sys.n - sys.m
+    state = (VakState(args[:n], args[n:k], args[k:]) if what == "vakonomic matrix"
+             else NhState(args[:n], args[n:k]))
+    return SingularMatrixError(f"{what} is singular for system {sys.name!r} (det={det!r})",
+                               det, state)
 
 
 def _bind_stage(sys, what):
@@ -184,45 +205,36 @@ def _bind_stage(sys, what):
     dependent velocities it is the nonholonomic one (the two right-hand
     sides coincide under that substitution).
 
-    The kernel's buffer and its views -- Cbar, the mixed block of the
-    Hessian, the gradient, dq, dp and dpsi/dv -- and the det gufunc are
+    The kernel's buffer and its views (``_views``) and the det gufunc are
     bound here, once; each call writes the kernel's outputs into that
     buffer and reads them through the views.  A call ``stage(args, dy)``
     writes the derivative of the packed state -- the completed velocities
     dq (n), the base accelerations dv (n-m) and, for the vakonomic field,
     the multiplier rates dp (m), in this order -- into ``dy``, a row of the
     caller's, or else into an array of its own, and returns it with the
-    buffer, which ``_jet``, ``_momenta``, ``_hamiltonian`` and ``_rates``
-    read until the next call overwrites it.  The solve runs without an
+    buffer, which ``_momenta``, ``_hamiltonian`` and ``_rates`` read until
+    the next call overwrites it.  The solve runs without an
     ``np.errstate`` of its own: the caller ignores floating-point errors.
 
     The determinant guard reads Cbar's entries as Python floats and forms
     the threshold with ``_threshold``.  A 2 x 2 Cbar that
     ``_certainly_regular`` certifies passes without its det; any other
     runs the det gufunc and the guard.  A reduced matrix that fails the
-    guard raises :class:`SingularMatrixError` naming ``what``, the
-    "vakonomic matrix" or the "nonholonomic matrix", with the det; it
-    carries the state whose entries ``args`` are, a :class:`VakState` or
-    the :class:`NhState` of its (q, v), built only then.  Where the kernel
-    fails, ``Sweep.run`` raises the documented error.
+    guard raises ``_singular``'s error.  Where the kernel fails,
+    ``Sweep.run`` raises the documented error.
     """
-    n, m = sys.n, sys.m
-    k = 2 * n - m
-    size = 1 + k + k * k
+    n, k = sys.n, 2 * sys.n - sys.m
     sweep = _kernel(sys, "field")
     run = sweep.run
     store = bytearray(8 * sweep.outputs)
     out = memoryview(store)
     entries = out.cast("d")
     buf = np.frombuffer(store)
-    grad = buf[1:1 + k]
-    hess = buf[1 + k:size].reshape(k, k)
+    grad, hess, known, psi_v = _views(sys, buf)
     c, cross = hess[n:, n:], hess[:n, n:]
-    known = buf[size:size + 2 * n]
     dq, dp = known[:n], known[k:]
     if what == "nonholonomic matrix":
         known = known[:k]   # its packed state is (q, v)
-    psi_v = buf[size + 2 * n:].reshape(m, k - n)
     base, order = sys.base_positions, k - n
     # Cbar's entries in the buffer, row by row.
     cells = [1 + k + i * k + j for i in range(n, k) for j in range(n, k)]
@@ -242,9 +254,7 @@ def _bind_stage(sys, what):
         if checked:
             d = float(det(c, signature="d->d"))
             if abs(d) <= threshold:
-                state = (VakState(args[:n], args[n:k], args[k:]) if what == "vakonomic matrix"
-                         else NhState(args[:n], args[n:k]))
-                raise SingularMatrixError(_singular_message(sys, what, d), d, state)
+                raise _singular(sys, what, d, args)
         r = grad[base] - dq @ cross + dp @ psi_v
         if dy is None:
             dy = known.copy()
@@ -265,12 +275,6 @@ def _stage(sys, args, what):
 # The buffer of the ``field`` kernel, as the stage reads it.  ``cbar``,
 # ``hamiltonian`` and ``w1_momenta`` (and ``ctilde``) read the kernel's
 # buffer without the guard and the solve, which a singular matrix fails.
-
-
-def _jet(sys, buf) -> Jet:
-    """The jet of Lambda in a stage's buffer."""
-    k = 2 * sys.n - sys.m
-    return _row_jet(buf[:1 + k + k * k], k)
 
 
 def _momenta(sys, buf) -> np.ndarray:
@@ -295,17 +299,14 @@ def _stage_lanes(sys, buf, skip):
     one solve over the lanes neither in ``skip`` nor singular.  Returns the
     stacked derivatives (dv NaN where not solved), the determinants and the
     singular mask; each solved lane equals ``_stage``'s bit for bit."""
-    n, m = sys.n, sys.m
-    k = 2 * n - m
-    size = 1 + k + k * k
-    hess = buf[:, 1 + k:size].reshape(len(buf), k, k)
+    n, k = sys.n, 2 * sys.n - sys.m
+    grad, hess, known, psi_v = _views(sys, buf)
     c = hess[:, n:, n:]
     det, threshold = det_threshold(c, k - n)
     singular = np.abs(det) <= threshold
-    known = buf[:, size:size + 2 * n]
     dq, dp = known[:, :n], known[:, k:]
-    r = (buf[:, 1:1 + k][:, sys.base_positions] - (dq[:, None] @ hess[:, :n, n:])[:, 0]
-         + (dp[:, None] @ buf[:, size + 2 * n:].reshape(len(buf), m, k - n))[:, 0])
+    r = (grad[:, sys.base_positions] - (dq[:, None] @ hess[:, :n, n:])[:, 0]
+         + (dp[:, None] @ psi_v)[:, 0])
     solved = ~(skip | singular)
     dy = known.copy()
     dy[:, n:k] = np.nan
@@ -313,16 +314,10 @@ def _stage_lanes(sys, buf, skip):
     return dy, det, singular
 
 
-def _args(s, mult):
-    """The ``field`` kernel's arguments at the (q, v) of the state ``s``
-    with the multiplier vector ``mult``."""
-    return s.q.tolist() + s.v.tolist() + mult.tolist()
-
-
 def cbar(sys: SystemDef, s: VakState) -> np.ndarray:
     """Reduced velocity-Hessian matrix at a vakonomic state (symmetric)."""
     check_state(sys, s)
-    return _jet(sys, field_sweep(sys, _args(s, s.p_dep))).hess[sys.n:, sys.n:]
+    return _views(sys, field_sweep(sys, _flat(s.q, s.v, s.p_dep)))[1][sys.n:, sys.n:]
 
 
 def symplectic_check(sys: SystemDef, s: VakState) -> SymplecticReport:
@@ -350,7 +345,7 @@ def compatibility_matrix(sys: SystemDef, q) -> np.ndarray:
     n, base, dep = sys.n, sys.base_positions, sys.dependent_positions
     zeros = np.zeros(n - sys.m)
     vfull = complete_velocities(sys, NhState(q, zeros))
-    w = ambient_table(sys, q, vfull).lag.hess[n:, n:]
+    w = ambient_table(sys, q, vfull).hess[n:, n:]
 
     _warn_if_velocity_dependent_hessian(sys, q, w)
 
@@ -370,7 +365,7 @@ def _warn_if_velocity_dependent_hessian(sys, q, w0):
 
     probe = np.full(sys.n - sys.m, 0.37)
     vfull = complete_velocities(sys, NhState(q, probe))
-    w1 = ambient_table(sys, q, vfull).lag.hess[sys.n:, sys.n:]
+    w1 = ambient_table(sys, q, vfull).hess[sys.n:, sys.n:]
     if np.max(np.abs(w1 - w0)) > 1e-9 * (1.0 + np.max(np.abs(w0))):
         warnings.warn(
             f"ambient Lagrangian of {sys.name!r} is not velocity-quadratic; "
@@ -383,7 +378,7 @@ def w1_momenta(sys: SystemDef, s: VakState) -> np.ndarray:
     p_a = dL~/dv_a - p_dep . dpsi/dv_a.  Along a trajectory the same values
     are read from the buffer of the stage at the state."""
     check_state(sys, s)
-    return _momenta(sys, field_sweep(sys, _args(s, s.p_dep)))
+    return _momenta(sys, field_sweep(sys, _flat(s.q, s.v, s.p_dep)))
 
 
 def hamiltonian(sys: SystemDef, s: VakState) -> float:
@@ -392,7 +387,7 @@ def hamiltonian(sys: SystemDef, s: VakState) -> float:
     Along a trajectory the same value is read from the buffer of the stage
     at the state."""
     check_state(sys, s)
-    return _hamiltonian(sys, field_sweep(sys, _args(s, s.p_dep)), s.v)
+    return _hamiltonian(sys, field_sweep(sys, _flat(s.q, s.v, s.p_dep)), s.v)
 
 
 def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
@@ -402,6 +397,6 @@ def vak_rhs(sys: SystemDef, s: VakState) -> VakDerivative:
     determinant guard (the flow is not uniquely defined there).
     """
     check_state(sys, s)
-    dy, _ = _stage(sys, _args(s, s.p_dep), "vakonomic matrix")
+    dy, _ = _stage(sys, _flat(s.q, s.v, s.p_dep), "vakonomic matrix")
     n, nb = sys.n, sys.n - sys.m
     return VakDerivative(dq=dy[:n], dv=dy[n:n + nb], dp_dep=dy[n + nb:])

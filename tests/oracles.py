@@ -17,7 +17,7 @@
 
 * ``reference_complete_velocities``: the completed velocities with each
   psi evaluated through ``expr.evaluate`` on plain floats, the oracle of
-  the ``completion`` kernel that the package completes velocities with.
+  the values kernel of psi that the package completes velocities with.
 
 * ``reference_lift``: those completed velocities, then
   ``reference_ambient_velocity_gradient`` at them, then L evaluated there
@@ -60,7 +60,7 @@ from numpy.linalg import _umath_linalg
 from scipy.integrate import solve_ivp
 
 from vaknh import _jets, expr as E
-from vaknh._jets import AmbientTable, Jet, RestrictedTable
+from vaknh._jets import Jet, RestrictedTable
 from vaknh.autodiff import HyperDual, partial
 from vaknh.comparison import ComparisonRecord, ComparisonReport, _draw
 from vaknh.errors import EvalError, SingularMatrixError
@@ -177,14 +177,13 @@ def reference_restricted_table(sys, q, v) -> RestrictedTable:
     return RestrictedTable(rows=np.array(rows), n=n, m=m)
 
 
-def reference_ambient_table(sys, q, v_full) -> AmbientTable:
-    """Interpreted :func:`ambient_table`."""
-    n = sys.n
+def reference_ambient_table(sys, q, v_full) -> Jet:
+    """Interpreted :func:`ambient_table`: the jet of L in (positions, all
+    velocities)."""
     names = list(sys.coords) + [sys.velocity_of(c) for c in sys.coords]
     values = list(zip(names, list(q) + list(v_full)))
     env = _seed_variables(values)
-    lag = Jet(*_parts(E.evaluate(sys.lagrangian, env), 2 * n))
-    return AmbientTable(lag=lag, n=n)
+    return Jet(*_parts(E.evaluate(sys.lagrangian, env), 2 * sys.n))
 
 
 def reference_ambient_velocity_gradient(sys, q, v_full) -> np.ndarray:
@@ -268,8 +267,8 @@ def _constraint_rows(sys, tab_r, qdot, mat, rhs, row0):
         row = row0 + k
         mat[row, dpos] = 1.0
         for a, apos in enumerate(sys.base_positions):
-            mat[row, apos] = -tab_r.psi[k].grad[tab_r.vi(a)]
-        rhs[row] = sum(qdot[big_a] * tab_r.psi[k].grad[tab_r.qi(big_a)]
+            mat[row, apos] = -tab_r.psi[k].grad[sys.n + a]
+        rhs[row] = sum(qdot[big_a] * tab_r.psi[k].grad[big_a]
                        for big_a in range(sys.n))
     return nb
 
@@ -283,27 +282,27 @@ def _dphi_dvel(sys, tab_r, big_a):
     else:
         a = list(sys.base_positions).index(big_a)
         for k in range(sys.m):
-            out[k] = tab_r.psi[k].grad[tab_r.vi(a)]
+            out[k] = tab_r.psi[k].grad[sys.n + a]
     return out
 
 
 def nh_dae_rhs(sys, q, qdot):
     """Accelerations and multipliers of the ambient nonholonomic equations."""
     n, m = sys.n, sys.m
-    tab_a = reference_ambient_table(sys, q, qdot)
+    lag = reference_ambient_table(sys, q, qdot)
     v_base = np.array([qdot[pos] for pos in sys.base_positions])
     tab_r = reference_restricted_table(sys, q, v_base)
     mat = np.zeros((n + m, n + m))
     rhs = np.zeros(n + m)
     for big_a in range(n):
-        va = tab_a.vi(big_a)
+        va = n + big_a
         for big_b in range(n):
-            mat[big_a, big_b] = tab_a.lag.hess[tab_a.vi(big_b), va]
+            mat[big_a, big_b] = lag.hess[n + big_b, va]
         dphi = _dphi_dvel(sys, tab_r, big_a)
         for k in range(m):
             mat[big_a, n + k] = -dphi[k]
-        rhs[big_a] = tab_a.lag.grad[tab_a.qi(big_a)] - sum(
-            qdot[big_b] * tab_a.lag.hess[tab_a.qi(big_b), va] for big_b in range(n))
+        rhs[big_a] = lag.grad[big_a] - sum(
+            qdot[big_b] * lag.hess[big_b, va] for big_b in range(n))
     _constraint_rows(sys, tab_r, qdot, mat, rhs, n)
     sol = np.linalg.solve(mat, rhs)
     return sol[:n], sol[n:]
@@ -313,35 +312,35 @@ def vak_dae_rhs(sys, q, qdot, lam):
     """Accelerations and multiplier rates of the ambient vakonomic
     equations (extended multiplier form)."""
     n, m = sys.n, sys.m
-    tab_a = reference_ambient_table(sys, q, qdot)
+    lag = reference_ambient_table(sys, q, qdot)
     v_base = np.array([qdot[pos] for pos in sys.base_positions])
     tab_r = reference_restricted_table(sys, q, v_base)
     base_of = {pos: a for a, pos in enumerate(sys.base_positions)}
     mat = np.zeros((n + m, n + m))
     rhs = np.zeros(n + m)
     for big_a in range(n):
-        va = tab_a.vi(big_a)
+        va = n + big_a
         for big_b in range(n):
-            mat[big_a, big_b] = tab_a.lag.hess[tab_a.vi(big_b), va]
+            mat[big_a, big_b] = lag.hess[n + big_b, va]
         if big_a in base_of:
             a = base_of[big_a]
             # -lam . d2(psi)/dv dv acts only on base velocity columns
             for b, bpos in enumerate(sys.base_positions):
                 mat[big_a, bpos] -= sum(
-                    lam[k] * tab_r.psi[k].hess[tab_r.vi(a), tab_r.vi(b)]
+                    lam[k] * tab_r.psi[k].hess[n + a, n + b]
                     for k in range(m))
         dphi = _dphi_dvel(sys, tab_r, big_a)
         for k in range(m):
             mat[big_a, n + k] = -dphi[k]
-        total = tab_a.lag.grad[tab_a.qi(big_a)] - sum(
-            qdot[big_b] * tab_a.lag.hess[tab_a.qi(big_b), va] for big_b in range(n))
+        total = lag.grad[big_a] - sum(
+            qdot[big_b] * lag.hess[big_b, va] for big_b in range(n))
         for k in range(m):
             if big_a in base_of:
                 a = base_of[big_a]
                 total += lam[k] * sum(
-                    qdot[big_b] * tab_r.psi[k].hess[tab_r.qi(big_b), tab_r.vi(a)]
+                    qdot[big_b] * tab_r.psi[k].hess[big_b, n + a]
                     for big_b in range(n))
-            total -= lam[k] * tab_r.psi[k].grad[tab_r.qi(big_a)]
+            total -= lam[k] * tab_r.psi[k].grad[big_a]
         rhs[big_a] = total
     _constraint_rows(sys, tab_r, qdot, mat, rhs, n)
     sol = np.linalg.solve(mat, rhs)

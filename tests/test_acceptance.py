@@ -17,7 +17,7 @@ from vaknh.maps import mu_to_lambda, upsilon
 from vaknh.models import CATALOG
 from vaknh.nonholonomic import ctilde, euler_lagrange_residual, legendre_lift, nh_rhs
 from vaknh.system import NhState, VakState, completed_env, verify_linearity
-from vaknh.vakonomic import cbar, compatibility_matrix, symplectic_check, vak_rhs
+from vaknh.vakonomic import cbar, compatibility_matrix, symplectic_check
 
 from conftest import LINEAR_MODELS, get_model, random_states
 from oracles import nh_dae_trajectory, vak_dae_trajectory

@@ -54,6 +54,11 @@ def test_unbound_seed_variable():
         partial(E.parse("x"), {"x": 1.0}, "y")
 
 
+def test_second_partial_of_an_unbound_variable():
+    with pytest.raises(EvalError, match="unbound variable 'y'"):
+        second_partial(E.parse("x*y"), {"x": 1.0}, "x", "x")
+
+
 def test_domain_error_propagates():
     with pytest.raises(EvalError):
         partial(E.parse("sqrt(x)"), {"x": -1.0}, "x")

@@ -36,10 +36,11 @@ from vaknh.system import SystemDef, VakState, complete_velocities, load_system
 import oracles
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from test_expr import _exprs
-from test_kernel import _same_bits
+from test_kernel import _psi_values, _same_bits
 
 GOLDEN = Path(__file__).parent / "golden"
-KINDS = ("restricted", "ambient", "lift", "completion", "field")
+# The sweep kinds, and "psi": the values kernel of the psi trees.
+KINDS = ("restricted", "ambient", "lift", "psi", "field")
 FAILURES = (EvalError, ArithmeticError, ValueError)
 CANDIDATES = """\
 C1 = p_z - (y^2/2)*dx
@@ -47,6 +48,10 @@ C2 = dx^2 + dy^2
 C3 = p_z*y - x*dy
 C4 = 2.5
 """
+
+
+def _sweep(sysdef, kind):
+    return _psi_values(sysdef) if kind == "psi" else _jets._kernel(sysdef, kind)
 
 
 def _blocks(sysdef, kind, q, v, v_full, mult):
@@ -83,9 +88,9 @@ def test_array_kernels_equal_scalar_kernels_on_models(name):
     v_full = np.array([complete_velocities(sysdef, s) for s in states])
     mult = np.array([s.p_dep for s in states])
     for kind in KINDS:
-        _assert_lanes_match(_jets._kernel(sysdef, kind),
+        _assert_lanes_match(_sweep(sysdef, kind),
                             _blocks(sysdef, kind, q, v, v_full, mult),
-                            _scalar(_jets._kernel(sysdef, kind)))
+                            _scalar(_sweep(sysdef, kind)))
 
 
 def test_array_kernel_marks_lanes_outside_the_domain():
@@ -114,9 +119,9 @@ def test_math_functions_run_lane_by_lane_with_math():
     v_full = np.column_stack([v, rng.uniform(-3.0, 3.0, 4000)])
     mult = rng.uniform(-3.0, 3.0, (4000, 1))
     for kind in KINDS:
-        _assert_lanes_match(_jets._kernel(sysdef, kind),
+        _assert_lanes_match(_sweep(sysdef, kind),
                             _blocks(sysdef, kind, q, v, v_full, mult),
-                            _scalar(_jets._kernel(sysdef, kind)))
+                            _scalar(_sweep(sysdef, kind)))
 
 
 _VALUES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -127,7 +132,7 @@ _LANES = st.lists(st.lists(st.one_of(st.just(0.0), _VALUES), min_size=6, max_siz
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow in the interpreter
 @settings(max_examples=200, deadline=None)
 @given(_exprs(), _exprs(), _LANES)
-# a plain-float division by zero in one lane of the completion kernel
+# a plain-float division by zero in one lane of the values kernel of psi
 @example(E.parse("x"), E.parse("x/y"), [[1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
                                         [1.0, 2.0, 0.0, 1.0, 1.0, 0.0]])
 def test_array_kernels_equal_scalar_kernels_on_random_trees(lagrangian, psi, lanes):
@@ -136,9 +141,9 @@ def test_array_kernels_equal_scalar_kernels_on_random_trees(lagrangian, psi, lan
     values = np.array(lanes)
     q, v, v_full, mult = values[:, :3], values[:, 3:5], values[:, 3:6], values[:, 5:]
     for kind in KINDS:
-        _assert_lanes_match(_jets._kernel(sysdef, kind),
+        _assert_lanes_match(_sweep(sysdef, kind),
                             _blocks(sysdef, kind, q, v, v_full, mult),
-                            _scalar(_jets._kernel(sysdef, kind)))
+                            _scalar(_sweep(sysdef, kind)))
     # The kernel of tangency_residuals against the hyper-dual interpreter's
     # value and autodiff.partial, and with no variable seeded, the kernel of
     # integrate's candidate rows against expr.evaluate on plain floats.
@@ -515,6 +520,16 @@ def test_to_json_raises_json_dumps_error_at_any_position(parts, bad, data):
 def _scanned():
     """A report of ``scan`` that still holds its columns."""
     return scan(get_model("martinet"), _sampler("martinet", 5, 2))
+
+
+def test_to_json_leaves_a_summary_key_that_is_not_a_string_to_json_dumps():
+    # json.dumps writes the int key 7 as "7".
+    for indent in INDENTS:
+        report = _scanned()
+        report.summary[7] = 0.5
+        text = report.to_json(indent)
+        assert text == json.dumps(report.to_json_dict(), indent=indent, allow_nan=False)
+        assert json.loads(text)["summary"]["7"] == 0.5
 
 
 @pytest.mark.parametrize("value", [True, np.float64(0.25), 10**400],

@@ -7,7 +7,7 @@ import pytest
 from vaknh import expr as E
 from vaknh.comparison import (REPORT_SCHEMA, Sampler, curvature, field_residual,
                               g_residuals, parse_candidates, scan, tangency_residuals)
-from vaknh.errors import EvalError, NonlinearSystemError
+from vaknh.errors import EvalError, NonlinearSystemError, VaknhError
 from vaknh.integrate import integrate
 from vaknh.models import CATALOG
 from vaknh.nonholonomic import euler_lagrange_residual, nh_rhs
@@ -247,6 +247,12 @@ def test_scan_report_schema_and_candidates():
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert all("C1" in r["tangency"] for r in payload["records"])
     assert [r["index"] for r in payload["records"]] == list(range(12))
+
+
+@pytest.mark.parametrize("text, line", [("C = x\nno equals sign\n", 2), ("= x\n", 1)])
+def test_a_candidate_line_needs_a_name_and_an_equals_sign(text, line):
+    with pytest.raises(VaknhError, match=f"^candidates line {line}: expected 'name = expression'$"):
+        parse_candidates(text)
 
 
 def test_scan_rejects_bad_p_mode():

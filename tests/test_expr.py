@@ -89,6 +89,28 @@ def test_syntax_error_positions():
     assert exc.value.line == 2
 
 
+def test_an_unclosed_call_expects_its_parenthesis():
+    with pytest.raises(ExprSyntaxError, match=r"^expected '\)', found 'end of input'") as exc:
+        E.parse("sin(x")
+    assert exc.value.offset == 5
+
+
+def test_a_negative_constant_serializes_as_a_negation():
+    # The grammar has no negative literals: a hand-built Const(-2.0) comes
+    # back as the equivalent negation node.
+    text = E.serialize(E.Const(-2.0))
+    assert text == "-2.0"
+    assert E.parse(text) == E.Unary("neg", E.Const(2.0))
+    product = E.serialize(E.Binary("*", E.Var("x"), E.Const(-2.0)))
+    assert E.parse(product) == E.Binary("*", E.Var("x"), E.Unary("neg", E.Const(2.0)))
+
+
+def test_a_zeroth_power_is_one():
+    for x in (0.0, -0.0, -2.0, 1e300):
+        assert E.evaluate(E.parse("x^0"), {"x": x}) == 1.0
+        assert reference_evaluate(E.parse("x^0"), {"x": x}) == 1.0
+
+
 def test_unknown_function():
     with pytest.raises(ExprSyntaxError, match="unknown function 'sinh'"):
         E.parse("sinh(x)")

@@ -12,7 +12,7 @@ from vaknh.expr import parse
 from vaknh.integrate import integrate, trajectory_from_csv
 from vaknh.maps import CovectorPoint, lambda_to_mu, legendre_shift, vg_residual
 from vaknh.nonholonomic import nh_rhs
-from vaknh.system import NhState, VakState, load_system
+from vaknh.system import NhState, VakState, check_state, load_system
 from vaknh.vakonomic import cbar, compatibility_matrix, hamiltonian, vak_rhs, w1_momenta
 
 from conftest import get_model
@@ -211,6 +211,42 @@ def test_rk4_that_cannot_reach_t_end_fails_before_the_first_step(capsys, monkeyp
         "more than max_steps=1000000\n")
 
 
+_COLLIDING = """name rep
+coords {coords}
+dependent z
+linear true
+lagrangian 0.5*(dx^2 + dz^2)
+psi z = x*dx
+"""
+
+
+@pytest.mark.parametrize("coords, dynamics, candidates, column", [
+    ("t x z", "vak", "", "t"),
+    ("E_L x z", "nh", "", "E_L"),
+    ("x y dp_z z", "vak", "", "dp_z"),
+    ("x G_a z", "vak", "a = x\n", "G_a"),
+    ("H x z", "vak", "", "H"),
+    ("x p_x z", "vak", "", "p_x"),
+], ids=["time", "energy", "multiplier-rate", "candidate", "hamiltonian", "momentum"])
+def test_a_repeated_csv_column_fails_before_any_stage(coords, dynamics, candidates, column,
+                                                      tmp_path, capsys, monkeypatch):
+    from vaknh import integrate as integrate_module
+
+    stages = []
+    monkeypatch.setattr(integrate_module, "_bind_stage", lambda *args: stages.append(args))
+    path, cands = tmp_path / "rep.sys", tmp_path / "cands.txt"
+    path.write_text(_COLLIDING.format(coords=coords))
+    cands.write_text(candidates)
+    n = len(coords.split())
+    state = [f"--q={','.join(['0'] * n)}", f"--v={','.join(['1'] * (n - 1))}"]
+    state += ["--p=1"] if dynamics == "vak" else []
+    code = run(["integrate", str(path), "--dynamics", dynamics, *state, "--t-end", "0.01",
+                "--method", "rk4", "--candidates", str(cands)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and stages == []
+    assert captured.err == f"error: the trajectory CSV of 'rep' would repeat the column {column!r}\n"
+
+
 def _rk4_steps(t_end, dt):
     """The steps _run_rk4 takes to reach t_end, by its own time update."""
     t, steps = 0.0, 0
@@ -359,8 +395,11 @@ _AT = NhState([0, 1, 0], [1, 0])
      ValueError, "expected 3 covector components, got 2"),
     (lambda m: trajectory_from_csv(m, "t,a,b\n0,1,2\n"),
      VaknhError, "CSV header does not match system 'martinet'"),
+    (lambda m: check_state(m, VakState([0, 1, 0], [1, 0], [1.0, 2.0])),
+     ValueError, "state has 2 multipliers, expected 1"),
 ], ids=["scan-q-v-bounds", "scan-p-bounds", "curvature", "compatibility_matrix",
-        "legendre_shift", "lambda_to_mu", "vg_residual", "trajectory_from_csv"])
+        "legendre_shift", "lambda_to_mu", "vg_residual", "trajectory_from_csv",
+        "check_state-multipliers"])
 def test_wrong_sizes_are_rejected(call, kind, message):
     with pytest.raises(kind) as info:
         call(get_model("martinet"))

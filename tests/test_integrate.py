@@ -4,8 +4,9 @@ import pytest
 from vaknh import expr as E
 from vaknh.cli import run
 from vaknh.errors import IntegrationError
-from vaknh.integrate import (_require_finite, _rms, drift_report, integrate,
-                             trajectory_from_csv, trajectory_to_csv)
+from vaknh.integrate import (_flat_rhs, _initial_step, _require_finite, _rms, drift_report,
+                             integrate, read_trajectory_csv, trajectory_from_csv,
+                             trajectory_to_csv, write_trajectory_csv)
 from vaknh.system import NhState, VakState
 
 from conftest import get_model
@@ -19,6 +20,20 @@ def test_particle_nh_straight_line():
         assert np.max(np.abs(s.q - np.array([t, 0.0, 0.0]))) <= 1e-9
     rep = drift_report(p, traj)
     assert rep.maxima["E_L_drift"] <= 1e-12
+
+
+def test_drift_report_of_a_vak_run():
+    # H and the eliminated momenta p_<base> drift from their first value; the
+    # multiplier rates dp_<dep> are reported as they are.
+    m = get_model("martinet")
+    traj = integrate(m, "vak", VakState([0, 1, 0], [0.8, -0.4], [1.0]), t_end=2.0)
+    rep = drift_report(m, traj)
+    assert list(rep.series) == ["H_drift", "p_x_drift", "p_y_drift", "dp_z"]
+    h = traj.monitors["H"]
+    assert np.array_equal(rep.series["H_drift"], np.abs(h - h[0]))
+    assert rep.maxima["H_drift"] <= 1e-9
+    assert np.array_equal(rep.series["dp_z"], traj.monitors["dp_z"])
+    assert rep.maxima["dp_z"] == float(np.max(np.abs(traj.monitors["dp_z"])))
 
 
 def test_martinet_multiplier_constant():
@@ -105,6 +120,53 @@ def test_csv_reemits_header_only_and_one_row_byte_for_byte(rows):
     pen = get_model("rolling_penny")
     text = "t,x,y,theta,phi,dtheta,dphi,p_x,p_y,H\n" + rows
     assert trajectory_to_csv(pen, trajectory_from_csv(pen, text)) == text
+
+
+def test_write_and_read_trajectory_csv_round_trip(tmp_path):
+    pen = get_model("rolling_penny")
+    traj = integrate(pen, "nh", NhState([0, 0, 0.3, 0.4], [1.0, 0.5]), t_end=0.5,
+                     candidates={"C": E.parse("x*dtheta")})
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(pen, traj, path)
+    assert path.read_text(encoding="utf-8") == trajectory_to_csv(pen, traj)
+    back = read_trajectory_csv(pen, path)
+    assert back.dynamics == "nh" and back.stats is None
+    assert _bits(back.times) == _bits(traj.times)
+    assert _bits(back.packed) == _bits(traj.packed)
+    assert list(back.monitors) == ["E_L", "G_C"]
+    for name in traj.monitors:
+        assert _bits(back.monitors[name]) == _bits(traj.monitors[name])
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"dynamics": "both"}, "dynamics must be 'vak' or 'nh', got 'both'"),
+    ({"method": "euler"}, "method must be 'rk4' or 'rk45', got 'euler'"),
+])
+def test_bad_dynamics_or_method_is_rejected(options, message):
+    m = get_model("martinet")
+    options = {"dynamics": "vak", **options}
+    with pytest.raises(ValueError) as exc:
+        integrate(m, s0=VakState([0, 1, 0], [1, 0], [1.0]), t_end=1.0, **options)
+    assert str(exc.value) == message
+
+
+def test_a_run_from_rest_starts_with_the_smallest_guess_and_stays_at_rest():
+    # At v = 0 and p = 0 the field vanishes: both derivative norms of the
+    # initial step guess are 0, so the guess is 1e-6, and each accepted step
+    # has zero error and grows the step fivefold.
+    m = get_model("martinet")
+    y0 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    f = _flat_rhs(m, "vak")
+    f0, _ = f(y0.tolist(), np.empty(6))
+    assert not f0.any()
+    with np.errstate(all="ignore"):
+        assert _initial_step(f, y0, f0, 1.0, 1e-9, 1e-11) == 1e-6
+    traj = integrate(m, "vak", VakState(y0[:3], y0[3:5], y0[5:]), t_end=1.0)
+    assert (traj.packed == y0).all()
+    steps = np.diff(traj.times)
+    assert steps[0] == traj.stats.h_min == 1e-6
+    assert np.allclose(steps[1:-1], steps[:-2] * 5.0, rtol=1e-9, atol=0.0)
+    assert traj.stats.rejected == 0
 
 
 def test_integration_halts_on_singular_matrix():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vaknh import _jets, comparison, expr as E
+from vaknh._jets import RestrictedTable
 from vaknh.errors import EvalError
 from vaknh.models import builtin
 from vaknh.nonholonomic import legendre_lift, nh_rhs
@@ -39,12 +40,24 @@ def _same_bits(a, b):
             and a[~nan].tobytes() == b[~nan].tobytes())
 
 
+def _jets_of(result):
+    """The jets of a sweep's result: the psi and the Lagrangian of a
+    restricted table, or the ambient Lagrangian's jet itself."""
+    return result.psi + [result.lag] if isinstance(result, RestrictedTable) else [result]
+
+
+def _psi_values(sysdef):
+    """The values kernel of the psi trees in (q, base v), the kernel that
+    ``_jets.completion`` runs."""
+    return _jets.gradient_kernel([sysdef.psi[c] for c in sysdef.dependent],
+                                 sysdef.state_names[:2 * sysdef.n - sysdef.m], ())
+
+
 def _assert_agree(got, expected):
     if isinstance(expected, np.ndarray):   # the lift
         assert _same_bits(got, expected)
         return
-    jets = zip(getattr(got, "psi", []) + [got.lag],
-               getattr(expected, "psi", []) + [expected.lag], strict=True)
+    jets = zip(_jets_of(got), _jets_of(expected), strict=True)
     for kj, rj in jets:
         assert _same_bits(kj.value, rj.value)
         assert _same_bits(kj.grad, rj.grad)
@@ -171,13 +184,36 @@ def test_unbound_variable_matches_interpreter():
     _check_sweeps(sysdef, (1.0, 2.0), (3.0,), (3.0, 3.0), (0.5,))
 
 
+def test_a_zeroth_power_agrees_with_the_interpreter():
+    # x^0 is 1.0 with no derivative channel, in the interpreter and in every
+    # kernel, scalar and stacked, at zeros of either sign too.
+    sysdef = SystemDef(name="zeroth", coords=("x", "y"), dependent=("y",),
+                       lagrangian=E.parse("dx^2*x^0 + dy^2*(x*dy)^0 - y^0"),
+                       psi={"y": E.parse("x^0*dx + (x - dx)^0 - 1")}, declared_linear=False)
+    states = [((0.5, -1.0), (2.0,)), ((0.0, 0.0), (0.0,)), ((-0.0, 3.0), (-1.5,))]
+    for q, v in states:
+        v_full = oracles.reference_complete_velocities(sysdef, NhState(q, v))
+        assert v_full[1] == v[0]
+        _check_sweeps(sysdef, q, v, v_full, (0.7,))
+    q, v = (np.array([state[i] for state in states]) for i in (0, 1))
+    _check_lift(sysdef, q, v)
+    mult = np.full((len(states), 1), 0.7)
+    for sweep, blocks in ((_psi_values(sysdef), (q, v)),
+                          (_jets._kernel(sysdef, "restricted"), (q, v)),
+                          (_jets._kernel(sysdef, "field"), (q, v, mult))):
+        out, failed = _jets.run_lanes(sweep, *blocks)
+        assert not failed.any()
+        for i, args in enumerate(np.concatenate(blocks, axis=1).tolist()):
+            assert _same_bits(out[i], np.frombuffer(sweep.scalar(*args)))
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_hessians_exactly_symmetric(name):
     sysdef = get_model(name)
     for s in random_states(name, 50, 43):
         restricted = _jets.restricted_table(sysdef, s.q, s.v)
         ambient = _jets.ambient_table(sysdef, s.q, complete_velocities(sysdef, s))
-        for jet in restricted.psi + [restricted.lag, ambient.lag]:
+        for jet in restricted.psi + [restricted.lag, ambient]:
             assert np.array_equal(jet.hess, jet.hess.T)
 
 
@@ -196,12 +232,12 @@ def test_completion_kernel_equals_the_interpreter(name):
     states = random_states(name, 30, 47)
     q = np.array([s.q for s in states])
     v = np.array([s.v for s in states])
-    psi, failed = _jets.run_lanes(_jets._kernel(sysdef, "completion"), q, v)
+    psi, failed = _jets.run_lanes(_psi_values(sysdef), q, v)
     assert not failed.any()
     for i, s in enumerate(states):
         expected = oracles.reference_complete_velocities(sysdef, s)[
             sysdef.dependent_positions]
-        scalar = _jets._kernel(sysdef, "completion").scalar(*q[i], *v[i])
+        scalar = _psi_values(sysdef).scalar(*q[i], *v[i])
         assert _same_bits(np.frombuffer(scalar), expected)
         assert _same_bits(psi[i], expected)
 
@@ -210,10 +246,10 @@ def test_completion_outside_the_domain_marks_the_lane():
     sysdef = get_model("von_neumann2")
     q = np.array([[1.0, 1.0], [1.0, 1.0]])
     v = np.array([[0.5], [2.0]])     # the second: sqrt of a negative
-    psi, failed = _jets.run_lanes(_jets._kernel(sysdef, "completion"), q, v)
+    psi, failed = _jets.run_lanes(_psi_values(sysdef), q, v)
     assert failed.tolist() == [False, True]
     with pytest.raises((ValueError, ArithmeticError)):
-        _jets._kernel(sysdef, "completion").scalar(1.0, 1.0, 2.0)
+        _psi_values(sysdef).scalar(1.0, 1.0, 2.0)
     with pytest.raises(EvalError, match="sqrt of negative value"):
         complete_velocities(sysdef, NhState((1.0, 1.0), (2.0,)))
 
@@ -221,7 +257,7 @@ def test_completion_outside_the_domain_marks_the_lane():
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_completed_velocities_equal_the_interpreter(name):
     # complete_velocities and completed_env complete the velocities with the
-    # completion kernel, and the Legendre lift with the lift kernel, at one
+    # values kernel of psi, and the Legendre lift with the lift kernel, at one
     # state.
     sysdef = get_model(name)
     for s in random_states(name, 30, 48):
@@ -240,8 +276,8 @@ def _check_lift(sysdef, q, v):
     the oracle's completed velocities and momenta bit for bit, or a marked
     lane where the oracle fails, whose error ``Sweep.explain`` and
     ``ambient_velocity_gradient`` raise with the oracle's text.  Where psi
-    fails, that is psi's error, the one the completion kernel explains."""
-    lift, completion = _jets._kernel(sysdef, "lift"), _jets._kernel(sysdef, "completion")
+    fails, that is psi's error, the one the values kernel of psi explains."""
+    lift, completion = _jets._kernel(sysdef, "lift"), _psi_values(sysdef)
     out, failed = _jets.run_lanes(lift, q, v)
     _, unfinished = _jets.run_lanes(completion, q, v)
     assert not (unfinished & ~failed).any()

@@ -17,7 +17,13 @@ the generator, ``compile_sweep`` and ``compile_gradients`` of ``_kernel``.
 The reduced equations have one implementation, ``vakonomic._stage`` and its
 stacked twin ``_stage_lanes``, on the buffer of the ``field`` kernel: only
 ``vakonomic`` calls numpy's linear algebra, and the multiplier shift made
-in numpy (``_shifted``) is the tests' oracle of that kernel.
+in numpy (``_shifted``) is the tests' oracle of that kernel.  Only
+``vakonomic`` builds a ``SingularMatrixError``: the error of both twins,
+``_singular``, and that of ``compatibility_matrix``.  ``compile_sweep``
+knows four kinds of sweep.
+
+No module of the package, the tests or the tools imports a top-level name
+that it never reads, unless the module exports it in ``__all__``.
 """
 
 import ast
@@ -33,11 +39,11 @@ import vaknh
 from vaknh import autodiff, expr, system
 from vaknh._kernel import Sweep
 from vaknh.cli import run
-from vaknh.models import builtin
 
 from conftest import LINEAR_MODELS
 
 PACKAGE = Path(vaknh.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 AUTODIFF_USERS = {"system", "_kernel"}
 INTERPRETER = {"expr", "autodiff"}
 GENERATORS = {"compile_sweep", "compile_gradients"}
@@ -47,6 +53,33 @@ LINALG = ("np.linalg.", "numpy.linalg.", "linalg.", "_umath_linalg.")
 def _modules():
     for path in sorted(PACKAGE.glob("*.py")):
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def _unused_imports(tree):
+    """The names that the top-level imports of a module bind and that the
+    module never reads, less the names of its ``__all__``."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) \
+                != "__future__":
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return bound - read - exported
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    unused = {path.relative_to(ROOT).as_posix(): sorted(_unused_imports(ast.parse(
+        path.read_text(encoding="utf-8"), filename=str(path)))) for path in sorted(paths)}
+    assert {path: names for path, names in unused.items() if names} == {}
+    assert _unused_imports(ast.parse("import os, numpy.linalg as la\nfrom x import y\n"
+                                     "__all__ = ['y']\nos.sep\n")) == {"la"}
 
 
 def _imports_autodiff(tree) -> bool:
@@ -125,6 +158,38 @@ def test_only_vakonomic_calls_linear_algebra():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
                 assert name == "vakonomic", node.module
+
+
+def _enclosing_functions(tree):
+    """Map each node of ``tree`` to the name of the innermost function
+    around it, or "<module>"."""
+    where = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            where[child] = name
+            visit(child, child.name if isinstance(child, (ast.FunctionDef,
+                                                          ast.AsyncFunctionDef)) else name)
+    visit(tree, "<module>")
+    return where
+
+
+def test_only_vakonomic_builds_a_singular_matrix_error():
+    builders = set()
+    for name, tree in _modules():
+        where = _enclosing_functions(tree)
+        builders.update((name, where[node]) for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and _dotted(node.func).split(".")[-1] == "SingularMatrixError")
+    assert builders == {("vakonomic", "_singular"), ("vakonomic", "compatibility_matrix")}
+
+
+def test_compile_sweep_knows_four_kinds():
+    (compile_sweep,) = [node for node in ast.walk(dict(_modules())["_kernel"])
+                        if isinstance(node, ast.FunctionDef) and node.name == "compile_sweep"]
+    kinds = [key.value for node in ast.walk(compile_sweep) if isinstance(node, ast.Dict)
+             for key in node.keys if isinstance(key, ast.Constant)]
+    assert sorted(kinds) == ["ambient", "field", "lift", "restricted"]
 
 
 def test_no_module_defines_the_numpy_multiplier_shift():

@@ -120,7 +120,7 @@ def test_every_nh_sweep_belongs_to_a_stage(method):
                     nonholonomic.nh_rhs, nonholonomic.energy)
     assert counts["stage"] > 20
     assert counts["field"] == counts["lift"] == counts["stage"] == runs[0][1].stats.evaluations
-    assert "completion" not in counts
+    assert "gradients" not in counts   # no values kernel, of psi alone or else
     assert counts["restricted_table"] == counts["ambient_velocity_gradient"] == 0
     assert counts["energy"] == counts["nh_rhs"] == 0
 

@@ -4,7 +4,7 @@ import pytest
 from vaknh.integrate import integrate
 from vaknh.nonholonomic import (ctilde, energy, legendre_lift, nh_multipliers,
                                 nh_rhs)
-from vaknh.system import NhState, VakState
+from vaknh.system import NhState
 from vaknh.vakonomic import cbar
 
 from conftest import LINEAR_MODELS, get_model, random_states

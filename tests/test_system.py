@@ -183,6 +183,11 @@ def test_wrong_length_states_raise_check_state_error(function, q, v, message):
     assert str(exc.value) == message
 
 
+def test_verify_linearity_needs_a_sample():
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        verify_linearity(get_model("martinet"), samples=0, seed=0)
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_declared_linearity_matches_verification(name):
     sysdef = get_model(name)
