@@ -14,8 +14,9 @@ function that runs each at one state:
 * ``lift`` (``ambient_velocity_gradient``): the Legendre lift, the
   completion, then the velocity gradient of L and L's value there.
 
-``completion`` runs the values kernel of the psi trees (``gradient_kernel``
-with nothing seeded) for :func:`vaknh.system.complete_velocities`.
+``completion`` runs the values kernel of the psi trees (``_psi_values``,
+the kernel of ``gradient_kernel`` with nothing seeded, kept under the
+system's key) for :func:`vaknh.system.complete_velocities`.
 
 :mod:`vaknh._kernel` generates the straight-line kernels from the system's
 expression trees on the first sweep.  One store, ``_SWEEPS``, keeps the
@@ -129,8 +130,8 @@ class RestrictedTable:
 
 
 # Sweeps already generated in this process, oldest first, keyed by what the
-# generated source depends on: the kind and ``SystemDef._key``, or the
-# candidate functions.
+# generated source depends on: the kind (or "psi", the values of psi) and
+# ``SystemDef._key``, or the candidate functions.
 _SWEEPS: dict = {}
 _SWEEPS_KEPT = 64
 
@@ -228,10 +229,14 @@ def field_sweep(sys, args) -> np.ndarray:
     return np.frombuffer(bytearray(_kernel(sys, "field").run(*args)))
 
 
+def _psi_values(sys) -> Sweep:
+    """The values kernel of the psi trees in (positions, base velocities),
+    kept under ("psi", ``SystemDef._key``): no key is built from the trees."""
+    return _kept(_SWEEPS, _SWEEPS_KEPT, ("psi", sys._key), lambda: compile_gradients(
+        [sys.psi[c] for c in sys.dependent], sys.state_names[:2 * sys.n - sys.m], ()))
+
+
 def completion(sys, q, v):
     """The dependent velocities psi(q, v), evaluated on plain floats bit for
-    bit as :func:`vaknh.expr.evaluate` does: the values kernel of the psi
-    trees in (positions, base velocities)."""
-    sweep = gradient_kernel([sys.psi[c] for c in sys.dependent],
-                            sys.state_names[:2 * sys.n - sys.m], ())
-    return np.frombuffer(bytearray(sweep.run(*_flat(q, v))))
+    bit as :func:`vaknh.expr.evaluate` does, by ``_psi_values``'s kernel."""
+    return np.frombuffer(bytearray(_psi_values(sys).run(*_flat(q, v))))

@@ -119,12 +119,14 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()   # built once per process
 
 
-def _load(source: str) -> SystemDef:
+def _load(source: str) -> tuple[SystemDef, models.CatalogEntry | None]:
+    """The system of ``source``, a file where one exists, else a builtin,
+    and the builtin's catalog entry (None for a file)."""
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_system(fh.read())
+            return load_system(fh.read()), None
     if source in models.CATALOG:
-        return builtin(source)
+        return builtin(source), models.CATALOG[source]
     raise SystemFormatError(
         f"{source!r} is neither a file nor a builtin; "
         f"builtins: {', '.join(builtin_names())}")
@@ -193,7 +195,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_check(args) -> int:
     _require_sampling(args)
     try:
-        sysdef = _load(args.system)
+        sysdef, _ = _load(args.system)
     except AdmissibilityError as exc:
         print(f"admissibility: FAIL ({exc})")
         return 2
@@ -238,7 +240,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    sysdef = _load(args.system)
+    sysdef, _ = _load(args.system)
     q = _vector(args.q, sysdef.n, "q")
     v = _vector(args.v, sysdef.n - sysdef.m, "v")
     candidates = _load_candidates(args.candidates)
@@ -257,7 +259,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_compare(args) -> int:
     comparison._require_tol(args.tol)
-    sysdef = _load(args.system)
+    sysdef, _ = _load(args.system)
     q = _vector(args.q, sysdef.n, "q")
     v = _vector(args.v, sysdef.n - sysdef.m, "v")
     p = _vector(args.p, sysdef.m, "p")
@@ -274,9 +276,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_scan(args) -> int:
     _require_sampling(args)
-    sysdef = _load(args.system)
-    if args.system in models.CATALOG:
-        box = models.CATALOG[args.system].sample_box
+    sysdef, entry = _load(args.system)
+    if entry is not None:
+        box = entry.sample_box
     else:
         box = {"q": [(-1.0, 1.0)] * sysdef.n,
                "v": [(-1.0, 1.0)] * (sysdef.n - sysdef.m),

@@ -18,14 +18,14 @@ Recorded monitors:
 * nonholonomic runs: the mechanical energy ``E_L``;
 * either: the value series of any supplied candidate expressions.
 
-A stage is the stage of ``vakonomic._bind_stage``, bound once per run,
-on the packed state itself, and builds no state or derivative object: on
-y = (q, v, p_dep) it gives dy/dt and the ``field`` kernel's buffer.  An
-nh stage runs two kernels: the ``lift`` kernel at y = (q, v), then the
-bound stage at y followed by the Leg_dep of that lift, which writes dy/dt;
-it gives the lift's outputs, the completed velocities, the momenta and L
-there.  A stage takes y as the Python floats that are the kernel's
-arguments, and writes dy/dt into the stepper's row for that stage.  rk45 forms each stage
+A stage is the stage of ``vakonomic._bind_stage``, bound once per run for
+either dynamics, on the packed state itself, and builds no state or
+derivative object: on y = (q, v, p_dep) it gives dy/dt and the ``field``
+kernel's buffer, and on y = (q, v) it runs its ``lift`` kernel before the
+``field`` kernel and gives dy/dt and the lift's outputs there, the
+completed velocities, the momenta and L.  A stage takes y as the Python
+floats that are the kernel's arguments, and writes dy/dt into the
+stepper's row for that stage.  rk45 forms each stage
 input y + h * (stages[:i].T @ a_i) in Python floats from the gemv's list:
 a product and a sum per entry, each rounded once, as numpy rounds them.  The
 run binds the buffer, its views and the views of the stage rows once, and
@@ -65,7 +65,8 @@ the monitors' names) that are not distinct: a ``VaknhError`` names the
 first repeated column.
 
 Trajectories serialize to CSV with full double precision (17 significant
-digits, one ``%.17g`` format per row) and parse back bit-exactly.
+digits, one ``%.17g`` format per row) and parse back bit-exactly; a CSV
+that no trajectory writes fails to parse with a ``VaknhError``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EvalError, IntegrationError, SingularMatrixError, VaknhError
-from ._jets import _kernel, gradient_kernel
+from ._jets import gradient_kernel
 from .nonholonomic import _energy
 from .system import NhState, SystemDef, VakState, _non_state, check_state
 from .vakonomic import _bind_stage, _hamiltonian, _momenta, _rates
@@ -93,8 +94,8 @@ DEFAULT_ATOL = 1e-11
 DEFAULT_DT = 1e-3
 _EPS = float(np.finfo(float).eps)
 
-# Dormand-Prince 5(4) tableau.  The last row of A is b5 (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau.  The last row of A is b5 (FSAL).  The
+# field is autonomous, so the nodes c are never read.
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -158,43 +159,15 @@ class DriftReport:
     maxima: dict[str, float]
 
 
-def _pack(sys, dynamics, s):
-    if dynamics == "vak":
-        return np.concatenate([s.q, s.v, s.p_dep])
-    return np.concatenate([s.q, s.v])
-
-
-def _flat_rhs(sys, dynamics):
-    """The field as f(args, row) -> (row, the evaluation a monitor row
-    reads): it writes dy/dt at the packed state whose entries are the
-    Python floats ``args`` into ``row``, and returns the vakonomic stage's
-    buffer or the outputs of the nonholonomic stage's ``lift`` kernel.
-    The stage is bound here, once per run, and f runs where floating-point
-    errors are ignored.
-
-    The vakonomic f is the bound stage itself, and its buffer is the
-    stage's own, which the next call overwrites: a monitor row reads it
-    before the next stage runs.  rk45 reads the 7th stage's buffer before
-    the next step's first stage, and rk4 reads the first stage's before
-    its next stage."""
-    if dynamics == "vak":
-        return _bind_stage(sys, "vakonomic matrix")
-
-    stage = _bind_stage(sys, "nonholonomic matrix")
-    lift = _kernel(sys, "lift").run
-    momenta = (sys.n + sys.dependent_positions).tolist()
-
-    def f(args, row):
-        outputs = np.frombuffer(lift(*args))
-        stage(args + outputs[momenta].tolist(), row)
-        return row, outputs
-    return f
-
-
 def _state_names(sys, dynamics):
     """The names of the components of a packed state, as in the CSV."""
     names = sys.state_names if dynamics == "vak" else sys.state_names[:2 * sys.n - sys.m]
     return list(names)
+
+
+def _repeated(columns):
+    """The first of the CSV ``columns`` that an earlier one repeats, or None."""
+    return next((name for i, name in enumerate(columns) if name in columns[:i]), None)
 
 
 def _monitor_names(sys, dynamics, candidates):
@@ -282,17 +255,16 @@ def integrate(sys: SystemDef, dynamics: str, s0, *, t_end: float,
     if error is not None:
         raise error
     names = _monitor_names(sys, dynamics, candidates)
-    header = ["t", *state_names, *names]   # the CSV columns
-    repeated = [name for i, name in enumerate(header) if name in header[:i]]
-    if repeated:
+    repeated = _repeated(["t", *state_names, *names])   # the CSV columns
+    if repeated is not None:
         raise VaknhError(f"the trajectory CSV of {sys.name!r} would repeat the "
-                         f"column {repeated[0]!r}")
+                         f"column {repeated!r}")
 
     if method == "rk4":
         _require_rk4_steps(t_end, dt, max_steps)
 
-    f = _flat_rhs(sys, dynamics)
-    y = _pack(sys, dynamics, s0)
+    f = _bind_stage(sys, "vakonomic matrix" if dynamics == "vak" else "nonholonomic matrix")
+    y = np.concatenate([s0.q, s0.v, s0.p_dep] if dynamics == "vak" else [s0.q, s0.v])
     values = gradient_kernel([candidates[name] for name in sorted(candidates)],
                              state_names, ()) if candidates else None
 
@@ -482,6 +454,9 @@ def trajectory_to_csv(sys: SystemDef, traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(sys: SystemDef, text: str) -> Trajectory:
+    """The trajectory that :func:`trajectory_to_csv` wrote as ``text``.  A
+    header that repeats a column (``_repeated``, the check of ``integrate``)
+    or a row whose length is not the header's raises ``VaknhError``."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     expected_vak = ["t"] + _state_names(sys, "vak")
@@ -492,9 +467,15 @@ def trajectory_from_csv(sys: SystemDef, text: str) -> Trajectory:
         dynamics, ncols = "nh", len(expected_nh)
     else:
         raise VaknhError(f"CSV header does not match system {sys.name!r}")
+    repeated = _repeated(header)
+    if repeated is not None:
+        raise VaknhError(f"CSV header repeats the column {repeated!r}")
     monitor_names = header[ncols:]
     times, packed, rows = [], [], []
     for row in reader:
+        if len(row) != len(header):
+            raise VaknhError(f"CSV line {reader.line_num} has {len(row)} fields, "
+                             f"the header {len(header)}")
         values = list(map(float, row))
         times.append(values[0])
         packed.append(values[1:ncols])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jets import restricted_table
-from .nonholonomic import _dependent_momenta, legendre_lift
+from .nonholonomic import legendre_lift
 from .system import NhState, SystemDef, VakState, check_state, require_linear
 
 __all__ = [
@@ -69,8 +69,7 @@ def upsilon(sys: SystemDef, s: VakState) -> NhState:
 
 def mu_to_lambda(sys: SystemDef, s: VakState) -> np.ndarray:
     """Extended-formulation multipliers lambda_dep = Leg_dep - p_dep."""
-    check_state(sys, s)
-    return _dependent_momenta(sys, s) - s.p_dep
+    return legendre_lift(sys, s)[sys.dependent_positions] - s.p_dep   # checks s
 
 
 def lambda_to_mu(sys: SystemDef, s: NhState, lam) -> np.ndarray:
@@ -79,7 +78,7 @@ def lambda_to_mu(sys: SystemDef, s: NhState, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if len(lam) != sys.m:
         raise ValueError(f"expected {sys.m} multipliers, got {len(lam)}")
-    return _dependent_momenta(sys, s) - lam
+    return legendre_lift(sys, s)[sys.dependent_positions] - lam
 
 
 def vg_residual(sys: SystemDef, lambda_full, s: NhState) -> np.ndarray:

@@ -11,11 +11,12 @@ is the ambient velocity gradient of L in the dependent slots evaluated at
 completed velocities.  The right-hand side r has the same shape as the
 vakonomic one with the multipliers replaced by Leg_dep, which is how the
 one stage of the reduced equations in :mod:`vaknh.vakonomic` serves both:
-the nonholonomic field at (q, v) is ``_stage`` at (q, v, Leg_dep).  Leg_dep
-comes from the Legendre lift, one run of the generated ``lift`` kernel at
-(q, v): the completed velocities, then the momenta dL/d(velocities) there,
-then L there.  The lift, its dependent momenta and the energy read that one
-run.
+the nonholonomic stage at (q, v) runs the Legendre lift there, one run of
+the generated ``lift`` kernel (the completed velocities, then the momenta
+dL/d(velocities) there, then L there), and the ``field`` kernel at (q, v,
+Leg_dep), Leg_dep read from that lift.  Along a trajectory the energy
+reads the stage's lift.  ``ctilde`` and :mod:`vaknh.maps` take Leg_dep from
+``legendre_lift``.
 
 The Chetaev multipliers themselves are not part of the state; they are
 recovered along a trajectory from the dependent components of the ambient
@@ -56,26 +57,20 @@ def legendre_lift(sys: SystemDef, s: NhState) -> np.ndarray:
     return ambient_velocity_gradient(sys, s.q, s.v)[sys.n:2 * sys.n]
 
 
-def _dependent_momenta(sys: SystemDef, s) -> np.ndarray:
-    """Leg_dep: the Legendre momenta of the dependent velocities at the
-    (q, v) of ``s``, which it does not check."""
-    return ambient_velocity_gradient(sys, s.q, s.v)[sys.n + sys.dependent_positions]
-
-
 def ctilde(sys: SystemDef, s: NhState) -> np.ndarray:
     """Reduced regularity matrix (symmetric); for linear constraints it
     coincides with the vakonomic matrix at any multiplier value."""
-    check_state(sys, s)
-    buf = field_sweep(sys, _flat(s.q, s.v, _dependent_momenta(sys, s)))
+    mult = legendre_lift(sys, s)[sys.dependent_positions]   # Leg_dep
+    buf = field_sweep(sys, _flat(s.q, s.v, mult))
     return _views(sys, buf)[1][sys.n:, sys.n:]
 
 
 def nh_rhs(sys: SystemDef, s: NhState) -> NhDerivative:
-    """Nonholonomic vector field at a state: ``_stage`` at (q, v, Leg_dep).
-    Raises :class:`~vaknh.errors.SingularMatrixError` when regularity
-    fails."""
+    """Nonholonomic vector field at a state: the nonholonomic ``_stage`` at
+    (q, v), which appends Leg_dep from its own lift.  Raises
+    :class:`~vaknh.errors.SingularMatrixError` when regularity fails."""
     check_state(sys, s)
-    dy, _ = _stage(sys, _flat(s.q, s.v, _dependent_momenta(sys, s)), "nonholonomic matrix")
+    dy, _ = _stage(sys, _flat(s.q, s.v), "nonholonomic matrix")
     return NhDerivative(dq=dy[:sys.n], dv=dy[sys.n:2 * sys.n - sys.m])
 
 

@@ -36,20 +36,18 @@ nonholonomic field is the same system with the Legendre momenta Leg_dep of
 the dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
 
 The stage that ``_bind_stage`` binds is the one implementation of these
-equations: from the kernel's flat arguments to the derivative of the
-packed state and the buffer.  Binding allocates the buffer and its views
-once; each call writes the kernel's outputs into the buffer, so a reader
-of the buffer reads it before the next call.  The solve in a call enters
-no ``np.errstate``: the caller ignores floating-point errors.  ``_stage``
-binds and calls once, in an errstate of its own, so its buffer is its
-own; ``vak_rhs`` and the nonholonomic ``nh_rhs`` evaluate through it.
-:func:`vaknh.integrate.integrate` binds each run's stage once and calls it
-on the packed state itself, with no state or derivative object built
-around it (the nonholonomic one with the Legendre momenta appended), under
-one errstate for the run; the comparison phases run its stacked twin
-``_stage_lanes``.  ``cbar``, ``hamiltonian``, ``w1_momenta`` and
-``ctilde`` read the kernel's buffer with the readers the stage's callers
-use.
+equations, from the kernels' flat arguments to the derivative of the
+packed state: (q, v, p) for the vakonomic field, and (q, v) for the
+nonholonomic one, whose stage runs the ``lift`` kernel and appends Leg_dep
+to the field's arguments.  Binding allocates the buffers and their views
+once; each call overwrites them, and the solve enters no ``np.errstate``:
+the caller ignores floating-point errors.  ``_stage`` binds and calls
+once, in an errstate of its own; ``vak_rhs`` and ``nh_rhs`` evaluate
+through it.  :func:`vaknh.integrate.integrate` binds each run's stage once
+and calls it on the packed state itself, under one errstate for the run;
+the comparison phases run its stacked twin ``_stage_lanes``.  ``cbar``,
+``hamiltonian``, ``w1_momenta`` and ``ctilde`` read the kernel's buffer
+with the readers the stage's callers use.
 
 Invertibility of Cbar is exactly the condition for the dynamics to be
 well-posed (and for the phase space to carry a symplectic structure),
@@ -197,44 +195,53 @@ def _singular(sys, what, det, args) -> SingularMatrixError:
                                det, state)
 
 
+def _bound(sys, kind):
+    """The ``kind`` kernel of ``sys`` bound to a buffer of its own: its
+    run, and the buffer as a memoryview, as Python floats and as an array."""
+    sweep = _kernel(sys, kind)
+    store = bytearray(8 * sweep.outputs)
+    out = memoryview(store)
+    return sweep.run, out, out.cast("d"), np.frombuffer(store)
+
+
 def _bind_stage(sys, what):
     """The reduced equations of ``sys`` as a function of the flat state
-    ``args``, the ``field`` kernel's arguments (q, v, mult): the one
-    implementation of both fields.  With ``mult`` = p_dep it is the
-    vakonomic field; with ``mult`` = the Legendre momenta Leg_dep of the
-    dependent velocities it is the nonholonomic one (the two right-hand
-    sides coincide under that substitution).
+    ``args``: the one implementation of both fields.  The vakonomic stage
+    runs the ``field`` kernel on (q, v, p).  The nonholonomic stage takes
+    (q, v): it runs the ``lift`` kernel there, then the ``field`` kernel on
+    (q, v, Leg_dep), the lift's momenta of the dependent velocities (the
+    two right-hand sides coincide under that substitution).
 
-    The kernel's buffer and its views (``_views``) and the det gufunc are
-    bound here, once; each call writes the kernel's outputs into that
-    buffer and reads them through the views.  A call ``stage(args, dy)``
-    writes the derivative of the packed state -- the completed velocities
-    dq (n), the base accelerations dv (n-m) and, for the vakonomic field,
-    the multiplier rates dp (m), in this order -- into ``dy``, a row of the
-    caller's, or else into an array of its own, and returns it with the
-    buffer, which ``_momenta``, ``_hamiltonian`` and ``_rates`` read until
-    the next call overwrites it.  The solve runs without an
-    ``np.errstate`` of its own: the caller ignores floating-point errors.
+    The kernels' buffers (``_bound``), the views of the field's
+    (``_views``) and the det gufunc are bound here, once.  A call
+    ``stage(args, dy)`` writes the derivative of the packed state -- the
+    completed velocities dq (n), the base accelerations dv (n-m) and, for
+    the vakonomic field, the multiplier rates dp (m) -- into ``dy``, a row
+    of the caller's, or else into an array of its own.  It returns ``dy``
+    and the vakonomic ``field`` buffer, which ``_momenta``, ``_hamiltonian``
+    and ``_rates`` read, or the nonholonomic ``lift`` array, which
+    ``nonholonomic._energy`` reads, until the next call overwrites it.
+    The solve runs without an ``np.errstate`` of its own: the caller
+    ignores floating-point errors.
 
     The determinant guard reads Cbar's entries as Python floats and forms
     the threshold with ``_threshold``.  A 2 x 2 Cbar that
     ``_certainly_regular`` certifies passes without its det; any other
     runs the det gufunc and the guard.  A reduced matrix that fails the
-    guard raises ``_singular``'s error.  Where the kernel fails,
+    guard raises ``_singular``'s error.  Where a kernel fails,
     ``Sweep.run`` raises the documented error.
     """
     n, k = sys.n, 2 * sys.n - sys.m
-    sweep = _kernel(sys, "field")
-    run = sweep.run
-    store = bytearray(8 * sweep.outputs)
-    out = memoryview(store)
-    entries = out.cast("d")
-    buf = np.frombuffer(store)
+    run, out, entries, buf = _bound(sys, "field")
     grad, hess, known, psi_v = _views(sys, buf)
     c, cross = hess[n:, n:], hess[:n, n:]
     dq, dp = known[:n], known[k:]
-    if what == "nonholonomic matrix":
+    evaluation = buf   # what the stage returns beside dy
+    lifted = what == "nonholonomic matrix"
+    if lifted:
         known = known[:k]   # its packed state is (q, v)
+        lift, lift_out, lift_entries, evaluation = _bound(sys, "lift")
+        momenta = (n + sys.dependent_positions).tolist()   # Leg_dep in the lift
     base, order = sys.base_positions, k - n
     # Cbar's entries in the buffer, row by row.
     cells = [1 + k + i * k + j for i in range(n, k) for j in range(n, k)]
@@ -242,6 +249,9 @@ def _bind_stage(sys, what):
     det, certified = _umath_linalg.det, _certainly_regular
 
     def stage(args, dy=None):
+        if lifted:
+            lift_out[:] = lift(*args)
+            args = args + [lift_entries[i] for i in momenta]
         out[:] = run(*args)
         if order == 2:
             c00, c01, c10, c11 = cbar_entries(entries)
@@ -261,13 +271,14 @@ def _bind_stage(sys, what):
         else:
             dy[:] = known
         dy[n:k] = _solve_ignoring(c, r)
-        return dy, buf
+        return dy, evaluation
     return stage
 
 
 def _stage(sys, args, what):
-    """``_bind_stage``'s stage at the flat state ``args``, with a buffer of
-    its own and floating-point errors ignored."""
+    """``_bind_stage``'s stage at the flat state ``args``, (q, v, p) or the
+    nonholonomic (q, v), with buffers of its own and floating-point errors
+    ignored."""
     with np.errstate(all="ignore"):
         return _bind_stage(sys, what)(args)
 

@@ -64,7 +64,7 @@ from vaknh._jets import Jet, RestrictedTable
 from vaknh.autodiff import HyperDual, partial
 from vaknh.comparison import ComparisonRecord, ComparisonReport, _draw
 from vaknh.errors import EvalError, SingularMatrixError
-from vaknh.nonholonomic import _dependent_momenta, nh_rhs
+from vaknh.nonholonomic import nh_rhs
 from vaknh.system import NhState, VakState, check_state, require_linear, state_env
 from vaknh.vakonomic import DET_RTOL, vak_rhs
 
@@ -408,12 +408,18 @@ def curvature(sys, q):
     return a_mat - a_mat.transpose(0, 2, 1)
 
 
+def _leg_dep(sys, q, v):
+    """Leg_dep: the Legendre momenta of the dependent velocities at (q, v),
+    from the package's lift, unchecked."""
+    return _jets.ambient_velocity_gradient(sys, q, v)[sys.n + sys.dependent_positions]
+
+
 def g_residuals(sys, s):
     """g_b = v_a (p_dep - Leg_dep)_k R[k, a, b], summed over k, then a."""
     require_linear(sys, "g_residuals")
     check_state(sys, s)
     r = curvature(sys, s.q)
-    delta = s.p_dep - _dependent_momenta(sys, s)
+    delta = s.p_dep - _leg_dep(sys, s.q, s.v)
     g = np.zeros_like(s.v)
     for k in range(len(delta)):
         for a in range(len(s.v)):
@@ -460,7 +466,7 @@ def evaluate_one(sys, i, q, v, p, candidates, linear):
     """The scan record of one sample; ``p`` is None in legendre mode."""
     try:
         if p is None:
-            p = _dependent_momenta(sys, NhState(q, v))
+            p = _leg_dep(sys, q, v)
         s = VakState(q, v, p)
         record = ComparisonRecord(index=i, q=list(map(float, q)), v=list(map(float, v)),
                                   p_dep=list(map(float, p)))

@@ -36,7 +36,7 @@ from vaknh.system import SystemDef, VakState, complete_velocities, load_system
 import oracles
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from test_expr import _exprs
-from test_kernel import _psi_values, _same_bits
+from test_kernel import _same_bits
 
 GOLDEN = Path(__file__).parent / "golden"
 # The sweep kinds, and "psi": the values kernel of the psi trees.
@@ -51,7 +51,7 @@ C4 = 2.5
 
 
 def _sweep(sysdef, kind):
-    return _psi_values(sysdef) if kind == "psi" else _jets._kernel(sysdef, kind)
+    return _jets._psi_values(sysdef) if kind == "psi" else _jets._kernel(sysdef, kind)
 
 
 def _blocks(sysdef, kind, q, v, v_full, mult):

@@ -278,6 +278,21 @@ def test_scan_by_path(tmp_path):
     assert payload["system"] == "constrained_particle"
 
 
+def test_scan_of_a_file_named_like_a_builtin_samples_the_files_box(tmp_path, monkeypatch,
+                                                                   capsys):
+    # A file wins over the builtin of its name, for the system and for the
+    # sampler's box alike: the scan is that of the same file by another name.
+    from vaknh.models import builtin_source
+    monkeypatch.chdir(tmp_path)
+    for name in ("martinet", "penny.sys"):
+        (tmp_path / name).write_text(builtin_source("rolling_penny"))
+    assert run(["scan", "martinet", "--samples", "3"]) == 0
+    shadowed = capsys.readouterr().out
+    assert run(["scan", "penny.sys", "--samples", "3"]) == 0
+    assert shadowed == capsys.readouterr().out
+    assert json.loads(shadowed)["system"] == "rolling_penny"
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["integrate", "martinet", "--dynamics", "vak",
                 "--q", "0,1", "--v", "1,0", "--p", "1", "--t-end", "1"]) == 1

@@ -47,12 +47,21 @@ def _reference(sysdef, s, mult):
     return lam, dq, np.linalg.solve(c, r), dp
 
 
-def _run_stage(sysdef, s, mult, what):
-    """``vakonomic._stage`` at the (q, v) of ``s`` with the multipliers
-    ``mult``: the derivative of the packed state and the jet of Lambda."""
-    dy, buf = _stage(sysdef, _jets._flat(s.q, s.v, mult), what)
+def _run_stage(sysdef, s):
+    """The vakonomic ``vakonomic._stage`` at ``s``: the derivative of the
+    packed state and the jet of Lambda."""
+    dy, buf = _stage(sysdef, _jets._flat(s.q, s.v, s.p_dep), "vakonomic matrix")
     k = 2 * sysdef.n - sysdef.m
     return dy, _jets._row_jet(buf[:1 + k + k * k], k)
+
+
+def _run_nh_stage(sysdef, s):
+    """The nonholonomic ``vakonomic._stage`` at the (q, v) of ``s``: the
+    derivative of the packed state.  The lift it returns is the lift at
+    (q, v), whose Leg_dep the reference takes from ``legendre_lift``."""
+    dy, lift = _stage(sysdef, _jets._flat(s.q, s.v), "nonholonomic matrix")
+    assert _same_bits(lift, _jets.ambient_velocity_gradient(sysdef, s.q, s.v))
+    return dy
 
 
 def _assert_same_jet(got, expected):
@@ -74,7 +83,7 @@ def test_vak_field_equals_shifted_restricted_table(name, seed):
             vak_rhs(sysdef, s)
         return
     d = vak_rhs(sysdef, s)
-    dy, jet = _run_stage(sysdef, s, s.p_dep, "vakonomic matrix")
+    dy, jet = _run_stage(sysdef, s)
     _assert_same_jet(jet, lam)
     assert _same_bits(dy, np.concatenate([dq, dv, dp]))
     assert _same_bits(d.dq, dq) and _same_bits(d.dv, dv) and _same_bits(d.dp_dep, dp)
@@ -98,7 +107,7 @@ def test_nh_field_equals_shifted_restricted_table(name, seed):
             nh_rhs(sysdef, s)
         return
     d = nh_rhs(sysdef, s)
-    dy, _ = _run_stage(sysdef, s, mult, "nonholonomic matrix")
+    dy = _run_nh_stage(sysdef, s)
     assert _same_bits(dy[:len(dq) + len(dv)], np.concatenate([dq, dv]))
     assert _same_bits(d.dq, dq) and _same_bits(d.dv, dv)
 
@@ -153,7 +162,7 @@ def test_constant_psi_runs_through_the_field_kernel(psi, linear):
     s = VakState((0.3, -0.2), (1.5,), (0.7,))
     lam, dq, dv, dp = _reference(sysdef, s, s.p_dep)
     d = vak_rhs(sysdef, s)
-    dy, jet = _run_stage(sysdef, s, s.p_dep, "vakonomic matrix")
+    dy, jet = _run_stage(sysdef, s)
     _assert_same_jet(jet, lam)
     assert _same_bits(dy, np.concatenate([dq, dv, dp]))
     assert _same_bits(np.concatenate([d.dq, d.dv, d.dp_dep]), dy)
@@ -166,7 +175,7 @@ def test_constant_psi_runs_through_the_field_kernel(psi, linear):
         lam, dq, dv, _ = _reference(sysdef, s, mult)
         assert _same_bits(ctilde(sysdef, s), lam.hess[sysdef.n:, sysdef.n:])
         d = nh_rhs(sysdef, s)
-        dy, _ = _run_stage(sysdef, s, mult, "nonholonomic matrix")
+        dy = _run_nh_stage(sysdef, s)
         assert _same_bits(dy[:len(dq) + len(dv)], np.concatenate([dq, dv]))
         assert _same_bits(np.concatenate([d.dq, d.dv]), dy[:len(dq) + len(dv)])
 
@@ -175,7 +184,7 @@ def test_results_are_writable():
     sysdef = get_model("rolling_penny")
     (s,) = random_states("rolling_penny", 1, 5)
     results = [cbar(sysdef, s), w1_momenta(sysdef, s),
-               _run_stage(sysdef, s, s.p_dep, "vakonomic matrix")[1].hess,
+               _run_stage(sysdef, s)[1].hess,
                ctilde(sysdef, NhState(s.q, s.v))]
     for result in results:
         result[...] = 0.0
@@ -202,12 +211,15 @@ def test_domain_errors_raise_the_documented_error(lagrangian, q, v, message):
 
 @pytest.mark.parametrize("what", ["vakonomic matrix", "nonholonomic matrix"])
 def test_a_bound_stage_returns_dy_of_its_own(what):
-    # The buffer of a binding is overwritten by its next call; dy is not
-    # part of it, and two bindings of one system share no buffer.
+    # The buffer of a binding (the field's, or the nonholonomic lift's) is
+    # overwritten by its next call; dy is not part of it, and two bindings
+    # of one system share no buffer.
     sysdef = get_model("rolling_penny")
     states = random_states("rolling_penny", 2, 11)
     first, second = _bind_stage(sysdef, what), _bind_stage(sysdef, what)
     args = [_jets._flat(s.q, s.v, s.p_dep) for s in states]
+    if what == "nonholonomic matrix":
+        args = [entries[:2 * sysdef.n - sysdef.m] for entries in args]   # (q, v)
     dy, buf = first(args[0])
     assert not np.shares_memory(dy, buf)
     kept = buf.copy()

@@ -3,11 +3,12 @@ import pytest
 
 from vaknh import expr as E
 from vaknh.cli import run
-from vaknh.errors import IntegrationError
-from vaknh.integrate import (_flat_rhs, _initial_step, _require_finite, _rms, drift_report,
+from vaknh.errors import IntegrationError, VaknhError
+from vaknh.integrate import (_initial_step, _require_finite, _rms, drift_report,
                              integrate, read_trajectory_csv, trajectory_from_csv,
                              trajectory_to_csv, write_trajectory_csv)
 from vaknh.system import NhState, VakState
+from vaknh.vakonomic import _bind_stage
 
 from conftest import get_model
 from test_linalg import _bits, _entries
@@ -122,6 +123,26 @@ def test_csv_reemits_header_only_and_one_row_byte_for_byte(rows):
     assert trajectory_to_csv(pen, trajectory_from_csv(pen, text)) == text
 
 
+_PENNY_HEADER = "t,x,y,theta,phi,dtheta,dphi,p_x,p_y,H"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_PENNY_HEADER + ",H\n" + ",".join(map(str, range(11))) + "\n",
+     "CSV header repeats the column 'H'"),
+    (_PENNY_HEADER + "\n" + ",".join(map(str, range(12))) + "\n",
+     "CSV line 2 has 12 fields, the header 10"),
+    (_PENNY_HEADER + "\n" + ",".join(map(str, range(10))) + "\n"
+     + ",".join(map(str, range(8))) + "\n",
+     "CSV line 3 has 8 fields, the header 10"),
+], ids=["repeated-column", "long-row", "short-row"])
+def test_csv_reader_rejects_what_no_trajectory_writes(text, message):
+    # No column or field is dropped without a word, and no bare IndexError.
+    pen = get_model("rolling_penny")
+    with pytest.raises(VaknhError) as exc:
+        trajectory_from_csv(pen, text)
+    assert str(exc.value) == message
+
+
 def test_write_and_read_trajectory_csv_round_trip(tmp_path):
     pen = get_model("rolling_penny")
     traj = integrate(pen, "nh", NhState([0, 0, 0.3, 0.4], [1.0, 0.5]), t_end=0.5,
@@ -156,7 +177,7 @@ def test_a_run_from_rest_starts_with_the_smallest_guess_and_stays_at_rest():
     # has zero error and grows the step fivefold.
     m = get_model("martinet")
     y0 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    f = _flat_rhs(m, "vak")
+    f = _bind_stage(m, "vakonomic matrix")
     f0, _ = f(y0.tolist(), np.empty(6))
     assert not f0.any()
     with np.errstate(all="ignore"):

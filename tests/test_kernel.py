@@ -6,6 +6,8 @@ structural zero is 0.0 in a kernel and may be -0.0 in the interpreter, and
 every other entry, being equal and nonzero, agrees bit for bit.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,13 +46,6 @@ def _jets_of(result):
     """The jets of a sweep's result: the psi and the Lagrangian of a
     restricted table, or the ambient Lagrangian's jet itself."""
     return result.psi + [result.lag] if isinstance(result, RestrictedTable) else [result]
-
-
-def _psi_values(sysdef):
-    """The values kernel of the psi trees in (q, base v), the kernel that
-    ``_jets.completion`` runs."""
-    return _jets.gradient_kernel([sysdef.psi[c] for c in sysdef.dependent],
-                                 sysdef.state_names[:2 * sysdef.n - sysdef.m], ())
 
 
 def _assert_agree(got, expected):
@@ -198,7 +193,7 @@ def test_a_zeroth_power_agrees_with_the_interpreter():
     q, v = (np.array([state[i] for state in states]) for i in (0, 1))
     _check_lift(sysdef, q, v)
     mult = np.full((len(states), 1), 0.7)
-    for sweep, blocks in ((_psi_values(sysdef), (q, v)),
+    for sweep, blocks in ((_jets._psi_values(sysdef), (q, v)),
                           (_jets._kernel(sysdef, "restricted"), (q, v)),
                           (_jets._kernel(sysdef, "field"), (q, v, mult))):
         out, failed = _jets.run_lanes(sweep, *blocks)
@@ -232,24 +227,48 @@ def test_completion_kernel_equals_the_interpreter(name):
     states = random_states(name, 30, 47)
     q = np.array([s.q for s in states])
     v = np.array([s.v for s in states])
-    psi, failed = _jets.run_lanes(_psi_values(sysdef), q, v)
+    psi, failed = _jets.run_lanes(_jets._psi_values(sysdef), q, v)
     assert not failed.any()
     for i, s in enumerate(states):
         expected = oracles.reference_complete_velocities(sysdef, s)[
             sysdef.dependent_positions]
-        scalar = _psi_values(sysdef).scalar(*q[i], *v[i])
+        scalar = _jets._psi_values(sysdef).scalar(*q[i], *v[i])
         assert _same_bits(np.frombuffer(scalar), expected)
         assert _same_bits(psi[i], expected)
+
+
+@pytest.mark.parametrize("name", ["martinet", "rolling_penny", "von_neumann2"])
+def test_a_second_completion_builds_no_key_from_the_trees(name):
+    # The psi values kernel is found by the system's key, not by a repr of
+    # every psi tree on every call.
+    sysdef = get_model(name)
+    (s,) = random_states(name, 1, 3)
+    s = NhState(s.q, s.v)
+    first = complete_velocities(sysdef, s)
+    reprs = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "__repr__" \
+                and isinstance(frame.f_locals.get("self"), E.Expression):
+            reprs.append(frame.f_locals["self"])
+
+    sys.setprofile(profile)
+    try:
+        again = complete_velocities(sysdef, s)
+    finally:
+        sys.setprofile(None)
+    assert reprs == []
+    assert _same_bits(again, first)
 
 
 def test_completion_outside_the_domain_marks_the_lane():
     sysdef = get_model("von_neumann2")
     q = np.array([[1.0, 1.0], [1.0, 1.0]])
     v = np.array([[0.5], [2.0]])     # the second: sqrt of a negative
-    psi, failed = _jets.run_lanes(_psi_values(sysdef), q, v)
+    psi, failed = _jets.run_lanes(_jets._psi_values(sysdef), q, v)
     assert failed.tolist() == [False, True]
     with pytest.raises((ValueError, ArithmeticError)):
-        _psi_values(sysdef).scalar(1.0, 1.0, 2.0)
+        _jets._psi_values(sysdef).scalar(1.0, 1.0, 2.0)
     with pytest.raises(EvalError, match="sqrt of negative value"):
         complete_velocities(sysdef, NhState((1.0, 1.0), (2.0,)))
 
@@ -277,7 +296,7 @@ def _check_lift(sysdef, q, v):
     lane where the oracle fails, whose error ``Sweep.explain`` and
     ``ambient_velocity_gradient`` raise with the oracle's text.  Where psi
     fails, that is psi's error, the one the values kernel of psi explains."""
-    lift, completion = _jets._kernel(sysdef, "lift"), _psi_values(sysdef)
+    lift, completion = _jets._kernel(sysdef, "lift"), _jets._psi_values(sysdef)
     out, failed = _jets.run_lanes(lift, q, v)
     _, unfinished = _jets.run_lanes(completion, q, v)
     assert not (unfinished & ~failed).any()

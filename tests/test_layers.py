@@ -23,7 +23,9 @@ in numpy (``_shifted``) is the tests' oracle of that kernel.  Only
 knows four kinds of sweep.
 
 No module of the package, the tests or the tools imports a top-level name
-that it never reads, unless the module exports it in ``__all__``.
+that it never reads, unless the module exports it in ``__all__``, and each
+private top-level name that one defines is read in its module or imported
+elsewhere (the benchmark's scripts count as readers).
 """
 
 import ast
@@ -80,6 +82,55 @@ def test_no_module_imports_a_name_it_never_reads():
     assert {path: names for path, names in unused.items() if names} == {}
     assert _unused_imports(ast.parse("import os, numpy.linalg as la\nfrom x import y\n"
                                      "__all__ = ['y']\nos.sep\n")) == {"la"}
+
+
+def _private_names(tree):
+    """The private names that the top-level statements of a module define:
+    its functions, classes and assigned names that start with one
+    underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _taken(tree):
+    """The names a module takes from others: imported by name, or read as
+    an attribute."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names} | {node.attr for node in ast.walk(tree)
+                                        if isinstance(node, ast.Attribute)}
+
+
+def _unread_private_names(trees, path):
+    """The private top-level names of the module at ``path`` that it never
+    reads and that no other module of ``trees`` (path -> tree) takes."""
+    tree = trees[path]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    taken = set().union(*(_taken(other) for key, other in trees.items() if key != path))
+    return _private_names(tree) - read - taken
+
+
+def test_every_private_top_level_name_is_read():
+    defining = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "tools").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in [*defining, *(ROOT / "bench").glob("*.py")]}
+    unread = {path.relative_to(ROOT).as_posix(): sorted(_unread_private_names(trees, path))
+              for path in sorted(defining)}
+    assert {path: names for path, names in unread.items() if names} == {}
+    source = ("_A = 1\n_B, C = 2, 3\ndef _f():\n    return _A\nclass _K: pass\n"
+              "def __dir__(): pass\n")
+    trees = {"a": ast.parse(source), "b": ast.parse("from a import _K\n")}
+    assert _unread_private_names(trees, "a") == {"_B", "_f"}
+    trees["b"] = ast.parse("import a\na._f()\n")
+    assert _unread_private_names(trees, "a") == {"_B", "_K"}
 
 
 def _imports_autodiff(tree) -> bool:

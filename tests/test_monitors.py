@@ -88,7 +88,7 @@ def _calls(fn, *targets):
 # A stage of the steppers is one call of the core, the stage that
 # ``vakonomic._bind_stage`` binds once per run, on the packed state, and its
 # one sweep is the fused field kernel (its ``Sweep.run``); a nonholonomic
-# stage appends Leg_dep from one run of the lift kernel.  Inside integrate
+# stage first runs its own lift kernel and appends Leg_dep from it.  Inside integrate
 # no restricted table is built, and none of the per-state functions runs.
 
 
@@ -111,8 +111,8 @@ def test_every_vak_sweep_belongs_to_a_stage(method):
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_every_nh_sweep_belongs_to_a_stage(method):
-    # The stage is the bound stage at (q, v, Leg_dep), with Leg_dep from
-    # one run of the lift kernel.
+    # The stage is the bound nonholonomic stage at (q, v): one run of its
+    # lift kernel, then the field kernel at (q, v, Leg_dep).
     runs = []
     counts = _calls(lambda: runs.append(_run("rolling_penny", "nh", method)),
                     Sweep.run, _jets.restricted_table,

@@ -67,7 +67,7 @@ def test_trace_times_the_stepper_of_an_integrate_command(capsys):
 
     from conftest import get_model
 
-    flat_rhs, run_rk45 = integrate_module._flat_rhs, integrate_module._run_rk45
+    bind_stage, run_rk45 = integrate_module._bind_stage, integrate_module._run_rk45
     script = runpy.run_path(str(TRACE))
     assert script["main"](["integrate", "martinet", "--dynamics", "vak", "--q", "0,1,0",
                            "--v", "0.8,-0.4", "--p", "1.2", "--t-end", "0.5"]) == 0
@@ -82,7 +82,7 @@ def test_trace_times_the_stepper_of_an_integrate_command(capsys):
     assert rows["field sweep of martinet"] == [str(traj.stats.evaluations), "0"]
     assert loop[:3] == ["run", "loop", "1"]
     assert float(loop[3]) >= float(stage[2]) and float(loop[4]) >= 0.0
-    assert integrate_module._flat_rhs is flat_rhs
+    assert integrate_module._bind_stage is bind_stage
     assert integrate_module._run_rk45 is run_rk45
 
 

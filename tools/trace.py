@@ -14,15 +14,16 @@ explained), or elsewhere.  Then one row per generated sweep that ran, by
 ``Sweep.label``: its scalar runs (``Sweep.run``, one state) and its stacked
 runs (``_jets.run_lanes``, one batch of states).  For an ``integrate``
 command, last, the stepper as a layer: the stage calls and their time
-(the stage that ``integrate._flat_rhs`` returns, one field evaluation
-each), and the run loop (``_run_rk45`` or ``_run_rk4``) with its own time,
-its total less the stage time; then the calls of the LAPACK det gufunc,
-which a stage makes only where it cannot certify its reduced matrix
-without it, and the command's runs of ``system.verify_linearity``, which
-a load makes only for a psi that the structural certificate leaves
-undecided.  The package is not changed: the tracer wraps the functions of
+(the stage that ``integrate`` binds with ``vakonomic._bind_stage``: one
+field run each, after one lift run in a nonholonomic stage), and the run
+loop (``_run_rk45`` or ``_run_rk4``) with its own time, its total less the
+stage time; then the calls of the LAPACK det gufunc, which a stage makes
+only where it cannot certify its reduced matrix without it, and the
+command's runs of ``system.verify_linearity``, which a load makes only for
+a psi that the structural certificate leaves undecided.  The package is
+not changed: the tracer wraps the functions of
 ``bench/spans.TARGETS``, and this script ``Sweep.run``, ``run_lanes``,
-``_flat_rhs``, the run loops, numpy's ``_umath_linalg.det`` and
+``integrate._bind_stage``, the run loops, numpy's ``_umath_linalg.det`` and
 ``expr.evaluate``, while the command runs.
 """
 
@@ -119,7 +120,7 @@ def timed_stepper():
     """A ``Counter`` of the stepper's stage calls ("stage calls"), their
     time ("stage s"), its run loops ("loops"), their time ("loop s") and
     the calls of the LAPACK det gufunc ("det calls") while installed:
-    ``integrate._flat_rhs`` and the run loops are wrapped on their module,
+    ``integrate._bind_stage`` and the run loops are wrapped on their module,
     and ``det`` on numpy's ``_umath_linalg``, where a stage binds it."""
     from numpy.linalg import _umath_linalg
     from vaknh import integrate
@@ -127,11 +128,11 @@ def timed_stepper():
     totals = Counter()
     det = _umath_linalg.det
     clock = time.perf_counter
-    flat_rhs = integrate._flat_rhs
+    bind_stage = integrate._bind_stage
     loops = {name: getattr(integrate, name) for name in ("_run_rk45", "_run_rk4")}
 
-    def timed_flat_rhs(sys_, dynamics):
-        f = flat_rhs(sys_, dynamics)
+    def timed_bind_stage(sys_, what):
+        f = bind_stage(sys_, what)
 
         def stage(*args):
             start = clock()
@@ -156,14 +157,14 @@ def timed_stepper():
                 totals["loops"] += 1
         return loop
 
-    integrate._flat_rhs = timed_flat_rhs
+    integrate._bind_stage = timed_bind_stage
     _umath_linalg.det = counted_det
     for name, run in loops.items():
         setattr(integrate, name, timed_loop(run))
     try:
         yield totals
     finally:
-        integrate._flat_rhs = flat_rhs
+        integrate._bind_stage = bind_stage
         _umath_linalg.det = det
         for name, run in loops.items():
             setattr(integrate, name, run)
