@@ -14,32 +14,19 @@ function that runs each at one state:
 * ``lift`` (``ambient_velocity_gradient``): the Legendre lift, the
   completion, then the velocity gradient of L and L's value there.
 
-``completion`` runs the values kernel of the psi trees (``_psi_values``,
-the kernel of ``gradient_kernel`` with nothing seeded, kept under the
-system's key) for :func:`vaknh.system.complete_velocities`.
-
-:mod:`vaknh._kernel` generates the straight-line kernels from the system's
-expression trees on the first sweep.  One store, ``_SWEEPS``, keeps the
-last ``_SWEEPS_KEPT`` generated sweeps of the process, for equal systems
-loaded again and for equal candidate functions (``gradient_kernel``, their
-values and gradients).  Each kernel gives the bits of the interpreter it
+:mod:`vaknh._kernel` generates the kernels on the first sweep.  One store,
+``_SWEEPS``, keeps the last ``_SWEEPS_KEPT`` generated sweeps of the
+process, for equal systems loaded again and for equal candidate functions
+(``gradient_kernel``).  Each kernel gives the bits of the interpreter it
 is generated from, :func:`vaknh.expr.evaluate` over
 :class:`~vaknh.autodiff.HyperDual` numbers or plain floats, in every value,
 every gradient entry and, while the intermediate values are finite, every
 Hessian entry of the upper triangle, up to the sign of a zero outside the
-structural pattern.  At one state a sweep runs ``Sweep.run``: where the
-kernel fails, ``Sweep.explain`` raises the interpreter's documented error.
-A sweep called with the wrong number of entries raises the kernel's
-``TypeError``.
-
-``run_lanes`` runs the array form of a kernel once over N stacked states.
-It returns the stacked results together with a failure mask: a lane is
-marked exactly where the scalar kernel fails at that state, and every other
-lane equals the scalar kernel's result bit for bit.  No interpreter runs
-there; the caller asks the sweep to explain a marked lane
-(``Sweep.explain``).
-
-Kernel Hessians are exactly symmetric: the upper triangle is mirrored.
+structural pattern; Hessians are mirrored, so exactly symmetric.
+``Sweep.run`` runs a kernel at one state and ``run_lanes`` its array form
+over N stacked states.  Where either fails, the failure site gives the
+interpreter's error (``Sweep.error``); no tree is evaluated.  A sweep
+called with the wrong number of entries raises the kernel's ``TypeError``.
 """
 
 from __future__ import annotations
@@ -48,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import Sweep, compile_gradients, compile_sweep
+from ._kernel import Sweep, _failed, compile_gradients, compile_sweep
 
 
 @dataclass
@@ -73,15 +60,13 @@ class RestrictedTable:
     """Jets of the constraint functions and the restricted Lagrangian.
 
     Variable order: the n positions followed by the n-m base velocities,
-    k = 2n-m variables in all.  The m+1 jets are the rows of one buffer,
-    ``rows``, of shape (m+1, 1+k+k*k): psi in declaration order first and
-    the Lagrangian last, each row holding the value, the gradient and the
-    row-major Hessian.  ``values`` (m+1,), ``grads`` (m+1, k) and
-    ``hessians`` (m+1, k, k) are views of that buffer; ``lag``, ``psi`` and
-    ``psi_grad`` are slices of them.  A kernel's buffer is read-only.  The
-    tables of N stacked states share one buffer of shape (N, m+1, 1+k+k*k),
-    and ``values``, ``grads``, ``hessians`` and ``psi_grad`` gain the
-    leading axis; ``jet``, ``lag`` and ``psi`` read the table of one state.
+    k = 2n-m variables in all.  The m+1 jets, psi in declaration order and
+    then the Lagrangian, are the rows of one read-only buffer ``rows`` of
+    shape (m+1, 1+k+k*k), each the value, the gradient and the row-major
+    Hessian; ``values``, ``grads``, ``hessians`` and ``psi_grad`` are views
+    of it, with a leading axis for the tables of N stacked states in one
+    (N, m+1, 1+k+k*k) buffer, and ``jet``, ``lag`` and ``psi`` read the
+    table of one state.
     """
 
     rows: np.ndarray
@@ -172,20 +157,26 @@ def _flat(*vectors):
 
 
 def run_lanes(sweep: Sweep, *blocks):
-    """Run the array form of ``sweep`` over stacked states.  ``blocks`` are
-    (N, .) arrays whose columns, in order, are the kernel's arguments.
-    Returns the (N, outputs) results and the failure mask of the N lanes;
-    numpy's floating-point warnings are silenced, since a failed lane is
-    marked instead.  A kernel that fails at every state (a term no input
-    reaches) marks every lane, with NaN results."""
+    """Run the array form of ``sweep`` over stacked states, the columns of
+    the (N, .) arrays ``blocks``, with numpy's warnings silenced.  Returns
+    the (N, outputs) results, each lane's failure site (0 for none) and an
+    (N, 2) array of the operand values there, None if no lane fails.  Where
+    a line raises for every lane (a term no input reaches), the lanes that
+    have not failed before fail there, and every result is NaN."""
     columns = np.ascontiguousarray(np.concatenate(blocks, axis=1, dtype=float).T)
     with np.errstate(all="ignore"):
         try:
-            out, failed = sweep.array(*columns)
-        except (ArithmeticError, ValueError):
-            lanes = columns.shape[1]
-            out, failed = np.full((sweep.outputs, lanes), np.nan), np.ones(lanes, dtype=bool)
-    return np.ascontiguousarray(out.T), failed
+            out, site, local = sweep.array(*columns)
+        except (ArithmeticError, ValueError) as exc:
+            at, local = _failed(exc, 2)
+            site = np.where(local["_site"] == 0, at, local["_site"])
+            out = np.full((sweep.outputs, len(site)), np.nan)
+    values = np.zeros((len(site), 2)) if local else None
+    for k in np.unique(site[site != 0]).tolist() if local else []:
+        lanes = site == k
+        for j, term in enumerate(sweep.sites[k][1]):   # a local's name, or a float
+            values[lanes, j] = np.broadcast_to(local.get(term, term), site.shape)[lanes]
+    return np.ascontiguousarray(out.T), site, values
 
 
 def _rows(packed, count, k):

@@ -25,31 +25,27 @@ results equal to an interpreted sweep bit for bit:
 Every check the interpreter makes before an operation that may fail is
 emitted with the same comparison, and every value-side operation that may
 raise is emitted unconditionally, so a kernel raises whenever the
-interpreter would.  It raises a bare ``ValueError`` or ``ArithmeticError``.
-``Sweep.run`` turns that into the documented error: ``Sweep.explain`` runs
-the evaluation the kernel was generated from once more, through the
-interpreter (:func:`vaknh.expr.evaluate` over hyper-duals), which raises
-it.  This is the one place where a kernel failure becomes an error.
+interpreter would.  Each line that can raise is a *failure site*, recorded
+with the tree node the interpreter raises at and that node's operands
+(``Sweep.sites``); a line emitted once for several nodes records the first
+in evaluation order, where the interpreter raises first.  ``Sweep.error``
+is the one place where a kernel failure becomes an error: the
+interpreter's operation at that node alone, on the operand values the
+kernel computed.  No tree is evaluated again.
 
 The same pass emits a second source, the *array* kernel, from the same
 lines: its arguments are float64 arrays of N lanes (one state per lane), and
 numpy runs each line over all lanes with the same IEEE operations.  Where
-the scalar kernel raises, the array kernel marks the lane in a failure mask
-instead: each check becomes an update of the mask, a division by a term
-that is not a nonzero constant is preceded by one, and a math function is
-applied lane by lane with ``math`` (``numpy``'s ``exp``, ``log`` and
-trigonometric functions round differently; ``sqrt`` is exact in both), a
-lane where it raises being marked.  A lane is marked exactly when the scalar
-kernel raises at that state, and every other lane holds the scalar kernel's
-result bit for bit.  A line that raises for every state (a term no input
-reaches) raises in the array kernel too.
+the scalar kernel raises, the array kernel gives the lane that line's site
+in an int column, unless the lane has failed before; a math function runs
+lane by lane with ``math`` (``numpy``'s ``exp``, ``log`` and trigonometric
+functions round differently; ``sqrt`` is exact in both).  Every other lane
+holds the scalar kernel's result bit for bit.  A line that raises for
+every state (a term no input reaches) raises in the array kernel too.
 
-Past the derivative sweep, the ``field`` kernel carries the same code
-generation on through the multiplier shift of the reduced equations
-(Lambda = L~ - mult . psi), with the emitter's own operations, so the
-folding rules keep signed zeros and NaN there too.
-
-The generated source contains only generated local names, float literals
+The ``field`` kernel carries the same code generation on through the
+multiplier shift of the reduced equations (Lambda = L~ - mult . psi).  The
+generated source contains only generated local names, float literals
 and the math functions below: no text of the system file reaches it.
 """
 
@@ -58,6 +54,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -67,6 +64,7 @@ import numpy as np
 
 from . import expr as _expr
 from .autodiff import HyperDual
+from .errors import EvalError
 
 __all__ = ["Sweep", "compile_sweep", "compile_gradients"]
 
@@ -79,8 +77,8 @@ _GLOBALS.update(_inf=math.inf, _nan=math.nan)
 
 def _lanes(fn):
     """``fn`` applied lane by lane, as the scalar kernel applies it at one
-    state; a lane where it raises is NaN and marked in ``bad``."""
-    def apply(bad, x, *rest):
+    state; a lane where it raises is NaN and fails at ``at`` (``site``)."""
+    def apply(site, at, x, *rest):
         if not isinstance(x, np.ndarray):   # a term no input reaches
             return fn(x, *rest)
         values = x.tolist()
@@ -93,20 +91,22 @@ def _lanes(fn):
                     out[i] = fn(value, *rest)
                 except (ValueError, ArithmeticError):
                     out[i] = math.nan
-                    bad[i] = True
+                    site[i] = site[i] or at
             return out
     return apply
 
 
-def _sqrt_lanes(bad, x):
-    # Correctly rounded in both; a lane with a negative argument is already
-    # marked by the check that precedes every square root.
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+def _fail(site, at, condition):
+    """The lanes where ``condition`` holds fail at ``at`` unless failed before."""
+    if np.count_nonzero(condition):
+        site[(site == 0) & condition] = at
 
 
 _ARRAY_GLOBALS = {f"_{name}": _lanes(getattr(math, name)) for name in _MATH}
-_ARRAY_GLOBALS.update(_sqrt=_sqrt_lanes, _inf=math.inf, _nan=math.nan,
-                      _zeros=np.zeros)
+# A square root is correctly rounded in both, and a check precedes each.
+_ARRAY_GLOBALS.update(_inf=math.inf, _nan=math.nan, _zeros=np.zeros, _any=np.count_nonzero,
+                      _fail=_fail, _sqrt=lambda site, at, x:
+                      np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x))
 
 
 def _lit(term) -> str:
@@ -125,16 +125,9 @@ def _is(term, value: float) -> bool:
             and math.copysign(1.0, term) == math.copysign(1.0, value))
 
 
-class _Dual:
-    """A hyper-dual whose channel entries are terms.  ``hess`` maps (i, j),
-    i <= j, to a term; a missing pair is a structural zero."""
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value, grad, hess):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
+# A hyper-dual whose channel entries are terms.  ``hess`` maps (i, j), i <= j,
+# to a term; a missing pair is a structural zero.
+_Dual = namedtuple("_Dual", "value grad hess")
 
 
 class _Emitter:
@@ -148,6 +141,8 @@ class _Emitter:
         self.names: dict = {}          # operation key -> local name
         self.checks: set = set()       # checks already emitted
         self.zeros: set[str] = set()   # locals that are a zero of some sign
+        self.sites: dict = {}          # failure sites (``Sweep.sites``)
+        self.at = None                 # the node evaluated, and its operands
 
     # -- scalar terms -------------------------------------------------------
 
@@ -160,16 +155,27 @@ class _Emitter:
         self.lines.append(line)
         self.array_lines.append(line if array_line is None else array_line)
 
-    def _emit(self, key, code, zero=False, array_code=None, guard=None):
-        """The local holding ``code``; ``guard``, a condition under which
-        the scalar line raises, marks the lanes where it holds first."""
+    def _site(self) -> int:
+        """The next line's site (its scalar line number less one), at ``at``."""
+        node, operands = self.at
+        site = len(self.lines) + 1
+        self.sites[site] = (node, tuple(x.value if isinstance(x, _Dual) else x for x in operands),
+                            tuple(isinstance(x, _Dual) for x in operands))
+        return site
+
+    def _emit(self, key, code, zero=False, call=None, guard=None):
+        """The local holding ``code``, on a failure site if it ``call``s a
+        math function (name, arguments) or divides, raising where ``guard``
+        holds."""
         name = self.names.get(key)
         if name is None:
             name = self.names[key] = f"t{len(self.names)}"
-            if guard is not None:
-                self.array_lines.append(f"_bad |= {guard}")
-            self._line(f"{name} = {code}",
-                       None if array_code is None else f"{name} = {array_code}")
+            array = f"{name} = {code}"
+            if call is not None:
+                array = f"{name} = _{call[0]}(_site, {self._site()}, {call[1]})"
+            elif guard is not None:   # the lanes where it holds fail here
+                array = f"_fail(_site, {self._site()}, {guard}); {array}"
+            self._line(f"{name} = {code}", array)
             if zero:
                 self.zeros.add(name)
         return name
@@ -202,23 +208,27 @@ class _Emitter:
         return self._emit(("neg", a), f"-{a}", self.zero(a))
 
     def call(self, fn, *args):
-        texts = tuple(map(_lit, args))
-        return self._emit((fn,) + texts, f"_{fn}({', '.join(texts)})",
-                          array_code=f"_{fn}(_bad, {', '.join(texts)})")
+        texts = ", ".join(map(_lit, args))
+        return self._emit((fn, texts), f"_{fn}({texts})", call=(fn, texts))
 
     def check(self, a, sym, b):
         """Fail where the interpreter raises: when ``a <sym> b`` holds."""
         if isinstance(a, float):
             if _CHECKS[sym](a, b):
-                self._line("raise ValueError")
+                self.fail()
             return
         condition = f"{a} {sym} {_lit(b)}"
         if condition not in self.checks:
             self.checks.add(condition)
-            self._line(f"if {condition}: raise ValueError", f"_bad |= {condition}")
+            self._line(f"if {condition}: raise ValueError",
+                       f"_fail(_site, {self._site()}, {condition})")
 
-    def fail(self):
-        """Where the interpreter raises unconditionally (unbound variable)."""
+    def fail(self, var=None):
+        """Fail at every state, at the unbound variable ``var`` or else at the
+        node evaluated (a check that holds, a function that is unknown)."""
+        if var is not None:
+            self.at = (var, ())
+        self._site()
         self._line("raise ValueError")
         return "_unreachable"
 
@@ -305,17 +315,21 @@ class _Emitter:
         if isinstance(e, _expr.Const):
             return float(e.value)
         if isinstance(e, _expr.Var):
-            return env[e.name] if e.name in env else self.fail()
+            return env[e.name] if e.name in env else self.fail(e)
         if isinstance(e, _expr.Unary):
             x = self.evaluate(e.arg, env)
             if e.op == "neg":
                 return self.dual_neg(x) if isinstance(x, _Dual) else self.neg(x)
+            self.at = (e, (x,))
             return self.function(e.op, x)
         if isinstance(e, _expr.Binary):
-            return self.binary(e.op, self.evaluate(e.left, env),
-                               self.evaluate(e.right, env))
+            a, b = self.evaluate(e.left, env), self.evaluate(e.right, env)
+            self.at = (e, (a, b))
+            return self.binary(e.op, a, b)
         if isinstance(e, _expr.Power):
-            return self.power(self.evaluate(e.base, env), e.exponent, e.integer)
+            x = self.evaluate(e.base, env)
+            self.at = (e, (x,))
+            return self.power(x, e.exponent, e.integer)
         raise TypeError(f"not an expression node: {e!r}")
 
     def binary(self, sym, a, b):
@@ -399,71 +413,57 @@ class _Emitter:
         return out
 
 
-class _Interpreter:
-    """The builder that runs a sweep's evaluation on numbers instead of
-    emitting it: the trees through :func:`vaknh.expr.evaluate`, with the
-    seeded variables bound to :class:`~vaknh.autodiff.HyperDual` numbers.
-    It computes no derivative channel (``outputs`` keeps only the layout),
-    so it serves to raise the error the interpreter raises."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    evaluate = staticmethod(_expr.evaluate)
-
-    def seed(self, value, i):
-        """The variable ``value`` as a hyper-dual, with no channel."""
-        return HyperDual(value)
-
-    def op(self, sym, a, b):
-        return _FOLD[sym](a, b)
-
-    def outputs(self, results):
-        return [0.0] * (len(results) * (1 + self.k + self.k * self.k))
+def _failed(exc, header):
+    """The site (line less ``header``) and locals where a called kernel raised ``exc``."""
+    kernel = exc.__traceback__.tb_next
+    return kernel.tb_lineno - header, kernel.tb_frame.f_locals
 
 
 @dataclass
 class Sweep:
     """One generated kernel in its two forms, each compiled on first use,
-    and the evaluation it was generated from.
+    and its failure sites.
 
     ``scalar`` takes one state, one float per argument, and returns its
     outputs as packed doubles (``struct``, native order).  ``array`` takes
     one float64 array of N lanes per argument and returns the outputs as an
-    (outputs, N) array and the failure mask of the lanes.  ``evaluate(b,
-    env)`` is that evaluation; its arguments are ``names``, in order, and
-    the variables ``seeded`` carry the derivative channels, in order: those
-    among the arguments from the start, any other once the evaluation has
-    computed it and seeds it (``b.seed``).
+    (outputs, N) array, each lane's failure site (0 for none) and, if a
+    lane fails, the kernel's locals, each assigned once (else a false value).  ``sites`` maps a
+    site to its node, the terms of the node's operands (a local's name or
+    a float) and whether each carries derivative channels.
     """
 
     label: str
     outputs: int
     scalar_source: str
     array_source: str
-    names: tuple[str, ...]
-    seeded: tuple[str, ...]
-    evaluate: Callable
+    sites: dict
 
     def run(self, *args):
-        """The scalar kernel's outputs at the state ``args``, or the
-        documented error where the kernel fails (:meth:`explain`)."""
+        """The scalar kernel's outputs at ``args``; where it fails, :meth:`error`."""
         try:
             return self.scalar(*args)
-        except (ArithmeticError, ValueError):
-            self.explain(*args)
+        except (ArithmeticError, ValueError) as exc:
+            site, local = _failed(exc, 1)
+            raise self.error(site, [local.get(t, t) for t in self.sites[site][1]]) from None
 
-    def explain(self, *args):
-        """Raise the :class:`~vaknh.errors.EvalError` of the interpreter at
-        the state ``args``, where the kernel fails: the same evaluation,
-        through :class:`_Interpreter`.  Raises ``RuntimeError`` if the
-        interpreter does not fail there."""
-        b = _Interpreter(len(self.seeded))
-        env = dict(zip(self.names, args))
-        for i, name in enumerate(self.seeded):
-            if name in env:
-                env[name] = b.seed(env[name], i)
-        self.evaluate(b, env)
+    def error(self, site, values) -> EvalError:
+        """The :class:`~vaknh.errors.EvalError` of the interpreter's operation
+        at the node of ``site`` on the operand ``values``, hyper-duals where
+        they carry derivative channels; ``RuntimeError`` if it does not fail."""
+        node, _, channels = self.sites[site]
+        x = [HyperDual(value) if dual else value for value, dual in zip(values, channels)]
+        if isinstance(node, _expr.Var):
+            return _expr._unbound(node.name)
+        try:
+            if isinstance(node, _expr.Unary):
+                _expr._call_function(node.op, *x, node)
+            elif isinstance(node, _expr.Power):
+                _expr.power_value(*x, node.exponent, node.integer, node)
+            else:
+                _expr._divide(*x, node)
+        except EvalError as exc:
+            return exc
         raise RuntimeError(f"{self.label}: the kernel failed where its interpreter does not")
 
     @cached_property
@@ -483,10 +483,9 @@ def _build(source, label, globals_):
 
 
 def _generate(label, names, seeded, hessian, evaluate) -> Sweep:
-    """Emit both kernels of ``evaluate(builder, env)``, which returns the
-    output terms when the builder is an :class:`_Emitter`; the kernels take
-    the variables ``names`` in order, and the variables ``seeded`` carry
-    the derivative channels (:class:`Sweep`)."""
+    """Emit both kernels of ``evaluate(builder, env)``, which returns the output
+    terms, taking ``names`` in order; the variables ``seeded`` carry the
+    channels, from the start or once ``builder.seed`` seeds them."""
     b = _Emitter(len(seeded), hessian)
     args = {name: f"x{i}" for i, name in enumerate(names)}
     env = dict(args)
@@ -500,11 +499,11 @@ def _generate(label, names, seeded, hessian, evaluate) -> Sweep:
               + f"    return _pack({', '.join(map(_lit, out))})\n")
     stores = "".join(f"    _o[{i}] = {_lit(term)}\n"
                      for i, term in enumerate(out) if not _is(term, 0.0))
-    array = (head + "    _bad = _zeros(len(x0), bool)\n"
+    array = (head + "    _site = _zeros(len(x0), int)\n"
              + "".join(f"    {line}\n" for line in b.array_lines)
              + f"    _o = _zeros(({len(out)}, len(x0)))\n{stores}"
-             + "    return _o, _bad\n")
-    return Sweep(label, len(out), scalar, array, tuple(names), tuple(seeded), evaluate)
+             + f"    return _o, _site, {'_any(_site) and locals()' if b.sites else None}\n")
+    return Sweep(label, len(out), scalar, array, b.sites)
 
 
 def compile_sweep(sys, kind: str) -> Sweep:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 from . import expr as _expr
-from .errors import EvalError
 
 __all__ = ["HyperDual", "partial", "second_partial", "gradient"]
 
@@ -152,7 +151,7 @@ def _seeded_env(env, seeds):
 def partial(e, env, v):
     """Exact first partial derivative of expression ``e`` w.r.t. ``v`` at ``env``."""
     if v not in env:
-        raise EvalError(f"unbound variable {v!r}")
+        raise _expr._unbound(v)
     lifted = _seeded_env(env, {v: (1.0, 0.0)})
     result = _expr.evaluate(e, lifted)
     # constant subtrees evaluate to plain floats
@@ -168,7 +167,7 @@ def second_partial(e, env, v1, v2):
     """
     for v in (v1, v2):
         if v not in env:
-            raise EvalError(f"unbound variable {v!r}")
+            raise _expr._unbound(v)
     if v2 == v1:
         seeds = {v1: (1.0, 1.0)}
     else:

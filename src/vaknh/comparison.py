@@ -19,27 +19,21 @@ The two flows live on different spaces but project onto each other through
 
 Each quantity has one implementation in the package, a phase over stacked
 states (``_Lanes``) that runs the array form of the generated kernels
-(:mod:`vaknh._jets`) through ``_Lanes.run``, which explains the states a
-kernel marks; a field is the integrator's ``field`` kernel read by
+(:mod:`vaknh._jets`); a field is the integrator's ``field`` kernel read by
 ``vakonomic._stage_lanes``.  The Legendre lift (one run of the ``lift``
 kernel) and the vakonomic field are evaluated once per stack, and every
 phase that needs them reads them.  A lane that fails holds a code into the
 stack's list of distinct errors, each the exception the per-state
-functions raise at its state.
+functions raise at its state, built once per distinct failure.
 ``scan`` runs the phases over batches of ``BATCH`` sampled states.
 ``compare_state`` (the ``compare`` command) and the functions above run
 them on a stack of one state, so they agree with ``scan`` by construction.
 
-The report of ``scan`` is columnar: it keeps the stacked results of all
-its samples in one block (``_Batch``), one row per sample, with a code that
-gives the row's record shape (evaluated, or skipped with its text and with
-or without p).  The summary is computed from the columns.  ``ComparisonReport.records`` are
-built from them on first access; from then on they are what the report
-holds.  ``_JsonWriter`` writes the JSON text of a report that still holds
-its columns: the numbers of every record, index first, and the text after
-each number, from one template per record shape, turned into text with one
-``repr`` sweep and the report with one join.  A report that holds records
-is written by ``json.dumps``.
+The report of ``scan`` is columnar (``_Batch``): one row per sample, with
+a code that gives the row's record shape, and the summary computed from
+the columns.  ``_JsonWriter`` writes it from the columns, in one ``repr``
+sweep and one join; a report that holds records is written by
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -48,14 +42,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
 from . import expr as _expr
 from ._jets import RestrictedTable, _kernel, gradient_kernel, run_lanes
-from .errors import EvalError, VaknhError
+from .errors import VaknhError
 from .system import SystemDef, VakState, _non_state, check_state, require_linear
 from .vakonomic import _singular, _stage_lanes
 
@@ -439,10 +432,9 @@ class _Lanes:
     A lane's ``code`` is 0, or 1 + the index in ``errors`` of the first
     error of the phases run on it, the exception the per-state functions
     raise at its state; its results are not defined then.  Each phase runs
-    its kernels through ``run``: where a kernel marks a lane, the sweep of
-    that kernel explains it (``Sweep.explain``): it runs its own evaluation
-    at that one state, through the interpreter, only for the error it
-    raises.
+    its kernels through ``run``, and lanes that fail alike share an error:
+    a kernel's failure site and operand bits (``Sweep.error``), or a
+    singular matrix's det bits.
     """
 
     def __init__(self, sys, q, v, p):
@@ -452,27 +444,25 @@ class _Lanes:
         if p is None:
             self.p = self.lift
 
-    def mark(self, fresh, errors, which):
-        """Give the lanes in the mask ``fresh``, which have no error yet, the
-        errors ``errors[which]``: ``which`` holds an index per lane, in
-        order, or one for all of them."""
+    def mark(self, fresh, key, error):
+        """Give the lanes in the mask ``fresh``, which have no error yet, one
+        error per distinct row of ``key`` (one per such lane), ``error`` at
+        its first lane, in the order of the rows."""
+        if not fresh.any():
+            return
+        _, first, which = np.unique(key, axis=0, return_index=True, return_inverse=True)
         self.code[fresh] = len(self.errors) + 1 + which
-        self.errors += errors
+        self.errors += [error(i) for i in np.flatnonzero(fresh)[first].tolist()]
 
     def run(self, sweep, *blocks):
         """The (N, outputs) results of ``sweep`` over the stacked arguments
-        ``blocks``.  Each lane the kernel marks that has no error yet gets
-        the error that ``sweep`` explains at that lane's state, its row of
-        ``blocks``."""
-        out, bad = run_lanes(sweep, *blocks)
-        fresh = bad & (self.code == 0)
-        errors = []
-        for i in np.flatnonzero(fresh).tolist():
-            try:
-                sweep.explain(*chain.from_iterable(block[i].tolist() for block in blocks))
-            except EvalError as exc:
-                errors.append(exc)
-        self.mark(fresh, errors, np.arange(len(errors)))
+        ``blocks``, and ``mark`` for the lanes where it fails, keyed by site
+        and operand bits (``Sweep.error``)."""
+        out, site, values = run_lanes(sweep, *blocks)
+        if values is not None:
+            fresh = (site != 0) & (self.code == 0)
+            self.mark(fresh, np.column_stack([site, values.view(np.int64)])[fresh],
+                      lambda i: sweep.error(int(site[i]), values[i].tolist()))
         return out
 
     @cached_property
@@ -508,11 +498,8 @@ class _Lanes:
         buf = self.run(_kernel(sys, "field"), q, v, mult)
         dy, det, singular = _stage_lanes(sys, buf, self.code != 0)
         fresh = singular & (self.code == 0)
-        _, first, which = np.unique(det[fresh].view(np.int64), return_index=True,
-                                    return_inverse=True)
-        lanes = np.flatnonzero(fresh)[first].tolist()
-        self.mark(fresh, [_singular(sys, what, d, np.concatenate((q[i], v[i], mult[i])))
-                          for d, i in zip(det[lanes].tolist(), lanes)], which)
+        self.mark(fresh, det.view(np.int64)[fresh], lambda i: _singular(
+            sys, what, float(det[i]), np.concatenate((q[i], v[i], mult[i]))))
         return np.split(dy, [sys.n, 2 * sys.n - sys.m], axis=1)
 
     @cached_property
@@ -536,7 +523,7 @@ class _Lanes:
         names = sys.state_names
         error = _non_state(names, candidates)
         if error is not None:
-            self.mark(self.code == 0, [error], 0)
+            self.mark(self.code == 0, self.code[self.code == 0], lambda i: error)
             return {}
         dq, dv, dp = self.vak
         flow = dict(zip(names, [*dq.T, *dv.T, *dp.T]))

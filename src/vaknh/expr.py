@@ -283,6 +283,17 @@ def _eval_error(node, message):
     return EvalError(f"{message} in {serialize(node)!r}")
 
 
+def _unbound(name):
+    return EvalError(f"unbound variable {name!r}")
+
+
+def _divide(a, b, node):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        raise _eval_error(node, "division by zero") from None
+
+
 def _call_function(name, x, node):
     if isinstance(x, (int, float)):
         if name == "sqrt" and x < 0:
@@ -337,7 +348,7 @@ def evaluate(e: Expression, env: dict):
         try:
             return env[e.name]
         except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
+            raise _unbound(e.name) from None
     if isinstance(e, Unary):
         x = evaluate(e.arg, env)
         if e.op == "neg":
@@ -352,10 +363,7 @@ def evaluate(e: Expression, env: dict):
             return a - b
         if e.op == "*":
             return a * b
-        try:
-            return a / b
-        except ZeroDivisionError:
-            raise _eval_error(e, "division by zero") from None
+        return _divide(a, b, e)
     if isinstance(e, Power):
         x = evaluate(e.base, env)
         return power_value(x, e.exponent, e.integer, e)

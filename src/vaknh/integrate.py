@@ -454,11 +454,15 @@ def trajectory_to_csv(sys: SystemDef, traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(sys: SystemDef, text: str) -> Trajectory:
-    """The trajectory that :func:`trajectory_to_csv` wrote as ``text``.  A
-    header that repeats a column (``_repeated``, the check of ``integrate``)
-    or a row whose length is not the header's raises ``VaknhError``."""
+    """The trajectory that :func:`trajectory_to_csv` wrote as ``text``.
+    ``VaknhError`` names the line where the text is not such a CSV: no
+    header, a header that repeats a column (``_repeated``, the check of
+    ``integrate``), a row whose length is not the header's, a field that is
+    not a number, or a time that does not follow the row before."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise VaknhError("CSV line 1 has no header")
     expected_vak = ["t"] + _state_names(sys, "vak")
     expected_nh = ["t"] + _state_names(sys, "nh")
     if header[:len(expected_vak)] == expected_vak:
@@ -473,10 +477,15 @@ def trajectory_from_csv(sys: SystemDef, text: str) -> Trajectory:
     monitor_names = header[ncols:]
     times, packed, rows = [], [], []
     for row in reader:
+        line = f"CSV line {reader.line_num}"
         if len(row) != len(header):
-            raise VaknhError(f"CSV line {reader.line_num} has {len(row)} fields, "
-                             f"the header {len(header)}")
-        values = list(map(float, row))
+            raise VaknhError(f"{line} has {len(row)} fields, the header {len(header)}")
+        try:
+            values = list(map(float, row))
+        except ValueError as exc:
+            raise VaknhError(f"{line}: {exc}") from None
+        if times and not values[0] > times[-1]:
+            raise VaknhError(f"{line} has t = {values[0]!r}, not after {times[-1]!r}")
         times.append(values[0])
         packed.append(values[1:ncols])
         rows.append(values[ncols:])

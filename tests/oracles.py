@@ -8,12 +8,13 @@
   ``reference_ambient_velocity_gradient``: the interpreted sweeps, one pass
   of hyper-dual numbers through ``expr.evaluate``, which the package's
   kernels are generated from and must equal bit for bit.  The package
-  keeps no interpreted sweep: where a kernel fails, ``Sweep.explain`` runs
-  the kernel's own evaluation on numbers for the error, so these stay an
-  independent oracle.  Their Hessians need not be exactly symmetric: on
-  the two sides of the diagonal, the product rule adds its two cross
-  products in opposite orders, and the chain rule forms (f'' g_i) g_j on
-  one side and (f'' g_j) g_i on the other.
+  keeps no interpreted sweep: where a kernel fails, ``Sweep.error`` runs
+  the interpreter's operation at the one node of the failure site, so
+  these stay an independent oracle, of the error texts too.  Their Hessians
+  need not be exactly symmetric: on the two sides of the diagonal, the
+  product rule adds its two cross products in opposite orders, and the
+  chain rule forms (f'' g_i) g_j on one side and (f'' g_j) g_i on the
+  other.
 
 * ``reference_complete_velocities``: the completed velocities with each
   psi evaluated through ``expr.evaluate`` on plain floats, the oracle of

@@ -2,7 +2,9 @@
 the per-state functions in ``tests/oracles.py``).
 
 * The array form of every generated kernel equals the scalar form lane by
-  lane, bit for bit, and marks a lane exactly where the scalar form raises.
+  lane, bit for bit, and fails a lane exactly where the scalar form raises,
+  at the same failure site, whose operand values give the interpreter's
+  error.
 * ``scan`` writes the report that the oracle gives sample by sample, byte
   for byte, and the per-state functions of ``comparison`` return or raise
   what the oracle's do.
@@ -16,15 +18,14 @@ import json
 import math
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vaknh import _jets, comparison, expr as E, vakonomic
-from vaknh._kernel import compile_gradients
+from vaknh import _jets, _kernel, comparison, expr as E, vakonomic
+from vaknh._kernel import Sweep, compile_gradients
 from vaknh.autodiff import HyperDual, partial
 from vaknh.cli import run
 from vaknh.comparison import (ComparisonRecord, ComparisonReport, Sampler,
@@ -60,18 +61,32 @@ def _blocks(sysdef, kind, q, v, v_full, mult):
     return (q, v_full) if kind == "ambient" else (q, v)
 
 
+def _scalar_site(sweep, args):
+    """The failure site of the line where the scalar kernel raises at
+    ``args``."""
+    try:
+        sweep.scalar(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return _kernel._failed(exc, 1)[0]
+    return 0
+
+
 def _assert_lanes_match(sweep, blocks, reference):
     """Lane by lane: the array kernel's row equals ``reference(lane args)``
-    bit for bit, or the lane is marked and ``reference`` raises."""
+    bit for bit, or ``reference`` raises and the lane fails at the site
+    where the scalar kernel raises; where ``reference`` is an interpreter,
+    the error built from the lane's site and operand values is its error."""
     lanes = np.concatenate(blocks, axis=1).tolist()
-    out, failed = _jets.run_lanes(sweep, *blocks)
+    out, site, values = _jets.run_lanes(sweep, *blocks)
     for i, args in enumerate(lanes):
         try:
             expected = reference(args)
-        except FAILURES:
-            assert failed[i]
+        except FAILURES as exc:
+            assert site[i] and site[i] == _scalar_site(sweep, args)
+            if isinstance(exc, EvalError):
+                assert str(sweep.error(site[i], values[i].tolist())) == str(exc)
             continue
-        assert not failed[i]
+        assert not site[i]
         assert _same_bits(out[i], expected)
 
 
@@ -97,8 +112,8 @@ def test_array_kernel_marks_lanes_outside_the_domain():
     sysdef = get_model("von_neumann2")
     q = np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 1.0]])
     v = np.array([[0.5], [2.0], [0.0]])     # the second: sqrt of a negative
-    rows, failed = _jets.run_lanes(_jets._kernel(sysdef, "restricted"), q, v)
-    assert failed.tolist() == [False, True, False]
+    rows, site, _ = _jets.run_lanes(_jets._kernel(sysdef, "restricted"), q, v)
+    assert (site != 0).tolist() == [False, True, False]
     for i in (0, 2):
         assert rows[i].tobytes() == _jets.restricted_table(sysdef, q[i], v[i]).rows.tobytes()
     with pytest.raises(EvalError, match="sqrt"):
@@ -195,18 +210,21 @@ def _candidates(sysdef):
 
 
 def _count_per_state(monkeypatch):
-    """The positions q of the lanes re-run at their one state, in order."""
+    """The states at which a kernel runs on its own (``Sweep.run``) or the
+    interpreter evaluates (``expr.evaluate``), in order."""
     calls = []
-    run = comparison._Lanes.run
+    run, evaluate = Sweep.run, E.evaluate
 
-    def counted(lanes, sweep, *blocks):
-        def explain(*args):   # every kernel takes q first
-            calls.append(list(args[:lanes.sys.n]))
-            return sweep.explain(*args)
-        return run(lanes, SimpleNamespace(array=sweep.array, outputs=sweep.outputs,
-                                          explain=explain), *blocks)
+    def one_state(sweep, *args):
+        calls.append(list(args))
+        return run(sweep, *args)
 
-    monkeypatch.setattr(comparison._Lanes, "run", counted)
+    def evaluated(e, env):
+        calls.append(env)
+        return evaluate(e, env)
+
+    monkeypatch.setattr(Sweep, "run", one_state)
+    monkeypatch.setattr(E, "evaluate", evaluated)
     return calls
 
 
@@ -222,17 +240,45 @@ def test_scan_equals_per_state_loop(name, p_mode, monkeypatch):
     assert per_state == []   # no sample re-run at its one state
 
 
+def _count_errors(monkeypatch):
+    """The sites of the errors that kernels build, in order."""
+    built, error = [], Sweep.error
+
+    def counted(sweep, site, values):
+        built.append(site)
+        return error(sweep, site, values)
+
+    monkeypatch.setattr(Sweep, "error", counted)
+    return built
+
+
 def test_scan_reruns_only_samples_outside_the_domain(monkeypatch):
+    # Not even those: the error of a sample outside the domain is built from
+    # its failure site and operand values, once per distinct failure.
     sysdef = get_model("von_neumann2")
     # dK2 up to 2 leaves the square root's domain at most states of the box.
     box = {"q": [(0.8, 2.0)] * 2, "v": [(-2.0, 2.0)], "p": [(0.5, 2.0)]}
     sampler = _sampler("von_neumann2", 200, 5, box=box)
     expected = oracles.scan(sysdef, sampler)
-    per_state = _count_per_state(monkeypatch)
+    per_state, built = _count_per_state(monkeypatch), _count_errors(monkeypatch)
     report = scan(sysdef, sampler)
     assert report.to_json() == expected.to_json()
-    domain = [r.q for r in report.records if "sqrt" in (r.skipped or "")]
-    assert domain and per_state == domain
+    domain = {r.skipped for r in report.records if "sqrt" in (r.skipped or "")}
+    assert domain and per_state == []
+    assert len(built) == len(domain)
+
+
+@pytest.mark.parametrize("p_mode", ["random", "legendre"])
+def test_a_candidate_that_fails_at_every_sample_builds_one_error(p_mode, monkeypatch):
+    sysdef = get_model("martinet")
+    candidates = parse_candidates(CANDIDATES + "K = 1/0\n")
+    sampler = _sampler("martinet", 300, 7, p_mode)
+    expected = oracles.scan(sysdef, sampler, candidates).to_json()
+    per_state, built = _count_per_state(monkeypatch), _count_errors(monkeypatch)
+    report = scan(sysdef, sampler, candidates)
+    assert report.to_json() == expected
+    assert {r.skipped for r in report.records} == {"division by zero in '1.0 / 0.0'"}
+    assert per_state == [] and len(built) == 1
 
 
 def test_scan_records_no_p_where_the_legendre_lift_fails():
@@ -267,11 +313,11 @@ def test_scan_in_batches_equals_per_state_loop(monkeypatch):
     # The batches are the drawn samples, in order, 16 at a time.
     assert [len(q) for q in qs] == [16] * 12 + [8]
     assert np.concatenate(qs).tobytes() == comparison._draw(sysdef, sampler)[0].tobytes()
-    assert per_state == [r.q for r in report.records if "sqrt" in (r.skipped or "")]
+    assert per_state == []
 
 
 def test_scan_lets_other_errors_of_a_batch_escape(monkeypatch):
-    # A failed kernel marks lanes, and a lane's error is its skip reason;
+    # A failed kernel fails lanes, and a lane's error is its skip reason;
     # any other error is a fault of the batched code.
     def broken(*_):
         raise TypeError("broken batch")
@@ -378,8 +424,9 @@ def test_kernel_that_fails_at_every_state_marks_every_lane(capsys, tmp_path):
     q, v = np.zeros((3, 2)), np.ones((3, 1))
     with pytest.raises(OverflowError):
         _jets._kernel(sysdef, "restricted").array(*np.concatenate([q, v], axis=1).T)
-    rows, failed = _jets.run_lanes(_jets._kernel(sysdef, "restricted"), q, v)
-    assert failed.all() and np.isnan(rows).all()
+    rows, site, values = _jets.run_lanes(_jets._kernel(sysdef, "restricted"), q, v)
+    assert site.all() and np.isnan(rows).all()
+    assert values.tolist() == [[1000.0, 0.0]] * 3
     message = "math range error in 'exp(1000.0)'"
     box = {"q": [(-1.0, 1.0)] * 2, "v": [(-1.0, 1.0)], "p": [(-1.0, 1.0)]}
     report = scan(sysdef, _sampler("constant", 5, 1, box=box))
@@ -658,7 +705,7 @@ def test_skip_texts_keep_the_sign_of_a_zero_det(monkeypatch):
     class Lanes(comparison._Lanes):
         def record(self, candidates):
             seen.append(self)
-            self.mark(np.arange(5) == 3, [error], 0)
+            self.mark(np.arange(5) == 3, np.zeros(1), lambda i: error)
             return super().record(candidates)
 
     monkeypatch.setattr(comparison, "_stage_lanes", zero_dets)

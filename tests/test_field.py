@@ -122,7 +122,8 @@ def test_stacked_stage_equals_the_stage_at_each_lane(name):
         # p = 0 makes the reduced matrix singular.
         v *= 4.0
         p[::7] = 0.0
-    buf, failed = _jets.run_lanes(_jets._kernel(sysdef, "field"), q, v, p)
+    buf, site, _ = _jets.run_lanes(_jets._kernel(sysdef, "field"), q, v, p)
+    failed = site != 0
     with np.errstate(all="ignore"):   # as scan and compare run it
         dy, det, singular = _stage_lanes(sysdef, buf, failed)
     outcomes = []

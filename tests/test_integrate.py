@@ -134,9 +134,16 @@ _PENNY_HEADER = "t,x,y,theta,phi,dtheta,dphi,p_x,p_y,H"
     (_PENNY_HEADER + "\n" + ",".join(map(str, range(10))) + "\n"
      + ",".join(map(str, range(8))) + "\n",
      "CSV line 3 has 8 fields, the header 10"),
-], ids=["repeated-column", "long-row", "short-row"])
+    ("", "CSV line 1 has no header"),
+    (_PENNY_HEADER + "\n" + ",".join(map(str, range(9))) + ",abc\n",
+     "CSV line 2: could not convert string to float: 'abc'"),
+    (_PENNY_HEADER + "\n1" + ",0" * 9 + "\n0" + ",0" * 9 + "\n",
+     "CSV line 3 has t = 0.0, not after 1.0"),
+], ids=["repeated-column", "long-row", "short-row", "empty", "not-a-number",
+        "time-goes-back"])
 def test_csv_reader_rejects_what_no_trajectory_writes(text, message):
-    # No column or field is dropped without a word, and no bare IndexError.
+    # No column or field is dropped without a word, no bare StopIteration,
+    # ValueError or IndexError, and times increase.
     pen = get_model("rolling_penny")
     with pytest.raises(VaknhError) as exc:
         trajectory_from_csv(pen, text)

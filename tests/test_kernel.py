@@ -6,6 +6,7 @@ structural zero is 0.0 in a kernel and may be -0.0 in the interpreter, and
 every other entry, being equal and nonzero, agrees bit for bit.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vaknh import _jets, comparison, expr as E
 from vaknh._jets import RestrictedTable
+from vaknh.autodiff import partial
 from vaknh.errors import EvalError
 from vaknh.models import builtin
 from vaknh.nonholonomic import legendre_lift, nh_rhs
@@ -139,6 +141,72 @@ def test_random_trees_agree_with_interpreter(lagrangian, psi, values):
     _check_sweeps(sysdef, values[:3], values[3:5], values[3:6], values[6:])
 
 
+# States some of whose entries leave a domain, underflow to a zero when
+# squared, or overflow: the context-dependent texts of the interpreter.
+_OUT_OF_DOMAIN = st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 800.0, -800.0, math.inf])
+_CORPUS_STATES = st.lists(st.lists(st.one_of(_VALUES, _OUT_OF_DOMAIN), min_size=7, max_size=7),
+                          min_size=1, max_size=4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow in the interpreter
+@settings(max_examples=150, deadline=None)
+@given(_exprs(), _exprs(), _exprs(), _CORPUS_STATES)
+@example(E.parse("log(x) + x^(-2) + 1/y + exp(dx) + sin(dy)"), E.parse("sqrt(x)*dx"),
+         E.parse("log(y)*k1"), [[1e-200, 1.0, 0.5, 1.0, 1.0, 0.0, 1.0],
+                                [0.5, 1e-200, 1.0, 1.0, 1.0, 0.0, 1.0],
+                                [0.5, 1.0, 1.0, 800.0, 1.0, 0.0, 1.0],
+                                [0.5, 1.0, 1.0, 1.0, math.inf, 0.0, 1.0]])
+def test_every_error_text_is_the_interpreters(lagrangian, psi, candidate, states):
+    # Each kernel of trees in L, psi and a candidate fails where the
+    # reference interpreter does, with its error text: at each state
+    # (``Sweep.run``), and over the stacked states (``comparison._Lanes``),
+    # whose lanes share one error per distinct failure.
+    sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
+                       lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
+    values = np.array(states)
+    q, v, v_full, mult = values[:, :3], values[:, 3:5], values[:, 3:6], values[:, 6:]
+    names = list(sysdef.state_names)
+    seeded = sorted(E.free_vars(candidate))
+    envs = [dict(zip(names, lane)) for lane in np.column_stack([q, v, mult]).tolist()]
+
+    def restricted(i):
+        return oracles.reference_restricted_table(sysdef, q[i], v[i])
+
+    def candidate_jet(i):
+        if not seeded:
+            return E.evaluate(candidate, envs[i])
+        return [partial(candidate, envs[i], var) for var in seeded]
+
+    for sweep, blocks, reference in [
+            (_jets._kernel(sysdef, "restricted"), (q, v), restricted),
+            (_jets._kernel(sysdef, "field"), (q, v, mult), restricted),
+            (_jets._kernel(sysdef, "ambient"), (q, v_full),
+             lambda i: oracles.reference_ambient_table(sysdef, q[i], v_full[i])),
+            (_jets._kernel(sysdef, "lift"), (q, v),
+             lambda i: oracles.reference_lift(sysdef, q[i], v[i])),
+            (_jets._psi_values(sysdef), (q, v),
+             lambda i: oracles.reference_complete_velocities(sysdef, NhState(q[i], v[i]))),
+            (_jets.gradient_kernel([candidate], names, seeded), (q, v, mult), candidate_jet)]:
+        lanes = comparison._Lanes(sysdef, q, v, mult)
+        with np.errstate(all="ignore"):
+            lanes.run(sweep, *blocks)
+        _, site, operands = _jets.run_lanes(sweep, *blocks)
+        failures = set() if operands is None else {
+            (k, row.tobytes()) for k, row in zip(site.tolist(), operands) if k}
+        assert len(lanes.errors) == len(failures)
+        for i, args in enumerate(np.concatenate(blocks, axis=1).tolist()):
+            try:
+                reference(i)
+            except EvalError as exc:
+                with pytest.raises(EvalError) as got:
+                    sweep.run(*args)
+                assert str(got.value) == str(exc)
+                assert lanes.code[i] and str(lanes.errors[lanes.code[i] - 1]) == str(exc)
+                continue
+            sweep.run(*args)
+            assert not lanes.code[i]
+
+
 _DOMAIN = """name domain
 coords x y
 dependent y
@@ -154,7 +222,17 @@ psi y = x*dx
     ("dx^2/(x - 1)", (1.0, 0.0), (1.0,), "division by zero"),
     ("x^2.5 + dx^2", (0.0, 1.0), (1.0,), "non-integer power of non-positive base 0.0"),
     ("dx^2*y^(-2)", (1.0, 0.0), (1.0,), "zero base with negative exponent"),
-], ids=["sqrt", "log", "division", "real-power", "negative-power"])
+    # The text depends on the context, here hyper-duals: where the
+    # reciprocal's 1/v^2 divides by an underflowed zero, a log gives math's
+    # text, a negative power its own and a division the interpreter's.
+    ("log(x) + dx^2", (1e-200, 1.0), (1.0,), "^float division by zero in 'log"),
+    ("x^(-2) + dx^2", (1e-200, 1.0), (1.0,), "^zero base with negative exponent in"),
+    ("1/x + dx^2", (1e-200, 1.0), (1.0,), "^division by zero in '1.0 / x'"),
+    ("exp(x) + dx^2", (800.0, 1.0), (1.0,), "^math range error in 'exp"),
+    ("sin(x) + dx^2", (math.inf, 1.0), (1.0,), "^math domain error in 'sin"),
+], ids=["sqrt", "log", "division", "real-power", "negative-power", "tiny-log",
+        "tiny-negative-power", "tiny-division", "exp-overflow", "sin-inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow in the interpreter
 def test_domain_errors_match_interpreter(lagrangian, q, v, message):
     sysdef = load_system(_DOMAIN.format(lagrangian=lagrangian))
     with pytest.raises(EvalError, match=message):
@@ -196,8 +274,8 @@ def test_a_zeroth_power_agrees_with_the_interpreter():
     for sweep, blocks in ((_jets._psi_values(sysdef), (q, v)),
                           (_jets._kernel(sysdef, "restricted"), (q, v)),
                           (_jets._kernel(sysdef, "field"), (q, v, mult))):
-        out, failed = _jets.run_lanes(sweep, *blocks)
-        assert not failed.any()
+        out, site, _ = _jets.run_lanes(sweep, *blocks)
+        assert not site.any()
         for i, args in enumerate(np.concatenate(blocks, axis=1).tolist()):
             assert _same_bits(out[i], np.frombuffer(sweep.scalar(*args)))
 
@@ -227,8 +305,8 @@ def test_completion_kernel_equals_the_interpreter(name):
     states = random_states(name, 30, 47)
     q = np.array([s.q for s in states])
     v = np.array([s.v for s in states])
-    psi, failed = _jets.run_lanes(_jets._psi_values(sysdef), q, v)
-    assert not failed.any()
+    psi, site, _ = _jets.run_lanes(_jets._psi_values(sysdef), q, v)
+    assert not site.any()
     for i, s in enumerate(states):
         expected = oracles.reference_complete_velocities(sysdef, s)[
             sysdef.dependent_positions]
@@ -265,8 +343,8 @@ def test_completion_outside_the_domain_marks_the_lane():
     sysdef = get_model("von_neumann2")
     q = np.array([[1.0, 1.0], [1.0, 1.0]])
     v = np.array([[0.5], [2.0]])     # the second: sqrt of a negative
-    psi, failed = _jets.run_lanes(_jets._psi_values(sysdef), q, v)
-    assert failed.tolist() == [False, True]
+    psi, site, _ = _jets.run_lanes(_jets._psi_values(sysdef), q, v)
+    assert (site != 0).tolist() == [False, True]
     with pytest.raises((ValueError, ArithmeticError)):
         _jets._psi_values(sysdef).scalar(1.0, 1.0, 2.0)
     with pytest.raises(EvalError, match="sqrt of negative value"):
@@ -292,31 +370,34 @@ def test_completed_velocities_equal_the_interpreter(name):
 
 def _check_lift(sysdef, q, v):
     """The ``lift`` kernel over the stacked states (q, v) and at each one:
-    the oracle's completed velocities and momenta bit for bit, or a marked
-    lane where the oracle fails, whose error ``Sweep.explain`` and
-    ``ambient_velocity_gradient`` raise with the oracle's text.  Where psi
-    fails, that is psi's error, the one the values kernel of psi explains."""
+    the oracle's completed velocities and momenta bit for bit, or a failed
+    lane where the oracle fails, whose error the kernel builds from the
+    lane's site and operand values, and ``Sweep.run`` and
+    ``ambient_velocity_gradient`` raise, with the oracle's text.  Where psi
+    fails, that is psi's error, the one the values kernel of psi gives."""
     lift, completion = _jets._kernel(sysdef, "lift"), _jets._psi_values(sysdef)
-    out, failed = _jets.run_lanes(lift, q, v)
-    _, unfinished = _jets.run_lanes(completion, q, v)
-    assert not (unfinished & ~failed).any()
+    out, site, values = _jets.run_lanes(lift, q, v)
+    _, unfinished, psi_values = _jets.run_lanes(completion, q, v)
+    assert not ((unfinished != 0) & (site == 0)).any()
     for i, args in enumerate(np.concatenate([q, v], axis=1).tolist()):
         try:
             expected = oracles.reference_lift(sysdef, q[i], v[i])
         except EvalError as exc:
-            assert failed[i]
+            assert site[i]
+            assert str(lift.error(site[i], values[i].tolist())) == str(exc)
             with pytest.raises(EvalError) as got:
-                lift.explain(*args)
+                lift.run(*args)
             assert str(got.value) == str(exc)
             with pytest.raises(EvalError) as got:
                 _jets.ambient_velocity_gradient(sysdef, q[i], v[i])
             assert str(got.value) == str(exc)
             if unfinished[i]:
+                assert str(completion.error(unfinished[i], psi_values[i].tolist())) == str(exc)
                 with pytest.raises(EvalError) as got:
-                    completion.explain(*args)
+                    completion.run(*args)
                 assert str(got.value) == str(exc)
             continue
-        assert not failed[i]
+        assert not site[i]
         assert _same_bits(out[i], expected)
         assert _same_bits(np.frombuffer(lift.scalar(*args)), expected)
         assert _same_bits(_jets.ambient_velocity_gradient(sysdef, q[i], v[i]), expected)
@@ -339,7 +420,8 @@ def test_lift_fails_where_psi_leaves_its_domain_or_the_lagrangian_overflows():
     q = np.column_stack([x.ravel(), np.full(x.size, 0.5)])
     v = dx.reshape(-1, 1)
     _check_lift(sysdef, q, v)
-    _, failed = _jets.run_lanes(_jets._kernel(sysdef, "lift"), q, v)
+    _, site, _ = _jets.run_lanes(_jets._kernel(sysdef, "lift"), q, v)
+    failed = site != 0
     expected = (x <= 0.0) | (dx == 800.0) | ((x == 1e300) & (dx == 2.0))
     assert failed.tolist() == expected.ravel().tolist()
     messages = set()
@@ -366,7 +448,7 @@ _LANES = st.lists(st.lists(st.one_of(st.just(0.0), _VALUES), min_size=5, max_siz
                                                    [0.7, 0.0, 0.0, 1.0, 0.7]])
 def test_lift_gives_the_interpreters_lagrangian_on_random_systems(lagrangian, psi, lanes):
     # The lift's last output is L at the completed velocities as
-    # expr.evaluate computes it, scalar and stacked, and a lane is marked
+    # expr.evaluate computes it, scalar and stacked, and a lane fails
     # exactly where the oracle (psi, the momenta, then L) fails.
     sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
                        lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
@@ -417,8 +499,8 @@ def test_kernel_cache_tells_signed_zeros_apart():
         _assert_agree(got, oracles.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,)))
         assert np.signbit(got.lag.grad[0]) == np.signbit(zero)   # dL/dx = zero
         gradients = _jets.gradient_kernel([sysdef.lagrangian], ["x", "dx"], ["x"])
-        jet, failed = _jets.run_lanes(gradients, np.array([[1.0, 3.0]]))
-        assert not failed[0] and np.signbit(jet[0, 1]) == np.signbit(zero)
+        jet, site, _ = _jets.run_lanes(gradients, np.array([[1.0, 3.0]]))
+        assert not site[0] and np.signbit(jet[0, 1]) == np.signbit(zero)
         assert jet[0, 0] == zero - 9.0   # the value, then the gradient
 
 
@@ -438,29 +520,22 @@ def test_wrong_number_of_entries_raises_the_kernels_type_error():
 
 
 def test_kernel_that_fails_where_its_interpreter_does_not(monkeypatch):
-    sysdef = builtin("martinet")
-    s = VakState((0.1, 0.2, 0.3), (0.5, 0.6), (0.7,))
-
-    restricted, field = _jets._kernel(sysdef, "restricted"), _jets._kernel(sysdef, "field")
-
-    def fails(*args):
-        raise ValueError
-
-    def marks(sweep):
-        def array(*columns):   # every lane marked
-            lanes = len(columns[0])
-            return np.zeros((sweep.outputs, lanes)), np.ones(lanes, bool)
-        return array
-
-    for sweep in (restricted, field):
-        monkeypatch.setattr(sweep, "scalar", fails)
-        monkeypatch.setattr(sweep, "array", marks(sweep))
-    with pytest.raises(RuntimeError, match="^restricted sweep of martinet: the kernel "
+    # A failure site whose node's operation does not fail at the operand
+    # values, here cos where the kernel checks log's domain, is a fault of
+    # the generator, in the scalar kernel and in the array kernel.
+    sysdef = load_system(_DOMAIN.format(lagrangian="log(x) + dx^2").replace("false", "true"))
+    s = VakState((0.0, 0.2), (0.5,), (0.7,))
+    cos = E.parse("cos(x)")
+    for kind in ("restricted", "field"):
+        sweep = _jets._kernel(sysdef, kind)
+        monkeypatch.setattr(sweep, "sites", {site: (cos, *operands) for site, (_, *operands)
+                                             in sweep.sites.items()})
+    with pytest.raises(RuntimeError, match="^restricted sweep of domain: the kernel "
                        "failed where its interpreter does not$"):
         _jets.restricted_table(sysdef, s.q, s.v)
-    with pytest.raises(RuntimeError, match="^field sweep of martinet: "):
+    with pytest.raises(RuntimeError, match="^field sweep of domain: "):
         vak_rhs(sysdef, s)
-    with pytest.raises(RuntimeError, match="^field sweep of martinet: "):
+    with pytest.raises(RuntimeError, match="^field sweep of domain: "):
         comparison.field_residual(sysdef, s)
-    with pytest.raises(RuntimeError, match="^restricted sweep of martinet: "):
+    with pytest.raises(RuntimeError, match="^restricted sweep of domain: "):
         comparison.g_residuals(sysdef, s)

@@ -1,15 +1,16 @@
 """Layer rules of the package, read from its source with ``ast``, and the
 interpreter's place at run time.
 
-The runtime keeps one implementation of each sweep, the generated kernel:
-``Sweep.run`` and ``Sweep.explain`` (``vaknh._kernel``) are the one place
-where a kernel failure becomes an error, and the interpreted sweeps are the
-tests' oracle (``tests/oracles.py``).  Only ``system`` (``verify_linearity``)
-and ``_kernel`` (``Sweep.explain``) use the interpreter, ``expr.evaluate``
-and the hyper-dual ``autodiff``.  Once a system is loaded, ``integrate``,
-``scan`` and ``compare`` evaluate through generated kernels alone: the
-interpreter runs only inside ``Sweep.explain``, to raise the error of a
-kernel that fails.
+The runtime keeps one implementation of each sweep, the generated kernel,
+and the interpreted sweeps are the tests' oracle (``tests/oracles.py``).  A
+kernel failure becomes an error in one place, ``Sweep.error``
+(``vaknh._kernel``): the interpreter's operation at the one node of the
+failure site, on the operand values the kernel computed.  Only ``system``
+(``verify_linearity``) evaluates trees with the interpreter,
+``expr.evaluate``, and only ``system`` and ``_kernel`` import the
+hyper-dual ``autodiff``.  Once a system is loaded, ``integrate``, ``scan``
+and ``compare`` evaluate through generated kernels alone, where a kernel
+fails too.
 
 Generated kernels have one store, ``_jets._SWEEPS``: only ``_jets`` calls
 the generator, ``compile_sweep`` and ``compile_gradients`` of ``_kernel``.
@@ -39,7 +40,6 @@ import pytest
 
 import vaknh
 from vaknh import autodiff, expr, system
-from vaknh._kernel import Sweep
 from vaknh.cli import run
 
 from conftest import LINEAR_MODELS
@@ -180,10 +180,10 @@ def _references_evaluate(tree) -> bool:
                and _dotted(node.value) in aliases for node in ast.walk(tree))
 
 
-def test_only_system_and_kernel_reference_the_interpreter():
+def test_only_system_references_the_interpreter():
     users = {name for name, tree in _modules()
              if name not in INTERPRETER and _references_evaluate(tree)}
-    assert users == {"system", "_kernel"}
+    assert users == {"system"}
 
 
 def test_no_module_defines_an_interpreted_sweep():
@@ -310,10 +310,10 @@ def test_integrate_does_not_import_comparison():
 
 def _interpreter_calls(argv):
     """Run the command ``argv`` and count the calls of ``expr.evaluate`` and
-    of the code of ``autodiff`` by the frame they run under: "explain"
-    (``Sweep.explain``), "verify" (``system.verify_linearity``) or
-    "elsewhere".  Returns the exit code and the counts."""
-    inside = {Sweep.explain.__code__: "explain", system.verify_linearity.__code__: "verify"}
+    of the code of ``autodiff`` by the frame they run under: "verify"
+    (``system.verify_linearity``) or "elsewhere".  Returns the exit code and
+    the counts."""
+    inside = {system.verify_linearity.__code__: "verify"}
     counts = Counter()
 
     def profile(frame, event, _arg):
@@ -337,35 +337,41 @@ def _interpreter_calls(argv):
 
 _STATE = ["--q", "0,1,0", "--v", "0.8,-0.4", "--p", "1.2"]
 _CANDIDATES = "C1 = x/3 + y^2*dx\nC2 = dx^2 + dy^2\nC3 = 2.5\n"
+_PENNY = ["rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3", "--v=0.7,0.4", "--t-end", "5"]
 
 
-@pytest.mark.parametrize("command", [
-    ["integrate", "martinet", "--dynamics", "vak", "--method", "rk45", "--t-end", "0.2"],
-    ["integrate", "martinet", "--dynamics", "vak", "--method", "rk4", "--t-end", "0.2"],
-    ["integrate", "martinet", "--dynamics", "nh", "--method", "rk45", "--t-end", "0.2"],
-    ["integrate", "martinet", "--dynamics", "nh", "--method", "rk4", "--t-end", "0.2"],
-    ["scan", "martinet", "--samples", "20"],
-    ["scan", "martinet", "--samples", "20", "--p-mode", "legendre"],
-    ["compare", "martinet"],
+@pytest.mark.parametrize("command, candidates, code, error", [
+    (["integrate", "martinet", "--dynamics", "vak", "--method", "rk45", "--t-end", "0.2"],
+     _CANDIDATES + "C4 = p_z*y\n", 0, ""),
+    (["integrate", "martinet", "--dynamics", "vak", "--method", "rk4", "--t-end", "0.2"],
+     _CANDIDATES + "C4 = p_z*y\n", 0, ""),
+    (["integrate", "martinet", "--dynamics", "nh", "--method", "rk45", "--t-end", "0.2"],
+     _CANDIDATES, 0, ""),
+    (["integrate", "martinet", "--dynamics", "nh", "--method", "rk4", "--t-end", "0.2"],
+     _CANDIDATES, 0, ""),
+    (["scan", "martinet", "--samples", "20"], _CANDIDATES + "C4 = p_z*y\n", 0, ""),
+    (["scan", "martinet", "--samples", "20", "--p-mode", "legendre"],
+     _CANDIDATES + "C4 = p_z*y\n", 0, ""),
+    (["compare", "martinet"], _CANDIDATES + "C4 = p_z*y\n", 0, ""),
+    # Where a kernel fails, its failure site puts the failure into words.
+    (["integrate", *_PENNY], "C = sqrt(0.3 - x)\n", 3,
+     ": sqrt of negative value -0.06830998743549138 in 'sqrt(0.3 - x)'\n"),
+    (["scan", "martinet", "--samples", "20", "--p-mode", "legendre"],
+     _CANDIDATES + "K = 1/0\n", 0, ""),
+    (["compare", "martinet"], _CANDIDATES + "K = 1/0\n", 3,
+     "numeric error: division by zero in '1.0 / 0.0'\n"),
 ], ids=["integrate-vak-rk45", "integrate-vak-rk4", "integrate-nh-rk45", "integrate-nh-rk4",
-        "scan-random", "scan-legendre", "compare"])
-def test_commands_evaluate_only_through_kernels_after_load(command, tmp_path, capsys):
+        "scan-random", "scan-legendre", "compare", "integrate-failing-candidate",
+        "scan-failing-candidate", "compare-failing-candidate"])
+def test_commands_evaluate_only_through_kernels_after_load(command, candidates, code, error,
+                                                           tmp_path, capsys):
     # The command's own load is counted too: the tree walk certifies
-    # martinet, so nothing is sampled.
+    # martinet and the penny, so nothing is sampled.
     cands = tmp_path / "cands.txt"
-    cands.write_text(_CANDIDATES + ("C4 = p_z*y\n" if "nh" not in command else ""))
-    state = [] if command[0] == "scan" else _STATE[:4 if "nh" in command else 6]
-    code, counts = _interpreter_calls([*command, *state, "--candidates", str(cands)])
-    assert code == 0, capsys.readouterr().err
+    cands.write_text(candidates)
+    state = [] if command[0] == "scan" or "rolling_penny" in command else \
+        _STATE[:4 if "nh" in command else 6]
+    got, counts = _interpreter_calls([*command, *state, "--candidates", str(cands)])
+    err = capsys.readouterr().err
+    assert got == code and err.endswith(error) and bool(err) == bool(error), err
     assert counts == Counter()
-
-
-def test_a_kernel_failure_is_explained_by_the_interpreter(tmp_path, capsys):
-    cands = tmp_path / "cands.txt"
-    cands.write_text("C = sqrt(0.3 - x)\n")
-    code, counts = _interpreter_calls(
-        ["integrate", "rolling_penny", "--dynamics", "nh", "--q=0,0,0.2,0.3", "--v=0.7,0.4",
-         "--t-end", "5", "--candidates", str(cands)])
-    assert code == 3 and "sqrt of negative value" in capsys.readouterr().err
-    assert counts["explain", "evaluate"] > 0
-    assert set(counts) <= {("explain", "evaluate"), ("explain", "autodiff")}

@@ -9,10 +9,11 @@ then one row per traced function that ran: its calls, its total time and
 its self time (the total less the time of the traced functions it called),
 the largest total first.  Then the command's evaluations by the
 interpreter (top-level calls of ``expr.evaluate``) by the caller they run
-under: ``system.verify_linearity``, ``Sweep.explain`` (a kernel failure
-explained), or elsewhere.  Then one row per generated sweep that ran, by
-``Sweep.label``: its scalar runs (``Sweep.run``, one state) and its stacked
-runs (``_jets.run_lanes``, one batch of states).  For an ``integrate``
+under: ``system.verify_linearity``, or elsewhere; a kernel failure is put
+into words from its failure site, with no evaluation.  Then one row per
+generated sweep that ran, by ``Sweep.label``: its scalar runs
+(``Sweep.run``, one state) and its stacked runs (``_jets.run_lanes``, one
+batch of states).  For an ``integrate``
 command, last, the stepper as a layer: the stage calls and their time
 (the stage that ``integrate`` binds with ``vakonomic._bind_stage``: one
 field run each, after one lift run in a nonholonomic stage), and the run
@@ -79,26 +80,24 @@ def counted_sweeps():
 @contextlib.contextmanager
 def counted_evaluations():
     """A ``Counter`` of the interpreter's evaluations while installed, keyed
-    by the caller they run under: "verify_linearity", "Sweep.explain" or
-    "elsewhere".  An evaluation is a call of ``expr.evaluate`` that is not
-    made by ``expr.evaluate`` itself; it is wrapped under every name a
-    ``vaknh`` module binds it to, and as the interpreter's evaluation in
-    ``_kernel``."""
+    by the caller they run under: "verify_linearity" or "elsewhere".  An
+    evaluation is a call of ``expr.evaluate`` that is not made by
+    ``expr.evaluate`` itself; it is wrapped under every name a ``vaknh``
+    module binds it to."""
     import inspect
 
-    from vaknh import _kernel, expr, system
+    from vaknh import expr, system
 
     counts = Counter()
-    evaluate, interpreter = expr.evaluate, _kernel._Interpreter.__dict__["evaluate"]
-    callers = {_kernel.Sweep.explain.__code__: "Sweep.explain",
-               inspect.unwrap(system.verify_linearity).__code__: "verify_linearity"}
+    evaluate = expr.evaluate
+    verify = inspect.unwrap(system.verify_linearity).__code__
 
     def counted(e, env):
         frame = sys._getframe(1)
         if frame.f_code is not evaluate.__code__:
-            while frame is not None and frame.f_code not in callers:
+            while frame is not None and frame.f_code is not verify:
                 frame = frame.f_back
-            counts["elsewhere" if frame is None else callers[frame.f_code]] += 1
+            counts["elsewhere" if frame is None else "verify_linearity"] += 1
         return evaluate(e, env)
 
     bound = [(module, key) for name, module in list(sys.modules.items())
@@ -106,13 +105,11 @@ def counted_evaluations():
              for key, value in list(vars(module).items()) if value is evaluate]
     for module, key in bound:
         setattr(module, key, counted)
-    _kernel._Interpreter.evaluate = staticmethod(counted)
     try:
         yield counts
     finally:
         for module, key in bound:
             setattr(module, key, evaluate)
-        _kernel._Interpreter.evaluate = interpreter
 
 
 @contextlib.contextmanager
@@ -189,7 +186,7 @@ def main(argv=None) -> int:
         print(f"{name:36s} {table.calls(name):7d} {table.total(name) * 1e3:10.3f} "
               f"{table.self_total(name) * 1e3:10.3f}")
     print(f"{'interpreter':36s} {'calls':>7s}")
-    for caller in ("verify_linearity", "Sweep.explain", "elsewhere"):
+    for caller in ("verify_linearity", "elsewhere"):
         print(f"{caller:36s} {evaluations[caller]:7d}")
     labels = sorted({label for label, _ in sweeps})
     width = max([36, *map(len, labels)])
