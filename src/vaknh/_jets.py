@@ -5,12 +5,13 @@ expression with respect to a chosen variable ordering.  A system has four
 kinds of sweep (:func:`vaknh._kernel.compile_sweep`), named here with the
 function that runs each at one state:
 
-* ``restricted`` (``restricted_table``): psi and the Lagrangian restricted
-  to the constraint submanifold, in (positions, base velocities);
+* ``restricted`` (``restricted_table``): the jets of psi alone, in
+  (positions, base velocities);
 * ``ambient`` (``ambient_table``): the jet of the full Lagrangian in
   (positions, all velocities) at completed velocities;
 * ``field`` (``field_sweep``): the restricted sweep continued through the
-  multiplier shift of the reduced equations (:mod:`vaknh.vakonomic`);
+  restricted Lagrangian L~ and the multiplier shift of the reduced
+  equations (:mod:`vaknh.vakonomic`);
 * ``lift`` (``ambient_velocity_gradient``): the Legendre lift, the
   completion, then the velocity gradient of L and L's value there.
 
@@ -57,16 +58,15 @@ def _row_jet(row, k) -> Jet:
 
 @dataclass
 class RestrictedTable:
-    """Jets of the constraint functions and the restricted Lagrangian.
+    """Jets of the constraint functions psi.
 
     Variable order: the n positions followed by the n-m base velocities,
-    k = 2n-m variables in all.  The m+1 jets, psi in declaration order and
-    then the Lagrangian, are the rows of one read-only buffer ``rows`` of
-    shape (m+1, 1+k+k*k), each the value, the gradient and the row-major
-    Hessian; ``values``, ``grads``, ``hessians`` and ``psi_grad`` are views
-    of it, with a leading axis for the tables of N stacked states in one
-    (N, m+1, 1+k+k*k) buffer, and ``jet``, ``lag`` and ``psi`` read the
-    table of one state.
+    k = 2n-m variables in all.  The jets, one per psi in declaration order,
+    are the rows of one read-only buffer ``rows`` of shape (m, 1+k+k*k),
+    each the value, the gradient and the row-major Hessian; ``values``,
+    ``grads`` and ``hessians`` are views of it, with a leading axis for the
+    tables of N stacked states in one (N, m, 1+k+k*k) buffer, and ``jet``
+    and ``psi`` read the table of one state.
     """
 
     rows: np.ndarray
@@ -95,18 +95,9 @@ class RestrictedTable:
         return _row_jet(row, self.k)
 
     @property
-    def lag(self) -> Jet:
-        return self.jet(self.rows[self.m])
-
-    @property
     def psi(self) -> list[Jet]:
         """One jet per dependent coordinate, in declaration order."""
         return [self.jet(row) for row in self.rows[:self.m]]
-
-    @property
-    def psi_grad(self) -> np.ndarray:
-        """m x (2n-m) matrix whose rows are the gradients of the psi."""
-        return self.grads[..., :self.m, :]
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +177,10 @@ def _rows(packed, count, k):
 
 
 def restricted_table(sys, q, v) -> RestrictedTable:
-    """Differentiate psi and the restricted Lagrangian at (q, v).
-
-    The dependent velocities are substituted as hyper-duals, so the
-    Lagrangian jets chain through the constraint completion.
-    """
-    k = 2 * sys.n - sys.m
+    """Differentiate psi at (q, v): the jets of the constraint functions
+    alone, so no value of the Lagrangian can fail them."""
     packed = _kernel(sys, "restricted").run(*_flat(q, v))
-    return RestrictedTable(_rows(packed, sys.m + 1, k), sys.n, sys.m)
+    return RestrictedTable(_rows(packed, sys.m, 2 * sys.n - sys.m), sys.n, sys.m)
 
 
 def ambient_table(sys, q, v_full) -> Jet:

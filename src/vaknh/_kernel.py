@@ -43,8 +43,8 @@ functions round differently; ``sqrt`` is exact in both).  Every other lane
 holds the scalar kernel's result bit for bit.  A line that raises for
 every state (a term no input reaches) raises in the array kernel too.
 
-The ``field`` kernel carries the same code generation on through the
-multiplier shift of the reduced equations (Lambda = L~ - mult . psi).  The
+The ``field`` kernel carries the ``restricted`` kernel's lines (psi) on
+through L~ and the multiplier shift (Lambda = L~ - mult . psi).  The
 generated source contains only generated local names, float literals
 and the math functions below: no text of the system file reaches it.
 """
@@ -511,29 +511,29 @@ def compile_sweep(sys, kind: str) -> Sweep:
 
     The kernels take the flat state: (q, all v) for ``ambient``, (q, base
     v, mult) for ``field`` and (q, base v) otherwise.  ``restricted``
-    returns one jet after the other, each as its value, gradient and
-    row-major Hessian in (q, base v): psi, one per dependent coordinate,
-    then the restricted Lagrangian; ``ambient`` the jet of the Lagrangian
-    in (q, all v).  ``lift`` is the Legendre lift: it completes the
-    velocities with psi on plain floats, as :func:`vaknh.expr.evaluate`
-    computes them (the values kernel of :func:`compile_gradients` with
-    nothing seeded), seeds the dependent ones like the base ones, and
-    returns the n completed velocities, then the Lagrangian's gradient in
-    the velocities there, the n momenta, then the Lagrangian's value there
-    on plain floats, as :func:`vaknh.expr.evaluate` computes it.
+    returns the jets of psi alone, in declaration order, each as its value,
+    gradient and row-major Hessian in (q, base v); ``ambient`` the jet of
+    the Lagrangian in (q, all v).  ``lift`` is the Legendre lift: it
+    completes the velocities with psi on plain floats, as
+    :func:`vaknh.expr.evaluate` computes them (the values kernel of
+    :func:`compile_gradients` with nothing seeded), seeds the dependent
+    ones like the base ones, and returns the n completed velocities, then
+    the Lagrangian's gradient in the velocities there, the n momenta, then
+    the Lagrangian's value there on plain floats, as
+    :func:`vaknh.expr.evaluate` computes it.
 
-    ``field`` continues the restricted sweep with the m multipliers, which
-    carry no derivative channels.  It returns the jet of the shifted
+    ``field`` continues the restricted sweep with the restricted Lagrangian
+    L~ (L at the velocities psi's jets complete) and the m multipliers,
+    which carry no derivative channels.  It returns the jet of the shifted
     Lagrangian Lambda = L~ - mult . psi; then the derivative of the packed
     state (q, v, mult) as far as it is known without the solve: the n
     completed velocities (v, and psi at the dependent coordinates), n-m
     zeros in place of the base accelerations and the m entries of
     Lambda's gradient at the dependent positions; then the gradients of
     psi in the base velocities, one m x (n-m) matrix row by row.  The
-    shift subtracts mult_j * psi_j from every entry of the Lagrangian's jet
-    for j = 0, 1, ... in turn, the operations of the shift of the
-    restricted table's rows in numpy (the tests' oracle), so the jet is
-    equal to its result bit for bit.
+    shift subtracts mult_j * psi_j from every entry of L~'s jet for
+    j = 0, 1, ... in turn, the operations of the numpy shift of the rows
+    of psi and L~ (the tests' oracle), so the jet is its result bit for bit.
     """
     coords = list(sys.coords)
     base = coords + [sys.velocity_of(c) for c in sys.base]
@@ -546,14 +546,15 @@ def compile_sweep(sys, kind: str) -> Sweep:
         for c in sys.dependent:
             results.append(b.evaluate(sys.psi[c], env))
             env[sys.velocity_of(c)] = results[-1]
-        results.append(b.evaluate(sys.lagrangian, env))
         return b.outputs(results)
 
+    def lagrangian(b, env):
+        return b.outputs([b.evaluate(sys.lagrangian, env)])
+
     def field(b, env):
-        out = restricted(b, env)
-        size = len(out) // (sys.m + 1)
+        out, size = restricted(b, env), 1 + len(base) + len(base) ** 2
         psi = [out[j * size:(j + 1) * size] for j in range(sys.m)]
-        lam = out[sys.m * size:]
+        lam = lagrangian(b, env)
         for j in range(sys.m):
             lam = [b.op("-", x, b.op("*", env[mult[j]], y)) for x, y in zip(lam, psi[j])]
         # A psi that no seeded variable reaches is a plain term, not a _Dual.
@@ -562,9 +563,6 @@ def compile_sweep(sys, kind: str) -> Sweep:
         dp = [lam[1 + sys.coord_index(c)] for c in sys.dependent]
         return (lam + dq + [0.0] * (sys.n - sys.m) + dp
                 + [g for row in psi for g in row[1 + sys.n:1 + len(base)]])
-
-    def lagrangian(b, env):
-        return b.outputs([b.evaluate(sys.lagrangian, env)])
 
     def completion(b, env):
         return [b.evaluate(sys.psi[c], env) for c in sys.dependent]

@@ -477,11 +477,10 @@ class _Lanes:
         """``curvature`` in matrix form."""
         sys, q = self.sys, self.q
         n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
-        v = np.zeros((len(q), n - m))
-        rows = self.run(_kernel(sys, "restricted"), q, v)
-        tab = RestrictedTable(rows.reshape(len(q), m + 1, -1), n, m)
-        psi_v = tab.grads[:, :m, n:]
-        h = tab.hessians[:, :m, :n, n:]
+        rows = self.run(_kernel(sys, "restricted"), q, np.zeros((len(q), n - m)))
+        tab = RestrictedTable(rows.reshape(len(q), m, -1), n, m)
+        psi_v = tab.grads[..., n:]
+        h = tab.hessians[..., :n, n:]
         a_mat = h[:, :, base] + psi_v.transpose(0, 2, 1)[:, None] @ h[:, :, dep]
         return a_mat - a_mat.transpose(0, 1, 3, 2)
 

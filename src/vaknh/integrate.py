@@ -65,8 +65,10 @@ the monitors' names) that are not distinct: a ``VaknhError`` names the
 first repeated column.
 
 Trajectories serialize to CSV with full double precision (17 significant
-digits, one ``%.17g`` format per row) and parse back bit-exactly; a CSV
-that no trajectory writes fails to parse with a ``VaknhError``.
+digits, one ``%.17g`` format per row) and parse back bit-exactly.  The
+reader checks the structure only, with a ``VaknhError`` where it breaks
+(``trajectory_from_csv``): a header with no row, or non-finite fields,
+which no run writes, are read and written back as they stand.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._jets import restricted_table
 from .nonholonomic import legendre_lift
-from .system import NhState, SystemDef, VakState, check_state, require_linear
+from .system import NhState, SystemDef, VakState, check_state, require_finite, require_linear
 
 __all__ = [
     "CovectorPoint",
@@ -55,6 +55,7 @@ def legendre_shift(sys: SystemDef, pt: CovectorPoint, direction: str) -> Covecto
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if len(pt.p) != sys.n:
         raise ValueError(f"covector has {len(pt.p)} components, expected {sys.n}")
+    require_finite("covector component", pt.p, sys.coords)
     leg = legendre_lift(sys, NhState(pt.q, pt.v))
     p = pt.p - leg if direction == "forward" else pt.p + leg
     return CovectorPoint(q=pt.q, p=p, v=pt.v)
@@ -78,6 +79,7 @@ def lambda_to_mu(sys: SystemDef, s: NhState, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if len(lam) != sys.m:
         raise ValueError(f"expected {sys.m} multipliers, got {len(lam)}")
+    require_finite("multiplier", lam, sys.dependent)
     return legendre_lift(sys, s)[sys.dependent_positions] - lam
 
 
@@ -89,6 +91,7 @@ def vg_residual(sys: SystemDef, lambda_full, s: NhState) -> np.ndarray:
     lambda_full = np.asarray(lambda_full, dtype=float)
     if len(lambda_full) != sys.n:
         raise ValueError(f"expected {sys.n} covector components, got {len(lambda_full)}")
-    psi_v = restricted_table(sys, s.q, s.v).psi_grad[:, sys.n:]
+    require_finite("covector component", lambda_full, sys.coords)
+    psi_v = restricted_table(sys, s.q, s.v).grads[:, sys.n:]
     return (lambda_full[sys.base_positions]
             + lambda_full[sys.dependent_positions] @ psi_v)

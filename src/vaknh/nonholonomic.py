@@ -88,7 +88,7 @@ def euler_lagrange_residual(sys: SystemDef, s: NhState, accel: NhDerivative) -> 
     ddq = np.empty(n)
     ddq[sys.base_positions] = accel.dv
     ddq[sys.dependent_positions] = (
-        restricted_table(sys, s.q, s.v).psi_grad @ np.concatenate([dq, accel.dv]))
+        restricted_table(sys, s.q, s.v).grads @ np.concatenate([dq, accel.dv]))
     lag = ambient_table(sys, s.q, dq)
     return dq @ lag.hess[:n, n:] + ddq @ lag.hess[n:, n:] - lag.grad[:n]
 

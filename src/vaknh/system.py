@@ -160,11 +160,16 @@ def check_state(sys: SystemDef, s) -> None:
     if isinstance(s, VakState) and len(s.p_dep) != sys.m:
         raise ValueError(f"state has {len(s.p_dep)} multipliers, expected {sys.m}")
     values = np.concatenate([s.q, s.v, s.p_dep] if isinstance(s, VakState) else [s.q, s.v])
+    require_finite("state component", values, sys.state_names)
+
+
+def require_finite(what, values, names) -> None:
+    """Raise ValueError naming the first entry of ``values`` that is not
+    finite, as ``what`` and its name in ``names``."""
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"state component {sys.state_names[i]} = {float(values[i])!r} "
-                         "is not finite")
+        raise ValueError(f"{what} {names[i]} = {float(values[i])!r} is not finite")
 
 
 def _non_state(names, candidates) -> EvalError | None:

@@ -366,7 +366,7 @@ def compatibility_matrix(sys: SystemDef, q) -> np.ndarray:
             f"ambient velocity Hessian of {sys.name!r} is singular (det={det!r})",
             det)
     winv = np.linalg.inv(w)
-    psi_v = restricted_table(sys, q, zeros).psi_grad[:, n:]
+    psi_v = restricted_table(sys, q, zeros).grads[:, n:]
     return (winv[np.ix_(dep, dep)] - winv[np.ix_(dep, base)] @ psi_v.T
             - psi_v @ winv[np.ix_(base, dep)] + psi_v @ winv[np.ix_(base, base)] @ psi_v.T)
 

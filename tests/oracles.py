@@ -4,11 +4,16 @@
   language, kept deliberately separate from the package evaluator but with
   identical operation order, so results must agree to 0 ULP.
 
-* ``reference_restricted_table``, ``reference_ambient_table`` and
+* ``reference_psi_table``, ``reference_ambient_table`` and
   ``reference_ambient_velocity_gradient``: the interpreted sweeps, one pass
   of hyper-dual numbers through ``expr.evaluate``, which the package's
-  kernels are generated from and must equal bit for bit.  The package
-  keeps no interpreted sweep: where a kernel fails, ``Sweep.error`` runs
+  kernels are generated from and must equal bit for bit.
+  ``reference_restricted_table`` adds the jet of the restricted Lagrangian
+  L~ to the jets of psi: the interpreted sweep of the tests' own kernel of
+  psi and L~ (``test_kernel.lagrangian_table``), since no package kernel
+  returns that jet on its own (the ``field`` kernel shifts it at once by
+  the multipliers, and no package code reads it).  The package keeps no
+  interpreted sweep: where a kernel fails, ``Sweep.error`` runs
   the interpreter's operation at the one node of the failure site, so
   these stay an independent oracle, of the error texts too.  Their Hessians
   need not be exactly symmetric: on the two sides of the diagonal, the
@@ -35,7 +40,7 @@
   threshold and the stage's certified skip of the det are checked against.
 
 * ``_shifted``: the multiplier shift Lambda = L~ - mult . psi of a
-  restricted table, made in numpy on its rows: the oracle of the ``field``
+  table of psi and L~, made in numpy on its rows: the oracle of the ``field``
   kernel, which the package's reduced equations (``vakonomic._stage`` and
   its stacked twin ``_stage_lanes``) read and which carries the same
   shift on in generated code.
@@ -132,7 +137,8 @@ def reference_evaluate(e, env):
 # One sweep of HyperDual numbers with identity-seeded array channels through
 # expr.evaluate: the interpreter the package's kernels are generated from.
 # The generated kernels behind _jets.restricted_table, ambient_table and
-# ambient_velocity_gradient (the lift) are code under test.
+# ambient_velocity_gradient (the lift), and the tests' kernel of psi and L~,
+# are code under test.
 
 
 def _seed_variables(values):
@@ -159,23 +165,36 @@ def _parts(result, k):
     return value, grad, hess
 
 
-def reference_restricted_table(sys, q, v) -> RestrictedTable:
-    """Interpreted :func:`restricted_table`: the dependent velocities are
-    substituted as hyper-duals, so the Lagrangian jets chain through the
-    constraint completion."""
+def _reference_table(sys, q, v, trees) -> RestrictedTable:
+    """The jets of psi, then of ``trees``, in (positions, base velocities):
+    each dependent velocity is substituted as the hyper-dual of its psi, so
+    the later jets chain through the constraint completion."""
     n, m = sys.n, sys.m
     k = n + (n - m)
     names = list(sys.coords) + [sys.velocity_of(c) for c in sys.base]
     values = list(zip(names, list(q) + list(v)))
     env = _seed_variables(values)
-    psi = []
+    jets = []
     for c in sys.dependent:
         value = E.evaluate(sys.psi[c], env)
-        psi.append(Jet(*_parts(value, k)))
+        jets.append(Jet(*_parts(value, k)))
         env[sys.velocity_of(c)] = value
-    jets = psi + [Jet(*_parts(E.evaluate(sys.lagrangian, env), k))]
+    jets += [Jet(*_parts(E.evaluate(tree, env), k)) for tree in trees]
     rows = [np.concatenate([[jet.value], jet.grad, jet.hess.ravel()]) for jet in jets]
     return RestrictedTable(rows=np.array(rows), n=n, m=m)
+
+
+def reference_psi_table(sys, q, v) -> RestrictedTable:
+    """Interpreted :func:`restricted_table`: the jets of psi alone."""
+    return _reference_table(sys, q, v, [])
+
+
+def reference_restricted_table(sys, q, v) -> RestrictedTable:
+    """The jets of psi, then of the restricted Lagrangian L~, m+1 rows: the
+    interpreted sweep of the tests' kernel of psi and L~
+    (``test_kernel.lagrangian_table``), whose rows the field kernel's
+    oracle shifts."""
+    return _reference_table(sys, q, v, [sys.lagrangian])
 
 
 def reference_ambient_table(sys, q, v_full) -> Jet:
@@ -247,7 +266,7 @@ def reference_det_threshold(c, order):
 
 def _shifted(tab, mult) -> Jet:
     """Jet of the shifted Lagrangian Lambda = L~ - mult . psi over the
-    variables of the restricted table ``tab``: the one place where the
+    variables of the table of psi and L~ ``tab``: the one place where the
     multipliers enter the reduced equations, at one state."""
     rows = tab.rows
     row = rows[..., tab.m, :]
@@ -292,7 +311,7 @@ def nh_dae_rhs(sys, q, qdot):
     n, m = sys.n, sys.m
     lag = reference_ambient_table(sys, q, qdot)
     v_base = np.array([qdot[pos] for pos in sys.base_positions])
-    tab_r = reference_restricted_table(sys, q, v_base)
+    tab_r = reference_psi_table(sys, q, v_base)
     mat = np.zeros((n + m, n + m))
     rhs = np.zeros(n + m)
     for big_a in range(n):
@@ -315,7 +334,7 @@ def vak_dae_rhs(sys, q, qdot, lam):
     n, m = sys.n, sys.m
     lag = reference_ambient_table(sys, q, qdot)
     v_base = np.array([qdot[pos] for pos in sys.base_positions])
-    tab_r = reference_restricted_table(sys, q, v_base)
+    tab_r = reference_psi_table(sys, q, v_base)
     base_of = {pos: a for a, pos in enumerate(sys.base_positions)}
     mat = np.zeros((n + m, n + m))
     rhs = np.zeros(n + m)
@@ -403,8 +422,8 @@ def curvature(sys, q):
         raise ValueError(f"expected {sys.n} positions, got {len(q)}")
     n, m, base, dep = sys.n, sys.m, sys.base_positions, sys.dependent_positions
     tab = _jets.restricted_table(sys, q, np.zeros(n - m))
-    psi_v = tab.grads[:m, n:]
-    h = tab.hessians[:m, :n, n:]
+    psi_v = tab.grads[:, n:]
+    h = tab.hessians[:, :n, n:]
     a_mat = h[:, base] + psi_v.T @ h[:, dep]
     return a_mat - a_mat.transpose(0, 2, 1)
 

@@ -419,13 +419,16 @@ psi y = x*dx
 
 
 def test_kernel_that_fails_at_every_state_marks_every_lane(capsys, tmp_path):
-    # exp(1000) reaches no input, so the array kernel raises outright.
+    # exp(1000) reaches no input, so the array kernel raises outright.  The
+    # restricted kernel differentiates psi alone, so it never reaches L.
     sysdef = load_system(CONSTANT_OVERFLOW)
-    q, v = np.zeros((3, 2)), np.ones((3, 1))
-    with pytest.raises(OverflowError):
-        _jets._kernel(sysdef, "restricted").array(*np.concatenate([q, v], axis=1).T)
+    q, v, mult = np.zeros((3, 2)), np.ones((3, 1)), np.full((3, 1), 0.5)
     rows, site, values = _jets.run_lanes(_jets._kernel(sysdef, "restricted"), q, v)
-    assert site.all() and np.isnan(rows).all()
+    assert not site.any() and values is None and np.isfinite(rows).all()
+    with pytest.raises(OverflowError):
+        _jets._kernel(sysdef, "field").array(*np.concatenate([q, v, mult], axis=1).T)
+    out, site, values = _jets.run_lanes(_jets._kernel(sysdef, "field"), q, v, mult)
+    assert site.all() and np.isnan(out).all()
     assert values.tolist() == [[1000.0, 0.0]] * 3
     message = "math range error in 'exp(1000.0)'"
     box = {"q": [(-1.0, 1.0)] * 2, "v": [(-1.0, 1.0)], "p": [(-1.0, 1.0)]}

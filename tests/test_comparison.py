@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from vaknh import expr as E
+from vaknh.cli import run
 from vaknh.comparison import (REPORT_SCHEMA, Sampler, curvature, field_residual,
                               g_residuals, parse_candidates, scan, tangency_residuals)
 from vaknh.errors import EvalError, NonlinearSystemError, VaknhError
 from vaknh.integrate import integrate
+from vaknh.maps import vg_residual
 from vaknh.models import CATALOG
 from vaknh.nonholonomic import euler_lagrange_residual, nh_rhs
-from vaknh.system import NhState, VakState
+from vaknh.system import NhState, VakState, load_system
 from vaknh.vakonomic import cbar
 
 from conftest import LINEAR_MODELS, get_model, random_states
@@ -33,6 +35,41 @@ def test_curvature_martinet():
         r = curvature(get_model("martinet"), [0.1, y, 0.4])
         assert abs(r[0, 0, 1] - (-y)) <= 1e-15
         assert r[0, 1, 0] == -r[0, 0, 1]
+
+
+# The constrained particle's psi with a regular Lagrangian that is not
+# twice differentiable at zero velocity, where the curvature is taken.
+STIFF = """\
+name stiff
+coords x y z
+dependent z
+linear true
+lagrangian 0.5*(dx^2 + dy^2 + dz^2) + 0.1*(dx^2 + dy^2)^1.5
+psi z = y*dx
+"""
+
+
+def test_psi_alone_gives_the_curvature_and_vg_residual():
+    stiff, particle = load_system(STIFF), get_model("constrained_particle")
+    for q in ([0.1, 0.2, 0.3], [0.0, 1.0, 0.0], [-0.7, -0.0, 0.4]):
+        assert curvature(stiff, q).tobytes() == curvature(particle, q).tobytes()
+    at_rest = NhState([0.1, 0.2, 0.3], [0.0, 0.0])
+    for sysdef in (stiff, particle):
+        assert vg_residual(sysdef, [1.0, 2.0, 3.0], at_rest).tolist() == [1.6, 2.0]
+
+
+def test_compare_and_scan_evaluate_a_lagrangian_singular_at_rest(tmp_path, capsys):
+    path = tmp_path / "stiff.sys"
+    path.write_text(STIFF, encoding="utf-8")
+    assert run(["compare", str(path), "--q", "0.1,0.2,0.3", "--v", "1,0.5", "--p", "0.3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    s = VakState([0.1, 0.2, 0.3], [1.0, 0.5], [0.3])
+    assert json.loads(captured.out)["g"] == g_residuals(load_system(STIFF), s).tolist()
+    for p_mode in ("random", "legendre"):
+        assert run(["scan", str(path), "--samples", "200", "--p-mode", p_mode]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert (summary["evaluated"], summary["skipped"]) == (200, 0)
 
 
 def test_curvature_rejects_nonlinear():

@@ -1,11 +1,12 @@
-"""The fused ``field`` kernel against the restricted table and its shift.
+"""The fused ``field`` kernel against the table of psi and L~ and its shift.
 
 The reduced equations read the jet of Lambda, the completed velocities,
 the psi gradients and the multiplier rates from one buffer of the
 ``field`` kernel: ``vak_rhs``, ``nh_rhs`` and the integrator through
 ``vakonomic._stage``, the comparison phases of ``scan`` and ``compare``
 through its stacked twin ``_stage_lanes``.  The reference here builds them
-from ``_jets.restricted_table`` and the oracle's multiplier shift
+from the tests' kernel of psi and the restricted Lagrangian L~
+(``test_kernel.lagrangian_table``) and the oracle's multiplier shift
 (``oracles._shifted``); every entry must agree bit for bit, and the
 stacked stage must equal the stage at each lane.
 """
@@ -23,17 +24,16 @@ from vaknh.vakonomic import (DET_RTOL, _bind_stage, _stage, _stage_lanes, cbar, 
 
 from conftest import ALL_MODELS, LINEAR_MODELS, get_model, random_states
 from oracles import _shifted
-from test_kernel import _DOMAIN, _same_bits
+from test_kernel import _DOMAIN, _same_bits, lagrangian_table
 
 _SEEDS = st.integers(0, 2**32 - 1)
 
 
 def _reference(sysdef, s, mult):
-    """The jet of Lambda and (dq, dv, dp) from the shifted restricted
-    table; dv is None where the reduced matrix fails the determinant
-    guard."""
+    """The jet of Lambda and (dq, dv, dp) from the shifted table of psi and
+    L~; dv is None where the reduced matrix fails the determinant guard."""
     n, m, base, dep = sysdef.n, sysdef.m, sysdef.base_positions, sysdef.dependent_positions
-    tab = _jets.restricted_table(sysdef, s.q, s.v)
+    tab = lagrangian_table(sysdef, s.q, s.v)
     lam = _shifted(tab, mult)
     dq = np.empty(n)
     dq[base] = s.v

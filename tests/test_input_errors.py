@@ -405,3 +405,23 @@ def test_wrong_sizes_are_rejected(call, kind, message):
         call(get_model("martinet"))
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: vg_residual(m, [np.nan, 0.0, 0.0], _AT), "covector component x = nan"),
+    (lambda m: vg_residual(m, [0.0, 0.0, -np.inf], _AT), "covector component z = -inf"),
+    (lambda m: lambda_to_mu(m, _AT, [np.inf]), "multiplier z = inf"),
+    (lambda m: lambda_to_mu(m, _AT, [np.nan]), "multiplier z = nan"),
+    (lambda m: legendre_shift(m, CovectorPoint([0, 1, 0], [1.0, np.inf, 0.0], [1, 0]),
+                              "forward"), "covector component y = inf"),
+    (lambda m: legendre_shift(m, CovectorPoint([0, 1, 0], [np.nan, 0.0, 0.0], [1, 0]),
+                              "inverse"), "covector component x = nan"),
+], ids=["vg_residual-nan", "vg_residual-inf", "lambda_to_mu-inf", "lambda_to_mu-nan",
+        "legendre_shift-inf", "legendre_shift-nan"])
+def test_non_finite_covectors_and_multipliers_are_rejected(call, message):
+    # As check_state does for states: the error names the first component
+    # that is not finite, and no NaN is passed through.
+    with pytest.raises(ValueError) as info:
+        call(get_model("martinet"))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message} is not finite"

@@ -4,6 +4,13 @@ Values and gradients must agree bit for bit, the sign of a zero included.
 Hessians must agree in every entry of the upper triangle under ``==``: a
 structural zero is 0.0 in a kernel and may be -0.0 in the interpreter, and
 every other entry, being equal and nonzero, agrees bit for bit.
+
+The package's ``restricted`` kernel returns the jets of psi alone.  The
+jet of the restricted Lagrangian L~, which the ``field`` kernel shifts by
+the multipliers, comes here from a kernel of the tests' own
+(``lagrangian_sweep``): the same generator, run on psi and then on L~,
+checked against ``oracles.reference_restricted_table`` and shifted by
+``oracles._shifted`` to give the field kernel's reference.
 """
 
 import math
@@ -13,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vaknh import _jets, comparison, expr as E
+from vaknh import _jets, _kernel, comparison, expr as E
 from vaknh._jets import RestrictedTable
 from vaknh.autodiff import partial
 from vaknh.errors import EvalError
@@ -28,9 +35,49 @@ from oracles import _shifted
 from conftest import ALL_MODELS, get_model, random_states
 from test_expr import _exprs
 
+# The tests' kernels of psi and L~, the oldest making room as in the package.
+_LAGRANGIAN_SWEEPS: dict = {}
+
+
+def lagrangian_sweep(sysdef) -> _kernel.Sweep:
+    """The generated kernels of the jets of psi, then of the restricted
+    Lagrangian L~, in (q, base v), m+1 rows: the ``restricted`` kernel's
+    loop over psi, each dependent velocity substituted by its psi's jet,
+    continued through L~ as the ``field`` kernel continues it."""
+    def build():
+        base = [*sysdef.coords, *map(sysdef.velocity_of, sysdef.base)]
+
+        def evaluate(b, env):
+            results = []
+            for c in sysdef.dependent:
+                results.append(b.evaluate(sysdef.psi[c], env))
+                env[sysdef.velocity_of(c)] = results[-1]
+            return b.outputs(results + [b.evaluate(sysdef.lagrangian, env)])
+
+        return _kernel._generate(f"psi and L~ sweep of {sysdef.name}", base, base, True,
+                                 evaluate)
+
+    return _jets._kept(_LAGRANGIAN_SWEEPS, _jets._SWEEPS_KEPT, sysdef._key, build)
+
+
+def lagrangian_table(sysdef, q, v) -> RestrictedTable:
+    """The jets of psi, then of L~, at (q, v), from the scalar kernel of
+    ``lagrangian_sweep``: a table of m+1 rows, as
+    ``oracles.reference_restricted_table`` gives it."""
+    n, m = sysdef.n, sysdef.m
+    packed = lagrangian_sweep(sysdef).run(*_jets._flat(q, v))
+    return RestrictedTable(_jets._rows(packed, m + 1, 2 * n - m), n, m)
+
+
+def _generated(sysdef, kind):
+    """The kernels of sweep ``kind``: the package's, or "psi and L~"."""
+    return lagrangian_sweep(sysdef) if kind == "psi and L~" else _jets._kernel(sysdef, kind)
+
+
 # (kernel-backed sweep, interpreted sweep, kernel name)
 SWEEPS = (
-    (_jets.restricted_table, oracles.reference_restricted_table, "restricted"),
+    (_jets.restricted_table, oracles.reference_psi_table, "restricted"),
+    (lagrangian_table, oracles.reference_restricted_table, "psi and L~"),
     (_jets.ambient_table, oracles.reference_ambient_table, "ambient"),
     (_jets.ambient_velocity_gradient, oracles.reference_lift, "lift"),
 )
@@ -45,9 +92,11 @@ def _same_bits(a, b):
 
 
 def _jets_of(result):
-    """The jets of a sweep's result: the psi and the Lagrangian of a
-    restricted table, or the ambient Lagrangian's jet itself."""
-    return result.psi + [result.lag] if isinstance(result, RestrictedTable) else [result]
+    """The jets of a sweep's result: every row of a table (psi, then L~ in
+    a table of psi and L~), or the ambient Lagrangian's jet itself."""
+    if isinstance(result, RestrictedTable):
+        return [result.jet(row) for row in result.rows]
+    return [result]
 
 
 def _assert_agree(got, expected):
@@ -69,11 +118,11 @@ def _args(sysdef, kind, q, v, v_full):
 
 
 def _check_field(sysdef, q, v, mult):
-    """The ``field`` kernel fails exactly where the interpreted restricted
-    sweep does, and ``field_sweep`` then raises its error; otherwise it
-    equals the shifted restricted table bit for bit: the jet of Lambda, the
-    completed velocities, zeros, dLambda/dq_dep and the psi gradients in the
-    base velocities."""
+    """The ``field`` kernel fails exactly where the interpreted sweep of psi
+    and L~ does, and ``field_sweep`` then raises its error; otherwise it
+    equals the shifted table of psi and L~ bit for bit: the jet of Lambda,
+    the completed velocities, zeros, dLambda/dq_dep and the psi gradients
+    in the base velocities."""
     n, m = sysdef.n, sysdef.m
     try:
         oracles.reference_restricted_table(sysdef, q, v)
@@ -84,7 +133,7 @@ def _check_field(sysdef, q, v, mult):
         with pytest.raises((ArithmeticError, ValueError)):
             _jets._kernel(sysdef, "field").scalar(*_jets._flat(q, v, mult))
         return
-    tab = _jets.restricted_table(sysdef, q, v)
+    tab = lagrangian_table(sysdef, q, v)
     lam = _shifted(tab, np.asarray(mult, dtype=float))
     dq = np.empty(n)
     dq[sysdef.base_positions] = v
@@ -102,7 +151,7 @@ def _check_sweeps(sysdef, q, v, v_full, mult):
     _check_field(sysdef, q, v, mult)
     for sweep, reference, kind in SWEEPS:
         args = _args(sysdef, kind, q, v, v_full)
-        raw = _jets._kernel(sysdef, kind).scalar
+        raw = _generated(sysdef, kind).scalar
         try:
             expected = reference(sysdef, *args)
         except (EvalError, ArithmeticError, ValueError) as exc:
@@ -116,9 +165,23 @@ def _check_sweeps(sysdef, q, v, v_full, mult):
         _assert_agree(sweep(sysdef, *args), expected)
 
 
+def _check_restricted_lines(sysdef):
+    """The ``restricted`` kernel, in both forms, is the first lines of the
+    ``field`` kernel, and the same for any Lagrangian: no line of L."""
+    restricted, field = _jets._kernel(sysdef, "restricted"), _jets._kernel(sysdef, "field")
+    other = SystemDef(name=sysdef.name, coords=sysdef.coords, dependent=sysdef.dependent,
+                      lagrangian=E.parse("0"), psi=sysdef.psi, declared_linear=False)
+    for form, end in (("scalar_source", "    return "), ("array_source", "    _o = ")):
+        lines = getattr(restricted, form).splitlines()
+        body = lines[1:next(i for i, line in enumerate(lines) if line.startswith(end))]
+        assert getattr(field, form).splitlines()[1:1 + len(body)] == body
+        assert getattr(_jets._kernel(other, "restricted"), form) == getattr(restricted, form)
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_models_agree_with_interpreter(name):
     sysdef = get_model(name)
+    _check_restricted_lines(sysdef)
     for s in random_states(name, 30, 41):
         _check_sweeps(sysdef, s.q, s.v, complete_velocities(sysdef, s), s.p_dep)
 
@@ -138,6 +201,7 @@ _VALUES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 def test_random_trees_agree_with_interpreter(lagrangian, psi, values):
     sysdef = SystemDef(name="random", coords=("x", "y", "k1"), dependent=("k1",),
                        lagrangian=lagrangian, psi={"k1": psi}, declared_linear=False)
+    _check_restricted_lines(sysdef)
     _check_sweeps(sysdef, values[:3], values[3:5], values[3:6], values[6:])
 
 
@@ -172,13 +236,17 @@ def test_every_error_text_is_the_interpreters(lagrangian, psi, candidate, states
     def restricted(i):
         return oracles.reference_restricted_table(sysdef, q[i], v[i])
 
+    def psi(i):
+        return oracles.reference_psi_table(sysdef, q[i], v[i])
+
     def candidate_jet(i):
         if not seeded:
             return E.evaluate(candidate, envs[i])
         return [partial(candidate, envs[i], var) for var in seeded]
 
     for sweep, blocks, reference in [
-            (_jets._kernel(sysdef, "restricted"), (q, v), restricted),
+            (_jets._kernel(sysdef, "restricted"), (q, v), psi),
+            (lagrangian_sweep(sysdef), (q, v), restricted),
             (_jets._kernel(sysdef, "field"), (q, v, mult), restricted),
             (_jets._kernel(sysdef, "ambient"), (q, v_full),
              lambda i: oracles.reference_ambient_table(sysdef, q[i], v_full[i])),
@@ -273,6 +341,7 @@ def test_a_zeroth_power_agrees_with_the_interpreter():
     mult = np.full((len(states), 1), 0.7)
     for sweep, blocks in ((_jets._psi_values(sysdef), (q, v)),
                           (_jets._kernel(sysdef, "restricted"), (q, v)),
+                          (lagrangian_sweep(sysdef), (q, v)),
                           (_jets._kernel(sysdef, "field"), (q, v, mult))):
         out, site, _ = _jets.run_lanes(sweep, *blocks)
         assert not site.any()
@@ -283,10 +352,13 @@ def test_a_zeroth_power_agrees_with_the_interpreter():
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_hessians_exactly_symmetric(name):
     sysdef = get_model(name)
+    k = 2 * sysdef.n - sysdef.m
     for s in random_states(name, 50, 43):
-        restricted = _jets.restricted_table(sysdef, s.q, s.v)
+        tables = [_jets.restricted_table(sysdef, s.q, s.v), lagrangian_table(sysdef, s.q, s.v)]
         ambient = _jets.ambient_table(sysdef, s.q, complete_velocities(sysdef, s))
-        for jet in restricted.psi + [restricted.lag, ambient]:
+        field = _jets.field_sweep(sysdef, _jets._flat(s.q, s.v, s.p_dep))
+        lam = _jets._row_jet(field[:1 + k + k * k], k)
+        for jet in [*_jets_of(tables[0]), *_jets_of(tables[1]), ambient, lam]:
             assert np.array_equal(jet.hess, jet.hess.T)
 
 
@@ -495,9 +567,11 @@ def test_kernel_cache_tells_signed_zeros_apart():
 
     for zero in (0.0, -0.0, 0.0):
         sysdef = system(zero)
-        got = _jets.restricted_table(sysdef, (1.0, 2.0), (3.0,))
+        got = lagrangian_table(sysdef, (1.0, 2.0), (3.0,))
         _assert_agree(got, oracles.reference_restricted_table(sysdef, (1.0, 2.0), (3.0,)))
-        assert np.signbit(got.lag.grad[0]) == np.signbit(zero)   # dL/dx = zero
+        assert np.signbit(got.jet(got.rows[-1]).grad[0]) == np.signbit(zero)   # dL~/dx = zero
+        ambient = _jets.ambient_table(sysdef, (1.0, 2.0), (3.0, 3.0))   # the package's store
+        assert np.signbit(ambient.grad[0]) == np.signbit(zero)   # dL/dx = zero
         gradients = _jets.gradient_kernel([sysdef.lagrangian], ["x", "dx"], ["x"])
         jet, site, _ = _jets.run_lanes(gradients, np.array([[1.0, 3.0]]))
         assert not site[0] and np.signbit(jet[0, 1]) == np.signbit(zero)
@@ -523,7 +597,8 @@ def test_kernel_that_fails_where_its_interpreter_does_not(monkeypatch):
     # A failure site whose node's operation does not fail at the operand
     # values, here cos where the kernel checks log's domain, is a fault of
     # the generator, in the scalar kernel and in the array kernel.
-    sysdef = load_system(_DOMAIN.format(lagrangian="log(x) + dx^2").replace("false", "true"))
+    sysdef = load_system(_DOMAIN.format(lagrangian="dx^2 + dy^2").replace("false", "true")
+                         .replace("y = x*dx", "y = log(x)*dx"))
     s = VakState((0.0, 0.2), (0.5,), (0.7,))
     cos = E.parse("cos(x)")
     for kind in ("restricted", "field"):

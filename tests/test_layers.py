@@ -34,6 +34,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,7 @@ def _private_names(tree):
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
+@cache   # per tree: each module's tree is read once for all the others
 def _taken(tree):
     """The names a module takes from others: imported by name, or read as
     an attribute."""
