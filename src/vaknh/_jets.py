@@ -63,10 +63,9 @@ class RestrictedTable:
     Variable order: the n positions followed by the n-m base velocities,
     k = 2n-m variables in all.  The jets, one per psi in declaration order,
     are the rows of one read-only buffer ``rows`` of shape (m, 1+k+k*k),
-    each the value, the gradient and the row-major Hessian; ``values``,
-    ``grads`` and ``hessians`` are views of it, with a leading axis for the
-    tables of N stacked states in one (N, m, 1+k+k*k) buffer, and ``jet``
-    and ``psi`` read the table of one state.
+    each the value, the gradient and the row-major Hessian; ``grads`` and
+    ``hessians`` are views of it, with a leading axis for the tables of N
+    stacked states in one (N, m, 1+k+k*k) buffer.
     """
 
     rows: np.ndarray
@@ -78,26 +77,12 @@ class RestrictedTable:
         return 2 * self.n - self.m
 
     @property
-    def values(self) -> np.ndarray:
-        return self.rows[..., 0]
-
-    @property
     def grads(self) -> np.ndarray:
         return self.rows[..., 1:1 + self.k]
 
     @property
     def hessians(self) -> np.ndarray:
         return self.rows[..., 1 + self.k:].reshape(self.rows.shape[:-1] + (self.k, self.k))
-
-    def jet(self, row) -> Jet:
-        """The jet laid out in ``row``: a row of ``rows``, or a linear
-        combination of them."""
-        return _row_jet(row, self.k)
-
-    @property
-    def psi(self) -> list[Jet]:
-        """One jet per dependent coordinate, in declaration order."""
-        return [self.jet(row) for row in self.rows[:self.m]]
 
 
 # ---------------------------------------------------------------------------

@@ -446,11 +446,11 @@ class _Lanes:
 
     def mark(self, fresh, key, error):
         """Give the lanes in the mask ``fresh``, which have no error yet, one
-        error per distinct row of ``key`` (one per such lane), ``error`` at
-        its first lane, in the order of the rows."""
+        error per distinct entry of the 1-D ``key`` (one per such lane),
+        ``error`` at its first lane, in the sorted order of the entries."""
         if not fresh.any():
             return
-        _, first, which = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
         self.code[fresh] = len(self.errors) + 1 + which
         self.errors += [error(i) for i in np.flatnonzero(fresh)[first].tolist()]
 
@@ -461,8 +461,9 @@ class _Lanes:
         out, site, values = run_lanes(sweep, *blocks)
         if values is not None:
             fresh = (site != 0) & (self.code == 0)
-            self.mark(fresh, np.column_stack([site, values.view(np.int64)])[fresh],
-                      lambda i: sweep.error(int(site[i]), values[i].tolist()))
+            # Each lane's key is one 24-byte void: its site and operand bits.
+            key = np.column_stack([site, values.view(np.int64)])[fresh].view("V24")[:, 0]
+            self.mark(fresh, key, lambda i: sweep.error(int(site[i]), values[i].tolist()))
         return out
 
     @cached_property
@@ -599,7 +600,7 @@ def _fraction(values, tol):
         return None
     size = np.abs(values)
     top = np.where(np.isnan(size[:, 0]), np.nan, np.fmax.reduce(size, axis=1))
-    return sum(1 for x in top.tolist() if x < tol) / len(top)
+    return int(np.count_nonzero(top < tol)) / len(top)
 
 
 def _draw(sys, sampler):

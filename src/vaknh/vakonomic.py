@@ -24,16 +24,17 @@ the completed velocities, dp_dep and dpsi/dv as one buffer; Cbar and the
 terms of r are views of it.  r and the solve stay in numpy, whose dot
 products and solve round differently from plain floats; the determinant
 and the solve are the LAPACK gufuncs that ``np.linalg.det`` and
-``np.linalg.solve`` call, called directly.  The determinant guard's
-threshold has one home, ``_threshold``, which forms DET_RTOL *
-max|entry|**order in Python floats with numpy's bits.  The stage reads
-Cbar's entries as Python floats and skips the det of a 2 x 2 Cbar that
-``_certainly_regular`` certifies: a plain-float estimate of the det above
-four thresholds, with the largest entry between 1e-100 and 1e100, proves
-numpy's det above the threshold (the argument is in its docstring).  Any
-other Cbar runs the det and the guard.  The
-nonholonomic field is the same system with the Legendre momenta Leg_dep of
-the dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
+``np.linalg.solve`` call, called directly.  The determinant guard is
+``det_threshold``, for one matrix and for a stack alike; its threshold has
+one home, ``_threshold``, DET_RTOL times max|entry| multiplied by itself
+order times, which a Python float and a float64 array round alike.  The
+stage reads a 2 x 2 Cbar's entries as Python floats and skips the guard
+where ``_certainly_regular`` certifies it: a plain-float estimate of the
+det above four thresholds, with the largest entry between 1e-100 and
+1e100, proves numpy's det above the threshold (the argument is in its
+docstring).  Any other Cbar runs ``det_threshold``.  The nonholonomic
+field is the same system with the Legendre momenta Leg_dep of the
+dependent velocities in place of p_dep (:mod:`vaknh.nonholonomic`).
 
 The stage that ``_bind_stage`` binds is the one implementation of these
 equations, from the kernels' flat arguments to the derivative of the
@@ -100,50 +101,52 @@ class SymplecticReport:
 
 def det_threshold(c, order):
     """det(c) and the threshold DET_RTOL * max|entry|^order at or below
-    which |det| counts as singular, for a square matrix of that order.  A
-    NaN entry makes the threshold NaN.  For a stack of matrices, the arrays
-    of both, bit for bit the values of each matrix on its own.  The
-    determinant is that of ``np.linalg.det``, from the LAPACK gufunc it
-    calls, called directly; the threshold is ``_threshold``'s."""
-    if c.ndim > 2:
-        largest = np.abs(c).max(axis=(-2, -1)).tolist()
-        return (_umath_linalg.det(c, signature="d->d"),
-                np.array([_threshold(x, order) for x in largest]))
-    return (float(_umath_linalg.det(c, signature="d->d")),
-            _threshold(_largest([abs(x) for row in c.tolist() for x in row]), order))
-
-
-def _largest(sizes):
-    """The largest of the Python floats ``sizes``, or NaN if one is NaN."""
-    return math.nan if math.isnan(sum(sizes)) else max(sizes)
+    which |det| counts as singular, for a square matrix of that order, as
+    Python floats; for a stack of matrices, the array of the dets and the
+    threshold of each, bit for bit the values of each matrix on its own.
+    A NaN entry makes the threshold NaN.  The determinant is that of
+    ``np.linalg.det``, from the LAPACK gufunc it calls, called directly,
+    and only it can warn: the threshold is ``_threshold``'s, of a Python
+    float or, for a stack, of an array with overflow and underflow ignored,
+    as Python floats ignore them."""
+    det = _umath_linalg.det(c, signature="d->d")
+    largest = np.abs(c).max(axis=(-2, -1))
+    if c.ndim == 2:
+        return float(det), _threshold(float(largest), order)
+    with np.errstate(over="ignore", under="ignore"):
+        return det, _threshold(largest, order)
 
 
 def _threshold(largest, order):
-    """DET_RTOL * largest ** order in Python floats, for a matrix of that
-    order whose largest absolute entry is ``largest``: the one home of the
-    determinant threshold.  Python's power calls libm ``pow``, as numpy's
-    scalar power does, so the bits are numpy's; where it overflows, numpy
-    gives inf and Python raises ``OverflowError``, mapped here to inf.  A
-    NaN ``largest`` gives a NaN threshold."""
-    try:
-        return DET_RTOL * largest ** order
-    except OverflowError:
-        return math.inf
+    """DET_RTOL times ``largest`` multiplied by itself left to right,
+    ``order`` factors (1.0 for order 0): the threshold of the determinant
+    guard for a matrix of that order whose largest absolute entry is
+    ``largest``, its one home.  Each product rounds once, so a Python float
+    and each element of a float64 array give the same bits; a product that
+    overflows gives inf, and a NaN ``largest`` a NaN threshold (DET_RTOL
+    for order 0, whatever ``largest``)."""
+    power = 1.0
+    for _ in range(order):
+        power = power * largest
+    return DET_RTOL * power
 
 
-def _certainly_regular(c00, c01, c10, c11, largest, threshold):
-    """Whether the 2 x 2 matrix [[c00, c01], [c10, c11]], whose largest
-    absolute entry is ``largest``, certainly passes the determinant guard:
-    whether the det that ``np.linalg.det`` gives is above ``threshold`` =
-    ``_threshold(largest, 2)``, decided without computing that det.
+def _certainly_regular(c00, c01, c10, c11):
+    """Whether the 2 x 2 matrix [[c00, c01], [c10, c11]] of Python floats
+    certainly passes the determinant guard: whether the det that
+    ``np.linalg.det`` gives is above ``threshold`` = ``_threshold(largest,
+    2)``, with ``largest`` its largest absolute entry, decided without
+    computing that det.  A NaN entry makes the estimate e below NaN, and
+    so the answer False, whatever Python's ``max`` makes of it.
 
     It answers True only when 1e-100 < largest < 1e100 and the plain-float
     estimate e = c00*c11 - c01*c10 has |e| > 4*threshold.  Let u = 2**-53
-    and M = largest**2; the threshold is within a factor 1 +- 3u of
-    1e-12*M.  In that range no product overflows, and one that underflows
-    errs by less than 1e-300, far below u*M.  The estimate is off the
-    exact det D by at most 6u*M (u*M per product, 2u*M (1 + u) for their
-    difference), so |D| > 3.9e-12*M.  numpy's det is
+    and M = largest**2; the threshold, DET_RTOL * (largest*largest) with
+    three roundings (DET_RTOL's own and two products), is within a factor
+    (1 +- u)**3 of 1e-12*M.  In that range no product overflows, and one
+    that underflows errs by less than 1e-300, far below u*M.  The estimate
+    is off the exact det D by at most 6u*M (u*M per product, 2u*M (1 + u)
+    for their difference), so |D| > 3.9e-12*M.  numpy's det is
     sign*exp(log|u_11| + log|u_22|) of dgetrf's LU with partial pivoting.
     With p the pivot row and o the other, u_11 = c_p0 is an entry, and
     u_22 = c_o1 - (c_o0/c_p0)*c_p1, with |c_o0/c_p0| <= 1, is computed with
@@ -153,8 +156,10 @@ def _certainly_regular(c00, c01, c10, c11, largest, threshold):
     in size, and the logs, their sum and exp add a relative error below
     1e-12.  So numpy's |det| >= (|D| - 5u*M)(1 - 1e-12) > 3.8e-12*M >
     threshold: the guard passes.  Where this answers False, the stage runs
-    the det and the guard as written."""
-    return 1e-100 < largest < 1e100 and abs(c00 * c11 - c01 * c10) > 4.0 * threshold
+    ``det_threshold`` and the guard as written."""
+    largest = max(abs(c00), abs(c01), abs(c10), abs(c11))
+    return (1e-100 < largest < 1e100
+            and abs(c00 * c11 - c01 * c10) > 4.0 * _threshold(largest, 2))
 
 
 def _solve_ignoring(c, r):
@@ -212,24 +217,23 @@ def _bind_stage(sys, what):
     (q, v, Leg_dep), the lift's momenta of the dependent velocities (the
     two right-hand sides coincide under that substitution).
 
-    The kernels' buffers (``_bound``), the views of the field's
-    (``_views``) and the det gufunc are bound here, once.  A call
-    ``stage(args, dy)`` writes the derivative of the packed state -- the
-    completed velocities dq (n), the base accelerations dv (n-m) and, for
-    the vakonomic field, the multiplier rates dp (m) -- into ``dy``, a row
-    of the caller's, or else into an array of its own.  It returns ``dy``
+    The kernels' buffers (``_bound``) and the views of the field's
+    (``_views``) are bound here, once.  A call ``stage(args, dy)`` writes
+    the derivative of the packed state -- the completed velocities dq (n),
+    the base accelerations dv (n-m) and, for the vakonomic field, the
+    multiplier rates dp (m) -- into ``dy``, a row of the caller's, or else
+    into an array of its own.  It returns ``dy``
     and the vakonomic ``field`` buffer, which ``_momenta``, ``_hamiltonian``
     and ``_rates`` read, or the nonholonomic ``lift`` array, which
     ``nonholonomic._energy`` reads, until the next call overwrites it.
     The solve runs without an ``np.errstate`` of its own: the caller
     ignores floating-point errors.
 
-    The determinant guard reads Cbar's entries as Python floats and forms
-    the threshold with ``_threshold``.  A 2 x 2 Cbar that
-    ``_certainly_regular`` certifies passes without its det; any other
-    runs the det gufunc and the guard.  A reduced matrix that fails the
-    guard raises ``_singular``'s error.  Where a kernel fails,
-    ``Sweep.run`` raises the documented error.
+    A 2 x 2 Cbar that ``_certainly_regular`` certifies from its entries,
+    read as Python floats, passes without its det; any other runs
+    ``det_threshold``.  A reduced matrix that fails the guard raises
+    ``_singular``'s error.  Where a kernel fails, ``Sweep.run`` raises the
+    documented error.
     """
     n, k = sys.n, 2 * sys.n - sys.m
     run, out, entries, buf = _bound(sys, "field")
@@ -246,23 +250,15 @@ def _bind_stage(sys, what):
     # Cbar's entries in the buffer, row by row.
     cells = [1 + k + i * k + j for i in range(n, k) for j in range(n, k)]
     cbar_entries = itemgetter(*cells)
-    det, certified = _umath_linalg.det, _certainly_regular
+    certified = _certainly_regular
 
     def stage(args, dy=None):
         if lifted:
             lift_out[:] = lift(*args)
             args = args + [lift_entries[i] for i in momenta]
         out[:] = run(*args)
-        if order == 2:
-            c00, c01, c10, c11 = cbar_entries(entries)
-            largest = _largest((abs(c00), abs(c01), abs(c10), abs(c11)))
-            threshold = _threshold(largest, 2)
-            checked = not certified(c00, c01, c10, c11, largest, threshold)
-        else:
-            threshold = _threshold(_largest([abs(entries[i]) for i in cells]), order)
-            checked = True
-        if checked:
-            d = float(det(c, signature="d->d"))
+        if order != 2 or not certified(*cbar_entries(entries)):
+            d, threshold = det_threshold(c, order)
             if abs(d) <= threshold:
                 raise _singular(sys, what, d, args)
         r = grad[base] - dq @ cross + dp @ psi_v

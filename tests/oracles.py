@@ -34,10 +34,11 @@
   ``expr.evaluate``, the formula the nonholonomic energy row used before it
   read L from the lift kernel.
 
-* ``reference_det_threshold``: the determinant guard's det and threshold
-  as the package formed them before the threshold moved to Python floats
-  (``vakonomic._threshold``), with numpy's scalar power: the reference the
-  threshold and the stage's certified skip of the det are checked against.
+* ``reference_det_threshold``: the determinant guard's det and threshold,
+  the threshold's power formed one matrix at a time as a product of Python
+  floats (``math.prod``): the reference ``vakonomic.det_threshold``, whose
+  ``_threshold`` forms it once over a whole stack, and the stage's
+  certified skip of the det are checked against.
 
 * ``_shifted``: the multiplier shift Lambda = L~ - mult . psi of a
   table of psi and L~, made in numpy on its rows: the oracle of the ``field``
@@ -252,16 +253,17 @@ def reference_energy(sys, s) -> float:
 
 def reference_det_threshold(c, order):
     """det(c) and DET_RTOL * max|entry|^order, NaN where an entry is NaN,
-    per matrix of a stack: each largest entry raised with numpy's scalar
-    power, which rounds differently from its array power."""
+    per matrix of a stack: each largest entry multiplied by itself left to
+    right, ``order`` factors, in Python floats (``math.prod``), a product
+    that differs from libm's ``pow`` in the last bit now and then."""
     if c.ndim > 2:
         largest = np.abs(c).max(axis=(-2, -1)).tolist()
         return (_umath_linalg.det(c, signature="d->d"),
-                DET_RTOL * np.array([np.float64(x) ** order for x in largest]))
+                DET_RTOL * np.array([math.prod([x] * order) for x in largest]))
     sizes = [abs(x) for row in c.tolist() for x in row]
     largest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
     return (float(_umath_linalg.det(c, signature="d->d")),
-            DET_RTOL * np.float64(largest) ** order)
+            DET_RTOL * math.prod([largest] * order))
 
 
 def _shifted(tab, mult) -> Jet:
@@ -272,7 +274,7 @@ def _shifted(tab, mult) -> Jet:
     row = rows[..., tab.m, :]
     for j in range(tab.m):
         row = row - mult[..., j, None] * rows[..., j, :]
-    return tab.jet(row)
+    return _jets._row_jet(row, tab.k)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +289,8 @@ def _constraint_rows(sys, tab_r, qdot, mat, rhs, row0):
         row = row0 + k
         mat[row, dpos] = 1.0
         for a, apos in enumerate(sys.base_positions):
-            mat[row, apos] = -tab_r.psi[k].grad[sys.n + a]
-        rhs[row] = sum(qdot[big_a] * tab_r.psi[k].grad[big_a]
+            mat[row, apos] = -tab_r.grads[k, sys.n + a]
+        rhs[row] = sum(qdot[big_a] * tab_r.grads[k, big_a]
                        for big_a in range(sys.n))
     return nb
 
@@ -302,7 +304,7 @@ def _dphi_dvel(sys, tab_r, big_a):
     else:
         a = list(sys.base_positions).index(big_a)
         for k in range(sys.m):
-            out[k] = tab_r.psi[k].grad[sys.n + a]
+            out[k] = tab_r.grads[k, sys.n + a]
     return out
 
 
@@ -347,7 +349,7 @@ def vak_dae_rhs(sys, q, qdot, lam):
             # -lam . d2(psi)/dv dv acts only on base velocity columns
             for b, bpos in enumerate(sys.base_positions):
                 mat[big_a, bpos] -= sum(
-                    lam[k] * tab_r.psi[k].hess[n + a, n + b]
+                    lam[k] * tab_r.hessians[k, n + a, n + b]
                     for k in range(m))
         dphi = _dphi_dvel(sys, tab_r, big_a)
         for k in range(m):
@@ -358,9 +360,9 @@ def vak_dae_rhs(sys, q, qdot, lam):
             if big_a in base_of:
                 a = base_of[big_a]
                 total += lam[k] * sum(
-                    qdot[big_b] * tab_r.psi[k].hess[big_b, n + a]
+                    qdot[big_b] * tab_r.hessians[k, big_b, n + a]
                     for big_b in range(n))
-            total -= lam[k] * tab_r.psi[k].grad[big_a]
+            total -= lam[k] * tab_r.grads[k, big_a]
         rhs[big_a] = total
     _constraint_rows(sys, tab_r, qdot, mat, rhs, n)
     sol = np.linalg.solve(mat, rhs)

@@ -37,7 +37,7 @@ def _reference(sysdef, s, mult):
     lam = _shifted(tab, mult)
     dq = np.empty(n)
     dq[base] = s.v
-    dq[dep] = tab.values[:m]
+    dq[dep] = tab.rows[:m, 0]
     dp = lam.grad[dep]
     c = lam.hess[n:, n:]
     threshold = DET_RTOL * np.float64(np.abs(c).max()) ** (n - m)

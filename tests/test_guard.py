@@ -1,10 +1,14 @@
-"""The determinant guard of the reduced equations.  Its threshold is formed
-in Python floats (``vakonomic._threshold``), and the stage skips the LAPACK
-det of a 2 x 2 reduced matrix that ``vakonomic._certainly_regular``
-certifies.  The threshold must equal the reference guard's
-(``oracles.reference_det_threshold``) bit for bit, a skipped det must be one
-the reference guard passes, and an integration that never skips must give
-the same bytes as one that does.
+"""The determinant guard of the reduced equations.  Its threshold
+(``vakonomic._threshold``) is DET_RTOL times a product of the largest entry
+by itself, which a Python float and a float64 array round alike, so one
+path serves a matrix and a stack; the stage skips the guard of a 2 x 2
+reduced matrix that ``vakonomic._certainly_regular`` certifies.  The
+threshold must equal the reference guard's
+(``oracles.reference_det_threshold``) bit for bit, on an array as on each
+of its floats, and give the verdicts of a guard on libm's ``pow`` but where
+|det| lies between the two thresholds; a skipped det must be one the
+reference guard passes, and an integration that never skips must give the
+same bytes as one that does.
 """
 
 import math
@@ -60,15 +64,34 @@ def test_threshold_equals_the_reference_bit_for_bit(n):
     assert (thresholds == 0.0).any()
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_threshold_power_equals_numpy_scalar_power(order):
-    rng = np.random.default_rng(500 + order)
+def _sizes(rng, count):
+    """``count`` largest entries from 1e-320 to 1e308, then ``_SPECIAL``'s:
+    zeros, subnormals, NaN, infinities and ones whose powers overflow."""
     with np.errstate(all="ignore"):
-        largest = np.abs(np.concatenate([
-            rng.standard_normal(100_000) * 10.0 ** rng.uniform(-320, 308, 100_000),
-            _SPECIAL])).tolist()
-        expected = [DET_RTOL * np.float64(x) ** order for x in largest]
+        return np.abs(np.concatenate([
+            rng.standard_normal(count) * 10.0 ** rng.uniform(-320, 308, count), _SPECIAL]))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_threshold_equals_the_product_of_numpy_scalars(order):
+    largest = _sizes(np.random.default_rng(500 + order), 100_000).tolist()
+    with np.errstate(all="ignore"):
+        expected = [DET_RTOL * math.prod([np.float64(x)] * order) for x in largest]
     assert _bits([_threshold(x, order) for x in largest]) == _bits(expected)
+
+
+def test_threshold_of_an_array_is_that_of_each_float():
+    # The stack's threshold is one product over the array; every element
+    # must be the bits of a matrix on its own, for every order.
+    largest = _sizes(np.random.default_rng(510), 100_000)
+    with np.errstate(all="ignore"):
+        for order in range(5):
+            stacked = np.broadcast_to(_threshold(largest, order), largest.shape)
+            assert _bits(stacked) == _bits([_threshold(x, order) for x in largest.tolist()])
+            # Each kind of threshold occurred: NaN, inf, zero and subnormal.
+            if order >= 2:
+                assert np.isnan(stacked).any() and np.isinf(stacked).any()
+                assert (stacked == 0.0).any() and ((0 < stacked) & (stacked < 2.3e-308)).any()
 
 
 def _near_threshold(rng, count):
@@ -87,12 +110,8 @@ def test_the_skip_agrees_with_the_exact_guard():
     matrices = _near_threshold(np.random.default_rng(600), 200_000)
     dets, thresholds = reference_det_threshold(matrices, 2)
     passes = np.abs(dets) > thresholds
-    skipped = []
-    for (c00, c01), (c10, c11) in matrices.tolist():
-        largest = max(abs(c00), abs(c01), abs(c10), abs(c11))
-        skipped.append(_certainly_regular(c00, c01, c10, c11, largest,
-                                          _threshold(largest, 2)))
-    skipped = np.array(skipped)
+    skipped = np.array([_certainly_regular(c00, c01, c10, c11)
+                        for (c00, c01), (c10, c11) in matrices.tolist()])
     # A skipped det is one the exact guard passes: the stage decides as
     # the guard does.
     assert not (skipped & ~passes).any()
@@ -103,6 +122,22 @@ def test_the_skip_agrees_with_the_exact_guard():
     scales = np.abs(matrices).max(axis=(1, 2))
     assert not skipped[(scales <= 1e-100) | (scales >= 1e100)].any()
     assert passes[(scales <= 1e-100) | (scales >= 1e100)].sum() > 1_000
+
+
+def test_the_product_keeps_the_verdicts_of_the_power():
+    # libm's pow and the product round apart on a few of these matrices.
+    # A verdict may change only where |det| lies between the two
+    # thresholds, and on this corpus none does.
+    matrices = _near_threshold(np.random.default_rng(600), 200_000)
+    dets, thresholds = det_threshold(matrices, 2)
+    powered = np.array([DET_RTOL * x ** 2 for x in np.abs(matrices).max(axis=(1, 2)).tolist()])
+    changed = thresholds != powered
+    assert 0 < changed.sum() < 1_000
+    band = ((np.abs(dets) > np.minimum(thresholds, powered))
+            & (np.abs(dets) <= np.maximum(thresholds, powered)))
+    verdicts, powered_verdicts = np.abs(dets) <= thresholds, np.abs(dets) <= powered
+    assert not (verdicts != powered_verdicts)[~band].any()
+    assert not band.any()
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])

@@ -19,7 +19,8 @@ command, last, the stepper as a layer: the stage calls and their time
 field run each, after one lift run in a nonholonomic stage), and the run
 loop (``_run_rk45`` or ``_run_rk4``) with its own time, its total less the
 stage time; then the calls of the LAPACK det gufunc, which a stage makes
-only where it cannot certify its reduced matrix without it, and the
+through ``vakonomic.det_threshold`` only where it cannot certify its
+reduced matrix without it, and the
 command's runs of ``system.verify_linearity``, which a load makes only for
 a psi that the structural certificate leaves undecided.  The package is
 not changed: the tracer wraps the functions of
@@ -118,7 +119,8 @@ def timed_stepper():
     time ("stage s"), its run loops ("loops"), their time ("loop s") and
     the calls of the LAPACK det gufunc ("det calls") while installed:
     ``integrate._bind_stage`` and the run loops are wrapped on their module,
-    and ``det`` on numpy's ``_umath_linalg``, where a stage binds it."""
+    and ``det`` on numpy's ``_umath_linalg``, where ``det_threshold``
+    looks it up at each call."""
     from numpy.linalg import _umath_linalg
     from vaknh import integrate
 
